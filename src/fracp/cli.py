@@ -44,9 +44,9 @@ from .kernel import (PIPELINE_CONVENTION, profile_table_rows,
 from .operator import assemble, weak_residual
 from .params import ProblemParams
 from .quadrature import QuadratureSpec
-from .solver import (RegularizedProblem, full_residual, read_solution_csv,
+from .solver import (RegularizedProblem, TruncatedProblem, read_solution_csv,
                      solve_capacitary, solve_full, solve_pure_singular,
-                     truncated_rhs, write_solution_csv)
+                     write_solution_csv)
 from .verify import VerifySettings, run_acceptance
 
 __all__ = ["main"]
@@ -202,11 +202,10 @@ def _cmd_solve_full(cfg: RunConfig, args) -> int:
         return 3
 
     u_t, rep = solve_full(params, grid, K, u_bar, kappa, tol=cfg.solver.tol)
-    rhs = truncated_rhs(grid.nodes, u_t.values, u_bar.values, params, kappa)
+    prob = TruncatedProblem(params, grid, K, u_bar, kappa)
     path = os.path.join(out, "u_tilde.csv")
-    write_solution_csv(u_t, params, path, rhs=np.asarray(rhs, dtype=float),
-                       residual=full_residual(params, grid, K, u_bar,
-                                              kappa, u_t),
+    write_solution_csv(u_t, params, path, rhs=prob.reaction(u_t.values),
+                       residual=prob.gradient(u_t.values),
                        converged=rep.converged)
     scale = float(u_bar.values.max())
     drop = float((u_t.values - u_bar.values).min())

@@ -25,6 +25,7 @@ from .errors import ConfigError, DomainError
 from .grid import RadialGrid, make_radial_grid
 from .params import ProblemParams
 from .quadrature import QuadratureSpec
+from .solver import doubling_schedule
 
 __all__ = ["GridSettings", "SolverSettings", "RunConfig",
            "parse_config", "read_config"]
@@ -40,7 +41,6 @@ class GridSettings:
 @dataclass(frozen=True)
 class SolverSettings:
     tol: float = 1e-8
-    max_iter: int = 200
     schedule_max_n: int = 128
 
 
@@ -65,10 +65,7 @@ class RunConfig:
                                 anchors=anchors)
 
     def schedule(self) -> list[int]:
-        out = [1]
-        while out[-1] < self.solver.schedule_max_n:
-            out.append(2 * out[-1])
-        return out
+        return doubling_schedule(self.solver.schedule_max_n)
 
 
 def _parse_float(text: str) -> float:
@@ -110,7 +107,6 @@ _KEYS = {
     "quad.tol": (_parse_float, 1e-9),
     "quad.max_refinements": (_parse_int, 12),
     "solver.tol": (_parse_float, 1e-8),
-    "solver.max_iter": (_parse_int, 200),
     "solver.schedule_max_n": (_parse_int, 128),
     "output_dir": (_parse_str, "out"),
     "seed": (_parse_int, 20240817),
@@ -194,12 +190,9 @@ def parse_config(text: str) -> RunConfig:
                           max_refinements=values["quad.max_refinements"])
 
     ss = SolverSettings(tol=values["solver.tol"],
-                        max_iter=values["solver.max_iter"],
                         schedule_max_n=values["solver.schedule_max_n"])
     if ss.tol <= 0.0:
         raise ConfigError(f"solver.tol={ss.tol!r}: must be > 0")
-    if ss.max_iter < 1:
-        raise ConfigError(f"solver.max_iter={ss.max_iter!r}: must be >= 1")
     if ss.schedule_max_n < 1:
         raise ConfigError(
             f"solver.schedule_max_n={ss.schedule_max_n!r}: must be >= 1")

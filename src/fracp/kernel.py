@@ -14,10 +14,11 @@ for the exponent ``a`` circulate in derivations of this reduction:
 * ``"n-3"``: ``a = (N - 3)/2``, the exponent produced by the standard
   sphere-slicing identity.
 
-The package implements both behind the ``convention`` switch, defaulting
-to ``"n-2"``; the closed-form cross-check at p = 2
-(:func:`cross_check_p2`) decides which one is consistent with the
-classical constant, and the solver pipeline uses the validated ``"n-3"``.
+The package implements both behind the ``convention`` switch; the
+closed-form cross-check at p = 2 (:func:`cross_check_p2`) decides which
+one is consistent with the classical constant.  Every function defaults
+to the validated ``"n-3"`` that the solver pipeline uses; ``"n-2"`` is
+available as an explicit argument.
 
 The power-profile constant
 
@@ -56,7 +57,6 @@ from .quadrature import QuadratureSpec, QuadResult, graded_points, integrate
 
 __all__ = [
     "CONVENTIONS",
-    "DEFAULT_CONVENTION",
     "PIPELINE_CONVENTION",
     "unit_sphere_area",
     "unit_ball_volume",
@@ -80,7 +80,6 @@ __all__ = [
 ]
 
 CONVENTIONS = ("n-2", "n-3")
-DEFAULT_CONVENTION = "n-2"
 PIPELINE_CONVENTION = "n-3"
 
 _CROSS_CHECK_TOL = 1e-4
@@ -114,19 +113,19 @@ def _check_convention(convention: str) -> str:
     return convention
 
 
-def angular_exponent(N: int, convention: str = DEFAULT_CONVENTION) -> float:
+def angular_exponent(N: int, convention: str = PIPELINE_CONVENTION) -> float:
     """Exponent ``a`` in the angular weight (1 - t^2)^a."""
     _check_convention(convention)
     return (N - 2) / 2.0 if convention == "n-2" else (N - 3) / 2.0
 
 
-def edge_exponent(N: int, sp: float, convention: str = DEFAULT_CONVENTION) -> float:
+def edge_exponent(N: int, sp: float, convention: str = PIPELINE_CONVENTION) -> float:
     """Blow-up rate nu with Phi(rho) ~ G(1) (1-rho)^{-nu} as rho -> 1."""
     a = angular_exponent(N, convention)
     return (N + sp) - 2.0 * a - 2.0
 
 
-def edge_limit(N: int, sp: float, convention: str = DEFAULT_CONVENTION) -> float:
+def edge_limit(N: int, sp: float, convention: str = PIPELINE_CONVENTION) -> float:
     """Closed form of G(1) = lim (1-rho)^{nu} Phi(rho).
 
     Laplace expansion of the angular integral at t = 1 gives
@@ -173,14 +172,14 @@ def _angular_result(rho: float, N: int, sp: float, quad: QuadratureSpec,
 
 
 def angular_reduction(rho: float, params: ProblemParams, quad: QuadratureSpec,
-                      convention: str = DEFAULT_CONVENTION) -> float:
+                      convention: str = PIPELINE_CONVENTION) -> float:
     """Adaptive evaluation of Phi(rho).  See the module docstring."""
     return _angular_result(rho, params.N, params.sp, quad, convention).value
 
 
 def angular_reduction_result(rho: float, params: ProblemParams,
                              quad: QuadratureSpec,
-                             convention: str = DEFAULT_CONVENTION) -> QuadResult:
+                             convention: str = PIPELINE_CONVENTION) -> QuadResult:
     """Like :func:`angular_reduction` but reporting the achieved error."""
     return _angular_result(rho, params.N, params.sp, quad, convention)
 
@@ -264,7 +263,7 @@ def _build_phi_table(N: int, sp: float, convention: str) -> PhiTable:
 _TABLE_CACHE: dict[tuple, PhiTable] = {}
 
 
-def get_phi_table(N: int, sp: float, convention: str = DEFAULT_CONVENTION) -> PhiTable:
+def get_phi_table(N: int, sp: float, convention: str = PIPELINE_CONVENTION) -> PhiTable:
     """Cached per-(N, sp, convention) spline table of the edge profile."""
     _check_convention(convention)
     key = (int(N), round(float(sp), 12), convention)
@@ -286,7 +285,7 @@ def profile_window(params: ProblemParams) -> tuple[float, float]:
 
 def power_profile_result(beta: float, params: ProblemParams,
                          quad: QuadratureSpec,
-                         convention: str = DEFAULT_CONVENTION,
+                         convention: str = PIPELINE_CONVENTION,
                          table: PhiTable | None = None) -> QuadResult:
     """C(beta) with the quadrature's error estimate and node count.
 
@@ -332,7 +331,7 @@ def power_profile_result(beta: float, params: ProblemParams,
 
 def power_profile_constant(beta: float, params: ProblemParams,
                            quad: QuadratureSpec,
-                           convention: str = DEFAULT_CONVENTION,
+                           convention: str = PIPELINE_CONVENTION,
                            table: PhiTable | None = None) -> float:
     """The constant C(beta); zero exactly at beta_star by construction."""
     return power_profile_result(beta, params, quad, convention, table).value
@@ -483,7 +482,7 @@ def cross_check_p2(N: int, s: float,
 # ---------------------------------------------------------------------------
 
 def profile_table_rows(params: ProblemParams, betas, quad: QuadratureSpec,
-                       convention: str = DEFAULT_CONVENTION):
+                       convention: str = PIPELINE_CONVENTION):
     """Rows (beta, c_beta, rel_err, quad_nodes) for a beta sweep."""
     table = get_phi_table(params.N, params.sp, convention)
     rows = []
@@ -494,7 +493,7 @@ def profile_table_rows(params: ProblemParams, betas, quad: QuadratureSpec,
 
 
 def write_profile_table(out_dir: str, params: ProblemParams, rows,
-                        convention: str = DEFAULT_CONVENTION) -> str:
+                        convention: str = PIPELINE_CONVENTION) -> str:
     """Write a beta sweep as ``cbeta_N{N}_s{s}_p{p}.csv``.
 
     Comment lines carry the instance and, at p = 2, the measured

@@ -92,8 +92,6 @@ __all__ = [
     "energy_hessian",
     "weight_a",
     "weighted_norm",
-    "save_kernel_matrix",
-    "load_kernel_matrix",
 ]
 
 _SELF_CHECK_TOL = 1e-5
@@ -136,11 +134,12 @@ class KernelMatrix:
         return u.grid is self.grid or u.grid.grid_hash == self.grid.grid_hash
 
 
-def _require_match(u: RadialFunction, K: KernelMatrix, params: ProblemParams):
-    if not K.matches(u):
+def _require_match(grid: RadialGrid, K: KernelMatrix, params: ProblemParams):
+    """Refuse a grid or parameter set other than the ones K was built for."""
+    if grid is not K.grid and grid.grid_hash != K.grid.grid_hash:
         raise UsageError(
-            "radial function lives on a different grid than the kernel "
-            f"matrix (hashes {u.grid.grid_hash} vs {K.grid.grid_hash})"
+            "kernel matrix was assembled on a different grid "
+            f"(hashes {grid.grid_hash} vs {K.grid.grid_hash})"
         )
     if K.N != params.N or abs(K.sp - params.sp) > 1e-12 \
             or abs(K.p - params.p) > 1e-12:
@@ -635,7 +634,7 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
 def energy_seminorm(u: RadialFunction, K: KernelMatrix,
                     params: ProblemParams) -> float:
     """Discrete [u]^p: pair sum + exterior coupling + tail self term."""
-    _require_match(u, K, params)
+    _require_match(u.grid, K, params)
     U = u.values
     p = K.p
     D = U[:, None] - U[None, :]
@@ -648,7 +647,7 @@ def energy_seminorm(u: RadialFunction, K: KernelMatrix,
 def weak_residual(u: RadialFunction, K: KernelMatrix,
                   params: ProblemParams) -> np.ndarray:
     """Nodal pairing values R_i = (1/p) dE/dU_i (dual coefficients)."""
-    _require_match(u, K, params)
+    _require_match(u.grid, K, params)
     U = u.values
     p = K.p
     D = U[:, None] - U[None, :]
@@ -666,7 +665,7 @@ def weak_residual(u: RadialFunction, K: KernelMatrix,
 def energy_hessian(u: RadialFunction, K: KernelMatrix,
                    params: ProblemParams) -> np.ndarray:
     """Dense second derivative of energy_seminorm / p at u."""
-    _require_match(u, K, params)
+    _require_match(u.grid, K, params)
     U = u.values
     p = K.p
     n = U.size
@@ -736,95 +735,3 @@ def weighted_norm(u: RadialFunction, q: float, params: ProblemParams) -> float:
     tail_int = float((wy / (y ** (N + alpha) + R ** (N + alpha))).sum())
     tail = S * R ** N * abs(float(U[-1])) ** q * tail_int
     return (params.c_a * (body + tail)) ** (1.0 / q)
-
-
-# ---------------------------------------------------------------------------
-# portable cache
-# ---------------------------------------------------------------------------
-
-def save_kernel_matrix(K: KernelMatrix, path: str) -> None:
-    """Write the matrix as CSV triplets with a hash-carrying header.
-
-    Exterior columns are stored under pseudo-node indices j > M; the xi
-    sample points travel in the header so a load reproduces the object
-    exactly, bit for bit.
-    """
-    M1 = K.weights.shape[0]
-    lines = [
-        "# kernel-matrix-cache,format=1",
-        f"# grid_hash={K.grid.grid_hash},n_nodes={M1}",
-        f"# N={K.N},sp={float(K.sp)!r},p={float(K.p)!r},"
-        f"convention={K.convention},nu={float(K.nu)!r}",
-        f"# tail_self={float(K.tail_self)!r},"
-        f"assembly_error={float(K.assembly_error)!r}",
-        "# tail_xi=" + " ".join(repr(float(v)) for v in K.tail_xi),
-        "# tail_g=" + " ".join(repr(float(v)) for v in K.tail_g),
-        "i,j,weight",
-    ]
-    for i in range(M1):
-        row = K.weights[i]
-        for j in range(i + 1, M1):
-            if row[j] != 0.0:
-                lines.append(f"{i},{j},{float(row[j])!r}")
-    for i in range(M1):
-        for qcol in range(K.tail_W.shape[1]):
-            v = K.tail_W[i, qcol]
-            if v != 0.0:
-                lines.append(f"{i},{M1 + qcol},{float(v)!r}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_kernel_matrix(path: str, grid: RadialGrid,
-                       params: ProblemParams) -> KernelMatrix:
-    """Rebuild a cached matrix, refusing hash or parameter mismatches."""
-    meta = {}
-    trips = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == "i,j,weight":
-                continue
-            if line.startswith("#"):
-                for part in line[1:].strip().split(","):
-                    if "=" in part:
-                        key, val = part.split("=", 1)
-                        meta[key.strip()] = val.strip()
-                continue
-            i, j, wgt = line.split(",")
-            trips.append((int(i), int(j), float(wgt)))
-    if meta.get("grid_hash") != grid.grid_hash:
-        raise UsageError(
-            f"cache {path} was assembled on grid {meta.get('grid_hash')}, "
-            f"not on the supplied grid {grid.grid_hash}"
-        )
-    if int(meta["N"]) != params.N \
-            or abs(float(meta["sp"]) - params.sp) > 1e-12 \
-            or abs(float(meta["p"]) - params.p) > 1e-12:
-        raise UsageError(f"cache {path} holds a different parameter set")
-    M1 = int(meta["n_nodes"])
-    tail_xi = np.array([float(v) for v in meta["tail_xi"].split()])
-    tail_g = np.array([float(v) for v in meta["tail_g"].split()])
-    Kmat = np.zeros((M1, M1))
-    W = np.zeros((M1, tail_xi.size))
-    for i, j, wgt in trips:
-        if j < M1:
-            Kmat[i, j] = wgt
-            Kmat[j, i] = wgt
-        else:
-            W[i, j - M1] = wgt
-    return KernelMatrix(
-        grid=grid,
-        convention=meta["convention"],
-        N=int(meta["N"]),
-        sp=float(meta["sp"]),
-        p=float(meta["p"]),
-        nu=float(meta["nu"]),
-        weights=Kmat,
-        volume_weights=grid.volume_weights(int(meta["N"])),
-        tail_xi=tail_xi,
-        tail_g=tail_g,
-        tail_W=W,
-        tail_self=float(meta["tail_self"]),
-        assembly_error=float(meta["assembly_error"]),
-    )

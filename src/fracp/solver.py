@@ -16,6 +16,9 @@ limit.  The truncated full problem replaces A_n by the primitive of
 no longer concave for kappa > 0; there the same iteration is run with
 a Levenberg shift whenever the Hessian loses definiteness, and the
 resulting stationary point is accepted only if it dominates u_bar.
+The capacitary barrier minimizes the bare energy.  All three are one
+:class:`Functional` with a different reaction primitive, and the same
+damped Newton iteration minimizes each.
 
 The reaction integral splits like the energy: nodal values weighted by
 exact annulus volumes inside the truncation radius, plus a one
@@ -36,6 +39,7 @@ from .grid import RadialFunction, RadialGrid
 from .kernel import unit_sphere_area
 from .operator import (
     KernelMatrix,
+    _require_match,
     energy_hessian,
     energy_seminorm,
     weak_residual,
@@ -46,25 +50,28 @@ from .quadrature import gauss_jacobi_01
 
 __all__ = [
     "A_primitive",
+    "Functional",
     "RegularizedProblem",
+    "TruncatedProblem",
     "SolveReport",
+    "doubling_schedule",
     "minimize_Jn",
     "solve_pure_singular",
     "solve_capacitary",
     "truncated_rhs",
     "solve_full",
-    "full_residual",
     "write_solution_csv",
     "read_solution_csv",
 ]
 
 _MAX_ITER = 200
 _ARMIJO_C1 = 1e-4
+_ARMIJO_STEPS = 60
 _TAIL_RULE_NODES = 32
 
 
 # ---------------------------------------------------------------------------
-# shifted singular primitive
+# reaction primitives
 
 
 def A_primitive(a_val, t, n, gamma):
@@ -98,6 +105,41 @@ def _A_second(t, n, gamma):
                     0.0)
 
 
+def _F_bar(t, ub, gamma, r_exp, kappa):
+    """Primitive in t of (max(ub, .)^{-gamma} + kappa max(ub, .)^{r})."""
+    t = np.asarray(t, dtype=float)
+    slope0 = ub ** -gamma
+    if kappa > 0.0:
+        slope0 = slope0 + kappa * ub ** r_exp
+    tm = np.maximum(t, ub)
+    above = ub * slope0 + (tm ** (1.0 - gamma) - ub ** (1.0 - gamma)) / (1.0 - gamma)
+    if kappa > 0.0:
+        above = above + kappa * (tm ** (1.0 + r_exp) - ub ** (1.0 + r_exp)) / (1.0 + r_exp)
+    return np.where(t <= ub, t * slope0, above)
+
+
+def _F_bar_prime(t, ub, gamma, r_exp, kappa):
+    t = np.asarray(t, dtype=float)
+    m = np.maximum(t, ub)
+    val = m ** -gamma
+    if kappa > 0.0:
+        val = val + kappa * m ** r_exp
+    return val
+
+
+def _F_bar_second(t, ub, gamma, r_exp, kappa):
+    t = np.asarray(t, dtype=float)
+    m = np.maximum(t, ub)
+    val = -gamma * m ** (-gamma - 1.0)
+    if kappa > 0.0:
+        val = val + kappa * r_exp * m ** (r_exp - 1.0)
+    return np.where(t > ub, val, 0.0)
+
+
+def _no_reaction(t, floor):
+    return np.zeros_like(t)
+
+
 def _reaction_tail_rule(params: ProblemParams, grid: RadialGrid):
     """Quadrature for int_{r > R_max} a(x) h(u(x)) dx with a power tail.
 
@@ -116,66 +158,103 @@ def _reaction_tail_rule(params: ProblemParams, grid: RadialGrid):
     return wT, gT
 
 
-@dataclass
-class RegularizedProblem:
-    """One level of the continuation: minimize J_n on a fixed grid."""
+# ---------------------------------------------------------------------------
+# the functional
 
-    params: ProblemParams
-    n: int
-    grid: RadialGrid
-    K: KernelMatrix
 
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise UsageError(f"n={self.n}: the shift index must be a "
-                             "positive integer")
-        self.n = int(self.n)
-        if self.K.grid.grid_hash != self.grid.grid_hash:
-            raise UsageError(
-                "kernel matrix was assembled on a different grid "
-                f"({self.K.grid.grid_hash} vs {self.grid.grid_hash})")
-        if (self.K.N != self.params.N
-                or abs(self.K.sp - self.params.sp) > 1e-12
-                or abs(self.K.p - self.params.p) > 1e-12):
-            raise UsageError(
-                "kernel matrix was assembled for different exponents "
-                f"(N={self.K.N}, sp={self.K.sp:g}, p={self.K.p:g})")
-        self._omega = self.grid.volume_weights(self.params.N)
-        self._a = weight_a(self.grid.nodes, self.params)
-        self._wT, self._gT = _reaction_tail_rule(self.params, self.grid)
+class Functional:
+    """J(u) = (1/p) E(u) - int a(x) F(u(x)) dx on a fixed grid.
+
+    ``reaction`` is the nodal primitive as a triple ``(F, F', F'')`` of
+    functions ``f(t, floor)``; ``floor`` is passed through to them (the
+    nodal shield of the truncated problem, None otherwise).  Without a
+    reaction the functional is the bare energy.  The reaction integral
+    is the nodal sum against exact annulus volumes plus the Jacobi tail
+    rule, where the floor follows the values along the power tail.
+    """
+
+    def __init__(self, params: ProblemParams, grid: RadialGrid,
+                 K: KernelMatrix, reaction=None, floor=None):
+        _require_match(grid, K, params)
+        self.params = params
+        self.grid = grid
+        self.K = K
+        self._F = reaction or (_no_reaction,) * 3
+        self._floor = floor
+        self._omega = grid.volume_weights(params.N)
+        self._a = weight_a(grid.nodes, params)
+        self._wT, self._gT = _reaction_tail_rule(params, grid)
+        self._floor_T = None if floor is None else floor[-1] * self._gT
 
     def objective(self, vals: np.ndarray) -> float:
         u = RadialFunction(self.grid, vals)
         e = energy_seminorm(u, self.K, self.params) / self.params.p
-        g = self.params.gamma
-        body = float((self._omega * self._a
-                      * A_primitive(1.0, vals, self.n, g)).sum())
+        F = self._F[0]
+        body = float((self._omega * self._a * F(vals, self._floor)).sum())
         tail = float((self._wT
-                      * A_primitive(1.0, vals[-1] * self._gT, self.n, g)).sum())
+                      * F(vals[-1] * self._gT, self._floor_T)).sum())
         return e - body - tail
 
     def gradient(self, vals: np.ndarray) -> np.ndarray:
         u = RadialFunction(self.grid, vals)
-        out = weak_residual(u, self.K, self.params).copy()
-        g = self.params.gamma
-        out -= self._omega * self._a * _A_prime(vals, self.n, g)
+        out = weak_residual(u, self.K, self.params)
+        dF = self._F[1]
+        out -= self._omega * self._a * dF(vals, self._floor)
         out[-1] -= float((self._wT * self._gT
-                          * _A_prime(vals[-1] * self._gT, self.n, g)).sum())
+                          * dF(vals[-1] * self._gT, self._floor_T)).sum())
         return out
 
     def hessian(self, vals: np.ndarray) -> np.ndarray:
         u = RadialFunction(self.grid, vals)
         H = energy_hessian(u, self.K, self.params)
-        g = self.params.gamma
-        d = self._omega * self._a * _A_second(vals, self.n, g)
-        H[np.diag_indices_from(H)] -= d
+        d2F = self._F[2]
+        H[np.diag_indices_from(H)] -= (self._omega * self._a
+                                       * d2F(vals, self._floor))
         H[-1, -1] -= float((self._wT * self._gT ** 2
-                            * _A_second(vals[-1] * self._gT, self.n, g)).sum())
+                            * d2F(vals[-1] * self._gT, self._floor_T)).sum())
         return H
 
     def reaction(self, vals: np.ndarray) -> np.ndarray:
-        """Nodal right-hand side a(r) (u_+ + 1/n)^{-gamma} at the values."""
-        return self._a * _A_prime(vals, self.n, self.params.gamma)
+        """Nodal right-hand side a(r) F'(u) at the values."""
+        return self._a * self._F[1](vals, self._floor)
+
+
+class RegularizedProblem(Functional):
+    """One level of the continuation: J_n with F = A_n on a fixed grid."""
+
+    def __init__(self, params: ProblemParams, n: int, grid: RadialGrid,
+                 K: KernelMatrix):
+        if int(n) != n or n < 1:
+            raise UsageError(f"n={n}: the shift index must be a "
+                             "positive integer")
+        self.n = n = int(n)
+        g = params.gamma
+        super().__init__(params, grid, K, reaction=(
+            lambda t, _: A_primitive(1.0, t, n, g),
+            lambda t, _: _A_prime(t, n, g),
+            lambda t, _: _A_second(t, n, g)))
+
+
+class TruncatedProblem(Functional):
+    """The truncated full problem: F = F_bar, shielded from below by u_bar."""
+
+    def __init__(self, params: ProblemParams, grid: RadialGrid,
+                 K: KernelMatrix, u_bar: RadialFunction, kappa: float):
+        if not 0.0 <= kappa <= 1.0:
+            raise DomainError(f"kappa={kappa:g}: need 0 <= kappa <= 1")
+        if not K.matches(u_bar):
+            raise UsageError("u_bar lives on a different grid than the "
+                             "kernel matrix")
+        if float(u_bar.values.min()) <= 0.0:
+            raise DomainError("u_bar must be strictly positive at every node")
+        if kappa > 0.0 and params.r_exp is None:
+            raise UsageError("kappa > 0 requires params.r_exp (growth "
+                             "exponent)")
+        g, r = params.gamma, params.r_exp
+        super().__init__(params, grid, K, floor=u_bar.values, reaction=(
+            lambda t, ub: _F_bar(t, ub, g, r, kappa),
+            lambda t, ub: _F_bar_prime(t, ub, g, r, kappa),
+            lambda t, ub: _F_bar_second(t, ub, g, r, kappa)))
 
 
 @dataclass
@@ -208,7 +287,20 @@ def _solve_newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -g
 
 
-def _minimize(value, grad, hess, x0, tol, free=None, max_iter=_MAX_ITER):
+def _backtrack(f: Functional, x, free, v, d, slope):
+    """Armijo backtracking from x along d; (trial, value) or None."""
+    step = 1.0
+    for _ in range(_ARMIJO_STEPS):
+        trial = x.copy()
+        trial[free] += step * d
+        vt = f.objective(trial)
+        if vt <= v + _ARMIJO_C1 * step * slope:
+            return trial, vt
+        step *= 0.5
+    return None
+
+
+def _minimize(f: Functional, x0, tol, free=None):
     """Damped Newton with Armijo backtracking on the free coordinates.
 
     Returns the final iterate and a SolveReport.  Every accepted step
@@ -219,17 +311,17 @@ def _minimize(value, grad, hess, x0, tol, free=None, max_iter=_MAX_ITER):
     x = np.array(x0, dtype=float, copy=True)
     if free is None:
         free = np.ones(x.size, dtype=bool)
-    v = value(x)
+    v = f.objective(x)
     failures = 0
     iterations = 0
     gn = np.inf
-    for _ in range(max_iter):
-        g = grad(x)
+    for _ in range(_MAX_ITER):
+        g = f.gradient(x)
         gf = g[free]
         gn = float(np.abs(gf).max()) if gf.size else 0.0
         if gn <= tol:
             return x, SolveReport(iterations, v, gn, failures, True)
-        H = hess(x)[np.ix_(free, free)]
+        H = f.hessian(x)[np.ix_(free, free)]
         d = _solve_newton_step(H, gf)
         slope = float(gf @ d)
         if slope >= 0.0:
@@ -243,45 +335,43 @@ def _minimize(value, grad, hess, x0, tol, free=None, max_iter=_MAX_ITER):
             # point has the smaller gradient
             trial = x.copy()
             trial[free] += d
-            gt = grad(trial)[free]
+            gt = f.gradient(trial)[free]
             gtn = float(np.abs(gt).max()) if gt.size else 0.0
             iterations += 1
             if gtn <= gn:
-                return trial, SolveReport(iterations, value(trial), gtn,
-                                          failures, gtn <= tol)
+                return trial, SolveReport(iterations, f.objective(trial),
+                                          gtn, failures, gtn <= tol)
             return x, SolveReport(iterations, v, gn, failures, gn <= tol)
-        step = 1.0
-        accepted = False
-        for _ in range(60):
-            trial = x.copy()
-            trial[free] += step * d
-            vt = value(trial)
-            if vt <= v + _ARMIJO_C1 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted and not np.array_equal(d, -gf):
+        accepted = _backtrack(f, x, free, v, d, slope)
+        if accepted is None and not np.array_equal(d, -gf):
             # Newton direction failed the backtracking budget; retry
             # along steepest descent before giving up
             failures += 1
-            d = -gf
-            slope = float(gf @ d)
-            step = 1.0
-            for _ in range(60):
-                trial = x.copy()
-                trial[free] += step * d
-                vt = value(trial)
-                if vt <= v + _ARMIJO_C1 * step * slope:
-                    accepted = True
-                    break
-                step *= 0.5
-        if not accepted:
+            accepted = _backtrack(f, x, free, v, -gf, float(gf @ -gf))
+        if accepted is None:
             failures += 1
             return x, SolveReport(iterations, v, gn, failures, False)
-        x = trial
-        v = vt
+        x, v = accepted
         iterations += 1
     return x, SolveReport(iterations, v, gn, failures, gn <= tol)
+
+
+def _finish(f: Functional, x, rep: SolveReport, tol: float) -> np.ndarray:
+    """Project onto u >= 0 and report energy and residual there."""
+    x = np.maximum(x, 0.0)
+    rep.final_energy = f.objective(x)
+    rep.residual_norm = float(np.abs(f.gradient(x)).max())
+    if rep.residual_norm > tol:
+        rep.converged = False
+    return x
+
+
+def doubling_schedule(n_max: int) -> list[int]:
+    """Shift indices 1, 2, 4, ... up to the first power of two >= n_max."""
+    out = [1]
+    while out[-1] < n_max:
+        out.append(2 * out[-1])
+    return out
 
 
 def minimize_Jn(prob: RegularizedProblem, init: RadialFunction,
@@ -297,16 +387,10 @@ def minimize_Jn(prob: RegularizedProblem, init: RadialFunction,
         raise UsageError(f"tol={tol:g}: tolerance must be positive")
     if not prob.K.matches(init):
         raise UsageError("init lives on a different grid than the problem")
-    x, rep = _minimize(prob.objective, prob.gradient, prob.hessian,
-                       init.values, tol)
+    x, rep = _minimize(prob, init.values, tol)
     if float(x.min()) < -tol:
         rep.converged = False
-    x = np.maximum(x, 0.0)
-    rep.final_energy = prob.objective(x)
-    rep.residual_norm = float(np.abs(prob.gradient(x)).max())
-    if rep.converged and rep.residual_norm > tol:
-        rep.converged = False
-    return RadialFunction(prob.grid, x), rep
+    return RadialFunction(prob.grid, _finish(prob, x, rep, tol)), rep
 
 
 def solve_pure_singular(params: ProblemParams, grid: RadialGrid,
@@ -370,17 +454,7 @@ def solve_capacitary(R: float, params: ProblemParams, grid: RadialGrid,
     with np.errstate(divide="ignore"):
         decay = (grid.nodes[k + 1:] / R) ** -params.beta_star
     x0[k + 1:] = np.minimum(1.0, decay)
-
-    def value(vals):
-        return energy_seminorm(RadialFunction(grid, vals), K, params) / params.p
-
-    def grad(vals):
-        return weak_residual(RadialFunction(grid, vals), K, params)
-
-    def hess(vals):
-        return energy_hessian(RadialFunction(grid, vals), K, params)
-
-    x, rep = _minimize(value, grad, hess, x0, tol, free=free)
+    x, _ = _minimize(Functional(params, grid, K), x0, tol, free=free)
     return RadialFunction(grid, np.clip(x, 0.0, 1.0))
 
 
@@ -404,83 +478,9 @@ def truncated_rhs(r, t, u_bar_val, params: ProblemParams, kappa: float):
                           "a positive floor")
     if kappa > 0.0 and params.r_exp is None:
         raise UsageError("kappa > 0 requires params.r_exp (growth exponent)")
-    m = np.maximum(u_bar_val, np.asarray(t, dtype=float))
-    val = m ** -params.gamma
-    if kappa > 0.0:
-        val = val + kappa * m ** params.r_exp
-    out = weight_a(r, params) * val
+    out = weight_a(r, params) * _F_bar_prime(t, u_bar_val, params.gamma,
+                                             params.r_exp, kappa)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _F_bar(t, ub, gamma, r_exp, kappa):
-    """Primitive in t of (max(ub, .)^{-gamma} + kappa max(ub, .)^{r})."""
-    t = np.asarray(t, dtype=float)
-    slope0 = ub ** -gamma
-    if kappa > 0.0:
-        slope0 = slope0 + kappa * ub ** r_exp
-    tm = np.maximum(t, ub)
-    above = ub * slope0 + (tm ** (1.0 - gamma) - ub ** (1.0 - gamma)) / (1.0 - gamma)
-    if kappa > 0.0:
-        above = above + kappa * (tm ** (1.0 + r_exp) - ub ** (1.0 + r_exp)) / (1.0 + r_exp)
-    return np.where(t <= ub, t * slope0, above)
-
-
-def _F_bar_prime(t, ub, gamma, r_exp, kappa):
-    t = np.asarray(t, dtype=float)
-    m = np.maximum(t, ub)
-    val = m ** -gamma
-    if kappa > 0.0:
-        val = val + kappa * m ** r_exp
-    return val
-
-
-def _F_bar_second(t, ub, gamma, r_exp, kappa):
-    t = np.asarray(t, dtype=float)
-    m = np.maximum(t, ub)
-    val = -gamma * m ** (-gamma - 1.0)
-    if kappa > 0.0:
-        val = val + kappa * r_exp * m ** (r_exp - 1.0)
-    return np.where(t > ub, val, 0.0)
-
-
-def _validate_full_inputs(params: ProblemParams, K: KernelMatrix,
-                          u_bar: RadialFunction, kappa: float) -> np.ndarray:
-    if not 0.0 <= kappa <= 1.0:
-        raise DomainError(f"kappa={kappa:g}: need 0 <= kappa <= 1")
-    if not K.matches(u_bar):
-        raise UsageError("u_bar lives on a different grid than the kernel "
-                         "matrix")
-    ub = np.asarray(u_bar.values, dtype=float)
-    if float(ub.min()) <= 0.0:
-        raise DomainError("u_bar must be strictly positive at every node")
-    if kappa > 0.0 and params.r_exp is None:
-        raise UsageError("kappa > 0 requires params.r_exp (growth exponent)")
-    return ub
-
-
-def full_residual(params: ProblemParams, grid: RadialGrid, K: KernelMatrix,
-                  u_bar: RadialFunction, kappa: float,
-                  u: RadialFunction) -> np.ndarray:
-    """Nodal stationarity residual of the truncated functional at ``u``.
-
-    The same expression :func:`solve_full` drives to zero; exposed so a
-    solution written to disk can carry its actual defect.
-    """
-    ub = _validate_full_inputs(params, K, u_bar, kappa)
-    if not K.matches(u):
-        raise UsageError("u lives on a different grid than the kernel "
-                         "matrix")
-    gamma = params.gamma
-    r_exp = params.r_exp if params.r_exp is not None else 0.0
-    omega = grid.volume_weights(params.N)
-    a_nodes = weight_a(grid.nodes, params)
-    wT, gT = _reaction_tail_rule(params, grid)
-    vals = np.asarray(u.values, dtype=float)
-    out = weak_residual(u, K, params).copy()
-    out -= omega * a_nodes * _F_bar_prime(vals, ub, gamma, r_exp, kappa)
-    out[-1] -= float((wT * gT * _F_bar_prime(vals[-1] * gT, ub[-1] * gT,
-                                             gamma, r_exp, kappa)).sum())
-    return out
 
 
 def solve_full(params: ProblemParams, grid: RadialGrid, K: KernelMatrix,
@@ -496,48 +496,10 @@ def solve_full(params: ProblemParams, grid: RadialGrid, K: KernelMatrix,
     """
     if tol <= 0.0:
         raise UsageError(f"tol={tol:g}: tolerance must be positive")
-    ub = _validate_full_inputs(params, K, u_bar, kappa)
-    gamma = params.gamma
-    r_exp = params.r_exp if params.r_exp is not None else 0.0
-    omega = grid.volume_weights(params.N)
-    a_nodes = weight_a(grid.nodes, params)
-    wT, gT = _reaction_tail_rule(params, grid)
-    ub_tail = ub[-1] * gT
-
-    def value(vals):
-        u = RadialFunction(grid, vals)
-        e = energy_seminorm(u, K, params) / params.p
-        body = float((omega * a_nodes
-                      * _F_bar(vals, ub, gamma, r_exp, kappa)).sum())
-        tail = float((wT * _F_bar(vals[-1] * gT, ub_tail, gamma, r_exp,
-                                  kappa)).sum())
-        return e - body - tail
-
-    def grad(vals):
-        u = RadialFunction(grid, vals)
-        out = weak_residual(u, K, params).copy()
-        out -= omega * a_nodes * _F_bar_prime(vals, ub, gamma, r_exp, kappa)
-        out[-1] -= float((wT * gT * _F_bar_prime(vals[-1] * gT, ub_tail,
-                                                 gamma, r_exp, kappa)).sum())
-        return out
-
-    def hess(vals):
-        u = RadialFunction(grid, vals)
-        H = energy_hessian(u, K, params)
-        d = omega * a_nodes * _F_bar_second(vals, ub, gamma, r_exp, kappa)
-        H[np.diag_indices_from(H)] -= d
-        H[-1, -1] -= float((wT * gT ** 2
-                            * _F_bar_second(vals[-1] * gT, ub_tail, gamma,
-                                            r_exp, kappa)).sum())
-        return H
-
-    x, rep = _minimize(value, grad, hess, ub, tol)
-    x = np.maximum(x, 0.0)
-    if float((x - ub).min()) < -tol:
-        rep.converged = False
-    rep.final_energy = value(x)
-    rep.residual_norm = float(np.abs(grad(x)).max())
-    if rep.converged and rep.residual_norm > tol:
+    prob = TruncatedProblem(params, grid, K, u_bar, kappa)
+    x, rep = _minimize(prob, u_bar.values, tol)
+    x = _finish(prob, x, rep, tol)
+    if float((x - u_bar.values).min()) < -tol:
         rep.converged = False
     return RadialFunction(grid, x), rep
 

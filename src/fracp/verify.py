@@ -25,12 +25,11 @@ from .analysis import (CheckRecord, VerificationReport, check_decay_sandwich,
 from .grid import RadialFunction, make_radial_grid
 from .kernel import (PIPELINE_CONVENTION, cross_check_p2, get_phi_table,
                      power_profile_constant)
-from .operator import (assemble, energy_seminorm, weak_residual,
-                       weight_a)
+from .operator import assemble, energy_seminorm, weak_residual
 from .params import ProblemParams
 from .quadrature import QuadratureSpec
-from .solver import (RegularizedProblem, minimize_Jn, solve_capacitary,
-                     solve_full, solve_pure_singular)
+from .solver import (RegularizedProblem, doubling_schedule, minimize_Jn,
+                     solve_capacitary, solve_full, solve_pure_singular)
 
 __all__ = ["VerifySettings", "run_acceptance"]
 
@@ -54,13 +53,6 @@ class VerifySettings:
     tol: float = 1e-8
     trunc_tol: float = 1e-5
     seed: int = 20240817
-
-
-def _schedule(n_max: int) -> list[int]:
-    out = [1]
-    while out[-1] < n_max:
-        out.append(out[-1] * 2)
-    return out
 
 
 def _grid_and_matrix(cache: dict, params: ProblemParams, st: VerifySettings,
@@ -221,7 +213,7 @@ def _check_continuation(report: VerificationReport, st: VerifySettings,
     family = []
     prev = RadialFunction(g, (1.0 + g.nodes ** 2) ** (-p2.beta_star / 2.0))
     worst = 0.0
-    for n in _schedule(st.schedule_max_n):
+    for n in doubling_schedule(st.schedule_max_n):
         prob = RegularizedProblem(p2, n, g, K)
         cur, rep = minimize_Jn(prob, prev, tol=st.tol)
         if family:
@@ -274,7 +266,7 @@ def _check_truncation(report: VerificationReport, st: VerifySettings,
                       p25: ProblemParams, cache: dict):
     g, K = _grid_and_matrix(cache, p25, st, st.M, p25.beta_star)
     u_bar, _ = solve_pure_singular(p25, g, K,
-                                   schedule=_schedule(st.trunc_max_n),
+                                   schedule=doubling_schedule(st.trunc_max_n),
                                    tol=st.trunc_tol)
     scale = float(u_bar.values.max())
     report.note(

@@ -12,7 +12,6 @@ resolution, so they use small grids.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -260,39 +259,6 @@ def test_mismatched_grid_rejected(K16, p2):
     wrong_params = ProblemParams(N=3, s=0.4, p=2.0, gamma=0.5, alpha=1.2)
     with pytest.raises(UsageError):
         op.weak_residual(good, K16, wrong_params)
-
-
-def test_cache_roundtrip(tmp_path, K16, p2):
-    path = os.path.join(tmp_path, "k16.csv")
-    op.save_kernel_matrix(K16, path)
-    loaded = op.load_kernel_matrix(path, K16.grid, p2)
-    np.testing.assert_array_equal(loaded.weights, K16.weights)
-    np.testing.assert_array_equal(loaded.tail_W, K16.tail_W)
-    np.testing.assert_array_equal(loaded.tail_xi, K16.tail_xi)
-    np.testing.assert_array_equal(loaded.tail_g, K16.tail_g)
-    assert loaded.tail_self == K16.tail_self
-    assert loaded.assembly_error == K16.assembly_error
-    assert loaded.nu == K16.nu
-    assert loaded.convention == K16.convention
-    # a second save must reproduce the file byte for byte
-    path2 = os.path.join(tmp_path, "k16-again.csv")
-    op.save_kernel_matrix(loaded, path2)
-    with open(path, "rb") as fh:
-        raw1 = fh.read()
-    with open(path2, "rb") as fh:
-        raw2 = fh.read()
-    assert raw1 == raw2
-
-
-def test_cache_rejects_wrong_grid_or_params(tmp_path, K16, p2):
-    path = os.path.join(tmp_path, "k16.csv")
-    op.save_kernel_matrix(K16, path)
-    other = RadialGrid(nodes=np.linspace(0.0, 16.0, 33), tail_exponent=2.0)
-    with pytest.raises(UsageError):
-        op.load_kernel_matrix(path, other, p2)
-    wrong = ProblemParams(N=3, s=0.5, p=2.5, gamma=0.5, alpha=1.0)
-    with pytest.raises(UsageError):
-        op.load_kernel_matrix(path, K16.grid, wrong)
 
 
 def test_power_profile_residual_scale(p2):

@@ -290,6 +290,35 @@ def test_truncated_rhs_validation(p25, p2):
         sv.truncated_rhs(1.0, 2.0, 1.0, p2, 0.5)   # no growth exponent
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_truncated_derivatives_match_finite_differences(p25, inst25, kappa):
+    # central differences of the objective and of the gradient; the last
+    # node carries the tail coupling, so its unit direction is checked on
+    # its own.  Every value sits at least 2e-3 from the floor, because
+    # F'' jumps there.
+    grid, K = inst25
+    r = grid.nodes
+    ub = (1.0 + r ** 2) ** (-p25.beta_star / 2.0)
+    prob = sv.TruncatedProblem(p25, grid, K, RadialFunction(grid, ub), kappa)
+    rng = np.random.default_rng(31)
+    below = (np.arange(r.size) % 3 == 0) & (r < 8.0)
+    vals = ub + np.where(below, -1.0, 1.0) * rng.uniform(2e-3, 2e-2, r.size)
+    g = prob.gradient(vals)
+    H = prob.hessian(vals)
+    eps = 1e-6
+    dirs = [np.eye(r.size)[-1]] + [rng.standard_normal(r.size)
+                                   for _ in range(5)]
+    for d in dirs:
+        d /= np.abs(d).max()
+        fd = (prob.objective(vals + eps * d)
+              - prob.objective(vals - eps * d)) / (2.0 * eps)
+        assert float(g @ d) == pytest.approx(fd, rel=1e-6)
+        fd_g = (prob.gradient(vals + eps * d)
+                - prob.gradient(vals - eps * d)) / (2.0 * eps)
+        Hd = H @ d
+        assert np.abs(fd_g - Hd).max() <= 1e-6 * np.abs(Hd).max()
+
+
 def test_solve_full_kappa_zero_near_pure(p2, inst2):
     # with kappa = 0 the truncated problem is solved by the pure
     # singular profile up to the residual shift 1/n of the last level;
