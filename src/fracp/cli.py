@@ -22,7 +22,7 @@ Subcommands:
 
 Exit codes: 0 all good, 1 a verification/ordering check failed, 2 bad
 usage or configuration, 3 numerical non-convergence.  Outputs are
-byte-stable for a fixed config, independent of FRACP_THREADS.
+byte-stable for a fixed config.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -42,8 +41,6 @@ from .errors import (ConfigError, ConvergenceError, DomainError, FracpError,
 from .kernel import (PIPELINE_CONVENTION, profile_table_rows,
                      profile_window, write_profile_table)
 from .operator import assemble, weak_residual
-from .params import ProblemParams
-from .quadrature import QuadratureSpec
 from .solver import (RegularizedProblem, TruncatedProblem, read_solution_csv,
                      solve_capacitary, solve_full, solve_pure_singular,
                      write_solution_csv)
@@ -52,26 +49,10 @@ from .verify import VerifySettings, run_acceptance
 __all__ = ["main"]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("FRACP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"FRACP_THREADS={raw!r}: not an integer")
-
-
 def _out_dir(cfg: RunConfig, args) -> str:
     out = args.out if args.out else cfg.output_dir
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _sweep_row(task):
-    """One beta of the kernel-table sweep (multiprocessing target)."""
-    N, s, p, beta, qnodes, qtol, qref = task
-    params = ProblemParams.kernel_only(N, s, p)
-    quad = QuadratureSpec(nodes=qnodes, tol=qtol, max_refinements=qref)
-    return profile_table_rows(params, [beta], quad, PIPELINE_CONVENTION)[0]
 
 
 def _cmd_kernel_table(cfg: RunConfig, args) -> int:
@@ -94,15 +75,7 @@ def _cmd_kernel_table(cfg: RunConfig, args) -> int:
             min(abs(b - bstar) for b in betas) > 1e-12:
         betas = sorted(betas + [bstar])
 
-    workers = _worker_count()
-    if workers == 1:
-        rows = profile_table_rows(params, betas, cfg.quad,
-                                  PIPELINE_CONVENTION)
-    else:
-        tasks = [(params.N, params.s, params.p, float(b), cfg.quad.nodes,
-                  cfg.quad.tol, cfg.quad.max_refinements) for b in betas]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+    rows = profile_table_rows(params, betas, cfg.quad, PIPELINE_CONVENTION)
     path = write_profile_table(_out_dir(cfg, args), params, rows,
                                PIPELINE_CONVENTION)
     print(f"kernel-table: {len(rows)} rows -> {path}")
@@ -115,10 +88,13 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
     grid = cfg.build_grid(anchors=(1.0, R))
     K = assemble(grid, params, cfg.quad)
     u = solve_capacitary(R, params, grid, K, tol=cfg.solver.tol)
+    residual = weak_residual(u, K, params)
+    stationary = float(np.abs(residual[grid.nodes > R]).max()) \
+        <= cfg.solver.tol
     out = _out_dir(cfg, args)
     path = os.path.join(out, f"capacitary_R{R:g}.csv")
     write_solution_csv(u, params, path, rhs=np.zeros_like(u.values),
-                       residual=weak_residual(u, K, params), converged=True)
+                       residual=residual, converged=stationary)
 
     fit = fit_decay(u)
     dev = abs(fit.exponent - params.beta_star) / params.beta_star
@@ -139,6 +115,10 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
         print(f"capacitary check {name}: "
               f"{'PASS' if passed else 'FAIL'} ({detail})")
     print(f"capacitary: profile -> {path}")
+    if not stationary:
+        print("capacitary: stationarity tolerance missed on the free nodes",
+              file=sys.stderr)
+        return 3
     return 0 if ok else 1
 
 

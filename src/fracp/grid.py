@@ -28,7 +28,6 @@ __all__ = [
     "RadialGrid",
     "RadialFunction",
     "make_radial_grid",
-    "read_radial_function",
 ]
 
 _MIN_NODES = 16
@@ -161,35 +160,3 @@ class RadialFunction:
             out = np.array(out, copy=True)
             out[beyond] = self.values[-1] * ratio ** -self.grid.tail_exponent
         return out if out.ndim else float(out)
-
-    def to_csv(self, path: str) -> None:
-        lines = [
-            f"# radial function: tail_exponent={self.grid.tail_exponent!r} "
-            f"grading={self.grid.grading!r} grid_hash={self.grid.grid_hash}",
-            "r,value",
-        ]
-        for r, v in zip(self.grid.nodes.tolist(), self.values.tolist()):
-            lines.append(f"{r!r},{v!r}")
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def read_radial_function(path: str) -> RadialFunction:
-    """Inverse of :meth:`RadialFunction.to_csv`."""
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# radial function:"):
-            raise UsageError(f"{path}: not a radial-function table")
-        meta = dict(tok.split("=", 1) for tok in header[2:].split()[2:])
-        column_line = fh.readline().strip()
-        if column_line != "r,value":
-            raise UsageError(f"{path}: expected 'r,value' columns")
-        rows = [line.split(",") for line in fh if line.strip()]
-    r = np.array([float(a) for a, _ in rows])
-    v = np.array([float(b) for _, b in rows])
-    grid = RadialGrid(nodes=r, tail_exponent=float(meta["tail_exponent"]),
-                      grading=float(meta["grading"]))
-    fn = RadialFunction(grid=grid, values=v)
-    if meta.get("grid_hash") not in (None, grid.grid_hash):
-        raise UsageError(f"{path}: grid hash mismatch")
-    return fn

@@ -32,24 +32,34 @@ window (lower end) and the kernel-integrability window (upper end).
 ``C`` vanishes identically at ``beta_star = (N-sp)/(p-1)`` because the
 middle bracket is zero there.
 
+Phi has a closed form.  Write ``S = sphere_measure(N)``,
+``mu = (N + sp)/2`` and ``c = a + 3/2``; Gegenbauer's integral gives
+
+    Phi(rho) = S * B(a+1, 1/2) * 2F1(mu, mu - a - 1/2; c; rho^2).
+
 Near ``rho = 1`` the angular factor blows up like
-``(1 - rho)^{-nu}`` with ``nu = sp + 1`` ("n-3") or ``nu = sp`` ("n-2");
-the bounded edge profile ``G(rho) = (1 - rho)^{nu} Phi(rho)`` has the
-closed-form limit ``G(1) = sphere_measure(N) * B(a+1, (nu+1)/2 ...)``
-computed in :func:`edge_limit`, which pins the spline table's endpoint.
+``(1 - rho)^{-nu}`` with ``nu = sp + 1`` ("n-3") or ``nu = sp`` ("n-2").
+Euler's transformation (DLMF 15.8) gives the bounded edge profile
+
+    G(rho) = (1 - rho)^{nu} Phi(rho)
+           = S * B(a+1, 1/2) * (1 + rho)^{-nu}
+               * 2F1(c - mu, 2a + 2 - mu; c; rho^2),
+
+whose limit ``G(1) = S * B(a+1, mu - a - 1) / 2`` is computed in
+:func:`edge_limit` and pins the spline table's endpoint.  The table
+(:func:`get_phi_table`) is built from this closed form and serves every
+caller on the hot path.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gammaln, gammasgn
+from scipy.special import gammaln, gammasgn, hyp2f1
 
 from .errors import DomainError, UsageError
 from .params import ProblemParams
@@ -65,7 +75,6 @@ __all__ = [
     "edge_exponent",
     "edge_limit",
     "angular_reduction",
-    "angular_reduction_result",
     "PhiTable",
     "get_phi_table",
     "power_profile_constant",
@@ -138,50 +147,33 @@ def edge_limit(N: int, sp: float, convention: str = PIPELINE_CONVENTION) -> floa
     return 0.5 * sphere_measure(N) * math.exp(log_beta)
 
 
-def _angular_result_v(v: float, N: int, sp: float, quad: QuadratureSpec,
-                      convention: str) -> QuadResult:
-    """Angular integral parametrized by v = 1 - rho (exact near the edge).
+def _edge_profile_exact(rho, N: int, sp: float, convention: str):
+    """G(rho) = (1 - rho)^nu Phi(rho) from its closed form, vectorized.
 
-    Substituting u = 1 - t turns the quadratic 1 - 2 t rho + rho^2 into
-    v^2 + 2 rho u, which is free of cancellation; the direct form loses
-    all significant digits once v^2 drops below machine epsilon.
+    Gegenbauer's integral followed by Euler's transformation (DLMF 15.8)
+    gives G = S B(a+1, 1/2) (1+rho)^{-nu} 2F1(c-mu, 2a+2-mu; c; rho^2)
+    with mu = (N+sp)/2 and c = a + 3/2.  The parameter excess of this
+    2F1 is nu > 0, so it is bounded up to and including rho = 1.
     """
-    if not 0.0 < v <= 1.0:
-        raise DomainError(f"v={v}: the angular reduction needs 0 <= rho < 1")
     a = angular_exponent(N, convention)
-    c = (N + sp) / 2.0
-    v = float(v)
-    rho = 1.0 - v
-    v2 = v * v
-
-    def f(u):
-        return u ** a * (2.0 - u) ** a * (v2 + 2.0 * rho * u) ** (-c)
-
-    pts = graded_points(0.0, 2.0, toward=0.0, scale=max(v2, 1e-28),
-                        factor=4.0, max_panels=60)
-    res = integrate(f, pts, quad, lo_exponent=a, hi_exponent=a)
-    s = sphere_measure(N)
-    return QuadResult(s * res.value, res.rel_err, res.n_evals)
+    nu = edge_exponent(N, sp, convention)
+    mu = (N + sp) / 2.0
+    c = a + 1.5
+    log_beta = gammaln(a + 1.0) + gammaln(0.5) - gammaln(c)
+    return (sphere_measure(N) * math.exp(log_beta) * (1.0 + rho) ** (-nu)
+            * hyp2f1(c - mu, 2.0 * a + 2.0 - mu, c, rho * rho))
 
 
-def _angular_result(rho: float, N: int, sp: float, quad: QuadratureSpec,
-                    convention: str) -> QuadResult:
-    if not 0.0 <= rho < 1.0:
+def angular_reduction(rho, params: ProblemParams,
+                      convention: str = PIPELINE_CONVENTION):
+    """Phi(rho) from its closed form, vectorized.  See the module docstring."""
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < 0.0) or np.any(rho >= 1.0):
         raise DomainError(f"rho={rho}: the angular reduction needs 0 <= rho < 1")
-    return _angular_result_v(1.0 - float(rho), N, sp, quad, convention)
-
-
-def angular_reduction(rho: float, params: ProblemParams, quad: QuadratureSpec,
-                      convention: str = PIPELINE_CONVENTION) -> float:
-    """Adaptive evaluation of Phi(rho).  See the module docstring."""
-    return _angular_result(rho, params.N, params.sp, quad, convention).value
-
-
-def angular_reduction_result(rho: float, params: ProblemParams,
-                             quad: QuadratureSpec,
-                             convention: str = PIPELINE_CONVENTION) -> QuadResult:
-    """Like :func:`angular_reduction` but reporting the achieved error."""
-    return _angular_result(rho, params.N, params.sp, quad, convention)
+    nu = edge_exponent(params.N, params.sp, convention)
+    out = (_edge_profile_exact(rho, params.N, params.sp, convention)
+           * (1.0 - rho) ** (-nu))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +182,18 @@ def angular_reduction_result(rho: float, params: ProblemParams,
 
 _RHO_SPLIT = 0.5
 _V_MIN = 1e-12
-_TABLE_TOL = 1e-10
 
 
 @dataclass
 class PhiTable:
     """Fast, table-backed evaluation of Phi and its edge profile G.
 
-    G is smooth and bounded on [0, 1]; it is tabulated on a uniform
-    rho-grid left of ``_RHO_SPLIT`` and on a log-spaced grid in
-    ``v = 1 - rho`` down to ``_V_MIN`` on the right, with the exact
-    endpoint ``G(1)`` from :func:`edge_limit`.  Below ``_V_MIN`` the
-    endpoint value is returned (the profile is within O(v) of it).
+    G is bounded on [0, 1], with a (1 - rho)^nu edge term; it is
+    tabulated from its closed form on a uniform rho-grid left of
+    ``_RHO_SPLIT`` and on a log-spaced grid in ``v = 1 - rho`` down to
+    ``_V_MIN`` on the right, with the exact endpoint ``G(1)`` from
+    :func:`edge_limit`.  Below ``_V_MIN`` the endpoint value is returned
+    (the profile is within O(v + v^nu) of it).
     """
 
     N: int
@@ -237,21 +229,14 @@ class PhiTable:
 
 
 def _build_phi_table(N: int, sp: float, convention: str) -> PhiTable:
-    quad = QuadratureSpec(nodes=24, tol=_TABLE_TOL, max_refinements=14)
     nu = edge_exponent(N, sp, convention)
     g1 = edge_limit(N, sp, convention)
 
     rho_lo = np.linspace(0.0, _RHO_SPLIT + 0.05, 441)
-    g_lo = np.empty_like(rho_lo)
-    for k, r in enumerate(rho_lo):
-        res = _angular_result(r, N, sp, quad, convention)
-        g_lo[k] = res.value * (1.0 - r) ** nu
+    g_lo = _edge_profile_exact(rho_lo, N, sp, convention)
 
     v_hi = np.geomspace(_RHO_SPLIT, _V_MIN, 700)
-    g_hi = np.empty_like(v_hi)
-    for k, v in enumerate(v_hi):
-        res = _angular_result_v(v, N, sp, quad, convention)
-        g_hi[k] = res.value * v ** nu
+    g_hi = _edge_profile_exact(1.0 - v_hi, N, sp, convention)
 
     lo_spline = CubicSpline(rho_lo, g_lo)
     x = np.log(v_hi[::-1])
@@ -285,13 +270,10 @@ def profile_window(params: ProblemParams) -> tuple[float, float]:
 
 def power_profile_result(beta: float, params: ProblemParams,
                          quad: QuadratureSpec,
-                         convention: str = PIPELINE_CONVENTION,
-                         table: PhiTable | None = None) -> QuadResult:
+                         convention: str = PIPELINE_CONVENTION) -> QuadResult:
     """C(beta) with the quadrature's error estimate and node count.
 
-    With ``table=None`` every angular factor is integrated adaptively
-    from scratch (slow; used to validate the table route).  Passing a
-    :class:`PhiTable` gives the fast path.
+    The angular factor comes from the cached :class:`PhiTable`.
     """
     _check_convention(convention)
     N, sp, p = params.N, params.sp, params.p
@@ -303,23 +285,13 @@ def power_profile_result(beta: float, params: ProblemParams,
         )
     e1 = N - sp - beta * (p - 1.0)
     nu = edge_exponent(N, sp, convention)
-
-    if table is not None:
-        if (table.N, table.convention) != (N, convention) or \
-                abs(table.sp - sp) > 1e-12:
-            raise UsageError("phi table does not match the requested instance")
-        phi_vec = table.phi
-    else:
-        def phi_vec(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=float))
-            out = [_angular_result(r, N, sp, quad, convention).value for r in rho]
-            return np.array(out)
+    phi = get_phi_table(N, sp, convention).phi
 
     def f(rho):
         return (rho ** (sp - 1.0)
                 * -np.expm1(e1 * np.log(rho))
                 * (-np.expm1(beta * np.log(rho))) ** (p - 1.0)
-                * phi_vec(rho))
+                * phi(rho))
 
     pts = [0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.25, 0.5]
     pts += graded_points(0.5, 1.0, toward=1.0, scale=1e-8, factor=4.0)[1:]
@@ -331,10 +303,9 @@ def power_profile_result(beta: float, params: ProblemParams,
 
 def power_profile_constant(beta: float, params: ProblemParams,
                            quad: QuadratureSpec,
-                           convention: str = PIPELINE_CONVENTION,
-                           table: PhiTable | None = None) -> float:
+                           convention: str = PIPELINE_CONVENTION) -> float:
     """The constant C(beta); zero exactly at beta_star by construction."""
-    return power_profile_result(beta, params, quad, convention, table).value
+    return power_profile_result(beta, params, quad, convention).value
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +402,13 @@ def cross_check_p2(N: int, s: float,
     notes = []
     mid = n_points // 2
     for convention in CONVENTIONS:
-        table = get_phi_table(N, params.sp, convention)
-        vals = [power_profile_constant(b, params, quad, convention, table)
+        vals = [power_profile_constant(b, params, quad, convention)
                 for b in ladder]
         calib = vals[mid] / lam[mid]
         devs = [abs(v - calib * l) / abs(calib * l)
                 for v, l in zip(vals, lam)]
         max_dev = max(devs)
-        probe = power_profile_constant(probe_beta, params, quad, convention,
-                                       table)
+        probe = power_profile_constant(probe_beta, params, quad, convention)
         checks.append(ConventionCheck(
             convention=convention,
             calibration=calib,
@@ -484,10 +453,9 @@ def cross_check_p2(N: int, s: float,
 def profile_table_rows(params: ProblemParams, betas, quad: QuadratureSpec,
                        convention: str = PIPELINE_CONVENTION):
     """Rows (beta, c_beta, rel_err, quad_nodes) for a beta sweep."""
-    table = get_phi_table(params.N, params.sp, convention)
     rows = []
     for beta in betas:
-        res = power_profile_result(beta, params, quad, convention, table)
+        res = power_profile_result(beta, params, quad, convention)
         rows.append((float(beta), res.value, res.rel_err, res.n_evals))
     return rows
 

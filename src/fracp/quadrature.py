@@ -44,14 +44,12 @@ class QuadratureSpec:
     """Accuracy controls for adaptive quadrature.
 
     ``nodes`` is the per-panel Gauss order (the refinement comparison
-    doubles it), ``endpoint_exponent`` the default weight exponent used
-    when a caller does not supply one explicitly, ``tol`` the target
-    relative error, and ``max_refinements`` the number of bisection
-    rounds allowed before giving up.
+    doubles it), ``tol`` the target relative error, and
+    ``max_refinements`` the number of bisection rounds allowed before
+    giving up.
     """
 
     nodes: int = 24
-    endpoint_exponent: float = 0.0
     tol: float = 1e-9
     max_refinements: int = 12
 
@@ -60,10 +58,6 @@ class QuadratureSpec:
             raise DomainError(f"nodes={self.nodes}: need at least 2 per panel")
         if self.tol <= 0.0:
             raise DomainError(f"tol={self.tol}: must be positive")
-        if self.endpoint_exponent <= -1.0:
-            raise DomainError(
-                f"endpoint_exponent={self.endpoint_exponent}: must exceed -1"
-            )
         if self.max_refinements < 0:
             raise DomainError("max_refinements must be nonnegative")
 

@@ -23,8 +23,7 @@ from .analysis import (CheckRecord, VerificationReport, check_decay_sandwich,
                        comparison_check, fit_decay, fundamental_residual,
                        harnack_ratio, uniform_bound_check)
 from .grid import RadialFunction, make_radial_grid
-from .kernel import (PIPELINE_CONVENTION, cross_check_p2, get_phi_table,
-                     power_profile_constant)
+from .kernel import PIPELINE_CONVENTION, cross_check_p2, power_profile_constant
 from .operator import assemble, energy_seminorm, weak_residual
 from .params import ProblemParams
 from .quadrature import QuadratureSpec
@@ -71,11 +70,10 @@ def _grid_and_matrix(cache: dict, params: ProblemParams, st: VerifySettings,
 def _check_profile_zero(report: VerificationReport, quad: QuadratureSpec):
     for (N, s, p) in ZERO_TRIPLES:
         params = ProblemParams.kernel_only(N, s, p)
-        table = get_phi_table(N, params.sp, PIPELINE_CONVENTION)
         c_star = power_profile_constant(params.beta_star, params, quad,
-                                        PIPELINE_CONVENTION, table)
+                                        PIPELINE_CONVENTION)
         c_ref = power_profile_constant(0.9 * params.beta_star, params, quad,
-                                       PIPELINE_CONVENTION, table)
+                                       PIPELINE_CONVENTION)
         ratio = abs(c_star) / abs(c_ref)
         report.add_check(CheckRecord(
             f"cbeta-zero-N{N}-s{s:g}-p{p:g}", ratio <= 1e-8, ratio,

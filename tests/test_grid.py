@@ -8,7 +8,6 @@ from fracp.grid import (
     RadialFunction,
     RadialGrid,
     make_radial_grid,
-    read_radial_function,
 )
 
 
@@ -107,25 +106,3 @@ def test_radial_function_shape_guard():
     g = make_radial_grid(tail_exponent=2.0, M=32, R_max=16.0)
     with pytest.raises(UsageError):
         RadialFunction(g, np.zeros(7))
-
-
-def test_csv_roundtrip(tmp_path):
-    g = make_radial_grid(tail_exponent=1.75, M=24, R_max=12.0)
-    u = RadialFunction(g, np.sin(g.nodes) + 2.0)
-    path = str(tmp_path / "u.csv")
-    u.to_csv(path)
-    back = read_radial_function(path)
-    np.testing.assert_array_equal(back.grid.nodes, g.nodes)
-    np.testing.assert_array_equal(back.values, u.values)
-    assert back.grid.tail_exponent == 1.75
-    # byte-stable rewrite
-    data = open(path, "rb").read()
-    u.to_csv(path)
-    assert open(path, "rb").read() == data
-
-
-def test_csv_rejects_foreign_files(tmp_path):
-    path = tmp_path / "junk.csv"
-    path.write_text("r,value\n0.0,1.0\n")
-    with pytest.raises(UsageError):
-        read_radial_function(str(path))

@@ -14,7 +14,7 @@ import pytest
 
 from fracp.errors import DomainError, UsageError
 from fracp.params import ProblemParams
-from fracp.quadrature import QuadratureSpec
+from fracp.quadrature import QuadratureSpec, graded_points, integrate
 from fracp import kernel as K
 
 GOLD_PHI0_N3_STD = 12.566370614359173       # 4*pi
@@ -71,51 +71,98 @@ def test_edge_exponent():
     assert K.edge_exponent(4, 1.6, "n-3") == pytest.approx(2.6)
 
 
-def test_angular_reduction_goldens(quad, inst35):
-    assert K.angular_reduction(0.0, inst35, quad, "n-3") == \
+def test_angular_reduction_goldens(inst35):
+    assert K.angular_reduction(0.0, inst35, "n-3") == \
         pytest.approx(GOLD_PHI0_N3_STD, rel=1e-12)
-    assert K.angular_reduction(0.0, inst35, quad, "n-2") == \
+    assert K.angular_reduction(0.0, inst35, "n-2") == \
         pytest.approx(GOLD_PHI0_N3_N2, rel=1e-12)
-    assert K.angular_reduction(0.5, inst35, quad, "n-3") == \
+    assert K.angular_reduction(0.5, inst35, "n-3") == \
         pytest.approx(GOLD_PHI05_N3_STD, rel=1e-12)
-    assert K.angular_reduction(0.5, inst35, quad, "n-2") == \
+    assert K.angular_reduction(0.5, inst35, "n-2") == \
         pytest.approx(GOLD_PHI05_N3_N2, rel=1e-12)
     P4 = ProblemParams.kernel_only(4, 0.4, 2.0)
-    assert K.angular_reduction(0.0, P4, quad, "n-2") == \
+    assert K.angular_reduction(0.0, P4, "n-2") == \
         pytest.approx(GOLD_PHI0_N4_N2, rel=1e-12)
-    assert K.angular_reduction(0.0, P4, quad, "n-3") == \
+    assert K.angular_reduction(0.0, P4, "n-3") == \
         pytest.approx(GOLD_PHI0_N4_STD, rel=1e-12)
 
 
-def test_angular_reduction_domain(quad, inst35):
-    with pytest.raises(DomainError):
-        K.angular_reduction(1.0, inst35, quad)
-    with pytest.raises(DomainError):
-        K.angular_reduction(-0.1, inst35, quad)
+def _adaptive_edge_profile(v, N, sp, convention):
+    """Oracle: G = v^nu Phi(1 - v) by adaptive quadrature of the integral.
+
+    Substituting u = 1 - t turns 1 - 2 t rho + rho^2 into v^2 + 2 rho u,
+    which is free of cancellation near the edge.
+    """
+    a = K.angular_exponent(N, convention)
+    c = (N + sp) / 2.0
+    rho = 1.0 - v
+    v2 = v * v
+
+    def f(u):
+        return u ** a * (2.0 - u) ** a * (v2 + 2.0 * rho * u) ** (-c)
+
+    pts = graded_points(0.0, 2.0, toward=0.0, scale=max(v2, 1e-28),
+                        factor=4.0, max_panels=60)
+    quad = QuadratureSpec(nodes=24, tol=1e-10, max_refinements=14)
+    res = integrate(f, pts, quad, lo_exponent=a, hi_exponent=a)
+    nu = K.edge_exponent(N, sp, convention)
+    return K.sphere_measure(N) * res.value * v ** nu
 
 
-def test_angular_reduction_monotone(quad, inst35):
+@pytest.mark.parametrize("convention", K.CONVENTIONS)
+@pytest.mark.parametrize("N, sp", [(3, 1.0), (3, 1.25), (4, 0.8), (5, 1.7)])
+def test_closed_form_matches_adaptive_oracle(N, sp, convention):
+    P = ProblemParams.kernel_only(N, sp / 2.0, 2.0)
+    nu = K.edge_exponent(N, sp, convention)
+    for v in np.geomspace(1e-9, 1.0, 16):
+        rho = 1.0 - v
+        v = 1.0 - rho  # exact: the pair (rho, v) describes one point
+        got = K.angular_reduction(rho, P, convention) * v ** nu
+        want = _adaptive_edge_profile(v, N, sp, convention)
+        assert got == pytest.approx(want, rel=1e-11)
+    assert K._edge_profile_exact(1.0, N, sp, convention) == \
+        pytest.approx(K.edge_limit(N, sp, convention), rel=1e-14)
+
+
+def test_fresh_phi_table_needs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the phi table must not call quadrature")
+
+    monkeypatch.setattr(K, "integrate", refuse)
+    monkeypatch.setattr(K, "_TABLE_CACHE", {})
+    tab = K.get_phi_table(3, 1.0, "n-3")
+    assert float(tab.phi(0.0)) == pytest.approx(GOLD_PHI0_N3_STD, rel=1e-12)
+
+
+def test_angular_reduction_domain(inst35):
+    with pytest.raises(DomainError):
+        K.angular_reduction(1.0, inst35)
+    with pytest.raises(DomainError):
+        K.angular_reduction(-0.1, inst35)
+
+
+def test_angular_reduction_monotone(inst35):
     ladder = [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99]
-    vals = [K.angular_reduction(r, inst35, quad, "n-3") for r in ladder]
+    vals = [K.angular_reduction(r, inst35, "n-3") for r in ladder]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_edge_profile_bounded_and_limits(quad, inst35):
+def test_edge_profile_bounded_and_limits(inst35):
     # (1 - rho)^nu * Phi stays bounded and approaches the closed form
     nu = K.edge_exponent(3, 1.0, "n-3")
     g1 = K.edge_limit(3, 1.0, "n-3")
     assert g1 == pytest.approx(math.pi, rel=1e-14)
     for v in [1e-2, 1e-5, 1e-9, 1e-12]:
-        phi = K.angular_reduction(1.0 - v, inst35, quad, "n-3")
+        phi = K.angular_reduction(1.0 - v, inst35, "n-3")
         g = phi * v**nu
         assert abs(g) < 2.0 * g1
     # v a power of two so 1 - (1 - v) round-trips exactly
     v = 2.0**-30
-    phi_edge = K.angular_reduction(1.0 - v, inst35, quad, "n-3")
+    phi_edge = K.angular_reduction(1.0 - v, inst35, "n-3")
     assert phi_edge * v**2 == pytest.approx(g1, rel=1e-8)
 
 
-def test_phi_table_matches_adaptive(quad, inst35):
+def test_phi_table_matches_adaptive(inst35):
     tab = K.get_phi_table(3, 1.0, "n-3")
     rng = np.random.default_rng(7)
     ladder = np.concatenate([
@@ -123,7 +170,7 @@ def test_phi_table_matches_adaptive(quad, inst35):
         1.0 - np.geomspace(1e-11, 1e-2, 12),
     ])
     for r in ladder:
-        direct = K.angular_reduction(float(r), inst35, quad, "n-3")
+        direct = K.angular_reduction(float(r), inst35, "n-3")
         assert float(tab.phi(float(r))) == pytest.approx(direct, rel=5e-8)
 
 
@@ -139,48 +186,33 @@ def test_phi_table_cache_and_vector_eval():
 
 
 def test_profile_constant_goldens(quad, inst35):
-    tab = K.get_phi_table(3, 1.0, "n-3")
-    got = K.power_profile_constant(1.2, inst35, quad, "n-3", tab)
+    got = K.power_profile_constant(1.2, inst35, quad, "n-3")
     assert got == pytest.approx(GOLD_CBETA12_N3_STD, rel=1e-8)
-    tab2 = K.get_phi_table(3, 1.0, "n-2")
-    got2 = K.power_profile_constant(1.2, inst35, quad, "n-2", tab2)
+    got2 = K.power_profile_constant(1.2, inst35, quad, "n-2")
     assert got2 == pytest.approx(GOLD_CBETA12_N3_N2, rel=1e-8)
-    # without a table the adaptive route must agree
-    direct = K.power_profile_constant(1.2, inst35, quad, "n-3")
-    assert direct == pytest.approx(GOLD_CBETA12_N3_STD, rel=1e-9)
 
 
 def test_profile_constant_p25_goldens(quad):
     P = ProblemParams(N=3, s=0.5, p=2.5, gamma=0.5, alpha=1.2, r_exp=1.2)
-    tab = K.get_phi_table(3, 1.25, "n-3")
-    got = K.power_profile_constant(1.5, P, quad, "n-3", tab)
+    got = K.power_profile_constant(1.5, P, quad, "n-3")
     assert got == pytest.approx(GOLD_CBETA15_P25_STD, rel=1e-8)
-    got = K.power_profile_constant(0.9, P, quad, "n-3", tab)
+    got = K.power_profile_constant(0.9, P, quad, "n-3")
     assert got == pytest.approx(GOLD_CBETA09_P25_STD, rel=1e-8)
 
 
 def test_profile_constant_structural_zero(quad, inst35):
-    tab = K.get_phi_table(3, 1.0, "n-3")
-    at_star = K.power_profile_constant(inst35.beta_star, inst35, quad,
-                                       "n-3", tab)
+    at_star = K.power_profile_constant(inst35.beta_star, inst35, quad, "n-3")
     nearby = K.power_profile_constant(0.9 * inst35.beta_star, inst35, quad,
-                                      "n-3", tab)
+                                      "n-3")
     assert abs(at_star) <= 1e-8 * abs(nearby)
 
 
 def test_profile_constant_window(quad, inst35):
     lo, hi = K.profile_window(inst35)
     assert (lo, hi) == (1.0, 3.0)
-    tab = K.get_phi_table(3, 1.0, "n-3")
     for bad in [lo, hi, 0.5, 3.5]:
         with pytest.raises(DomainError):
-            K.power_profile_constant(bad, inst35, quad, "n-3", tab)
-
-
-def test_profile_constant_table_mismatch(quad, inst35):
-    tab4 = K.get_phi_table(4, 0.8, "n-3")
-    with pytest.raises(UsageError):
-        K.power_profile_constant(1.2, inst35, quad, "n-3", tab4)
+            K.power_profile_constant(bad, inst35, quad, "n-3")
 
 
 def test_riesz_power_constant_goldens():

@@ -20,8 +20,6 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(tol=0.0)
     with pytest.raises(DomainError):
-        QuadratureSpec(endpoint_exponent=-1.0)
-    with pytest.raises(DomainError):
         QuadratureSpec(max_refinements=-1)
 
 
