@@ -78,6 +78,7 @@ from .kernel import (
 from .params import ProblemParams
 from .quadrature import (
     QuadratureSpec,
+    _graded_rows,
     gauss_jacobi_01,
     gauss_legendre_01,
     graded_points,
@@ -95,6 +96,7 @@ __all__ = [
 ]
 
 _SELF_CHECK_TOL = 1e-5
+_BLOCK_CELLS = 16  # cells per array pass in _pair_corrections
 _TAIL_XI_CUT = 1e-6  # exterior coupling integrated up to xi = 1 - cut
 
 
@@ -109,6 +111,14 @@ class KernelMatrix:
     ``tail_g = tail_xi^{beta_tail}``), ``tail_self`` is the closed-form
     tail self-energy coefficient, and ``volume_weights`` are the exact
     annulus measures used for volume integrals on the same grid.
+
+    The clip fields record where assembly gave up exactness for
+    nonnegativity: ``adjacent_clips`` adjacent-pair weights (A' and B'
+    of the three-term split) floored at zero, with ``adjacent_clipped``
+    the total weight the floor added, and ``correction_clips``
+    far-field corrections capped at the neighbor weight they are
+    subtracted from, with ``correction_clipped`` the total correction
+    left unapplied.
     """
 
     grid: RadialGrid
@@ -124,11 +134,10 @@ class KernelMatrix:
     tail_W: np.ndarray = field(repr=False, default=None)
     tail_self: float = 0.0
     assembly_error: float = 0.0
-
-    @property
-    def tail_weights(self) -> np.ndarray:
-        """Total exterior coupling per node (row sums of ``tail_W``)."""
-        return self.tail_W.sum(axis=1)
+    adjacent_clips: int = 0
+    adjacent_clipped: float = 0.0
+    correction_clips: int = 0
+    correction_clipped: float = 0.0
 
     def matches(self, u: RadialFunction) -> bool:
         return u.grid is self.grid or u.grid.grid_hash == self.grid.grid_hash
@@ -336,39 +345,51 @@ def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
     M_far(t) the kernel mass over [0, r_{a-1}], [r_{a+2}, R_max] and
     (R_max, inf).  Exact bookkeeping at p = 2; applied for every p as
     the pair-consistent allocation of that mass.
+
+    The exterior mass comes from one call per mass function.  The two
+    interior masses are integrated over panels graded toward the near
+    edge, a fresh panel set per (cell, t-node) pair; the panel sets of
+    ``_BLOCK_CELLS`` cells are built, evaluated and reduced in one array
+    pass per side.  The block is a fixed number of cells so that the
+    (t-node, panel, node) arrays, and with them the peak resident
+    memory, stay bounded whatever the grid size.
     """
     M = h.size
     R = r[-1]
     yt, wt = gauss_legendre_01(n_t)
     ys, wsn = gauss_legendre_01(n_s)
-    V = np.zeros(M)
-    for a in range(M):
-        t = r[a] + h[a] * yt
-        far = (mass_last if a == M - 1 else mass_shared)(t)
-        if a >= 2:                      # cells strictly left of a-1
-            edge = r[a - 1]
-            for m, tm in enumerate(t.tolist()):
-                pts = np.asarray(graded_points(
-                    0.0, edge, toward=edge, scale=0.5 * (tm - edge),
-                    factor=grade_factor, max_panels=60))
-                s = pts[:-1, None] + np.diff(pts)[:, None] * ys[None, :]
-                w = np.diff(pts)[:, None] * wsn[None, :]
-                val = (S * s ** (N - 1) * tm ** (nu - 1.0 - sp)
-                       * (tm - s) ** (-nu) * G(s / tm))
-                far[m] += float((val * w).sum())
-        if a <= M - 3:                  # cells strictly right of a+1
-            edge = r[a + 2]
-            for m, tm in enumerate(t.tolist()):
-                pts = np.asarray(graded_points(
-                    edge, R, toward=edge, scale=0.5 * (edge - tm),
-                    factor=grade_factor, max_panels=60))
-                s = pts[:-1, None] + np.diff(pts)[:, None] * ys[None, :]
-                w = np.diff(pts)[:, None] * wsn[None, :]
-                val = (S * tm ** (N - 1) * s ** (nu - 1.0 - sp)
-                       * (s - tm) ** (-nu) * G(tm / s))
-                far[m] += float((val * w).sum())
-        V[a] = 2.0 * h[a] * float((wt * (1.0 - yt) * yt * far).sum())
-    return V
+    t = r[:-1, None] + h[:, None] * yt[None, :]            # (M, n_t)
+    far = np.empty((M, n_t))
+    far[:-1] = mass_shared(t[:-1].ravel()).reshape(M - 1, n_t)
+    far[-1] = mass_last(t[-1])
+
+    def inner_mass(tm, lo, hi, toward_hi):
+        # kernel mass seen from radii tm over [lo, hi], one row per tm
+        edge = hi if toward_hi else lo
+        pts = _graded_rows(lo, hi, 0.5 * (tm - edge),
+                           toward_b=toward_hi, factor=grade_factor,
+                           max_panels=60)
+        wid = np.diff(pts, axis=1)[:, :, None]
+        s = pts[:, :-1, None] + wid * ys
+        w = wid * wsn
+        tm = tm[:, None, None]
+        x, y = (s, tm) if toward_hi else (tm, s)
+        val = (S * x ** (N - 1) * y ** (nu - 1.0 - sp)
+               * (y - x) ** (-nu) * G(x / y))
+        return (val * w).sum(axis=(1, 2))
+
+    for c0 in range(0, M, _BLOCK_CELLS):
+        left = np.arange(max(c0, 2), min(c0 + _BLOCK_CELLS, M))
+        if left.size:                   # cells strictly left of a-1
+            far[left] += inner_mass(
+                t[left].ravel(), 0.0, np.repeat(r[left - 1], n_t),
+                True).reshape(-1, n_t)
+        right = np.arange(c0, min(c0 + _BLOCK_CELLS, M - 2))
+        if right.size:                  # cells strictly right of a+1
+            far[right] += inner_mass(
+                t[right].ravel(), np.repeat(r[right + 2], n_t), R,
+                False).reshape(-1, n_t)
+    return 2.0 * h * ((wt * (1.0 - yt) * yt)[None, :] * far).sum(axis=1)
 
 
 def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
@@ -378,9 +399,10 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     Interior cells couple through the shared Jacobi rule; the outermost
     cell sees the kernel edge as xi -> 1, so it uses the graded xi rule
     with radially graded panels toward R_max wherever the edge is closer
-    than two cell widths.  The sliver beyond 1 - 1e-6 is dropped: the
-    tail profile matches the boundary value continuously, so the energy
-    integrand of any profile on this grid vanishes at that corner.
+    than two cell widths (one padded array pass over all ``xi_l``
+    nodes).  The sliver beyond 1 - 1e-6 is dropped: the tail profile
+    matches the boundary value continuously, so the energy integrand of
+    any profile on this grid vanishes at that corner.
     """
     M = h.size
     yx, wx = gauss_legendre_01(n_hat)
@@ -400,22 +422,18 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
 
     a = M - 1
     ha = h[a]
-    for j, (xiq, wq) in enumerate(zip(xi_l.tolist(), wxi_l.tolist())):
-        gap = (1.0 - xiq) * R
-        if gap < 2.0 * ha:
-            ptsx = np.asarray(graded_points(r[a], R, toward=R,
-                                            scale=0.5 * gap, factor=2.0,
-                                            max_panels=60))
-        else:
-            ptsx = np.array([r[a], R])
-        xg = (ptsx[:-1, None] + np.diff(ptsx)[:, None] * yx[None, :]).ravel()
-        wg_x = (np.diff(ptsx)[:, None] * wx[None, :]).ravel()
-        rho = xg * xiq / R
-        phi = G(rho) * (1.0 - rho) ** (-nu)
-        val = pref * wq * xg ** (N - 1) * phi * wg_x
-        frac = (xg - r[a]) / ha
-        W[a, nq_s + j] += float((val * (1.0 - frac)).sum())
-        W[a + 1, nq_s + j] += float((val * frac).sum())
+    gap = (1.0 - xi_l) * R
+    # a zero scale leaves the single panel [r_a, R]
+    ptsx = _graded_rows(r[a], R, np.where(gap < 2.0 * ha, 0.5 * gap, 0.0),
+                        toward_b=True, factor=2.0, max_panels=60)
+    wid = np.diff(ptsx, axis=1)[:, :, None]
+    xg = ptsx[:, :-1, None] + wid * yx
+    rho = xg * xi_l[:, None, None] / R
+    phi = G(rho) * (1.0 - rho) ** (-nu)
+    val = pref * wxi_l[:, None, None] * xg ** (N - 1) * phi * (wid * wx)
+    frac = (xg - r[a]) / ha
+    W[a, nq_s:] = (val * (1.0 - frac)).sum(axis=(1, 2))
+    W[a + 1, nq_s:] = (val * frac).sum(axis=(1, 2))
     return tail_xi, W
 
 
@@ -497,6 +515,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     # r^{N-1} pushes the energy outward).  Exact representability loses
     # to nonnegativity there: floor at zero, which overestimates the
     # first-cell slope energy by the floored amount.
+    floored = np.maximum(-np.concatenate([Aw, Bw]), 0.0)
     Kmat[idx[:-1], idx[:-1] + 1] += np.maximum(Aw, 0.0)
     Kmat[idx[:-1] + 1, idx[:-1] + 2] += np.maximum(Bw, 0.0)
     Kmat[idx[:-1], idx[:-1] + 2] += Cw
@@ -516,6 +535,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     # correction is clipped; the discrepancy scales with the outermost
     # cell's share of the energy and vanishes as R_max grows.
     V_applied = np.minimum(V, pre_sub)
+    capped = np.maximum(V - pre_sub, 0.0)
     Kmat[idx, idx + 1] = pre_sub - V_applied
 
     tail_xi, W = _tail_columns(r, h, N, sp, nu, S, G, R,
@@ -557,6 +577,10 @@ def assemble(grid: RadialGrid, params: ProblemParams,
         tail_W=W,
         tail_self=tail_self,
         assembly_error=dev,
+        adjacent_clips=int(np.count_nonzero(floored)),
+        adjacent_clipped=float(floored.sum()),
+        correction_clips=int(np.count_nonzero(capped)),
+        correction_clipped=float(capped.sum()),
     )
 
 

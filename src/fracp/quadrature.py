@@ -111,21 +111,62 @@ def graded_points(a: float, b: float, *, toward: float, scale: float,
     """
     if not a < b:
         raise DomainError(f"empty interval [{a}, {b}]")
-    width = b - a
-    scale = min(abs(scale), width / factor)
-    if scale <= 0.0:
-        return [a, b]
-    offsets = []
-    d = scale
-    while d < width and len(offsets) < max_panels:
-        offsets.append(d)
-        d *= factor
-    if toward == b:
-        pts = [a] + [b - off for off in reversed(offsets)] + [b]
-    elif toward == a:
-        pts = [a] + [a + off for off in offsets] + [b]
-    else:
+    if toward != a and toward != b:
         raise DomainError("toward must be one of the interval endpoints")
+    row = _graded_rows(a, b, scale, toward_b=toward == b, factor=factor,
+                       max_panels=max_panels)[0]
+    # a collapsed row comes padded with copies of its far endpoint
+    return row[np.diff(row, prepend=-np.inf) > 0.0].tolist()
+
+
+def _graded_rows(a, b, scale, *, toward_b: bool, factor: float,
+                 max_panels: int) -> np.ndarray:
+    """:func:`graded_points` for many intervals at once, as padded rows.
+
+    ``a``, ``b`` and ``scale`` broadcast to one value per row, with
+    ``a < b`` in every row; ``toward_b`` picks the end the panels grade
+    toward for all rows.  Row k holds exactly the breakpoints of
+    ``graded_points(a[k], b[k], toward=..., scale=scale[k])``, padded to
+    the longest row by repeating the endpoint away from ``toward``, so
+    the padding adds zero-width panels where the integrands stay finite.
+    """
+    a, b, scale = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float))
+                                        for v in (a, b, scale)))
+    width = b - a
+    scale = np.minimum(np.abs(scale), width / factor)
+    # cumprod multiplies left to right, so the offsets round exactly as
+    # a scalar ``d *= factor`` loop does
+    steps = np.full((scale.size, max_panels), float(factor))
+    steps[:, 0] = scale
+    d = np.cumprod(steps, axis=1)
+    n = np.logical_and.accumulate(d < width[:, None], axis=1).sum(axis=1)
+    n[~(scale > 0.0)] = 0
+    P = int(n.max(initial=0))
+    j = np.arange(P)[None, :]
+    if toward_b:
+        pad = j < (P - n)[:, None]
+        inner = np.where(pad, a[:, None], b[:, None] - d[:, :P][:, ::-1])
+    else:
+        pad = j >= n[:, None]
+        inner = np.where(pad, b[:, None], a[:, None] + d[:, :P])
+    rows = np.concatenate([a[:, None], inner, b[:, None]], axis=1)
+
+    # rows with points closer than the collapse threshold (offsets below
+    # an ulp of the far endpoint) take the scalar collapse; the others
+    # are already what it would return
+    ends = np.ones((a.size, 1), bool)
+    real = np.concatenate([ends, ~pad, ends], axis=1)
+    lo, hi = rows[:, :-1], rows[:, 1:]
+    close = hi - lo <= 4e-16 * np.maximum(np.abs(hi), np.abs(lo))
+    close &= real[:, 1:] if toward_b else real[:, :-1]
+    for k in np.flatnonzero(close.any(axis=1)):
+        pts = _collapse(rows[k][real[k]].tolist(), float(b[k]))
+        fill = [pts[0] if toward_b else pts[-1]] * (P + 2 - len(pts))
+        rows[k] = fill + pts if toward_b else pts + fill
+    return rows
+
+
+def _collapse(pts: list[float], b: float) -> list[float]:
     # collapse floating-point duplicates (offsets below an ulp of the
     # far endpoint round onto it); the threshold must stay relative, an
     # absolute floor would wipe out the fine panels near a zero endpoint

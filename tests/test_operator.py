@@ -18,7 +18,14 @@ import pytest
 
 from fracp.errors import DomainError, FracpError, UsageError
 from fracp.grid import RadialGrid, RadialFunction, make_radial_grid
+from fracp.kernel import (
+    PIPELINE_CONVENTION,
+    edge_exponent,
+    get_phi_table,
+    unit_sphere_area,
+)
 from fracp.params import ProblemParams
+from fracp.quadrature import gauss_jacobi_01, gauss_legendre_01, graded_points
 from fracp import operator as op
 
 GOLD_HAT_ENERGY = 14076.91527532815439
@@ -221,18 +228,28 @@ def test_matrix_structure(K48):
     assert np.all((K48.tail_xi > 0.0) & (K48.tail_xi < 1.0))
     np.testing.assert_allclose(
         K48.tail_g, K48.tail_xi ** K48.grid.tail_exponent, rtol=1e-14)
-    np.testing.assert_array_equal(K48.tail_weights, K48.tail_W.sum(axis=1))
     assert 0.0 <= K48.assembly_error <= 1e-5
     assert K48.nu == pytest.approx(1.0 + K48.sp)
 
 
-def test_boundary_pair_weight_is_clipped(K16):
+def test_boundary_pair_weight_is_clipped(K16, p2):
     # the exact pair representation wants a small negative weight next
     # to the truncation radius (the overlap mass beats the local term
     # there); the assembly floors it at zero to keep the comparison
     # machinery valid, so this entry must be exactly zero
     assert K16.weights[15, 16] == 0.0
     assert K16.weights[14, 15] > 0.0
+    # ... and records the clip: the correction V_15 exceeded the
+    # neighbor weight it is subtracted from by V_15 - pre_sub_15
+    args, ms, ml = _far_field_inputs(K16.grid, p2, PRODUCTION_RULES)
+    V15 = _pair_corrections_loop(*args, ms, ml)[15]
+    r, h, N, sp, nu, S, G = args
+    same = op._same_cell(r, h, N, sp, p2.p, nu, S, G)
+    _, Bw, _ = op._adjacent(r, h, N, sp, p2.p, nu, S, G)
+    pre15 = same[15] + max(Bw[14], 0.0)
+    assert K16.correction_clips >= 1
+    assert V15 > pre15
+    assert abs(K16.correction_clipped - (V15 - pre15)) <= 1e-13 * V15
 
 
 def test_tail_exponent_validation(p2):
@@ -277,3 +294,160 @@ def test_power_profile_residual_scale(p2):
         win = (grid.nodes >= 2.0) & (grid.nodes <= grid.R_max / 2.0)
         sups[beta] = np.abs(res[win]).max()
     assert sups[p2.beta_star] <= 0.01 * sups[1.1 * p2.beta_star]
+
+
+# ---------------------------------------------------------------------------
+# the far-field blocks against their per-node loops
+# ---------------------------------------------------------------------------
+
+def _pair_corrections_loop(r, h, N, sp, nu, S, G, mass_shared, mass_last,
+                           n_t=8, n_s=8, grade_factor=2.0):
+    """Oracle: the separated-pair variance masses one (cell, t-node) at a
+    time, with one graded_points panel set each."""
+    M = h.size
+    R = r[-1]
+    yt, wt = gauss_legendre_01(n_t)
+    ys, wsn = gauss_legendre_01(n_s)
+    V = np.zeros(M)
+    for a in range(M):
+        t = r[a] + h[a] * yt
+        far = (mass_last if a == M - 1 else mass_shared)(t)
+        if a >= 2:                      # cells strictly left of a-1
+            edge = r[a - 1]
+            for m, tm in enumerate(t.tolist()):
+                pts = np.asarray(graded_points(
+                    0.0, edge, toward=edge, scale=0.5 * (tm - edge),
+                    factor=grade_factor, max_panels=60))
+                s = pts[:-1, None] + np.diff(pts)[:, None] * ys[None, :]
+                w = np.diff(pts)[:, None] * wsn[None, :]
+                val = (S * s ** (N - 1) * tm ** (nu - 1.0 - sp)
+                       * (tm - s) ** (-nu) * G(s / tm))
+                far[m] += float((val * w).sum())
+        if a <= M - 3:                  # cells strictly right of a+1
+            edge = r[a + 2]
+            for m, tm in enumerate(t.tolist()):
+                pts = np.asarray(graded_points(
+                    edge, R, toward=edge, scale=0.5 * (edge - tm),
+                    factor=grade_factor, max_panels=60))
+                s = pts[:-1, None] + np.diff(pts)[:, None] * ys[None, :]
+                w = np.diff(pts)[:, None] * wsn[None, :]
+                val = (S * tm ** (N - 1) * s ** (nu - 1.0 - sp)
+                       * (s - tm) ** (-nu) * G(tm / s))
+                far[m] += float((val * w).sum())
+        V[a] = 2.0 * h[a] * float((wt * (1.0 - yt) * yt * far).sum())
+    return V
+
+
+def _tail_columns_loop(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
+                       n_hat=6):
+    """Oracle: the exterior coupling with the last cell's columns built
+    one xi node at a time."""
+    M = h.size
+    yx, wx = gauss_legendre_01(n_hat)
+    nq_s = xi_s.size
+    tail_xi = np.concatenate([xi_s, xi_l])
+    W = np.zeros((M + 1, tail_xi.size))
+    pref = 2.0 * S * R ** (-sp)
+
+    c = np.arange(0, M - 1)
+    x = r[c][:, None] + h[c][:, None] * yx[None, :]        # (M-1, n_hat)
+    rho = x[:, :, None] * xi_s[None, None, :] / R
+    phi = G(rho) * (1.0 - rho) ** (-nu)
+    core = pref * x[:, :, None] ** (N - 1) * phi * wxi_s[None, None, :]
+    core = core * (h[c][:, None, None] * wx[None, :, None])
+    W[0:M - 1, 0:nq_s] += (core * (1.0 - yx)[None, :, None]).sum(axis=1)
+    W[1:M, 0:nq_s] += (core * yx[None, :, None]).sum(axis=1)
+
+    a = M - 1
+    ha = h[a]
+    for j, (xiq, wq) in enumerate(zip(xi_l.tolist(), wxi_l.tolist())):
+        gap = (1.0 - xiq) * R
+        if gap < 2.0 * ha:
+            ptsx = np.asarray(graded_points(r[a], R, toward=R,
+                                            scale=0.5 * gap, factor=2.0,
+                                            max_panels=60))
+        else:
+            ptsx = np.array([r[a], R])
+        xg = (ptsx[:-1, None] + np.diff(ptsx)[:, None] * yx[None, :]).ravel()
+        wg_x = (np.diff(ptsx)[:, None] * wx[None, :]).ravel()
+        rho = xg * xiq / R
+        phi = G(rho) * (1.0 - rho) ** (-nu)
+        val = pref * wq * xg ** (N - 1) * phi * wg_x
+        frac = (xg - r[a]) / ha
+        W[a, nq_s + j] += float((val * (1.0 - frac)).sum())
+        W[a + 1, nq_s + j] += float((val * frac).sum())
+    return tail_xi, W
+
+
+# (n_t, n_s, grade_factor, shared xi nodes, last-cell head and panel
+# orders): the production pass and the verification pass of assemble
+PRODUCTION_RULES = (8, 8, 2.0, 48, 24, 12)
+VERIFICATION_RULES = (12, 12, 1.5, 64, 32, 16)
+
+
+def _far_field_inputs(grid, params, rules):
+    N, sp = params.N, params.sp
+    nu = edge_exponent(N, sp, PIPELINE_CONVENTION)
+    S = unit_sphere_area(N - 1)
+    G = get_phi_table(N, sp, PIPELINE_CONVENTION).edge_profile
+    _, _, _, n_xi, n_head, n_panel = rules
+    xi_s, wxi_s = gauss_jacobi_01(n_xi, 0.0, sp - 1.0)
+    xi_l, wxi_l = op._last_cell_xi_rule(sp, n_head=n_head, n_panel=n_panel)
+    ms, ml = op._tail_mass_funcs(grid.R_max, N, sp, nu, S, G,
+                                 xi_s, wxi_s, xi_l, wxi_l)
+    return (grid.nodes, grid.widths, N, sp, nu, S, G), ms, ml
+
+
+def _max_rel(new, ref):
+    nz = ref != 0.0
+    assert np.array_equal(new != 0.0, nz)
+    return float((np.abs(new - ref)[nz] / np.abs(ref[nz])).max())
+
+
+@pytest.mark.parametrize("rules", [PRODUCTION_RULES, VERIFICATION_RULES],
+                         ids=["production", "verification"])
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_pair_corrections_match_loop(p, rules):
+    # the corrections depend on the grid nodes and on sp = s*p, not on
+    # the tail exponent (that is varied in the assemble test below)
+    params = ProblemParams(N=3, s=0.5, p=p, gamma=0.5,
+                           alpha=1.5 if p == 2.0 else 1.0)
+    n_t, n_s, factor = rules[:3]
+    for grading in (1.0, 1.03):
+        for M in (16, 48, 128):
+            grid = make_radial_grid(tail_exponent=0.0, R_max=64.0, M=M,
+                                    grading=grading)
+            args, ms, ml = _far_field_inputs(grid, params, rules)
+            V = op._pair_corrections(*args, ms, ml, n_t=n_t, n_s=n_s,
+                                     grade_factor=factor)
+            ref = _pair_corrections_loop(*args, ms, ml, n_t=n_t, n_s=n_s,
+                                         grade_factor=factor)
+            assert _max_rel(V, ref) <= 1e-13, (grading, M)
+
+
+@pytest.mark.parametrize("bt_star", [False, True], ids=["bt0", "bt_star"])
+def test_assemble_matches_loop_oracle(p25, bt_star, monkeypatch):
+    bt = p25.beta_star if bt_star else 0.0
+    grid = make_radial_grid(tail_exponent=bt, R_max=64.0, M=48,
+                            grading=1.06)
+    K = op.assemble(grid, p25)
+    monkeypatch.setattr(op, "_pair_corrections", _pair_corrections_loop)
+    monkeypatch.setattr(op, "_tail_columns", _tail_columns_loop)
+    ref = op.assemble(grid, p25)
+    assert _max_rel(K.weights, ref.weights) <= 1e-13
+    assert _max_rel(K.tail_W, ref.tail_W) <= 1e-13
+    assert K.assembly_error == pytest.approx(ref.assembly_error, rel=1e-12)
+
+
+def test_assembly_makes_no_per_node_panel_calls(p25, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return graded_points(*args, **kwargs)
+
+    monkeypatch.setattr(op, "graded_points", counting)
+    grid = make_radial_grid(tail_exponent=2.0, R_max=64.0, M=48,
+                            grading=1.06)
+    op.assemble(grid, p25)
+    assert len(calls) < 10

@@ -7,6 +7,7 @@ from scipy.special import beta as beta_fn
 from fracp.errors import ConvergenceError, DomainError
 from fracp.quadrature import (
     QuadratureSpec,
+    _graded_rows,
     gauss_jacobi_01,
     gauss_legendre_01,
     graded_points,
@@ -70,6 +71,65 @@ def test_graded_points_validation():
         graded_points(1.0, 1.0, toward=1.0, scale=0.1)
     with pytest.raises(DomainError):
         graded_points(0.0, 1.0, toward=0.5, scale=0.1)
+
+
+def _graded_points_loop(a, b, *, toward, scale, factor=4.0, max_panels=40):
+    """Oracle: the scalar offset loop and duplicate collapse."""
+    width = b - a
+    scale = min(abs(scale), width / factor)
+    if scale <= 0.0:
+        return [a, b]
+    offsets = []
+    d = scale
+    while d < width and len(offsets) < max_panels:
+        offsets.append(d)
+        d *= factor
+    if toward == b:
+        pts = [a] + [b - off for off in reversed(offsets)] + [b]
+    else:
+        pts = [a] + [a + off for off in offsets] + [b]
+    out = [pts[0]]
+    for q in pts[1:]:
+        if q - out[-1] > 4e-16 * max(abs(q), abs(out[-1])):
+            out.append(q)
+    if len(out) == 1 or out[-1] != b:
+        out.append(b)
+    if len(out) >= 3 and out[-1] - out[-2] <= 4e-16 * abs(b):
+        del out[-2]
+    return out
+
+
+def test_graded_rows_match_scalar_loop_bitwise():
+    rng = np.random.default_rng(20261018)
+    draws = []
+    for _ in range(240):
+        a = float(rng.choice([0.0, rng.uniform(-10.0, 10.0),
+                              rng.uniform(0.5, 1.0) * 1e4]))
+        b = a + float(10.0 ** rng.uniform(-8.0, 3.0))
+        scale = float(10.0 ** rng.uniform(-30.0, 1.0))
+        draws.append((a, b, scale, float(rng.choice([1.5, 2.0, 4.0])),
+                      bool(rng.integers(2))))
+    # subnormal scales at a zero end (kept) and at a nonzero end (they
+    # round onto it and collapse); width/scale exactly factor^k, where
+    # the last offset lands on the far end
+    draws += [(0.0, 2.0, 1e-310, 4.0, False), (1.0, 3.0, 1e-310, 2.0, True),
+              (0.0, 1.0, 1.0 / 16.0, 4.0, False),
+              (0.0, 1.5 ** 9, 1.0, 1.5, True)]
+    for factor in (1.5, 2.0, 4.0):
+        for toward_b in (False, True):
+            group = [d for d in draws if d[3] == factor and d[4] == toward_b]
+            a, b, scale = (np.array([d[i] for d in group]) for i in range(3))
+            rows = _graded_rows(a, b, scale, toward_b=toward_b,
+                                factor=factor, max_panels=60)
+            for (ak, bk, sk, _, _), row in zip(group, rows):
+                ref = _graded_points_loop(ak, bk, toward=bk if toward_b else ak,
+                                          scale=sk, factor=factor,
+                                          max_panels=60)
+                got = row[np.diff(row, prepend=-np.inf) > 0.0].tolist()
+                assert got == ref, (ak, bk, sk, factor, toward_b)
+                assert graded_points(ak, bk, toward=bk if toward_b else ak,
+                                     scale=sk, factor=factor,
+                                     max_panels=60) == ref
 
 
 def test_integrate_smooth():
