@@ -235,7 +235,9 @@ def _build_phi_table(N: int, sp: float, convention: str) -> PhiTable:
     rho_lo = np.linspace(0.0, _RHO_SPLIT + 0.05, 441)
     g_lo = _edge_profile_exact(rho_lo, N, sp, convention)
 
-    v_hi = np.geomspace(_RHO_SPLIT, _V_MIN, 700)
+    # both splines run 0.05 past the split, so neither's not-a-knot end
+    # is ever evaluated
+    v_hi = np.geomspace(1.0 - (_RHO_SPLIT - 0.05), _V_MIN, 1400)
     g_hi = _edge_profile_exact(1.0 - v_hi, N, sp, convention)
 
     lo_spline = CubicSpline(rho_lo, g_lo)

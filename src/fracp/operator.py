@@ -88,6 +88,7 @@ from .quadrature import (
 __all__ = [
     "KernelMatrix",
     "assemble",
+    "energy_terms",
     "energy_seminorm",
     "weak_residual",
     "energy_hessian",
@@ -655,60 +656,91 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
 # evaluation
 # ---------------------------------------------------------------------------
 
+class _EnergyTerms:
+    """The energy at one point, with what its derivatives need, from one pass.
+
+    ``WA = W |D|^{p-2}`` and ``WtA = tail_W |d|^{p-2}`` are the weights
+    the energy, the residual and the Hessian share.  The energy and the
+    residual are summed on construction from the pair and tail fluxes
+    ``WA D`` and ``WtA d``; only WA and WtA are kept for the Hessian.
+    """
+
+    def __init__(self, K: KernelMatrix, U: np.ndarray):
+        self.K = K
+        self.um = um = float(U[-1])
+        p = K.p
+        # the (M+1)^2 arrays are built in place where the formulas allow:
+        # at M = 512 a fresh temporary costs about as much as its arithmetic
+        D = np.subtract.outer(U, U)
+        d = np.subtract.outer(U, K.tail_g * um)
+        if p == 2.0:
+            self.WA, self.WtA = K.weights, K.tail_W
+        else:
+            self.WA = np.abs(D)
+            self.WA **= p - 2.0
+            self.WA *= K.weights
+            self.WtA = np.abs(d)
+            self.WtA **= p - 2.0
+            self.WtA *= K.tail_W
+        A = self.WA * D
+        At = self.WtA * d
+        res = A.sum(axis=1)
+        res += At.sum(axis=1)
+        res[-1] -= float((At * K.tail_g[None, :]).sum())
+        res[-1] += K.tail_self * (um if p == 2.0
+                                  else abs(um) ** (p - 2.0) * um)
+        self._residual = res
+        pairs = np.multiply(A, D, out=A)   # WA D^2
+        tail = np.multiply(At, d, out=At)
+        self.energy = (0.5 * float(pairs.sum()) + float(tail.sum())
+                       + K.tail_self * abs(um) ** p)
+
+    def residual(self) -> np.ndarray:
+        """Nodal pairing values R_i = (1/p) dE/dU_i (dual coefficients)."""
+        return self._residual.copy()
+
+    def hessian(self) -> np.ndarray:
+        """Dense second derivative of the energy / p."""
+        K, p = self.K, self.K.p
+        diag = np.diag_indices_from(self.WA)
+        # off the diagonal H = -(p-1) WA; the diagonal holds the row sums
+        H = self.WA * -(p - 1.0)
+        np.fill_diagonal(H, 0.0)
+        H[diag] -= H.sum(axis=1)
+        Bt = (p - 1.0) * self.WtA
+        g = K.tail_g[None, :]
+        H[diag] += Bt.sum(axis=1)
+        cross = (Bt * g).sum(axis=1)
+        H[:, -1] -= cross
+        H[-1, :] -= cross
+        H[-1, -1] += float((Bt * g ** 2).sum())
+        H[-1, -1] += (p - 1.0) * K.tail_self * abs(self.um) ** (p - 2.0)
+        return H
+
+
+def energy_terms(u: RadialFunction, K: KernelMatrix,
+                 params: ProblemParams) -> _EnergyTerms:
+    """Energy at u, with its residual and Hessian priced from the same pass."""
+    _require_match(u.grid, K, params)
+    return _EnergyTerms(K, u.values)
+
+
 def energy_seminorm(u: RadialFunction, K: KernelMatrix,
                     params: ProblemParams) -> float:
     """Discrete [u]^p: pair sum + exterior coupling + tail self term."""
-    _require_match(u.grid, K, params)
-    U = u.values
-    p = K.p
-    D = U[:, None] - U[None, :]
-    pairs = 0.5 * float((K.weights * np.abs(D) ** p).sum())
-    d = U[:, None] - K.tail_g[None, :] * U[-1]
-    tail = float((K.tail_W * np.abs(d) ** p).sum())
-    return pairs + tail + K.tail_self * abs(float(U[-1])) ** p
+    return energy_terms(u, K, params).energy
 
 
 def weak_residual(u: RadialFunction, K: KernelMatrix,
                   params: ProblemParams) -> np.ndarray:
     """Nodal pairing values R_i = (1/p) dE/dU_i (dual coefficients)."""
-    _require_match(u.grid, K, params)
-    U = u.values
-    p = K.p
-    D = U[:, None] - U[None, :]
-    A = D if p == 2.0 else np.abs(D) ** (p - 2.0) * D
-    out = (K.weights * A).sum(axis=1)
-    d = U[:, None] - K.tail_g[None, :] * U[-1]
-    At = d if p == 2.0 else np.abs(d) ** (p - 2.0) * d
-    out += (K.tail_W * At).sum(axis=1)
-    out[-1] -= float((K.tail_W * At * K.tail_g[None, :]).sum())
-    um = float(U[-1])
-    out[-1] += K.tail_self * (um if p == 2.0 else abs(um) ** (p - 2.0) * um)
-    return out
+    return energy_terms(u, K, params).residual()
 
 
 def energy_hessian(u: RadialFunction, K: KernelMatrix,
                    params: ProblemParams) -> np.ndarray:
     """Dense second derivative of energy_seminorm / p at u."""
-    _require_match(u.grid, K, params)
-    U = u.values
-    p = K.p
-    n = U.size
-    D = U[:, None] - U[None, :]
-    B = (p - 1.0) * K.weights * np.abs(D) ** (p - 2.0)
-    np.fill_diagonal(B, 0.0)
-    H = -B
-    H[np.arange(n), np.arange(n)] += B.sum(axis=1)
-    d = U[:, None] - K.tail_g[None, :] * U[-1]
-    Bt = (p - 1.0) * K.tail_W * np.abs(d) ** (p - 2.0)
-    g = K.tail_g[None, :]
-    H[np.arange(n), np.arange(n)] += Bt.sum(axis=1)
-    cross = (Bt * g).sum(axis=1)
-    H[:, -1] -= cross
-    H[-1, :] -= cross
-    H[-1, -1] += float((Bt * g ** 2).sum())
-    um = abs(float(U[-1]))
-    H[-1, -1] += (p - 1.0) * K.tail_self * um ** (p - 2.0)
-    return H
+    return energy_terms(u, K, params).hessian()
 
 
 def weight_a(r, params: ProblemParams):

@@ -37,11 +37,10 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .errors import DomainError, UsageError
 from .grid import RadialFunction, RadialGrid
 from .kernel import unit_sphere_area
-from .operator import (
+from .operator import (  # noqa: F401  (fracp.solver.weak_residual is read)
     KernelMatrix,
     _require_match,
-    energy_hessian,
-    energy_seminorm,
+    energy_terms,
     weak_residual,
     weight_a,
 )
@@ -186,37 +185,55 @@ class Functional:
         self._wT, self._gT = _reaction_tail_rule(params, grid)
         self._floor_T = None if floor is None else floor[-1] * self._gT
 
+    def at(self, vals: np.ndarray) -> "_Point":
+        """The functional priced at ``vals``: one energy pass for J, J' and J''."""
+        return _Point(self, vals)
+
     def objective(self, vals: np.ndarray) -> float:
-        u = RadialFunction(self.grid, vals)
-        e = energy_seminorm(u, self.K, self.params) / self.params.p
-        F = self._F[0]
-        body = float((self._omega * self._a * F(vals, self._floor)).sum())
-        tail = float((self._wT
-                      * F(vals[-1] * self._gT, self._floor_T)).sum())
-        return e - body - tail
+        return self.at(vals).value
 
     def gradient(self, vals: np.ndarray) -> np.ndarray:
-        u = RadialFunction(self.grid, vals)
-        out = weak_residual(u, self.K, self.params)
-        dF = self._F[1]
-        out -= self._omega * self._a * dF(vals, self._floor)
-        out[-1] -= float((self._wT * self._gT
-                          * dF(vals[-1] * self._gT, self._floor_T)).sum())
-        return out
+        return self.at(vals).gradient
 
     def hessian(self, vals: np.ndarray) -> np.ndarray:
-        u = RadialFunction(self.grid, vals)
-        H = energy_hessian(u, self.K, self.params)
-        d2F = self._F[2]
-        H[np.diag_indices_from(H)] -= (self._omega * self._a
-                                       * d2F(vals, self._floor))
-        H[-1, -1] -= float((self._wT * self._gT ** 2
-                            * d2F(vals[-1] * self._gT, self._floor_T)).sum())
-        return H
+        return self.at(vals).hessian()
 
     def reaction(self, vals: np.ndarray) -> np.ndarray:
         """Nodal right-hand side a(r) F'(u) at the values."""
         return self._a * self._F[1](vals, self._floor)
+
+
+class _Point:
+    """A Functional at one set of nodal values, priced from one energy pass.
+
+    ``value`` and ``gradient`` are summed on construction from one
+    :func:`~fracp.operator.energy_terms` evaluation, and :meth:`hessian`
+    reuses the weights of that same evaluation.
+    """
+
+    def __init__(self, f: Functional, vals: np.ndarray):
+        self.f = f
+        self.vals = vals
+        self._terms = energy_terms(RadialFunction(f.grid, vals), f.K,
+                                   f.params)
+        F, dF, _ = f._F
+        tail_vals = vals[-1] * f._gT
+        body = float((f._omega * f._a * F(vals, f._floor)).sum())
+        tail = float((f._wT * F(tail_vals, f._floor_T)).sum())
+        self.value = self._terms.energy / f.params.p - body - tail
+        g = self._terms.residual()
+        g -= f._omega * f._a * dF(vals, f._floor)
+        g[-1] -= float((f._wT * f._gT * dF(tail_vals, f._floor_T)).sum())
+        self.gradient = g
+
+    def hessian(self) -> np.ndarray:
+        f, vals = self.f, self.vals
+        H = self._terms.hessian()
+        d2F = f._F[2]
+        H[np.diag_indices_from(H)] -= f._omega * f._a * d2F(vals, f._floor)
+        H[-1, -1] -= float((f._wT * f._gT ** 2
+                            * d2F(vals[-1] * f._gT, f._floor_T)).sum())
+        return H
 
 
 class RegularizedProblem(Functional):
@@ -287,15 +304,15 @@ def _solve_newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     return -g
 
 
-def _backtrack(f: Functional, x, free, v, d, slope):
-    """Armijo backtracking from x along d; (trial, value) or None."""
+def _backtrack(f: Functional, pt: _Point, free, d, slope):
+    """Armijo backtracking from pt along d; the accepted point or None."""
     step = 1.0
     for _ in range(_ARMIJO_STEPS):
-        trial = x.copy()
+        trial = pt.vals.copy()
         trial[free] += step * d
-        vt = f.objective(trial)
-        if vt <= v + _ARMIJO_C1 * step * slope:
-            return trial, vt
+        new = f.at(trial)
+        if new.value <= pt.value + _ARMIJO_C1 * step * slope:
+            return new
         step *= 0.5
     return None
 
@@ -303,64 +320,68 @@ def _backtrack(f: Functional, x, free, v, d, slope):
 def _minimize(f: Functional, x0, tol, free=None):
     """Damped Newton with Armijo backtracking on the free coordinates.
 
-    Returns the final iterate and a SolveReport.  Every accepted step
+    Returns the final point and a SolveReport.  Every accepted step
     strictly decreases the objective; when neither the Newton direction
     nor steepest descent admits a decreasing step the iteration stops
-    with converged=False.
+    with converged=False.  Each point is priced once: the gradient and
+    Hessian of an iterate come from the evaluation that accepted it.
     """
-    x = np.array(x0, dtype=float, copy=True)
+    pt = f.at(np.array(x0, dtype=float, copy=True))
     if free is None:
-        free = np.ones(x.size, dtype=bool)
-    v = f.objective(x)
+        free = np.ones(pt.vals.size, dtype=bool)
     failures = 0
     iterations = 0
     gn = np.inf
     for _ in range(_MAX_ITER):
-        g = f.gradient(x)
-        gf = g[free]
+        gf = pt.gradient[free]
         gn = float(np.abs(gf).max()) if gf.size else 0.0
         if gn <= tol:
-            return x, SolveReport(iterations, v, gn, failures, True)
-        H = f.hessian(x)[np.ix_(free, free)]
+            return pt, SolveReport(iterations, pt.value, gn, failures, True)
+        H = pt.hessian()[np.ix_(free, free)]
         d = _solve_newton_step(H, gf)
         slope = float(gf @ d)
         if slope >= 0.0:
             failures += 1
             d = -gf
             slope = float(gf @ d)
-        if -slope <= 128.0 * np.finfo(float).eps * (1.0 + abs(v)):
+        if -slope <= 128.0 * np.finfo(float).eps * (1.0 + abs(pt.value)):
             # the predicted decrease is below the objective's roundoff,
             # so backtracking can no longer certify progress; take the
             # full step uncertified (it is tiny) and keep whichever
             # point has the smaller gradient
-            trial = x.copy()
+            trial = pt.vals.copy()
             trial[free] += d
-            gt = f.gradient(trial)[free]
+            new = f.at(trial)
+            gt = new.gradient[free]
             gtn = float(np.abs(gt).max()) if gt.size else 0.0
             iterations += 1
             if gtn <= gn:
-                return trial, SolveReport(iterations, f.objective(trial),
-                                          gtn, failures, gtn <= tol)
-            return x, SolveReport(iterations, v, gn, failures, gn <= tol)
-        accepted = _backtrack(f, x, free, v, d, slope)
+                return new, SolveReport(iterations, new.value, gtn, failures,
+                                        gtn <= tol)
+            return pt, SolveReport(iterations, pt.value, gn, failures,
+                                   gn <= tol)
+        accepted = _backtrack(f, pt, free, d, slope)
         if accepted is None and not np.array_equal(d, -gf):
             # Newton direction failed the backtracking budget; retry
             # along steepest descent before giving up
             failures += 1
-            accepted = _backtrack(f, x, free, v, -gf, float(gf @ -gf))
+            accepted = _backtrack(f, pt, free, -gf, float(gf @ -gf))
         if accepted is None:
             failures += 1
-            return x, SolveReport(iterations, v, gn, failures, False)
-        x, v = accepted
+            return pt, SolveReport(iterations, pt.value, gn, failures, False)
+        pt = accepted
         iterations += 1
-    return x, SolveReport(iterations, v, gn, failures, gn <= tol)
+    return pt, SolveReport(iterations, pt.value, gn, failures, gn <= tol)
 
 
-def _finish(f: Functional, x, rep: SolveReport, tol: float) -> np.ndarray:
+def _finish(f: Functional, pt: _Point, rep: SolveReport,
+            tol: float) -> np.ndarray:
     """Project onto u >= 0 and report energy and residual there."""
-    x = np.maximum(x, 0.0)
-    rep.final_energy = f.objective(x)
-    rep.residual_norm = float(np.abs(f.gradient(x)).max())
+    x = np.maximum(pt.vals, 0.0)
+    if (pt.vals < 0.0).any():
+        pt = f.at(x)
+    rep.final_energy = pt.value
+    rep.residual_norm = float(np.abs(pt.gradient).max())
     if rep.residual_norm > tol:
         rep.converged = False
     return x
@@ -387,10 +408,10 @@ def minimize_Jn(prob: RegularizedProblem, init: RadialFunction,
         raise UsageError(f"tol={tol:g}: tolerance must be positive")
     if not prob.K.matches(init):
         raise UsageError("init lives on a different grid than the problem")
-    x, rep = _minimize(prob, init.values, tol)
-    if float(x.min()) < -tol:
+    pt, rep = _minimize(prob, init.values, tol)
+    if float(pt.vals.min()) < -tol:
         rep.converged = False
-    return RadialFunction(prob.grid, _finish(prob, x, rep, tol)), rep
+    return RadialFunction(prob.grid, _finish(prob, pt, rep, tol)), rep
 
 
 def solve_pure_singular(params: ProblemParams, grid: RadialGrid,
@@ -454,8 +475,8 @@ def solve_capacitary(R: float, params: ProblemParams, grid: RadialGrid,
     with np.errstate(divide="ignore"):
         decay = (grid.nodes[k + 1:] / R) ** -params.beta_star
     x0[k + 1:] = np.minimum(1.0, decay)
-    x, _ = _minimize(Functional(params, grid, K), x0, tol, free=free)
-    return RadialFunction(grid, np.clip(x, 0.0, 1.0))
+    pt, _ = _minimize(Functional(params, grid, K), x0, tol, free=free)
+    return RadialFunction(grid, np.clip(pt.vals, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +518,8 @@ def solve_full(params: ProblemParams, grid: RadialGrid, K: KernelMatrix,
     if tol <= 0.0:
         raise UsageError(f"tol={tol:g}: tolerance must be positive")
     prob = TruncatedProblem(params, grid, K, u_bar, kappa)
-    x, rep = _minimize(prob, u_bar.values, tol)
-    x = _finish(prob, x, rep, tol)
+    pt, rep = _minimize(prob, u_bar.values, tol)
+    x = _finish(prob, pt, rep, tol)
     if float((x - u_bar.values).min()) < -tol:
         rep.converged = False
     return RadialFunction(grid, x), rep

@@ -204,6 +204,20 @@ def _check_capacitary(report: VerificationReport, st: VerifySettings,
         "capacitary-monotone", rise <= 1e-8, rise, 0.0, 1e-8))
 
 
+def _stationary(report: VerificationReport, label: str, rep,
+                tol: float) -> bool:
+    """Whether a solve met its stationarity tolerance; a note if not.
+
+    Only the residual is gated: a continuation that ends unsettled still
+    gives a stationary last level, which is what the checks consume.
+    """
+    if rep.residual_norm <= tol:
+        return True
+    report.note(f"{label} missed stationarity: residual "
+                f"{rep.residual_norm:.3e} > tol {tol:g}")
+    return False
+
+
 def _check_continuation(report: VerificationReport, st: VerifySettings,
                         p2: ProblemParams, cache: dict):
     """Level-by-level monotonicity and energy flatness; returns u-bar."""
@@ -211,9 +225,12 @@ def _check_continuation(report: VerificationReport, st: VerifySettings,
     family = []
     prev = RadialFunction(g, (1.0 + g.nodes ** 2) ** (-p2.beta_star / 2.0))
     worst = 0.0
+    stationary = True
     for n in doubling_schedule(st.schedule_max_n):
         prob = RegularizedProblem(p2, n, g, K)
         cur, rep = minimize_Jn(prob, prev, tol=st.tol)
+        stationary &= _stationary(report, f"continuation level n={n}", rep,
+                                  st.tol)
         if family:
             worst = min(worst, float((cur.values - prev.values).min()))
         family.append(cur)
@@ -222,8 +239,8 @@ def _check_continuation(report: VerificationReport, st: VerifySettings,
     scale = float(u_bar.values.max())
     normalized = worst / scale
     report.add_check(CheckRecord(
-        "continuation-monotone", normalized >= -1e-8, normalized,
-        0.0, 1e-8))
+        "continuation-monotone", stationary and normalized >= -1e-8,
+        normalized, 0.0, 1e-8))
     flat = uniform_bound_check(family, p2, K)
     report.add_check(CheckRecord(
         "continuation-energy-flat", flat.passed, flat.measured,
@@ -263,9 +280,13 @@ def _check_pure_singular(report: VerificationReport, st: VerifySettings,
 def _check_truncation(report: VerificationReport, st: VerifySettings,
                       p25: ProblemParams, cache: dict):
     g, K = _grid_and_matrix(cache, p25, st, st.M, p25.beta_star)
-    u_bar, _ = solve_pure_singular(p25, g, K,
-                                   schedule=doubling_schedule(st.trunc_max_n),
-                                   tol=st.trunc_tol)
+    schedule = doubling_schedule(st.trunc_max_n)
+    u_bar, levels = solve_pure_singular(p25, g, K, schedule=schedule,
+                                        tol=st.trunc_tol)
+    # every level's miss gets its note, so no short-circuit here
+    floor_ok = all([_stationary(report, f"truncation level n={n}", rep,
+                                st.trunc_tol)
+                    for n, rep in zip(schedule, levels)])
     scale = float(u_bar.values.max())
     report.note(
         f"truncation battery at N={p25.N}, s={p25.s:g}, p={p25.p:g}, "
@@ -274,10 +295,12 @@ def _check_truncation(report: VerificationReport, st: VerifySettings,
     min_exp = float("inf")
     for kappa in (0.0, 0.5, 1.0):
         u_t, rep = solve_full(p25, g, K, u_bar, kappa, tol=st.trunc_tol)
+        ok = _stationary(report, f"truncated solve kappa={kappa:g}", rep,
+                         st.trunc_tol)
         drop = float((u_t.values - u_bar.values).min()) / scale
         report.add_check(CheckRecord(
-            f"truncation-order-kappa-{kappa:g}", drop >= -1e-8, drop,
-            0.0, 1e-8))
+            f"truncation-order-kappa-{kappa:g}",
+            floor_ok and ok and drop >= -1e-8, drop, 0.0, 1e-8))
         if kappa == 0.0:
             gap = float(np.abs(u_t.values - u_bar.values).max())
             report.add_check(CheckRecord(

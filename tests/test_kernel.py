@@ -174,6 +174,19 @@ def test_phi_table_matches_adaptive(inst35):
         assert float(tab.phi(float(r))) == pytest.approx(direct, rel=5e-8)
 
 
+@pytest.mark.parametrize("convention", K.CONVENTIONS)
+@pytest.mark.parametrize("N, sp", [(3, 1.0), (3, 1.25), (4, 0.8), (5, 1.7)])
+def test_phi_table_dense_past_the_split(N, sp, convention):
+    # every point of an even grid where the log-v spline takes over from
+    # the rho spline, and a ladder toward the edge, against the closed form
+    tab = K.get_phi_table(N, sp, convention)
+    rho = np.concatenate([np.linspace(0.5, 0.7, 4001),
+                          1.0 - np.geomspace(1e-11, 0.3, 200)])
+    want = K._edge_profile_exact(rho, N, sp, convention)
+    rel = np.abs(tab.edge_profile(rho) / want - 1.0)
+    assert rel.max() <= 5e-8, f"worst at rho={rho[rel.argmax()]!r}"
+
+
 def test_phi_table_cache_and_vector_eval():
     t1 = K.get_phi_table(3, 1.0, "n-3")
     t2 = K.get_phi_table(3, 1.0, "n-3")

@@ -190,6 +190,59 @@ def test_hessian_matches_residual_differences(K48, p25):
         assert np.abs(hd - fd).max() <= 5e-6 * np.abs(fd).max()
 
 
+def _energy_terms_loop(U, K):
+    """Energy, (1/p) gradient and Hessian of the pair model, term by term.
+
+    Each elementary term c |U_i - g U_M|^p (a node pair has g = 1 and
+    U_M replaced by U_j) is differentiated by hand in scalar loops, so
+    nothing here shares the array formulas of ``energy_terms``.
+    """
+    p, n = K.p, U.size
+    E, R, H = 0.0, np.zeros(n), np.zeros((n, n))
+
+    def add(c, i, j, gj):
+        # c |U_i - gj U_j|^p: gradient direction e_i - gj e_j
+        nonlocal E
+        t = U[i] - gj * U[j]
+        E += c * abs(t) ** p
+        flux = c * abs(t) ** (p - 2.0) * t
+        curv = (p - 1.0) * c * abs(t) ** (p - 2.0)
+        R[i] += flux
+        R[j] -= gj * flux
+        H[i, i] += curv
+        H[i, j] -= gj * curv
+        H[j, i] -= gj * curv
+        H[j, j] += gj * gj * curv
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            add(float(K.weights[i, j]), i, j, 1.0)
+    for i in range(n):
+        for q in range(K.tail_g.size):
+            add(float(K.tail_W[i, q]), i, n - 1, float(K.tail_g[q]))
+    um = float(U[-1])
+    E += K.tail_self * abs(um) ** p
+    R[-1] += K.tail_self * abs(um) ** (p - 2.0) * um
+    H[-1, -1] += (p - 1.0) * K.tail_self * abs(um) ** (p - 2.0)
+    return E, R, H
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_energy_terms_match_term_loop(K48, p2, p25, p):
+    # the tail terms of node M couple U_M to itself (gradient direction
+    # (1 - g) e_M); the four Hessian updates of add() sum to that exactly
+    params = p25 if p == 2.5 else p2
+    K = K48 if p == 2.5 else op.assemble(K48.grid, p2)
+    rng = np.random.default_rng(4242)
+    r = K.grid.nodes
+    vals = (1.0 + r ** 2) ** -0.75 * (1.0 + 0.2 * rng.standard_normal(r.size))
+    terms = op.energy_terms(RadialFunction(K.grid, vals), K, params)
+    E, R, H = _energy_terms_loop(vals, K)
+    assert terms.energy == pytest.approx(E, rel=1e-12)
+    assert np.abs(terms.residual() - R).max() <= 1e-12 * np.abs(R).max()
+    assert np.abs(terms.hessian() - H).max() <= 1e-12 * np.abs(H).max()
+
+
 def test_truncation_decreases_energy(K48, p25):
     rng = np.random.default_rng(86)
     for _ in range(6):

@@ -118,6 +118,27 @@ def test_minimize_matches_coordinate_descent_oracle(p2, inst_oracle):
     assert u.values.min() >= 0.0
 
 
+def test_minimizer_prices_each_point_once(p25, inst25, monkeypatch):
+    # the energy pass is the expensive part of a Newton step: the gradient
+    # and Hessian of an accepted trial must come from the pass that
+    # accepted it, so no point is handed to energy_terms twice
+    grid, K = inst25
+    priced = []
+    real = sv.energy_terms
+
+    def counting(u, K, params):
+        priced.append(u.values.tobytes())
+        return real(u, K, params)
+
+    monkeypatch.setattr(sv, "energy_terms", counting)
+    prob = sv.RegularizedProblem(p25, 4, grid, K)
+    init = RadialFunction(grid, (1.0 + grid.nodes ** 2) ** -1.0)
+    u, rep = sv.minimize_Jn(prob, init, 1e-9)
+    assert rep.converged and rep.iterations >= 3
+    assert len(priced) == len(set(priced))
+    assert len(priced) >= rep.iterations + 1
+
+
 def test_minimizer_beats_zero_and_init(p2, inst_oracle):
     grid, K = inst_oracle
     prob = sv.RegularizedProblem(p2, 1, grid, K)
