@@ -46,9 +46,11 @@ Euler's transformation (DLMF 15.8) gives the bounded edge profile
                * 2F1(c - mu, 2a + 2 - mu; c; rho^2),
 
 whose limit ``G(1) = S * B(a+1, mu - a - 1) / 2`` is computed in
-:func:`edge_limit` and pins the spline table's endpoint.  The table
-(:func:`get_phi_table`) is built from this closed form and serves every
-caller on the hot path.
+:func:`edge_limit`; the connection formula (DLMF 15.8.4) adds the
+leading correction ``G(1 - v) = G(1) + d v^nu + O(v)``.  The table
+(:func:`get_phi_table`) holds cubic Hermite interpolants of G on
+uniform knots, built from this closed form and evaluated by index
+arithmetic; it serves every caller on the hot path.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import gammaln, gammasgn, hyp2f1
+from scipy.special import gamma, gammaln, gammasgn, hyp2f1, rgamma
 
 from .errors import DomainError, UsageError
 from .params import ProblemParams
@@ -151,17 +152,39 @@ def _edge_profile_exact(rho, N: int, sp: float, convention: str):
     """G(rho) = (1 - rho)^nu Phi(rho) from its closed form, vectorized.
 
     Gegenbauer's integral followed by Euler's transformation (DLMF 15.8)
-    gives G = S B(a+1, 1/2) (1+rho)^{-nu} 2F1(c-mu, 2a+2-mu; c; rho^2)
-    with mu = (N+sp)/2 and c = a + 3/2.  The parameter excess of this
-    2F1 is nu > 0, so it is bounded up to and including rho = 1.
+    gives G = C0 (1+rho)^{-nu} 2F1(A, B; c; rho^2) with C0 = S B(a+1, 1/2),
+    A = c - mu, B = 2a + 2 - mu, mu = (N+sp)/2 and c = a + 3/2.  The
+    parameter excess c - A - B of this 2F1 is nu > 0, so it is bounded up
+    to and including rho = 1.
+
+    Very close to z = rho^2 = 1 (v = 1 - rho below about 3e-14) the 2F1
+    evaluation returns its z = 1 value and loses the v^nu term, so below
+    ``_V_MIN`` the edge expansion G = G(1) + d v^nu + O(v) takes over.
+    The connection formula (DLMF 15.8.4) gives it: the 2F1 splits into
+    an analytic part, G(1) + O(v), and (1 - z)^nu Gamma(c) Gamma(-nu) /
+    (Gamma(A) Gamma(B)) (1 + O(v)), and with 1 - z = v (1 + rho) the
+    powers of (1 + rho) cancel.  For an integer nu that term merges with
+    the analytic part and d is 0.
     """
     a = angular_exponent(N, convention)
     nu = edge_exponent(N, sp, convention)
     mu = (N + sp) / 2.0
     c = a + 1.5
-    log_beta = gammaln(a + 1.0) + gammaln(0.5) - gammaln(c)
-    return (sphere_measure(N) * math.exp(log_beta) * (1.0 + rho) ** (-nu)
-            * hyp2f1(c - mu, 2.0 * a + 2.0 - mu, c, rho * rho))
+    A, B = c - mu, 2.0 * a + 2.0 - mu
+    C0 = sphere_measure(N) * math.exp(gammaln(a + 1.0) + gammaln(0.5)
+                                      - gammaln(c))
+    rho = np.asarray(rho, dtype=float)
+    g = C0 * (1.0 + rho) ** (-nu) * hyp2f1(A, B, c, rho * rho)
+    v = 1.0 - rho
+    edge = v < _V_MIN
+    if np.any(edge):
+        d = 0.0
+        if nu != round(nu):
+            d = C0 * gamma(c) * gamma(-nu) * rgamma(A) * rgamma(B)
+        g1 = edge_limit(N, sp, convention)
+        # [()] turns a 0-d result back into a scalar
+        g = np.where(edge, g1 + d * np.maximum(v, 0.0) ** nu, g)[()]
+    return g
 
 
 def angular_reduction(rho, params: ProblemParams,
@@ -177,23 +200,67 @@ def angular_reduction(rho, params: ProblemParams,
 
 
 # ---------------------------------------------------------------------------
-# Spline table for the edge profile G(rho) = (1 - rho)^nu Phi(rho)
+# Hermite table for the edge profile G(rho) = (1 - rho)^nu Phi(rho)
 # ---------------------------------------------------------------------------
 
 _RHO_SPLIT = 0.5
 _V_MIN = 1e-12
 
 
+class _Hermite:
+    """Cubic Hermite interpolant on uniform knots x0 + k h, k = 0..n-1.
+
+    Built from node values at k = -2..n+1: the two guard nodes past each
+    end let every knot take its slope from the fourth-order central
+    difference (-y[k+2] + 8 y[k+1] - 8 y[k-1] + y[k-2]) / 12h, which is
+    exact for quartics, so the interpolant reproduces cubics.  A point
+    is located by index arithmetic, i = floor((x - x0)/h) clipped to the
+    table (outside it the end cubics extrapolate), and its cubic is read
+    from four contiguous per-interval coefficient arrays.
+    """
+
+    __slots__ = ("x0", "inv_h", "last", "c0", "c1", "c2", "c3")
+
+    def __init__(self, x0: float, h: float, y: np.ndarray):
+        y = np.asarray(y, dtype=float)
+        d = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / 12.0  # h y'
+        yk = y[2:-2]
+        dy = yk[1:] - yk[:-1]
+        self.x0 = float(x0)
+        self.inv_h = 1.0 / h
+        self.last = float(yk.size - 2)  # index of the last interval
+        # p(t) = c0 + t (c1 + t (c2 + t c3)), t = (x - x_i)/h in [0, 1]
+        self.c0 = yk[:-1]
+        self.c1 = d[:-1]
+        self.c2 = 3.0 * dy - 2.0 * d[:-1] - d[1:]
+        self.c3 = d[:-1] + d[1:] - 2.0 * dy
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        t = (x - self.x0) * self.inv_h
+        i = np.clip(t, 0.0, self.last).astype(np.intp)
+        t -= i
+        out = self.c3.take(i)
+        out *= t
+        out += self.c2.take(i)
+        out *= t
+        out += self.c1.take(i)
+        out *= t
+        out += self.c0.take(i)
+        return out
+
+
 @dataclass
 class PhiTable:
     """Fast, table-backed evaluation of Phi and its edge profile G.
 
-    G is bounded on [0, 1], with a (1 - rho)^nu edge term; it is
-    tabulated from its closed form on a uniform rho-grid left of
-    ``_RHO_SPLIT`` and on a log-spaced grid in ``v = 1 - rho`` down to
-    ``_V_MIN`` on the right, with the exact endpoint ``G(1)`` from
-    :func:`edge_limit`.  Below ``_V_MIN`` the endpoint value is returned
-    (the profile is within O(v + v^nu) of it).
+    G is bounded on [0, 1], with a (1 - rho)^nu edge term.  It is
+    tabulated from its closed form as two cubic Hermite interpolants on
+    uniform knots: in rho on [0, ``_RHO_SPLIT`` + 0.05] (441 knots,
+    used left of the split) and in log v, v = 1 - rho, on
+    [log ``_V_MIN``, log 0.55] (1400 knots, used right of it).  Below
+    ``_V_MIN`` the closed form's edge expansion G = g1 + d v^nu + O(v)
+    is used, with the exact endpoint ``g1 = G(1)`` from
+    :func:`edge_limit`.
     """
 
     N: int
@@ -201,8 +268,8 @@ class PhiTable:
     convention: str
     nu: float
     g1: float
-    _lo: CubicSpline = field(repr=False)
-    _hi: CubicSpline = field(repr=False)
+    _lo: _Hermite = field(repr=False)
+    _hi: _Hermite = field(repr=False)
 
     def edge_profile(self, rho):
         """G(rho), vectorized over rho in [0, 1]."""
@@ -217,7 +284,8 @@ class PhiTable:
         if np.any(right_far):
             out[right_far] = self._hi(np.log(v[right_far]))
         if np.any(edge):
-            out[edge] = self.g1
+            out[edge] = _edge_profile_exact(rho[edge], self.N, self.sp,
+                                            self.convention)
         return out if out.ndim else float(out)
 
     def phi(self, rho):
@@ -231,27 +299,27 @@ class PhiTable:
 def _build_phi_table(N: int, sp: float, convention: str) -> PhiTable:
     nu = edge_exponent(N, sp, convention)
     g1 = edge_limit(N, sp, convention)
+    k_lo = np.arange(-2, 441 + 2)
+    k_hi = np.arange(-2, 1400 + 2)
 
-    rho_lo = np.linspace(0.0, _RHO_SPLIT + 0.05, 441)
-    g_lo = _edge_profile_exact(rho_lo, N, sp, convention)
+    # both tables run 0.05 past the split
+    h_lo = (_RHO_SPLIT + 0.05) / 440
+    g_lo = _edge_profile_exact(k_lo * h_lo, N, sp, convention)
 
-    # both splines run 0.05 past the split, so neither's not-a-knot end
-    # is ever evaluated
-    v_hi = np.geomspace(1.0 - (_RHO_SPLIT - 0.05), _V_MIN, 1400)
-    g_hi = _edge_profile_exact(1.0 - v_hi, N, sp, convention)
-
-    lo_spline = CubicSpline(rho_lo, g_lo)
-    x = np.log(v_hi[::-1])
-    hi_spline = CubicSpline(x, g_hi[::-1])
+    x0 = math.log(_V_MIN)
+    h_hi = (math.log(1.0 - (_RHO_SPLIT - 0.05)) - x0) / 1399
+    g_hi = _edge_profile_exact(1.0 - np.exp(x0 + k_hi * h_hi), N, sp,
+                               convention)
     return PhiTable(N=N, sp=sp, convention=convention, nu=nu, g1=g1,
-                    _lo=lo_spline, _hi=hi_spline)
+                    _lo=_Hermite(0.0, h_lo, g_lo),
+                    _hi=_Hermite(x0, h_hi, g_hi))
 
 
 _TABLE_CACHE: dict[tuple, PhiTable] = {}
 
 
 def get_phi_table(N: int, sp: float, convention: str = PIPELINE_CONVENTION) -> PhiTable:
-    """Cached per-(N, sp, convention) spline table of the edge profile."""
+    """Cached per-(N, sp, convention) Hermite table of the edge profile."""
     _check_convention(convention)
     key = (int(N), round(float(sp), 12), convention)
     table = _TABLE_CACHE.get(key)

@@ -32,7 +32,6 @@ iteration order, no randomness.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import DomainError, UsageError
 from .grid import RadialFunction, RadialGrid
@@ -289,16 +288,20 @@ class SolveReport:
 
 def _solve_newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Direction -H^{-1} g, shifting the diagonal when H is not SPD."""
+    # imported here, so a process that never factors a matrix (fracp
+    # plotdata) does not load scipy.linalg
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         return -cho_solve(cho_factor(H), g)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         pass
     lam = 1e-10 * max(float(np.trace(H)) / H.shape[0], 1.0)
     eye = np.eye(H.shape[0])
     for _ in range(12):
         try:
             return -cho_solve(cho_factor(H + lam * eye), g)
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             lam *= 100.0
     # fully regularized fall-through: steepest descent
     return -g

@@ -9,10 +9,13 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fracp
 from fracp.cli import main
 from fracp.config import parse_config
 from fracp.errors import UsageError
@@ -209,3 +212,19 @@ def test_verify_exit_matches_report(workdir):
 def test_missing_config_is_usage_error(tmp_path):
     assert main(["solve-singular", "--config",
                  str(tmp_path / "absent.cfg")]) == 2
+
+
+def test_cold_start_skips_heavy_scipy_modules():
+    # every subcommand is one process, so the import of the entry point is
+    # paid each time: it must not pull in scipy's interpolation stack
+    # (which loads optimize, sparse and fft) nor linalg, which only the
+    # Newton step needs
+    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.sparse",
+             "scipy.fft", "scipy.linalg"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, fracp.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == ""

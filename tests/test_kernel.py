@@ -177,14 +177,63 @@ def test_phi_table_matches_adaptive(inst35):
 @pytest.mark.parametrize("convention", K.CONVENTIONS)
 @pytest.mark.parametrize("N, sp", [(3, 1.0), (3, 1.25), (4, 0.8), (5, 1.7)])
 def test_phi_table_dense_past_the_split(N, sp, convention):
-    # every point of an even grid where the log-v spline takes over from
-    # the rho spline, and a ladder toward the edge, against the closed form
+    # the whole table range rho in [0, 1 - 1e-12] against the closed form:
+    # an even grid over the rho table and past the split, a ladder toward
+    # the edge, and each interpolant alone over its whole knot range, so
+    # the end knots and the end intervals (slopes from guard knots) too
     tab = K.get_phi_table(N, sp, convention)
-    rho = np.concatenate([np.linspace(0.5, 0.7, 4001),
-                          1.0 - np.geomspace(1e-11, 0.3, 200)])
+    rho = np.concatenate([np.linspace(0.0, 0.7, 7001),
+                          1.0 - np.geomspace(1e-12, 0.3, 400)])
     want = K._edge_profile_exact(rho, N, sp, convention)
     rel = np.abs(tab.edge_profile(rho) / want - 1.0)
     assert rel.max() <= 5e-8, f"worst at rho={rho[rel.argmax()]!r}"
+
+    lo, hi = tab._lo, tab._hi
+    rho = np.linspace(0.0, K._RHO_SPLIT + 0.05, 4 * 440 + 1)
+    assert rho[0] == lo.x0 and rho[-1] == pytest.approx(
+        lo.x0 + (lo.last + 1.0) / lo.inv_h, rel=1e-15)
+    want = K._edge_profile_exact(rho, N, sp, convention)
+    rel = np.abs(lo(rho) / want - 1.0)
+    assert rel.max() <= 5e-8, f"rho table worst at rho={rho[rel.argmax()]!r}"
+
+    x = np.linspace(hi.x0, hi.x0 + (hi.last + 1.0) / hi.inv_h, 4 * 1399 + 1)
+    assert np.exp(x[0]) == pytest.approx(K._V_MIN, rel=1e-14)
+    assert np.exp(x[-1]) == pytest.approx(1.0 - (K._RHO_SPLIT - 0.05),
+                                          rel=1e-14)
+    rho = 1.0 - np.exp(x)
+    want = K._edge_profile_exact(rho, N, sp, convention)
+    rel = np.abs(hi(np.log(1.0 - rho)) / want - 1.0)
+    assert rel.max() <= 5e-8, f"log-v table worst at rho={rho[rel.argmax()]!r}"
+
+
+def test_hermite_reproduces_cubics():
+    # closed-form oracle: the fourth-order difference slopes are exact on
+    # cubics, so the interpolant is the cubic itself between the knots
+    def cubic(x):
+        return 0.3 - 1.2 * x + 0.7 * x ** 2 + 0.9 * x ** 3
+
+    x0, h, n = -1.5, 3.5 / 50, 51
+    interp = K._Hermite(x0, h, cubic(x0 + np.arange(-2, n + 2) * h))
+    x = np.random.default_rng(11).uniform(x0, x0 + (n - 1) * h, 5000)
+    x = np.concatenate([x, [x0, x0 + (n - 1) * h]])
+    err = np.abs(interp(x) - cubic(x))
+    assert err.max() <= 1e-13, f"worst at x={x[err.argmax()]!r}"
+
+
+@pytest.mark.parametrize("convention", K.CONVENTIONS)
+@pytest.mark.parametrize("N, sp", [(3, 0.2), (6, 0.05)])
+def test_edge_profile_below_table_matches_adaptive_oracle(N, sp, convention):
+    # below _V_MIN both the table and the closed form use the expansion
+    # g1 + d v^nu; under "n-2" with small sp the v^nu term is of order 1
+    tab = K.get_phi_table(N, sp, convention)
+    for v in [2.0 ** -40, 2.0 ** -42, 2.0 ** -46, 2.0 ** -50]:
+        want = _adaptive_edge_profile(v, N, sp, convention)
+        assert tab.edge_profile(1.0 - v) == pytest.approx(want, rel=1e-11)
+        assert K._edge_profile_exact(1.0 - v, N, sp, convention) == \
+            pytest.approx(want, rel=1e-11)
+    g1 = K.edge_limit(N, sp, convention)
+    assert tab.edge_profile(1.0) == g1
+    assert K._edge_profile_exact(1.0, N, sp, convention) == g1
 
 
 def test_phi_table_cache_and_vector_eval():
