@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .grid import RadialFunction
+from .grid import RadialFunction, RadialGrid
 from .kernel import power_profile_constant, profile_window, unit_sphere_area
 from .operator import KernelMatrix, energy_seminorm, weak_residual
 from .params import ProblemParams
@@ -32,8 +32,10 @@ __all__ = [
     "DecayFit",
     "CheckRecord",
     "VerificationReport",
+    "decay_window",
     "fit_decay",
     "check_decay_sandwich",
+    "check_capacitary",
     "fundamental_residual",
     "comparison_check",
     "harnack_ratio",
@@ -71,38 +73,38 @@ class CheckRecord:
         }
 
 
-def _window_nodes(u: RadialFunction, window: tuple[float, float] | None,
-                  what: str) -> tuple[np.ndarray, tuple[float, float]]:
-    """Indices of grid nodes inside the fitting window.
+def decay_window(grid: RadialGrid) -> tuple[float, float]:
+    """The radial window [R_max/8, R_max/2] on which decay is graded.
 
-    The default window is [R_max/8, R_max/2]: far enough out that the
-    near-field profile has flattened into its asymptotic regime, far
-    enough in that the synthetic tail extension plays no role.
+    Far enough out that the near-field profile has flattened into its
+    asymptotic regime, far enough in that the synthetic tail extension
+    plays no role.  Decay fits, the sandwich amplitudes, the log-log
+    plot data and the battery's envelope note all read it here.
     """
-    R = u.grid.R_max
-    if window is None:
-        window = (R / 8.0, R / 2.0)
-    lo, hi = float(window[0]), float(window[1])
-    if not (1.0 < lo < hi < R):
-        raise UsageError(
-            f"{what} window ({lo:g}, {hi:g}) must sit strictly inside "
-            f"(1, R_max) = (1, {R:g})")
+    R = grid.R_max
+    return R / 8.0, R / 2.0
+
+
+def _window_nodes(u: RadialFunction
+                  ) -> tuple[np.ndarray, tuple[float, float]]:
+    """Indices of the grid nodes in :func:`decay_window`, edges included,
+    together with the window itself."""
+    lo, hi = decay_window(u.grid)
     r = u.grid.nodes
-    idx = np.flatnonzero((r >= lo) & (r <= hi))
-    return idx, (lo, hi)
+    return np.flatnonzero((r >= lo) & (r <= hi)), (lo, hi)
 
 
-def fit_decay(u: RadialFunction, window: tuple[float, float] | None = None
-              ) -> DecayFit:
-    """Fit a power law to ``u`` on a radial window by log-log regression.
+def fit_decay(u: RadialFunction) -> DecayFit:
+    """Fit a power law to ``u`` on :func:`decay_window` by log-log regression.
 
     Ordinary least squares on (log r, log u) over the nodes inside the
-    window.  Returns the slope magnitude as the decay exponent, so an
-    exact profile ``A r^-b`` reproduces ``b`` and ``A`` with zero rms
-    residual.  Nonpositive values inside the window have no logarithm
-    and raise ``DomainError``.
+    window, of which there must be at least two.  Returns the slope
+    magnitude as the decay exponent, so an exact profile ``A r^-b``
+    reproduces ``b`` and ``A`` with zero rms residual.  Nonpositive
+    values inside the window have no logarithm and raise
+    ``DomainError``.
     """
-    idx, win = _window_nodes(u, window, "decay fit")
+    idx, win = _window_nodes(u)
     if idx.size < 2:
         raise UsageError(
             f"decay fit window ({win[0]:g}, {win[1]:g}) contains "
@@ -123,10 +125,9 @@ def fit_decay(u: RadialFunction, window: tuple[float, float] | None = None
                     window=win, rms_residual=rms)
 
 
-def check_decay_sandwich(u: RadialFunction, params: ProblemParams,
-                         window: tuple[float, float] | None = None
-                         ) -> list[CheckRecord]:
-    """Two-sided decay control on a bounded annulus.
+def check_decay_sandwich(u: RadialFunction,
+                         params: ProblemParams) -> list[CheckRecord]:
+    """Two-sided decay control on the annulus of :func:`decay_window`.
 
     Measures the smallest value of ``u * r^beta_star`` (a positive lower
     amplitude means the profile does not fall below the capacitary rate
@@ -137,7 +138,7 @@ def check_decay_sandwich(u: RadialFunction, params: ProblemParams,
     the two rates differ, so no single constant works out to infinity,
     and the synthetic tail extension should not be graded.
     """
-    idx, win = _window_nodes(u, window, "decay sandwich")
+    idx, win = _window_nodes(u)
     if idx.size == 0:
         raise UsageError(
             f"decay sandwich window ({win[0]:g}, {win[1]:g}) contains no "
@@ -155,6 +156,30 @@ def check_decay_sandwich(u: RadialFunction, params: ProblemParams,
                     upper, 0.0, 0.0),
     ]
     return records
+
+
+def check_capacitary(u: RadialFunction, R: float, params: ProblemParams
+                     ) -> tuple[DecayFit, list[CheckRecord]]:
+    """Decay fit and pass/fail records of a unit-plateau capacitary profile.
+
+    ``u`` is pinned to 1 on the ball of radius ``R``.  The records:
+    ``capacitary-exponent``, the fitted tail exponent within 5 % of
+    beta_star; ``capacitary-plateau``, the scaled profile
+    ``u (r/R)^beta_star`` on [2R, R_max/2] at most 1.05 p^(1/(p-1));
+    ``capacitary-monotone``, no rise above 1e-8 between neighbor nodes.
+    """
+    fit = fit_decay(u)
+    dev = abs(fit.exponent - params.beta_star) / params.beta_star
+    r = u.grid.nodes
+    sel = (r >= 2.0 * R) & (r <= u.grid.R_max / 2.0)
+    plateau = float((u.values[sel] * (r[sel] / R) ** params.beta_star).max())
+    cap = 1.05 * params.p ** (1.0 / (params.p - 1.0))
+    rise = float(np.diff(u.values).max())
+    return fit, [
+        CheckRecord("capacitary-exponent", dev <= 0.05, dev, 0.0, 0.05),
+        CheckRecord("capacitary-plateau", plateau <= cap, plateau, cap, 0.0),
+        CheckRecord("capacitary-monotone", rise <= 1e-8, rise, 0.0, 1e-8),
+    ]
 
 
 def _cell_power_integral(a: float, b: float, k: float) -> float:
@@ -186,8 +211,7 @@ def _hat_moment(grid, i: int, e: float) -> float:
 
 
 def fundamental_residual(beta: float, params: ProblemParams,
-                         grid, K: KernelMatrix,
-                         quad: QuadratureSpec | None = None) -> float:
+                         grid, K: KernelMatrix) -> float:
     """Normalized pairing defect of the power profile r^-beta.
 
     For the exact profile the pairing of the nonlocal energy against each
@@ -198,7 +222,8 @@ def fundamental_residual(beta: float, params: ProblemParams,
     by the gross pairing mass at that node (the sum of the absolute
     values of every pair and tail contribution), which makes the figure
     scale-free; at ``beta = beta_star`` the constant vanishes and the
-    figure directly measures discretization quality.
+    figure directly measures discretization quality.  ``C(beta)`` is
+    integrated with the default :class:`QuadratureSpec`.
 
     The grid's tail extension must decay at the same rate ``beta``,
     otherwise the exterior coupling would compare against the wrong
@@ -215,8 +240,6 @@ def fundamental_residual(beta: float, params: ProblemParams,
             f"grid tail extension decays like r^-{grid.tail_exponent:g} "
             f"but the tested profile decays like r^-{beta:g}; rebuild "
             "the grid with tail_exponent=beta")
-    if quad is None:
-        quad = QuadratureSpec()
 
     r = grid.nodes
     vals = np.empty_like(r)
@@ -225,7 +248,7 @@ def fundamental_residual(beta: float, params: ProblemParams,
     v = RadialFunction(grid, vals)
     res = weak_residual(v, K, params)
 
-    C = power_profile_constant(beta, params, quad, convention=K.convention)
+    C = power_profile_constant(beta, params, QuadratureSpec())
     S = unit_sphere_area(params.N - 1)
     e = params.N - 1.0 - beta * (params.p - 1.0) - params.sp
 
@@ -250,12 +273,10 @@ def _comparison_detail(u: RadialFunction, v: RadialFunction,
                        params: ProblemParams, residual_tol: float,
                        value_tol: float) -> tuple[bool, int | None]:
     """(hypothesis holds, index of first conclusion violation or None)."""
-    if not (K.matches(u) and K.matches(v)):
+    if not (K.matches(u.grid) and K.matches(v.grid)):
         raise UsageError(
             "comparison operands live on a different grid than the "
             "kernel matrix")
-    if u.grid.grid_hash != v.grid.grid_hash:
-        raise UsageError("comparison operands live on different grids")
     mask = np.asarray(region, dtype=bool)
     if mask.shape != u.grid.nodes.shape:
         raise UsageError(

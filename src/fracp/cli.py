@@ -34,12 +34,11 @@ import sys
 
 import numpy as np
 
-from .analysis import check_decay_sandwich, fit_decay
+from .analysis import check_capacitary, check_decay_sandwich, decay_window
 from .config import RunConfig, read_config
 from .errors import (ConfigError, ConvergenceError, DomainError, FracpError,
                      UsageError)
-from .kernel import (PIPELINE_CONVENTION, profile_table_rows,
-                     profile_window, write_profile_table)
+from .kernel import profile_table_rows, profile_window, write_profile_table
 from .operator import assemble, weak_residual
 from .solver import (RegularizedProblem, TruncatedProblem, read_solution_csv,
                      solve_capacitary, solve_full, solve_pure_singular,
@@ -53,6 +52,12 @@ def _out_dir(cfg: RunConfig, args) -> str:
     out = args.out if args.out else cfg.output_dir
     os.makedirs(out, exist_ok=True)
     return out
+
+
+def _print_checks(checks) -> None:
+    for c in checks:
+        print(f"check {c.name}: {'PASS' if c.passed else 'FAIL'} "
+              f"(measured {c.measured!r})")
 
 
 def _cmd_kernel_table(cfg: RunConfig, args) -> int:
@@ -75,9 +80,8 @@ def _cmd_kernel_table(cfg: RunConfig, args) -> int:
             min(abs(b - bstar) for b in betas) > 1e-12:
         betas = sorted(betas + [bstar])
 
-    rows = profile_table_rows(params, betas, cfg.quad, PIPELINE_CONVENTION)
-    path = write_profile_table(_out_dir(cfg, args), params, rows,
-                               PIPELINE_CONVENTION)
+    rows = profile_table_rows(params, betas, cfg.quad)
+    path = write_profile_table(_out_dir(cfg, args), params, rows)
     print(f"kernel-table: {len(rows)} rows -> {path}")
     return 0
 
@@ -96,30 +100,14 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
     write_solution_csv(u, params, path, rhs=np.zeros_like(u.values),
                        residual=residual, converged=stationary)
 
-    fit = fit_decay(u)
-    dev = abs(fit.exponent - params.beta_star) / params.beta_star
-    r = grid.nodes
-    sel = (r >= 2.0 * R) & (r <= grid.R_max / 2.0)
-    plateau = float((u.values[sel] * (r[sel] / R) ** params.beta_star).max())
-    cap = 1.05 * params.p ** (1.0 / (params.p - 1.0))
-    rise = float(np.diff(u.values).max())
-    checks = [
-        ("tail exponent vs beta_star", dev <= 0.05, f"rel dev {dev:.3e}"),
-        ("scaled plateau bound", plateau <= cap,
-         f"{plateau:.6f} vs cap {cap:.6f}"),
-        ("nonincreasing profile", rise <= 1e-8, f"max rise {rise:.3e}"),
-    ]
-    ok = True
-    for name, passed, detail in checks:
-        ok &= passed
-        print(f"capacitary check {name}: "
-              f"{'PASS' if passed else 'FAIL'} ({detail})")
+    _, checks = check_capacitary(u, R, params)
+    _print_checks(checks)
     print(f"capacitary: profile -> {path}")
     if not stationary:
         print("capacitary: stationarity tolerance missed on the free nodes",
               file=sys.stderr)
         return 3
-    return 0 if ok else 1
+    return 0 if all(c.passed for c in checks) else 1
 
 
 def _run_continuation(cfg: RunConfig, grid, K):
@@ -144,7 +132,8 @@ def _write_singular(cfg: RunConfig, grid, K, u, converged: bool, out: str):
     prob = RegularizedProblem(params, n_last, grid, K)
     path = os.path.join(out, "u_bar.csv")
     write_solution_csv(u, params, path, rhs=prob.reaction(u.values),
-                       residual=prob.gradient(u.values), converged=converged)
+                       residual=prob.at(u.values).gradient,
+                       converged=converged)
     return path
 
 
@@ -185,7 +174,7 @@ def _cmd_solve_full(cfg: RunConfig, args) -> int:
     prob = TruncatedProblem(params, grid, K, u_bar, kappa)
     path = os.path.join(out, "u_tilde.csv")
     write_solution_csv(u_t, params, path, rhs=prob.reaction(u_t.values),
-                       residual=prob.gradient(u_t.values),
+                       residual=prob.at(u_t.values).gradient,
                        converged=rep.converged)
     scale = float(u_bar.values.max())
     drop = float((u_t.values - u_bar.values).min())
@@ -210,9 +199,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         seed=cfg.seed)
     path = os.path.join(out, "report.json")
     report = run_acceptance(settings, out_path=path)
-    for c in report.checks:
-        print(f"check {c.name}: {'PASS' if c.passed else 'FAIL'} "
-              f"(measured {c.measured!r})")
+    _print_checks(report.checks)
     n_fail = sum(not c.passed for c in report.checks)
     print(f"verify: report -> {path}")
     if n_fail:
@@ -247,8 +234,7 @@ def _cmd_plotdata(cfg: RunConfig, args) -> int:
                 f"u_bar.csv was computed at {key}={got!r} but the config "
                 f"says {key}={want!r}")
 
-    R = u_bar.grid.R_max
-    lo, hi = R / 8.0, R / 2.0
+    lo, hi = decay_window(u_bar.grid)
     r = u_bar.grid.nodes
     sel = (r >= lo) & (r <= hi) & (u_bar.values > 0.0) \
         & (u_tilde.values > 0.0)
@@ -257,7 +243,7 @@ def _cmd_plotdata(cfg: RunConfig, args) -> int:
             f"fit window [{lo:g}, {hi:g}] is empty after filtering to "
             "positive profile values; nothing to plot")
 
-    lower, upper = check_decay_sandwich(u_bar, params, window=(lo, hi))
+    lower, upper = check_decay_sandwich(u_bar, params)
     c_lo, c_hi = lower.measured, upper.measured
 
     loglog = os.path.join(out, "loglog.csv")

@@ -56,11 +56,10 @@ class RunConfig:
     output_dir: str
     seed: int
 
-    def build_grid(self, tail_exponent: float | None = None,
-                   anchors: tuple[float, ...] = (1.0,)) -> RadialGrid:
-        """Grid for this run; the tail decays at beta_star by default."""
-        bt = self.params.beta_star if tail_exponent is None else tail_exponent
-        return make_radial_grid(tail_exponent=bt, R_max=self.grid.r_max,
+    def build_grid(self, anchors: tuple[float, ...] = (1.0,)) -> RadialGrid:
+        """Grid for this run, with the tail decaying at beta_star."""
+        return make_radial_grid(tail_exponent=self.params.beta_star,
+                                R_max=self.grid.r_max,
                                 M=self.grid.nodes, grading=self.grid.grading,
                                 anchors=anchors)
 

@@ -17,7 +17,7 @@ residual-convergence checks rely on.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     tail_exponent: float
-    grading: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -83,10 +82,10 @@ class RadialGrid:
         shells = self.dual_midpoints ** N
         return V * np.diff(shells)
 
-    def index_of(self, r: float, tol: float = 1e-9) -> int:
-        """Index of the node at radius ``r``, or UsageError if absent."""
+    def index_of(self, r: float) -> int:
+        """Index of the node within 1e-9 max(r, 1) of ``r``, or UsageError."""
         k = int(np.argmin(np.abs(self.nodes - r)))
-        if abs(self.nodes[k] - r) > tol * max(r, 1.0):
+        if abs(self.nodes[k] - r) > 1e-9 * max(r, 1.0):
             raise UsageError(
                 f"no grid node at r={r:g}; regenerate the grid with an "
                 f"anchor there (nearest node: {self.nodes[k]:g})")
@@ -127,8 +126,7 @@ def make_radial_grid(tail_exponent: float, R_max: float = 64.0, M: int = 256,
         k = int(np.argmin(np.abs(nodes - anchor)))
         k = max(1, min(M - 1, k))
         nodes[k] = anchor
-    return RadialGrid(nodes=nodes, tail_exponent=float(tail_exponent),
-                      grading=float(grading))
+    return RadialGrid(nodes=nodes, tail_exponent=float(tail_exponent))
 
 
 @dataclass(frozen=True, eq=False)

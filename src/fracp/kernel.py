@@ -14,11 +14,13 @@ for the exponent ``a`` circulate in derivations of this reduction:
 * ``"n-3"``: ``a = (N - 3)/2``, the exponent produced by the standard
   sphere-slicing identity.
 
-The package implements both behind the ``convention`` switch; the
-closed-form cross-check at p = 2 (:func:`cross_check_p2`) decides which
-one is consistent with the classical constant.  Every function defaults
-to the validated ``"n-3"`` that the solver pipeline uses; ``"n-2"`` is
-available as an explicit argument.
+The closed-form cross-check at p = 2 (:func:`cross_check_p2`) computes
+C(beta) under both and decides which one is consistent with the
+classical constant.  The functions it goes through (the exponents,
+:func:`edge_limit`, :func:`angular_reduction`, :func:`get_phi_table`
+and the power-profile constant) take a ``convention`` argument that
+defaults to the validated ``"n-3"``; everything downstream of them
+(assembly, the beta-sweep table) uses ``"n-3"`` only.
 
 The power-profile constant
 
@@ -93,6 +95,7 @@ CONVENTIONS = ("n-2", "n-3")
 PIPELINE_CONVENTION = "n-3"
 
 _CROSS_CHECK_TOL = 1e-4
+_LADDER_POINTS = 5  # closed-form comparison rates below beta_star
 
 
 def unit_sphere_area(k: int) -> float:
@@ -445,24 +448,24 @@ class CrossCheckResult:
     notes: list[str]
 
 
-def cross_check_p2(N: int, s: float,
-                   quad: QuadratureSpec | None = None,
-                   n_points: int = 5) -> CrossCheckResult:
+def cross_check_p2(N: int, s: float) -> CrossCheckResult:
     """Compare C(beta) against the p = 2 closed form on a beta ladder.
 
-    One calibration point fixes the multiplicative normalization; the
+    The ladder holds ``_LADDER_POINTS`` rates evenly spaced inside
+    ((N - sp)/p, beta_star), each C(beta) integrated with the default
+    :class:`QuadratureSpec`.  One calibration point fixes the multiplicative normalization; the
     remaining ladder points must then agree to 1e-4 relative for a
     convention to pass.  A probe above beta_star records the measured
     sign (not asserted: the constant is negative there, which the
     barrier construction for supersolutions does not anticipate, so it
     is flagged rather than used downstream).
     """
-    quad = quad or QuadratureSpec()
+    quad = QuadratureSpec()
     params = ProblemParams.kernel_only(N, s, 2.0)
     beta_star = params.beta_star
     lo, hi_w = profile_window(params)
-    ladder = [lo + k * (beta_star - lo) / (n_points + 1)
-              for k in range(1, n_points + 1)]
+    ladder = [lo + k * (beta_star - lo) / (_LADDER_POINTS + 1)
+              for k in range(1, _LADDER_POINTS + 1)]
     lam = [riesz_power_constant(b, N, s) for b in ladder]
     probe_beta = beta_star + 0.25 * (hi_w - beta_star)
     lam_probe = riesz_power_constant(probe_beta, N, s)
@@ -470,7 +473,7 @@ def cross_check_p2(N: int, s: float,
 
     checks = []
     notes = []
-    mid = n_points // 2
+    mid = _LADDER_POINTS // 2
     for convention in CONVENTIONS:
         vals = [power_profile_constant(b, params, quad, convention)
                 for b in ladder]
@@ -520,18 +523,16 @@ def cross_check_p2(N: int, s: float,
 # Golden tables
 # ---------------------------------------------------------------------------
 
-def profile_table_rows(params: ProblemParams, betas, quad: QuadratureSpec,
-                       convention: str = PIPELINE_CONVENTION):
+def profile_table_rows(params: ProblemParams, betas, quad: QuadratureSpec):
     """Rows (beta, c_beta, rel_err, quad_nodes) for a beta sweep."""
     rows = []
     for beta in betas:
-        res = power_profile_result(beta, params, quad, convention)
+        res = power_profile_result(beta, params, quad)
         rows.append((float(beta), res.value, res.rel_err, res.n_evals))
     return rows
 
 
-def write_profile_table(out_dir: str, params: ProblemParams, rows,
-                        convention: str = PIPELINE_CONVENTION) -> str:
+def write_profile_table(out_dir: str, params: ProblemParams, rows) -> str:
     """Write a beta sweep as ``cbeta_N{N}_s{s}_p{p}.csv``.
 
     Comment lines carry the instance and, at p = 2, the measured
@@ -542,7 +543,8 @@ def write_profile_table(out_dir: str, params: ProblemParams, rows,
     os.makedirs(out_dir, exist_ok=True)
     lines = [
         "# power-profile constant sweep",
-        f"# N={params.N} s={params.s:g} p={params.p:g} convention={convention}",
+        f"# N={params.N} s={params.s:g} p={params.p:g} "
+        f"convention={PIPELINE_CONVENTION}",
     ]
     if params.p == 2.0:
         theory = 2.0 / riesz_normalization(params.N, params.s)

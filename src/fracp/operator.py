@@ -54,8 +54,8 @@ nonnegative, which the monotonicity and comparison arguments downstream
 rely on.
 
 Everything is assembled with fixed-order Gauss rules in a fixed
-evaluation order, so a given (grid, params, convention) input always
-produces the same matrix bit for bit.  A verification pass re-integrates
+evaluation order, so a given (grid, params) input always produces the
+same matrix bit for bit.  A verification pass re-integrates
 every block at elevated order and records the worst relative deviation
 as ``assembly_error``; a deviation beyond 1e-5 raises
 :class:`~fracp.errors.ConvergenceError` naming the offending cell pair.
@@ -109,9 +109,10 @@ class KernelMatrix:
     carries the full both-orderings mass of the pair, so the energy sums
     each unordered pair once.  ``tail_W`` couples nodes to the exterior
     sample points ``tail_xi = R_max / r'`` (profile values
-    ``tail_g = tail_xi^{beta_tail}``), ``tail_self`` is the closed-form
-    tail self-energy coefficient, and ``volume_weights`` are the exact
-    annulus measures used for volume integrals on the same grid.
+    ``tail_g = tail_xi^{beta_tail}``), and ``tail_self`` is the
+    closed-form tail self-energy coefficient.  ``N``, ``sp`` and ``p``
+    name the instance the weights were assembled for, and ``nu`` is the
+    kernel edge exponent of the pipeline convention.
 
     The clip fields record where assembly gave up exactness for
     nonnegativity: ``adjacent_clips`` adjacent-pair weights (A' and B'
@@ -123,13 +124,11 @@ class KernelMatrix:
     """
 
     grid: RadialGrid
-    convention: str
     N: int
     sp: float
     p: float
     nu: float
     weights: np.ndarray = field(repr=False, default=None)
-    volume_weights: np.ndarray = field(repr=False, default=None)
     tail_xi: np.ndarray = field(repr=False, default=None)
     tail_g: np.ndarray = field(repr=False, default=None)
     tail_W: np.ndarray = field(repr=False, default=None)
@@ -140,13 +139,14 @@ class KernelMatrix:
     correction_clips: int = 0
     correction_clipped: float = 0.0
 
-    def matches(self, u: RadialFunction) -> bool:
-        return u.grid is self.grid or u.grid.grid_hash == self.grid.grid_hash
+    def matches(self, grid: RadialGrid) -> bool:
+        """Whether ``grid`` is the grid these weights were assembled on."""
+        return grid is self.grid or grid.grid_hash == self.grid.grid_hash
 
 
 def _require_match(grid: RadialGrid, K: KernelMatrix, params: ProblemParams):
     """Refuse a grid or parameter set other than the ones K was built for."""
-    if grid is not K.grid and grid.grid_hash != K.grid.grid_hash:
+    if not K.matches(grid):
         raise UsageError(
             "kernel matrix was assembled on a different grid "
             f"(hashes {grid.grid_hash} vs {K.grid.grid_hash})"
@@ -462,23 +462,20 @@ def _tail_self_coefficient(N, sp, p, bt, R, S, table, quad):
 
 
 def assemble(grid: RadialGrid, params: ProblemParams,
-             quad: QuadratureSpec | None = None,
-             convention: str = PIPELINE_CONVENTION) -> KernelMatrix:
+             quad: QuadratureSpec | None = None) -> KernelMatrix:
     """Assemble the pair weights for one grid and parameter set.
 
-    The angular profile defaults to the reduction validated by the
-    closed-form p = 2 cross-check in :mod:`fracp.kernel`; pass
-    ``convention`` explicitly to study the alternative.  The returned
-    matrix is symmetric, nonnegative, and deterministic for fixed
-    inputs.  Raises :class:`ConvergenceError` when the elevated-order
+    The angular profile is the reduction validated by the closed-form
+    p = 2 cross-check in :mod:`fracp.kernel`.  The returned matrix is
+    symmetric, nonnegative, and deterministic for fixed inputs.  Raises :class:`ConvergenceError` when the elevated-order
     verification pass disagrees with the production pass by more than
     1e-5 on any block, naming the offending cell pair.
     """
     if quad is None:
         quad = QuadratureSpec(nodes=24, tol=1e-9, max_refinements=12)
     N, sp, p = params.N, params.sp, params.p
-    nu = edge_exponent(N, sp, convention)
-    table = get_phi_table(N, sp, convention)
+    nu = edge_exponent(N, sp, PIPELINE_CONVENTION)
+    table = get_phi_table(N, sp, PIPELINE_CONVENTION)
     G = table.edge_profile
     S = unit_sphere_area(N - 1)
     r = grid.nodes
@@ -566,13 +563,11 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     Kmat = Kmat + Kmat.T
     return KernelMatrix(
         grid=grid,
-        convention=convention,
         N=N,
         sp=sp,
         p=p,
         nu=nu,
         weights=Kmat,
-        volume_weights=grid.volume_weights(N),
         tail_xi=tail_xi,
         tail_g=tail_g,
         tail_W=W,

@@ -145,19 +145,3 @@ class ProblemParams:
         beta_star = (N - s * p) / (p - 1.0)
         alpha = gamma * beta_star + 0.5 * s * p
         return cls(N=N, s=s, p=p, gamma=gamma, alpha=alpha, c_a=1.0, r_exp=None)
-
-    def describe(self) -> dict:
-        """Plain-dict echo used by reports and CSV metadata."""
-        return {
-            "N": self.N,
-            "s": self.s,
-            "p": self.p,
-            "gamma": self.gamma,
-            "alpha": self.alpha,
-            "c_a": self.c_a,
-            "r_exp": self.r_exp,
-            "sp": self.sp,
-            "p_star": self.p_star,
-            "beta_star": self.beta_star,
-            "beta_def": self.beta_def,
-        }

@@ -56,7 +56,6 @@ __all__ = [
     "minimize_Jn",
     "solve_pure_singular",
     "solve_capacitary",
-    "truncated_rhs",
     "solve_full",
     "write_solution_csv",
     "read_solution_csv",
@@ -72,18 +71,19 @@ _TAIL_RULE_NODES = 32
 # reaction primitives
 
 
-def A_primitive(a_val, t, n, gamma):
-    """Primitive of the shifted singular term, A = int_0^t a (tau_+ + 1/n)^{-gamma}.
+def A_primitive(t, n, gamma):
+    """Primitive of the shifted singular term, A = int_0^t (tau_+ + 1/n)^{-gamma}.
 
-    Closed form: for t >= 0 it is a*[(t + 1/n)^{1-gamma} - (1/n)^{1-gamma}]
-    / (1 - gamma); for t < 0 the integrand is the constant a*n^gamma, so
-    the primitive continues linearly.  Broadcasts over ``t``.
+    Closed form: for t >= 0 it is [(t + 1/n)^{1-gamma} - (1/n)^{1-gamma}]
+    / (1 - gamma); for t < 0 the integrand is the constant n^gamma, so
+    the primitive continues linearly.  Broadcasts over ``t``.  The weight
+    a(x) multiplies it in :class:`Functional`, not here.
     """
     t = np.asarray(t, dtype=float)
     shift = 1.0 / n
     pos = ((np.maximum(t, 0.0) + shift) ** (1.0 - gamma)
            - shift ** (1.0 - gamma)) / (1.0 - gamma)
-    out = a_val * np.where(t >= 0.0, pos, float(n) ** gamma * t)
+    out = np.where(t >= 0.0, pos, float(n) ** gamma * t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -188,15 +188,6 @@ class Functional:
         """The functional priced at ``vals``: one energy pass for J, J' and J''."""
         return _Point(self, vals)
 
-    def objective(self, vals: np.ndarray) -> float:
-        return self.at(vals).value
-
-    def gradient(self, vals: np.ndarray) -> np.ndarray:
-        return self.at(vals).gradient
-
-    def hessian(self, vals: np.ndarray) -> np.ndarray:
-        return self.at(vals).hessian()
-
     def reaction(self, vals: np.ndarray) -> np.ndarray:
         """Nodal right-hand side a(r) F'(u) at the values."""
         return self._a * self._F[1](vals, self._floor)
@@ -246,7 +237,7 @@ class RegularizedProblem(Functional):
         self.n = n = int(n)
         g = params.gamma
         super().__init__(params, grid, K, reaction=(
-            lambda t, _: A_primitive(1.0, t, n, g),
+            lambda t, _: A_primitive(t, n, g),
             lambda t, _: _A_prime(t, n, g),
             lambda t, _: _A_second(t, n, g)))
 
@@ -258,7 +249,7 @@ class TruncatedProblem(Functional):
                  K: KernelMatrix, u_bar: RadialFunction, kappa: float):
         if not 0.0 <= kappa <= 1.0:
             raise DomainError(f"kappa={kappa:g}: need 0 <= kappa <= 1")
-        if not K.matches(u_bar):
+        if not K.matches(u_bar.grid):
             raise UsageError("u_bar lives on a different grid than the "
                              "kernel matrix")
         if float(u_bar.values.min()) <= 0.0:
@@ -409,7 +400,7 @@ def minimize_Jn(prob: RegularizedProblem, init: RadialFunction,
     """
     if tol <= 0.0:
         raise UsageError(f"tol={tol:g}: tolerance must be positive")
-    if not prob.K.matches(init):
+    if not prob.K.matches(init.grid):
         raise UsageError("init lives on a different grid than the problem")
     pt, rep = _minimize(prob, init.values, tol)
     if float(pt.vals.min()) < -tol:
@@ -484,27 +475,6 @@ def solve_capacitary(R: float, params: ProblemParams, grid: RadialGrid,
 
 # ---------------------------------------------------------------------------
 # truncated full problem
-
-
-def truncated_rhs(r, t, u_bar_val, params: ProblemParams, kappa: float):
-    """Right-hand side of the truncated problem, a(r)(m^{-gamma} + kappa m^r).
-
-    The argument is clamped at the shield value: m = max(u_bar_val, t),
-    so the singular factor is evaluated at or above the known positive
-    subsolution and the composite is well defined for every real t.
-    """
-    if not 0.0 <= kappa <= 1.0:
-        raise DomainError(f"kappa={kappa:g}: need 0 <= kappa <= 1")
-    u_bar_val = np.asarray(u_bar_val, dtype=float)
-    if np.any(u_bar_val <= 0.0):
-        raise DomainError("u_bar_val must be strictly positive; the "
-                          "truncation shields the singularity only above "
-                          "a positive floor")
-    if kappa > 0.0 and params.r_exp is None:
-        raise UsageError("kappa > 0 requires params.r_exp (growth exponent)")
-    out = weight_a(r, params) * _F_bar_prime(t, u_bar_val, params.gamma,
-                                             params.r_exp, kappa)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def solve_full(params: ProblemParams, grid: RadialGrid, K: KernelMatrix,
@@ -582,8 +552,7 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
         rows = [line.split(",") for line in fh if line.strip()]
     r = np.array([float(row[0]) for row in rows])
     u = np.array([float(row[1]) for row in rows])
-    grid = RadialGrid(nodes=r, tail_exponent=float(meta["tail_exponent"]),
-                      grading=1.0)
+    grid = RadialGrid(nodes=r, tail_exponent=float(meta["tail_exponent"]))
     if grid.grid_hash != meta.get("grid_hash"):
         raise UsageError(f"{path}: grid hash mismatch; file edited?")
     meta["converged"] = meta.get("converged") == "True"

@@ -14,13 +14,14 @@ from fracp.analysis import (
     _comparison_detail,
     check_decay_sandwich,
     comparison_check,
+    decay_window,
     fit_decay,
     fundamental_residual,
     harnack_ratio,
     uniform_bound_check,
 )
 from fracp.errors import DomainError, UsageError
-from fracp.grid import RadialFunction, make_radial_grid
+from fracp.grid import RadialFunction, RadialGrid, make_radial_grid
 from fracp.operator import assemble, weak_residual
 from fracp.params import ProblemParams
 from fracp.solver import RegularizedProblem, minimize_Jn, solve_pure_singular
@@ -86,22 +87,6 @@ def test_fit_decay_scale_invariance(power_profile):
     assert abs(scaled.amplitude - 5.0 * base.amplitude) <= 1e-10
 
 
-def test_fit_decay_window_validation(power_profile):
-    with pytest.raises(UsageError):
-        fit_decay(power_profile, window=(0.5, 8.0))
-    with pytest.raises(UsageError):
-        fit_decay(power_profile, window=(2.0, 64.0))
-    with pytest.raises(UsageError):
-        fit_decay(power_profile, window=(8.0, 8.0))
-    # a sliver between nodes holds fewer than two of them
-    r = power_profile.grid.nodes
-    k = int(np.searchsorted(r, 8.0))
-    lo = float(r[k]) + 1e-9
-    hi = float(r[k + 1]) - 1e-9
-    with pytest.raises(UsageError):
-        fit_decay(power_profile, window=(lo, hi))
-
-
 def test_fit_decay_rejects_nonpositive(power_profile):
     vals = power_profile.values.copy()
     k = int(np.searchsorted(power_profile.grid.nodes, 10.0))
@@ -139,13 +124,27 @@ def test_sandwich_failure_is_reported_not_raised(p2, grid_star):
     assert recs[0].measured == 0.0
 
 
-def test_sandwich_empty_window(p2, power_profile):
-    r = power_profile.grid.nodes
-    k = int(np.searchsorted(r, 8.0))
-    lo = float(r[k]) + 1e-9
-    hi = float(r[k + 1]) - 1e-9
-    with pytest.raises(UsageError):
-        check_decay_sandwich(power_profile, p2, window=(lo, hi))
+def test_sandwich_empty_window(p2):
+    # the nodes jump from 7 straight to R_max = 64, so the window
+    # [8, 32] holds none of them
+    grid = RadialGrid(nodes=np.append(np.linspace(0.0, 7.0, 17), 64.0),
+                      tail_exponent=p2.beta_star)
+    assert decay_window(grid) == (8.0, 32.0)
+    u = RadialFunction(grid, np.ones_like(grid.nodes))
+    with pytest.raises(UsageError, match="no grid nodes"):
+        check_decay_sandwich(u, p2)
+    with pytest.raises(UsageError, match="need at least 2"):
+        fit_decay(u)
+    # one node at 16 in the window is enough for the sandwich, but a
+    # line through one point is no fit
+    grid = RadialGrid(nodes=np.append(np.linspace(0.0, 7.0, 17),
+                                      [16.0, 64.0]),
+                      tail_exponent=p2.beta_star)
+    u = RadialFunction(grid, np.ones_like(grid.nodes))
+    assert [r.measured for r in check_decay_sandwich(u, p2)] == [
+        16.0 ** p2.beta_star, 16.0 ** p2.beta_def]
+    with pytest.raises(UsageError, match="contains 1 node"):
+        fit_decay(u)
 
 
 def test_cell_power_integral_exact():

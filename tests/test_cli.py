@@ -92,6 +92,23 @@ def test_capacitary_unconverged_exits_3(workdir, tmp_path):
     assert meta["converged"] is False
 
 
+def test_smallest_box_runs_capacitary_and_plotdata(tmp_path, capsys):
+    # r_max = 8 is the smallest box the config accepts; the decay window
+    # [R_max/8, R_max/2] = [1, 4] then starts on the anchor node at r = 1
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_CFG.format(out=tmp_path / "out").replace(
+        "grid.r_max = 64", "grid.r_max = 8"))
+    # on a box this small the tail exponent may miss its 5 % bound (exit
+    # 1), but the checks must run
+    assert main(["capacitary", "--config", str(cfg), "--R", "1"]) in (0, 1)
+    assert capsys.readouterr().out.count("check capacitary-") == 3
+    assert main(["solve-singular", "--config", str(cfg)]) == 0
+    assert main(["solve-full", "--config", str(cfg)]) == 0
+    assert main(["plotdata", "--config", str(cfg)]) == 0
+    with open(tmp_path / "out" / "loglog.csv") as fh:
+        assert fh.readline() == "# log-log decay data window=[1.0,4.0]\n"
+
+
 def test_capacitary_radius_validated(workdir):
     assert main(["capacitary", "--config", workdir["cfg"],
                  "--out", os.path.join(workdir["out"], "caperr"),

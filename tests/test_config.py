@@ -130,8 +130,8 @@ def test_build_grid_defaults_to_capacitary_rate():
     assert g.tail_exponent == pytest.approx(cfg.params.beta_star)
     assert g.R_max == 64.0
     assert g.nodes.size == 33  # M interior steps plus the origin node
-    g2 = cfg.build_grid(tail_exponent=1.5, anchors=(1.0, 2.0))
-    assert g2.tail_exponent == 1.5
+    g2 = cfg.build_grid(anchors=(1.0, 2.0))
+    assert g2.tail_exponent == g.tail_exponent
     assert np.abs(g2.nodes - 2.0).min() <= 1e-12
 
 

@@ -325,12 +325,12 @@ def test_cross_check_selects_slicing_exponent():
 
 def test_profile_table_roundtrip(tmp_path, quad, inst35):
     betas = [1.2, 1.6, 2.4]
-    rows = K.profile_table_rows(inst35, betas, quad, "n-3")
+    rows = K.profile_table_rows(inst35, betas, quad)
     assert [r[0] for r in rows] == betas
     assert rows[0][1] == pytest.approx(GOLD_CBETA12_N3_STD, rel=1e-8)
     assert all(r[2] < 1e-8 for r in rows)
 
-    path = K.write_profile_table(str(tmp_path), inst35, rows, "n-3")
+    path = K.write_profile_table(str(tmp_path), inst35, rows)
     assert os.path.basename(path) == "cbeta_N3_s0.5_p2.csv"
     text = open(path).read()
     assert text.startswith("# power-profile constant sweep")
@@ -343,5 +343,5 @@ def test_profile_table_roundtrip(tmp_path, quad, inst35):
     np.testing.assert_allclose(float(body[1][1]), GOLD_CBETA12_N3_STD,
                                rtol=1e-8)
     # rewriting must be byte-identical (no timestamps, repr floats)
-    again = K.write_profile_table(str(tmp_path), inst35, rows, "n-3")
+    again = K.write_profile_table(str(tmp_path), inst35, rows)
     assert open(again, "rb").read() == text.encode()

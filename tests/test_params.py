@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from fracp.errors import DomainError
@@ -92,16 +90,6 @@ def test_kernel_only_constructor():
     lo, hi = P.alpha_window
     assert lo < P.alpha < hi
     assert P.r_exp is None
-
-
-def test_describe_roundtrip():
-    P = make()
-    d = P.describe()
-    assert d["N"] == 3
-    assert d["beta_star"] == pytest.approx(2.0)
-    assert math.isclose(d["alpha"], 1.5)
-    assert set(d) >= {"N", "s", "p", "gamma", "alpha", "c_a", "sp",
-                      "beta_star", "beta_def", "p_star"}
 
 
 def test_frozen():

@@ -55,43 +55,41 @@ def inst_oracle(p2):
 
 
 def test_a_primitive_goldens():
-    assert sv.A_primitive(1.0, 0.0, 7, 0.3) == 0.0
-    assert sv.A_primitive(1.0, 1.0, 1, 0.5) == pytest.approx(
+    assert sv.A_primitive(0.0, 7, 0.3) == 0.0
+    assert sv.A_primitive(1.0, 1, 0.5) == pytest.approx(
         2.0 * (math.sqrt(2.0) - 1.0), rel=1e-15)
-    # below zero the integrand is the constant a*n^gamma
-    assert sv.A_primitive(2.0, -3.0, 4, 0.5) == pytest.approx(-12.0, rel=1e-15)
+    # below zero the integrand is the constant n^gamma
+    assert sv.A_primitive(-3.0, 4, 0.5) == pytest.approx(-6.0, rel=1e-15)
     t = np.array([-1.0, 0.0, 0.5, 2.0])
-    vec = sv.A_primitive(1.5, t, 3, 0.25)
+    vec = sv.A_primitive(t, 3, 0.25)
     for ti, vi in zip(t, vec):
-        assert vi == pytest.approx(sv.A_primitive(1.5, float(ti), 3, 0.25),
+        assert vi == pytest.approx(sv.A_primitive(float(ti), 3, 0.25),
                                    rel=1e-15)
 
 
 def test_a_primitive_envelope_bound():
-    # A(a,t,n,gamma) <= a |t|^{1-gamma} / (1-gamma) for every shift
+    # A(t,n,gamma) <= |t|^{1-gamma} / (1-gamma) for every shift
     rng = np.random.default_rng(20240811)
     t = rng.uniform(-10.0, 10.0, size=100000)
     n = rng.integers(1, 1000, size=t.size)
     gam = rng.uniform(0.01, 0.99, size=t.size)
-    a = rng.uniform(0.0, 5.0, size=t.size)
-    vals = np.array([sv.A_primitive(ai, ti, int(ni), gi)
-                     for ai, ti, ni, gi in zip(a[:200], t[:200], n[:200],
-                                               gam[:200])])
-    bound = a[:200] * np.abs(t[:200]) ** (1.0 - gam[:200]) / (1.0 - gam[:200])
+    vals = np.array([sv.A_primitive(ti, int(ni), gi)
+                     for ti, ni, gi in zip(t[:200], n[:200], gam[:200])])
+    bound = np.abs(t[:200]) ** (1.0 - gam[:200]) / (1.0 - gam[:200])
     assert np.all(vals <= bound + 1e-12)
     # vectorized sweep over the full sample at a fixed shift
     for nn in (1, 7, 512):
-        v = sv.A_primitive(1.0, t, nn, 0.5)
+        v = sv.A_primitive(t, nn, 0.5)
         b = np.abs(t) ** 0.5 / 0.5
         assert np.all(v <= b + 1e-12)
 
 
 def test_a_primitive_continuity_and_monotonicity():
     eps = 1e-12
-    assert abs(sv.A_primitive(1.0, eps, 5, 0.4)
-               - sv.A_primitive(1.0, -eps, 5, 0.4)) < 1e-10
+    assert abs(sv.A_primitive(eps, 5, 0.4)
+               - sv.A_primitive(-eps, 5, 0.4)) < 1e-10
     t = np.linspace(-2.0, 2.0, 4001)
-    v = sv.A_primitive(1.0, t, 5, 0.4)
+    v = sv.A_primitive(t, 5, 0.4)
     assert np.all(np.diff(v) > 0.0)
 
 
@@ -145,7 +143,7 @@ def test_minimizer_beats_zero_and_init(p2, inst_oracle):
     init = RadialFunction(grid, np.full(grid.nodes.size, 0.3))
     u, rep = sv.minimize_Jn(prob, init, 1e-9)
     assert rep.final_energy <= 0.0
-    assert rep.final_energy <= prob.objective(init.values)
+    assert rep.final_energy <= prob.at(init.values).value
 
 
 def test_minimizer_independent_of_init(p2, inst_oracle):
@@ -183,9 +181,10 @@ def test_jn_convexity(p2, inst2):
         u = rng.standard_normal(grid.nodes.size) * 0.1
         v = rng.standard_normal(grid.nodes.size) * 0.1
         lam = rng.uniform(0.05, 0.95)
-        lhs = prob.objective(lam * u + (1.0 - lam) * v)
-        rhs = lam * prob.objective(u) + (1.0 - lam) * prob.objective(v)
-        scale = abs(prob.objective(u)) + abs(prob.objective(v)) + 1.0
+        J_u, J_v = prob.at(u).value, prob.at(v).value
+        lhs = prob.at(lam * u + (1.0 - lam) * v).value
+        rhs = lam * J_u + (1.0 - lam) * J_v
+        scale = abs(J_u) + abs(J_v) + 1.0
         assert lhs <= rhs + 1e-10 * scale
 
 
@@ -194,13 +193,13 @@ def test_jn_gradient_consistency(p2, inst2):
     prob = sv.RegularizedProblem(p2, 2, grid, K)
     rng = np.random.default_rng(12)
     vals = np.abs(rng.standard_normal(grid.nodes.size)) * 0.05 + 0.02
-    g = prob.gradient(vals)
+    g = prob.at(vals).gradient
     eps = 1e-7
     for _ in range(5):
         d = rng.standard_normal(vals.size)
         d /= np.linalg.norm(d)
-        fd = (prob.objective(vals + eps * d)
-              - prob.objective(vals - eps * d)) / (2.0 * eps)
+        fd = (prob.at(vals + eps * d).value
+              - prob.at(vals - eps * d).value) / (2.0 * eps)
         assert float(g @ d) == pytest.approx(fd, rel=5e-6)
 
 
@@ -280,35 +279,46 @@ def test_capacitary_validation(p2, inst2):
         sv.solve_capacitary(-1.0, p2, grid, K, 1e-9)
 
 
-def test_truncated_rhs_values(p25, p2):
-    val = sv.truncated_rhs(0.0, 2.0, 1.0, p25, 1.0)
+def test_truncated_rhs_values(p25, p2, inst25, inst2):
+    grid, K = inst25
+    r = grid.nodes
+    floor = RadialFunction(grid, np.where(r == 0.0, 1.0, 0.7))
+    prob = sv.TruncatedProblem(p25, grid, K, floor, 1.0)
+    vals = np.where(r == 0.0, 2.0, 0.3)
+    rhs = prob.reaction(vals)
     # weight is 1 at the origin; m = max(1, 2) = 2
     want = 2.0 ** -0.5 + 2.0 ** p25.r_exp
-    assert val == pytest.approx(want, rel=1e-15)
+    assert rhs[0] == pytest.approx(want, rel=1e-15)
     # truncation active: everything at or below the shield gives the
     # same value
-    lo = sv.truncated_rhs(1.0, -5.0, 0.7, p25, 0.5)
-    mid = sv.truncated_rhs(1.0, 0.3, 0.7, p25, 0.5)
-    at = sv.truncated_rhs(1.0, 0.7, 0.7, p25, 0.5)
+    k = int(np.searchsorted(r, 1.0))
+    lo, mid, at = (prob.reaction(np.full(r.size, t))[k]
+                   for t in (-5.0, 0.3, 0.7))
     assert lo == mid == at
+    assert at == pytest.approx(op.weight_a(r[k], p25)
+                               * (0.7 ** -0.5 + 0.7 ** p25.r_exp), rel=1e-15)
     # kappa = 0 drops the growth term entirely (usable at p = 2 where
     # r_exp must be None)
-    pure = sv.truncated_rhs(1.0, 2.0, 1.0, p2, 0.0)
-    assert pure == pytest.approx(op.weight_a(1.0, p2) * 2.0 ** -0.5,
-                                 rel=1e-15)
+    grid2, K2 = inst2
+    pure = sv.TruncatedProblem(p2, grid2, K2, RadialFunction(
+        grid2, np.ones(grid2.nodes.size)), 0.0)
+    rhs = pure.reaction(np.full(grid2.nodes.size, 2.0))
+    np.testing.assert_allclose(rhs, op.weight_a(grid2.nodes, p2) * 2.0 ** -0.5,
+                               rtol=1e-15)
 
 
-def test_truncated_rhs_validation(p25, p2):
+def test_truncated_rhs_validation(p25, p2, inst25):
+    # negative kappa and a negative floor are covered through solve_full
+    grid, K = inst25
+    n = grid.nodes.size
+    one = RadialFunction(grid, np.ones(n))
     with pytest.raises(DomainError):
-        sv.truncated_rhs(1.0, 2.0, 0.0, p25, 0.5)
+        sv.TruncatedProblem(p25, grid, K, RadialFunction(grid, np.zeros(n)),
+                            0.5)
     with pytest.raises(DomainError):
-        sv.truncated_rhs(1.0, 2.0, -1.0, p25, 0.5)
-    with pytest.raises(DomainError):
-        sv.truncated_rhs(1.0, 2.0, 1.0, p25, 1.2)
-    with pytest.raises(DomainError):
-        sv.truncated_rhs(1.0, 2.0, 1.0, p25, -0.1)
-    with pytest.raises(UsageError):
-        sv.truncated_rhs(1.0, 2.0, 1.0, p2, 0.5)   # no growth exponent
+        sv.TruncatedProblem(p25, grid, K, one, 1.2)
+    with pytest.raises(UsageError, match="r_exp"):
+        sv.TruncatedProblem(p2, grid, K, one, 0.5)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
@@ -324,18 +334,17 @@ def test_truncated_derivatives_match_finite_differences(p25, inst25, kappa):
     rng = np.random.default_rng(31)
     below = (np.arange(r.size) % 3 == 0) & (r < 8.0)
     vals = ub + np.where(below, -1.0, 1.0) * rng.uniform(2e-3, 2e-2, r.size)
-    g = prob.gradient(vals)
-    H = prob.hessian(vals)
+    pt = prob.at(vals)
+    g, H = pt.gradient, pt.hessian()
     eps = 1e-6
     dirs = [np.eye(r.size)[-1]] + [rng.standard_normal(r.size)
                                    for _ in range(5)]
     for d in dirs:
         d /= np.abs(d).max()
-        fd = (prob.objective(vals + eps * d)
-              - prob.objective(vals - eps * d)) / (2.0 * eps)
+        plus, minus = prob.at(vals + eps * d), prob.at(vals - eps * d)
+        fd = (plus.value - minus.value) / (2.0 * eps)
         assert float(g @ d) == pytest.approx(fd, rel=1e-6)
-        fd_g = (prob.gradient(vals + eps * d)
-                - prob.gradient(vals - eps * d)) / (2.0 * eps)
+        fd_g = (plus.gradient - minus.gradient) / (2.0 * eps)
         Hd = H @ d
         assert np.abs(fd_g - Hd).max() <= 1e-6 * np.abs(Hd).max()
 
@@ -372,9 +381,12 @@ def test_solve_full_validation(p2, p25, inst2, inst25):
     good = RadialFunction(grid, np.full(grid.nodes.size, 0.1))
     with pytest.raises(DomainError):
         sv.solve_full(p2, grid, K, good, 1.5, 1e-8)
-    bad = RadialFunction(grid, np.zeros(grid.nodes.size))
     with pytest.raises(DomainError):
-        sv.solve_full(p2, grid, K, bad, 0.0, 1e-8)
+        sv.solve_full(p2, grid, K, good, -0.1, 1e-8)
+    for floor in (0.0, -1.0):
+        bad = RadialFunction(grid, np.full(grid.nodes.size, floor))
+        with pytest.raises(DomainError):
+            sv.solve_full(p2, grid, K, bad, 0.0, 1e-8)
     grid25, K25 = inst25
     wrong_grid = RadialFunction(grid25, np.full(grid25.nodes.size, 0.1))
     with pytest.raises(UsageError):
@@ -389,7 +401,7 @@ def test_write_solution_csv(tmp_path, p2, inst_oracle):
     init = RadialFunction(grid, np.full(grid.nodes.size, 0.1))
     u, rep = sv.minimize_Jn(prob, init, 1e-9)
     rhs = prob.reaction(u.values)
-    res = prob.gradient(u.values)
+    res = prob.at(u.values).gradient
     path = os.path.join(tmp_path, "sol.csv")
     sv.write_solution_csv(u, p2, path, rhs=rhs, residual=res,
                           converged=rep.converged)
