@@ -93,7 +93,6 @@ __all__ = [
     "weak_residual",
     "energy_hessian",
     "weight_a",
-    "weighted_norm",
 ]
 
 _SELF_CHECK_TOL = 1e-5
@@ -651,6 +650,28 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
 # evaluation
 # ---------------------------------------------------------------------------
 
+class _Buffers:
+    """Work arrays for pricing points of one solve on one KernelMatrix.
+
+    ``D``, ``WA`` and ``flux`` are (M+1)^2, ``d``, ``WtA`` and ``tflux``
+    are (M+1) x n_tail.  ``WA`` and ``WtA`` are only needed for p != 2,
+    where they are not the assembled weights themselves.  Every
+    evaluation priced into a set overwrites all of them and takes the next
+    ``stamp``, so an evaluation can tell whether its weights are still
+    there (a stamp, not a reference back, keeps the pair free of cycles).
+    """
+
+    def __init__(self, K: KernelMatrix):
+        n, n_tail = K.weights.shape[0], K.tail_g.size
+        self.D = np.empty((n, n))
+        self.flux = np.empty((n, n))
+        self.d = np.empty((n, n_tail))
+        self.tflux = np.empty((n, n_tail))
+        self.WA = None if K.p == 2.0 else np.empty((n, n))
+        self.WtA = None if K.p == 2.0 else np.empty((n, n_tail))
+        self.stamp = 0
+
+
 class _EnergyTerms:
     """The energy at one point, with what its derivatives need, from one pass.
 
@@ -658,36 +679,55 @@ class _EnergyTerms:
     the energy, the residual and the Hessian share.  The energy and the
     residual are summed on construction from the pair and tail fluxes
     ``WA D`` and ``WtA d``; only WA and WtA are kept for the Hessian.
+
+    Every array of (M+1)^2 or (M+1) x n_tail entries lives in ``buffers``
+    (a private set when none is given), written with ``out=`` in the
+    order the formulas read, so a shared set changes no bit of the
+    results.  A row or column vector is first copied across a buffer,
+    because a ufunc that broadcasts allocates iterator buffers of up to
+    8192 entries per operand.  A later evaluation priced into the same
+    set overwrites WA and WtA; :meth:`hessian` then raises instead of
+    reading them.
     """
 
-    def __init__(self, K: KernelMatrix, U: np.ndarray):
+    def __init__(self, K: KernelMatrix, U: np.ndarray,
+                 buffers: _Buffers | None = None):
         self.K = K
         self.um = um = float(U[-1])
         p = K.p
-        # the (M+1)^2 arrays are built in place where the formulas allow:
-        # at M = 512 a fresh temporary costs about as much as its arithmetic
-        D = np.subtract.outer(U, U)
-        d = np.subtract.outer(U, K.tail_g * um)
+        buf = self._buf = buffers if buffers is not None else _Buffers(K)
+        buf.stamp += 1
+        self._stamp = buf.stamp
+        # every (M+1)^2 and (M+1) x n_tail array is written into the
+        # buffers: at M = 512 a fresh 2 MB temporary costs about as much
+        # as its arithmetic, most of it in page faults
+        np.copyto(buf.D, U[:, None])
+        np.copyto(buf.flux, U)
+        D = np.subtract(buf.D, buf.flux, out=buf.D)
+        np.copyto(buf.d, U[:, None])
+        np.copyto(buf.tflux, K.tail_g * um)
+        d = np.subtract(buf.d, buf.tflux, out=buf.d)
         if p == 2.0:
             self.WA, self.WtA = K.weights, K.tail_W
         else:
-            self.WA = np.abs(D)
+            self.WA = np.abs(D, out=buf.WA)
             self.WA **= p - 2.0
             self.WA *= K.weights
-            self.WtA = np.abs(d)
+            self.WtA = np.abs(d, out=buf.WtA)
             self.WtA **= p - 2.0
             self.WtA *= K.tail_W
-        A = self.WA * D
-        At = self.WtA * d
+        A = np.multiply(self.WA, D, out=buf.flux)
+        At = np.multiply(self.WtA, d, out=buf.tflux)
         res = A.sum(axis=1)
         res += At.sum(axis=1)
-        res[-1] -= float((At * K.tail_g[None, :]).sum())
+        tail = float(np.multiply(At, d, out=d).sum())   # WtA d^2
+        np.copyto(d, K.tail_g)
+        res[-1] -= float(np.multiply(At, d, out=d).sum())
         res[-1] += K.tail_self * (um if p == 2.0
                                   else abs(um) ** (p - 2.0) * um)
         self._residual = res
         pairs = np.multiply(A, D, out=A)   # WA D^2
-        tail = np.multiply(At, d, out=At)
-        self.energy = (0.5 * float(pairs.sum()) + float(tail.sum())
+        self.energy = (0.5 * float(pairs.sum()) + tail
                        + K.tail_self * abs(um) ** p)
 
     def residual(self) -> np.ndarray:
@@ -695,29 +735,42 @@ class _EnergyTerms:
         return self._residual.copy()
 
     def hessian(self) -> np.ndarray:
-        """Dense second derivative of the energy / p."""
+        """Dense second derivative of the energy / p.
+
+        Built into the flux buffer, so the array is overwritten by the
+        next evaluation or Hessian priced into the same buffers.
+        """
+        buf = self._buf
+        if buf.stamp != self._stamp:
+            raise UsageError("a later evaluation has overwritten the "
+                             "weights of this point; price it again")
         K, p = self.K, self.K.p
         diag = np.diag_indices_from(self.WA)
         # off the diagonal H = -(p-1) WA; the diagonal holds the row sums
-        H = self.WA * -(p - 1.0)
+        H = np.multiply(self.WA, -(p - 1.0), out=buf.flux)
         np.fill_diagonal(H, 0.0)
         H[diag] -= H.sum(axis=1)
-        Bt = (p - 1.0) * self.WtA
-        g = K.tail_g[None, :]
+        Bt = np.multiply(self.WtA, p - 1.0, out=buf.tflux)
         H[diag] += Bt.sum(axis=1)
-        cross = (Bt * g).sum(axis=1)
+        np.copyto(buf.d, K.tail_g)
+        cross = np.multiply(Bt, buf.d, out=buf.d).sum(axis=1)
         H[:, -1] -= cross
         H[-1, :] -= cross
-        H[-1, -1] += float((Bt * g ** 2).sum())
+        np.copyto(buf.d, K.tail_g ** 2)
+        H[-1, -1] += float(np.multiply(Bt, buf.d, out=buf.d).sum())
         H[-1, -1] += (p - 1.0) * K.tail_self * abs(self.um) ** (p - 2.0)
         return H
 
 
-def energy_terms(u: RadialFunction, K: KernelMatrix,
-                 params: ProblemParams) -> _EnergyTerms:
-    """Energy at u, with its residual and Hessian priced from the same pass."""
+def energy_terms(u: RadialFunction, K: KernelMatrix, params: ProblemParams,
+                 *, buffers: _Buffers | None = None) -> _EnergyTerms:
+    """Energy at u, with its residual and Hessian priced from the same pass.
+
+    ``buffers`` is the buffer set of a running solve (see
+    :class:`_EnergyTerms`); without it the evaluation allocates its own.
+    """
     _require_match(u.grid, K, params)
-    return _EnergyTerms(K, u.values)
+    return _EnergyTerms(K, u.values, buffers)
 
 
 def energy_seminorm(u: RadialFunction, K: KernelMatrix,
@@ -743,46 +796,3 @@ def weight_a(r, params: ProblemParams):
     r = np.asarray(r, dtype=float)
     out = params.c_a / (1.0 + r ** (params.N + params.alpha))
     return out if out.ndim else float(out)
-
-
-def weighted_norm(u: RadialFunction, q: float, params: ProblemParams) -> float:
-    """a-weighted norm (int a(x) |u|^q dx)^{1/q} on box plus tail.
-
-    The box part integrates the piecewise-linear profile cell by cell
-    (cells are split where the profile changes sign, so |u|^q stays
-    smooth on every panel); beyond the box the substitution xi = R_max/r
-    reduces the integral of the tail profile to a single Jacobi rule.
-    """
-    if not 1.0 <= q <= params.p_star:
-        raise DomainError(
-            f"q={q:g}: weighted norms are defined for 1 <= q <= p_star "
-            f"= {params.p_star:g}"
-        )
-    grid = u.grid
-    N, alpha = params.N, params.alpha
-    S = unit_sphere_area(N - 1)
-    r = grid.nodes
-    U = u.values
-    lo, hi = r[:-1].copy(), r[1:].copy()
-    ulo, uhi = U[:-1].copy(), U[1:].copy()
-    idx = np.flatnonzero(ulo * uhi < 0.0)
-    if idx.size:
-        t = ulo[idx] / (ulo[idx] - uhi[idx])
-        rz = lo[idx] + t * (hi[idx] - lo[idx])
-        lo = np.concatenate([lo, rz])
-        hi = np.concatenate([hi, hi[idx]])
-        ulo = np.concatenate([ulo, np.zeros(rz.size)])
-        uhi = np.concatenate([uhi, uhi[idx]])
-        hi[idx] = rz
-        uhi[idx] = 0.0
-    yg, wg = gauss_legendre_01(10)
-    x = lo[:, None] + (hi - lo)[:, None] * yg[None, :]
-    uv = ulo[:, None] + (uhi - ulo)[:, None] * yg[None, :]
-    f = np.abs(uv) ** q * x ** (N - 1) / (1.0 + x ** (N + alpha))
-    body = S * float(((hi - lo)[:, None] * wg[None, :] * f).sum())
-    R = grid.R_max
-    bt = grid.tail_exponent
-    y, wy = gauss_jacobi_01(32, 0.0, q * bt + alpha - 1.0)
-    tail_int = float((wy / (y ** (N + alpha) + R ** (N + alpha))).sum())
-    tail = S * R ** N * abs(float(U[-1])) ** q * tail_int
-    return (params.c_a * (body + tail)) ** (1.0 / q)

@@ -38,6 +38,7 @@ from .grid import RadialFunction, RadialGrid
 from .kernel import unit_sphere_area
 from .operator import (  # noqa: F401  (fracp.solver.weak_residual is read)
     KernelMatrix,
+    _Buffers,
     _require_match,
     energy_terms,
     weak_residual,
@@ -183,6 +184,9 @@ class Functional:
         self._a = weight_a(grid.nodes, params)
         self._wT, self._gT = _reaction_tail_rule(params, grid)
         self._floor_T = None if floor is None else floor[-1] * self._gT
+        # the buffer set a continuation lends every level it minimizes;
+        # None outside one, and then each minimization allocates its own
+        self._buffers = None
 
     def at(self, vals: np.ndarray) -> "_Point":
         """The functional priced at ``vals``: one energy pass for J, J' and J''."""
@@ -198,14 +202,16 @@ class _Point:
 
     ``value`` and ``gradient`` are summed on construction from one
     :func:`~fracp.operator.energy_terms` evaluation, and :meth:`hessian`
-    reuses the weights of that same evaluation.
+    reuses the weights of that same evaluation.  Inside a solve the
+    evaluation is priced into the solve's buffers, so :meth:`hessian`
+    works until the next point is priced, and raises after that.
     """
 
-    def __init__(self, f: Functional, vals: np.ndarray):
+    def __init__(self, f: Functional, vals: np.ndarray, buffers=None):
         self.f = f
         self.vals = vals
         self._terms = energy_terms(RadialFunction(f.grid, vals), f.K,
-                                   f.params)
+                                   f.params, buffers=buffers)
         F, dF, _ = f._F
         tail_vals = vals[-1] * f._gT
         body = float((f._omega * f._a * F(vals, f._floor)).sum())
@@ -217,6 +223,7 @@ class _Point:
         self.gradient = g
 
     def hessian(self) -> np.ndarray:
+        """J'' at the point, in the flux buffer of its evaluation."""
         f, vals = self.f, self.vals
         H = self._terms.hessian()
         d2F = f._F[2]
@@ -277,34 +284,47 @@ class SolveReport:
 # damped Newton core
 
 
-def _solve_newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Direction -H^{-1} g, shifting the diagonal when H is not SPD."""
+def _solve_newton_step(hessian, g: np.ndarray) -> np.ndarray:
+    """Direction -H^{-1} g, shifting the diagonal when H is not SPD.
+
+    ``hessian()`` returns the symmetric H in a work array.  H is
+    factored in place, so a failed factorization leaves it overwritten
+    and every shifted retry asks for it again.
+    """
     # imported here, so a process that never factors a matrix (fracp
     # plotdata) does not load scipy.linalg
     from scipy.linalg import cho_factor, cho_solve
 
+    def solve(H):
+        # H is symmetric, so H.T is the same matrix in the Fortran order
+        # LAPACK works in; handed H itself, cho_factor would copy it
+        return -cho_solve(cho_factor(H.T, overwrite_a=True), g)
+
+    H = hessian()
+    n = H.shape[0]
+    lam = 1e-10 * max(float(np.trace(H)) / n, 1.0)
     try:
-        return -cho_solve(cho_factor(H), g)
+        return solve(H)
     except np.linalg.LinAlgError:
         pass
-    lam = 1e-10 * max(float(np.trace(H)) / H.shape[0], 1.0)
-    eye = np.eye(H.shape[0])
     for _ in range(12):
+        H = hessian()
+        H[np.diag_indices(n)] += lam
         try:
-            return -cho_solve(cho_factor(H + lam * eye), g)
+            return solve(H)
         except np.linalg.LinAlgError:
             lam *= 100.0
     # fully regularized fall-through: steepest descent
     return -g
 
 
-def _backtrack(f: Functional, pt: _Point, free, d, slope):
+def _backtrack(f: Functional, pt: _Point, free, d, slope, buffers):
     """Armijo backtracking from pt along d; the accepted point or None."""
     step = 1.0
     for _ in range(_ARMIJO_STEPS):
         trial = pt.vals.copy()
         trial[free] += step * d
-        new = f.at(trial)
+        new = _Point(f, trial, buffers)
         if new.value <= pt.value + _ARMIJO_C1 * step * slope:
             return new
         step *= 0.5
@@ -319,10 +339,18 @@ def _minimize(f: Functional, x0, tol, free=None):
     nor steepest descent admits a decreasing step the iteration stops
     with converged=False.  Each point is priced once: the gradient and
     Hessian of an iterate come from the evaluation that accepted it.
+
+    All points are priced into one set of buffers, the one
+    ``f`` was lent or else a set owned by this call.  That is safe
+    because an iterate's Hessian is always taken before the next point
+    is priced; the old iterate keeps its value and gradient.
     """
-    pt = f.at(np.array(x0, dtype=float, copy=True))
+    buffers = f._buffers if f._buffers is not None else _Buffers(f.K)
+    pt = _Point(f, np.array(x0, dtype=float, copy=True), buffers)
     if free is None:
         free = np.ones(pt.vals.size, dtype=bool)
+    # the subset copy of H costs a full pass, so skip it when all is free
+    sub = None if free.all() else np.ix_(free, free)
     failures = 0
     iterations = 0
     gn = np.inf
@@ -331,8 +359,8 @@ def _minimize(f: Functional, x0, tol, free=None):
         gn = float(np.abs(gf).max()) if gf.size else 0.0
         if gn <= tol:
             return pt, SolveReport(iterations, pt.value, gn, failures, True)
-        H = pt.hessian()[np.ix_(free, free)]
-        d = _solve_newton_step(H, gf)
+        d = _solve_newton_step(
+            pt.hessian if sub is None else lambda: pt.hessian()[sub], gf)
         slope = float(gf @ d)
         if slope >= 0.0:
             failures += 1
@@ -345,7 +373,7 @@ def _minimize(f: Functional, x0, tol, free=None):
             # point has the smaller gradient
             trial = pt.vals.copy()
             trial[free] += d
-            new = f.at(trial)
+            new = _Point(f, trial, buffers)
             gt = new.gradient[free]
             gtn = float(np.abs(gt).max()) if gt.size else 0.0
             iterations += 1
@@ -354,12 +382,13 @@ def _minimize(f: Functional, x0, tol, free=None):
                                         gtn <= tol)
             return pt, SolveReport(iterations, pt.value, gn, failures,
                                    gn <= tol)
-        accepted = _backtrack(f, pt, free, d, slope)
+        accepted = _backtrack(f, pt, free, d, slope, buffers)
         if accepted is None and not np.array_equal(d, -gf):
             # Newton direction failed the backtracking budget; retry
             # along steepest descent before giving up
             failures += 1
-            accepted = _backtrack(f, pt, free, -gf, float(gf @ -gf))
+            accepted = _backtrack(f, pt, free, -gf, float(gf @ -gf),
+                                  buffers)
         if accepted is None:
             failures += 1
             return pt, SolveReport(iterations, pt.value, gn, failures, False)
@@ -419,7 +448,8 @@ def solve_pure_singular(params: ProblemParams, grid: RadialGrid,
     drops below its predecessor by more than ``tol`` (the sequence is
     monotone in exact arithmetic) is flagged unconverged, as is the
     final level when the schedule runs out before the Cauchy criterion
-    is met.
+    is met.  Every level is minimized in one set of buffers,
+    dropped when the continuation returns.
     """
     schedule = [int(n) for n in schedule]
     if not schedule or schedule[0] != 1:
@@ -431,8 +461,10 @@ def solve_pure_singular(params: ProblemParams, grid: RadialGrid,
     reports = []
     prev = None
     settled = False
+    buffers = _Buffers(K)
     for n in schedule:
         prob = RegularizedProblem(params, n, grid, K)
+        prob._buffers = buffers
         u, rep = minimize_Jn(prob, RadialFunction(grid, vals), tol)
         if prev is not None:
             drop = float((u.values - prev).min())

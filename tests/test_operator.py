@@ -4,11 +4,9 @@ GOLD_HAT_ENERGY and GOLD_SELF_COEFF come from an independent script that
 evaluated the nonlocal energy of a single hat function (and the tail
 self-interaction coefficient) with adaptive quadrature on the exact
 closed-form kernel at N=3, s=1/2, where the angular profile collapses to
-4*pi/(1-rho^2)^2.  GOLD_PLATEAU is the weighted L1 mass of a plateau
-profile, reduced by hand to two one-dimensional integrals.  The
-remaining tests are exact identities (homogeneity, Euler relations,
-truncation monotonicity) that hold for the discrete model at any
-resolution, so they use small grids.
+4*pi/(1-rho^2)^2.  The remaining tests are exact identities
+(homogeneity, Euler relations, truncation monotonicity) that hold for
+the discrete model at any resolution, so they use small grids.
 """
 
 import math
@@ -30,7 +28,6 @@ from fracp import operator as op
 
 GOLD_HAT_ENERGY = 14076.91527532815439
 GOLD_SELF_COEFF = 40425.899626862012903   # 4096 * pi^2
-GOLD_PLATEAU = 5.7146962578219376356
 
 
 @pytest.fixture(scope="module")
@@ -69,26 +66,6 @@ def test_tail_self_coefficient_golden(K16):
     assert K16.tail_self == pytest.approx(GOLD_SELF_COEFF, rel=1e-7)
 
 
-def test_plateau_weighted_norm_golden():
-    params = ProblemParams(N=3, s=0.5, p=2.0, gamma=0.2, alpha=1.0)
-    nodes = np.linspace(0.0, 16.0, 33)
-    grid = RadialGrid(nodes=nodes, tail_exponent=2.0)
-    u = RadialFunction(grid, np.clip(2.0 - nodes, 0.0, 1.0))
-    # piecewise-linear profile with kinks on grid nodes: the per-cell
-    # rule is exact up to roundoff
-    assert op.weighted_norm(u, 1.0, params) == pytest.approx(
-        GOLD_PLATEAU, rel=1e-12)
-
-
-def test_weighted_norm_rejects_bad_exponent(p2):
-    grid = RadialGrid(nodes=np.linspace(0.0, 16.0, 17), tail_exponent=2.0)
-    u = RadialFunction(grid, np.ones(17))
-    with pytest.raises(DomainError):
-        op.weighted_norm(u, 0.5, p2)
-    with pytest.raises(DomainError):
-        op.weighted_norm(u, p2.p_star + 0.1, p2)
-
-
 def test_weight_function_values(p2):
     assert op.weight_a(0.0, p2) == 1.0
     assert op.weight_a(1.0, p2) == pytest.approx(0.5, rel=1e-15)
@@ -119,17 +96,6 @@ def test_energy_homogeneity(K48, p25):
     e1 = op.energy_seminorm(u, K48, p25)
     e2 = op.energy_seminorm(v, K48, p25)
     assert e2 == pytest.approx(2.75 ** 2.5 * e1, rel=1e-12)
-
-
-def test_weighted_norm_homogeneity(p2):
-    rng = np.random.default_rng(99)
-    grid = make_radial_grid(tail_exponent=2.0, R_max=64.0, M=32, grading=1.05)
-    vals = rng.standard_normal(33)
-    u = RadialFunction(grid, vals)
-    v = RadialFunction(grid, 5.0 * vals)
-    a = op.weighted_norm(u, 1.4, p2)
-    b = op.weighted_norm(v, 1.4, p2)
-    assert b == pytest.approx(5.0 * a, rel=1e-12)
 
 
 def test_quadratic_pairing_identity(p2):
@@ -241,6 +207,38 @@ def test_energy_terms_match_term_loop(K48, p2, p25, p):
     assert terms.energy == pytest.approx(E, rel=1e-12)
     assert np.abs(terms.residual() - R).max() <= 1e-12 * np.abs(R).max()
     assert np.abs(terms.hessian() - H).max() <= 1e-12 * np.abs(H).max()
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_shared_buffers_keep_values_and_refuse_stale_hessians(K48, p2, p25,
+                                                              p):
+    # a solve prices every point into one buffer set: point a keeps the
+    # energy and residual it summed, point b is priced exactly as if
+    # alone, and a's Hessian, whose weights b overwrote, is refused
+    params = p25 if p == 2.5 else p2
+    K = K48 if p == 2.5 else op.assemble(K48.grid, p2)
+    rng = np.random.default_rng(4343)
+    r = K.grid.nodes
+    base = (1.0 + r ** 2) ** -0.75
+    va, vb = base * (1.0 + 0.2 * rng.standard_normal((2, r.size)))
+    ua = RadialFunction(K.grid, va)
+    alone = op.energy_terms(ua, K, params)
+    buffers = op._Buffers(K)
+    a = op.energy_terms(ua, K, params, buffers=buffers)
+    Ha = a.hessian().copy()
+    b = op.energy_terms(RadialFunction(K.grid, vb), K, params,
+                        buffers=buffers)
+    assert a.energy == alone.energy
+    assert np.array_equal(a.residual(), alone.residual())
+    # bit for bit, and exactly symmetric: the Newton step factors H.T
+    assert np.array_equal(Ha, alone.hessian())
+    assert np.array_equal(Ha, Ha.T)
+    E, R, H = _energy_terms_loop(vb, K)
+    assert b.energy == pytest.approx(E, rel=1e-12)
+    assert np.abs(b.residual() - R).max() <= 1e-12 * np.abs(R).max()
+    assert np.abs(b.hessian() - H).max() <= 1e-12 * np.abs(H).max()
+    with pytest.raises(UsageError):
+        a.hessian()
 
 
 def test_truncation_decreases_energy(K48, p25):

@@ -9,6 +9,7 @@ below.  The remaining goldens are direct antiderivative evaluations.
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,9 +125,9 @@ def test_minimizer_prices_each_point_once(p25, inst25, monkeypatch):
     priced = []
     real = sv.energy_terms
 
-    def counting(u, K, params):
+    def counting(u, K, params, **kw):
         priced.append(u.values.tobytes())
-        return real(u, K, params)
+        return real(u, K, params, **kw)
 
     monkeypatch.setattr(sv, "energy_terms", counting)
     prob = sv.RegularizedProblem(p25, 4, grid, K)
@@ -135,6 +136,91 @@ def test_minimizer_prices_each_point_once(p25, inst25, monkeypatch):
     assert rep.converged and rep.iterations >= 3
     assert len(priced) == len(set(priced))
     assert len(priced) >= rep.iterations + 1
+
+
+def test_newton_step_allocates_no_full_size_array(p25, monkeypatch):
+    # a running solve prices, builds and factors in its own buffers, so
+    # one further Newton step (Hessian, factorization, backtracking, the
+    # next gradient) holds less than one (M+1)^2 float array at a time;
+    # numpy reports its data buffers to tracemalloc
+    grid = make_radial_grid(tail_exponent=p25.beta_star, R_max=64.0, M=64,
+                            grading=1.05)
+    K = op.assemble(grid, p25)
+    full = 8 * grid.nodes.size ** 2
+    marks = []
+    real = sv._solve_newton_step
+
+    def step(hessian, g):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return real(hessian, g)
+
+    monkeypatch.setattr(sv, "_solve_newton_step", step)
+    prob = sv.RegularizedProblem(p25, 4, grid, K)
+    init = RadialFunction(grid, (1.0 + grid.nodes ** 2) ** -1.0)
+    tracemalloc.start()
+    try:
+        _, rep = sv.minimize_Jn(prob, init, 1e-9)
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and len(marks) >= 3
+    for (current, _), (_, peak) in zip(marks, marks[1:]):
+        assert peak - current < full
+
+
+def test_newton_step_shifts_until_the_factorization_succeeds():
+    # an indefinite H fails the plain Cholesky; the step is the direction
+    # of the first shift lam0 100^k, lam0 = 1e-10 max(tr H / n, 1), that
+    # makes H + lam I positive definite.  The builder refills one work
+    # array as a solve's Hessian does, so a retry that factored what a
+    # failed factorization left behind would miss the oracle
+    rng = np.random.default_rng(8)
+    n = 40
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    H0 = (Q * np.linspace(-0.5, 10.0, n)) @ Q.T
+    H0 = 0.5 * (H0 + H0.T)
+    g = rng.standard_normal(n)
+    work = np.empty_like(H0)
+    builds = []
+
+    def hessian():
+        builds.append(1)
+        np.copyto(work, H0)
+        return work
+
+    d = sv._solve_newton_step(hessian, g)
+    lam, shifts = 1e-10 * max(np.trace(H0) / n, 1.0), 1
+    while np.linalg.eigvalsh(H0 + lam * np.eye(n)).min() <= 0.0:
+        lam, shifts = 100.0 * lam, shifts + 1
+    assert 3 <= shifts < 12
+    assert len(builds) == 1 + shifts
+    assert not np.array_equal(work, H0)   # factored in place
+    ref = np.linalg.solve(H0 + lam * np.eye(n), -g)
+    assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_capacitary_newton_steps_solve_the_free_block(p2, inst2,
+                                                      monkeypatch):
+    # the capacitary solve fixes the plateau nodes; each Newton step must
+    # solve the Hessian restricted to the free nodes
+    grid, K = inst2
+    real = sv._solve_newton_step
+    seen = []
+
+    def step(hessian, g):
+        H0 = hessian().copy()
+        d = real(hessian, g)
+        seen.append((H0, g.copy(), d))
+        return d
+
+    monkeypatch.setattr(sv, "_solve_newton_step", step)
+    sv.solve_capacitary(1.0, p2, grid, K, tol=1e-9)
+    n_free = grid.nodes.size - grid.index_of(1.0) - 1
+    assert seen
+    for H0, g, d in seen:
+        assert H0.shape == (n_free, n_free)
+        ref = np.linalg.solve(H0, -g)
+        assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_minimizer_beats_zero_and_init(p2, inst_oracle):
