@@ -55,7 +55,11 @@ rely on.
 
 Everything is assembled with fixed-order Gauss rules in a fixed
 evaluation order, so a given (grid, params) input always produces the
-same matrix bit for bit.  A verification pass re-integrates
+same matrix bit for bit.  Each block is evaluated in array passes of at
+most ``_CHUNK_PTS`` quadrature points, cut between rows (cells, cell
+pairs or radii) that are reduced on their own, so the pass size bounds
+the temporaries without changing a bit; the separated bands of one
+Gauss order share their passes.  A verification pass re-integrates
 every block at elevated order and records the worst relative deviation
 as ``assembly_error``; a deviation beyond 1e-5 raises
 :class:`~fracp.errors.ConvergenceError` naming the offending cell pair.
@@ -64,6 +68,7 @@ as ``assembly_error``; a deviation beyond 1e-5 raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -96,8 +101,15 @@ __all__ = [
 ]
 
 _SELF_CHECK_TOL = 1e-5
-_BLOCK_CELLS = 16  # cells per array pass in _pair_corrections
+_BLOCK_CELLS = 16  # cells per panel layout in _pair_corrections
 _TAIL_XI_CUT = 1e-6  # exterior coupling integrated up to xi = 1 - cut
+# quadrature points per array pass: float64 temporaries of up to 2^14
+# entries (128 kB) are reused from the heap, while larger ones are handed
+# back to the OS when freed and page-fault in again on the next pass
+_CHUNK_PTS = 1 << 14
+# separated bands the verification pass re-integrates at twice the order
+_CHECK_BANDS = (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192,
+                256, 384)
 
 
 @dataclass
@@ -174,6 +186,18 @@ def _band_order(d: int) -> int:
     return 4
 
 
+def _row_chunks(n_rows, pts_per_row):
+    """Slices over ``n_rows`` rows of ``pts_per_row`` quadrature points
+    each: at most ``_CHUNK_PTS`` points, and at least one row, per slice.
+
+    Every row is still reduced on its own, so the chunking changes no
+    bit of a result; it only bounds the temporaries of one pass.
+    """
+    step = max(1, _CHUNK_PTS // pts_per_row)
+    for k in range(0, n_rows, step):
+        yield slice(k, k + step)
+
+
 def _same_cell(r, h, N, sp, p, nu, S, G, n_u=16, n_r=12):
     """Within-cell weights D_a / h_a^p for K[a, a+1].
 
@@ -184,13 +208,16 @@ def _same_cell(r, h, N, sp, p, nu, S, G, n_u=16, n_r=12):
     """
     yu, wu = gauss_jacobi_01(n_u, 0.0, p - nu)
     yr, wr = gauss_legendre_01(n_r)
-    u = h[:, None] * yu[None, :]                       # (M, n_u)
-    lo = r[:-1, None, None] + u[:, :, None]
-    wid = (h[:, None] - u)[:, :, None]
-    rp = lo + wid * yr[None, None, :]                  # (M, n_u, n_r)
-    x = rp - u[:, :, None]
-    vals = x ** (N - 1) * rp ** (nu - 1.0 - sp) * G(x / rp)
-    inner = wid[:, :, 0] * np.einsum("aur,r->au", vals, wr)
+    inner = np.empty((h.size, n_u))
+    for rows in _row_chunks(h.size, n_u * n_r):
+        hc = h[rows]
+        u = hc[:, None] * yu[None, :]                  # (rows, n_u)
+        lo = r[:-1][rows, None, None] + u[:, :, None]
+        wid = (hc[:, None] - u)[:, :, None]
+        rp = lo + wid * yr[None, None, :]              # (rows, n_u, n_r)
+        x = rp - u[:, :, None]
+        vals = x ** (N - 1) * rp ** (nu - 1.0 - sp) * G(x / rp)
+        inner[rows] = wid[:, :, 0] * np.einsum("aur,r->au", vals, wr)
     D = 2.0 * S * h ** (p - nu + 1.0) * np.einsum("au,u->a", inner, wu)
     return D / h ** p
 
@@ -202,83 +229,117 @@ def _adjacent(r, h, N, sp, p, nu, S, G, n_u=16, n_x=12):
     u = xi + eta the pair distance.  One kernel pass serves the three
     moments I_a = 2 iint xi^p Ker, I_b (eta^p), I_e ((xi+eta)^p).
     """
-    ha, hb = h[:-1], h[1:]
-    rm = r[1:-1]
-    u1 = np.minimum(ha, hb)
-    u2 = np.maximum(ha, hb)
-    utop = ha + hb
-
-    Ia = np.zeros(ha.size)
-    Ib = np.zeros(ha.size)
-    Ie = np.zeros(ha.size)
-
     ys, ws = gauss_legendre_01(n_x)
-
-    # panel 1: u in (0, u1), xi = u * sigma; the power u^{p+1-nu} goes
-    # into a Jacobi weight, sigma powers stay explicit so all three
-    # moments share the kernel evaluations
     yu, wu = gauss_jacobi_01(n_u, 0.0, p + 1.0 - nu)
-    u = u1[:, None] * yu[None, :]                      # (npair, n_u)
-    xi = u[:, :, None] * ys[None, None, :]
-    x = rm[:, None, None] - xi
-    y = rm[:, None, None] + (u[:, :, None] - xi)
-    base = x ** (N - 1) * y ** (nu - 1.0 - sp) * G(x / y)
-    scale = 2.0 * S * u1 ** (p + 2.0 - nu)
-    Ia += scale * np.einsum("aus,s,u->a", base, ws * ys ** p, wu)
-    Ib += scale * np.einsum("aus,s,u->a", base, ws * (1.0 - ys) ** p, wu)
-    Ie += scale * np.einsum("aus,s,u->a", base, ws, wu)
-
-    # panels 2 and 3: u away from zero, xi over the exact admissible
-    # slice [max(0, u - hb), min(ha, u)]; plain Gauss-Legendre in both.
-    # Zero-width panels (equal neighbor cells) contribute zero weight.
     yg, wg = gauss_legendre_01(n_u)
-    for lo_u, hi_u in ((u1, u2), (u2, utop)):
-        wid_u = hi_u - lo_u
-        u = lo_u[:, None] + wid_u[:, None] * yg[None, :]
-        xlo = np.maximum(0.0, u - hb[:, None])
-        xhi = np.minimum(ha[:, None], u)
-        wid_x = xhi - xlo
-        xi = xlo[:, :, None] + wid_x[:, :, None] * ys[None, None, :]
-        eta = u[:, :, None] - xi
-        x = rm[:, None, None] - xi
-        y = rm[:, None, None] + eta
-        ker = (u[:, :, None] ** (-nu) * x ** (N - 1)
-               * y ** (nu - 1.0 - sp) * G(x / y))
-        ker = ker * wid_x[:, :, None] * ws[None, None, :]
-        pref = 2.0 * S * wid_u
-        Ia += pref * np.einsum("aus,u->a", ker * xi ** p, wg)
-        Ib += pref * np.einsum("aus,u->a", ker * eta ** p, wg)
-        Ie += pref * np.einsum("aus,u->a", ker * u[:, :, None] ** p, wg)
+    Aw, Bw, Cw = (np.empty(h.size - 1) for _ in range(3))
+    for rows in _row_chunks(h.size - 1, n_u * n_x):
+        ha, hb = h[:-1][rows], h[1:][rows]
+        rm = r[1:-1][rows]
+        u1 = np.minimum(ha, hb)
+        u2 = np.maximum(ha, hb)
+        utop = ha + hb
 
-    denom = utop ** p - ha ** p - hb ** p
-    Cw = (Ie - Ia - Ib) / denom
-    Aw = Ia / ha ** p - Cw
-    Bw = Ib / hb ** p - Cw
+        Ia = np.zeros(ha.size)
+        Ib = np.zeros(ha.size)
+        Ie = np.zeros(ha.size)
+
+        # panel 1: u in (0, u1), xi = u * sigma; the power u^{p+1-nu}
+        # goes into a Jacobi weight, sigma powers stay explicit so all
+        # three moments share the kernel evaluations
+        u = u1[:, None] * yu[None, :]                  # (rows, n_u)
+        xi = u[:, :, None] * ys[None, None, :]
+        x = rm[:, None, None] - xi
+        y = rm[:, None, None] + (u[:, :, None] - xi)
+        base = x ** (N - 1) * y ** (nu - 1.0 - sp) * G(x / y)
+        scale = 2.0 * S * u1 ** (p + 2.0 - nu)
+        Ia += scale * np.einsum("aus,s,u->a", base, ws * ys ** p, wu)
+        Ib += scale * np.einsum("aus,s,u->a", base, ws * (1.0 - ys) ** p, wu)
+        Ie += scale * np.einsum("aus,s,u->a", base, ws, wu)
+
+        # panels 2 and 3: u away from zero, xi over the exact admissible
+        # slice [max(0, u - hb), min(ha, u)]; plain Gauss-Legendre in
+        # both.  Zero-width panels (equal neighbor cells) contribute zero
+        # weight.
+        for lo_u, hi_u in ((u1, u2), (u2, utop)):
+            wid_u = hi_u - lo_u
+            u = lo_u[:, None] + wid_u[:, None] * yg[None, :]
+            xlo = np.maximum(0.0, u - hb[:, None])
+            xhi = np.minimum(ha[:, None], u)
+            wid_x = xhi - xlo
+            xi = xlo[:, :, None] + wid_x[:, :, None] * ys[None, None, :]
+            eta = u[:, :, None] - xi
+            x = rm[:, None, None] - xi
+            y = rm[:, None, None] + eta
+            ker = (u[:, :, None] ** (-nu) * x ** (N - 1)
+                   * y ** (nu - 1.0 - sp) * G(x / y))
+            ker = ker * wid_x[:, :, None] * ws[None, None, :]
+            pref = 2.0 * S * wid_u
+            Ia += pref * np.einsum("aus,u->a", ker * xi ** p, wg)
+            Ib += pref * np.einsum("aus,u->a", ker * eta ** p, wg)
+            Ie += pref * np.einsum("aus,u->a", ker * u[:, :, None] ** p, wg)
+
+        denom = utop ** p - ha ** p - hb ** p
+        Cw[rows] = (Ie - Ia - Ib) / denom
+        Aw[rows] = Ia / ha ** p - Cw[rows]
+        Bw[rows] = Ib / hb ** p - Cw[rows]
     return Aw, Bw, Cw
 
 
-def _separated(Kmat, r, h, N, sp, nu, S, G, order=_band_order, bands=None):
-    """Hat-product weights for all cell pairs at distance >= 2."""
+def _separated(Kmat, r, h, N, sp, nu, S, G, order=_band_order, bands=None,
+               keep=()):
+    """Hat-product weights for all cell pairs at distance >= 2.
+
+    Band d holds the cell pairs (c, c + d).  The bands of one Gauss order
+    run as one pass over all their pairs, cut into chunks of whole pairs
+    so that every pair is still reduced over its own (nd, nd) block.  The
+    four hat sums of each band (lo·lo, lo·hi, hi·lo, hi·hi) are then added
+    to K band by band in ascending order, so every entry receives the same
+    additions in the same order as a loop over single bands.  Returns the
+    sums of the bands in ``keep`` as {d: (4, M - d) array}.
+    """
     M = h.size
-    for d in (bands if bands is not None else range(2, M)):
-        nd = order(d)
+    kept = {}
+    for nd, group in groupby(bands if bands is not None else range(2, M),
+                             key=order):
+        group = list(group)
         X, Wx = gauss_legendre_01(nd)
-        c = np.arange(0, M - d)
-        cp = c + d
-        x = r[c][:, None] + h[c][:, None] * X[None, :]     # (npair, nd)
-        y = r[cp][:, None] + h[cp][:, None] * X[None, :]
-        xx = x[:, :, None]
-        yy = y[:, None, :]
-        base = (2.0 * S * xx ** (N - 1) * yy ** (nu - 1.0 - sp)
-                * (yy - xx) ** (-nu) * G(xx / yy))
-        base = base * (Wx[None, :, None] * Wx[None, None, :])
-        base = base * (h[c] * h[cp])[:, None, None]
-        lo_m, hi_m = (1.0 - X)[None, :, None], X[None, :, None]
-        lo_k, hi_k = (1.0 - X)[None, None, :], X[None, None, :]
-        Kmat[c, cp] += (base * lo_m * lo_k).sum(axis=(1, 2))
-        Kmat[c, cp + 1] += (base * lo_m * hi_k).sum(axis=(1, 2))
-        Kmat[c + 1, cp] += (base * hi_m * lo_k).sum(axis=(1, 2))
-        Kmat[c + 1, cp + 1] += (base * hi_m * hi_k).sum(axis=(1, 2))
+        lo = 1.0 - X
+        hat = ((lo, lo), (lo, X), (X, lo), (X, X))
+        c = np.concatenate([np.arange(M - d) for d in group])
+        cp = c + np.repeat(group, [M - d for d in group])
+        sums = np.empty((4, c.size))
+        for pairs in _row_chunks(c.size, nd * nd):
+            ci, cj = c[pairs], cp[pairs]
+            x = r[ci][:, None] + h[ci][:, None] * X[None, :]   # (pairs, nd)
+            y = r[cj][:, None] + h[cj][:, None] * X[None, :]
+            xx = x[:, :, None]
+            yy = y[:, None, :]
+            base = (2.0 * S * xx ** (N - 1) * yy ** (nu - 1.0 - sp)
+                    * (yy - xx) ** (-nu) * G(xx / yy))
+            base = base * (Wx[None, :, None] * Wx[None, None, :])
+            base = base * (h[ci] * h[cj])[:, None, None]
+            for k, (hat_m, hat_k) in enumerate(hat):
+                sums[k, pairs] = (base * hat_m[None, :, None]
+                                  * hat_k[None, None, :]).sum(axis=(1, 2))
+        start = 0
+        for d in group:
+            band = sums[:, start:start + M - d]
+            start += M - d
+            _add_band(Kmat, d, band)
+            if d in keep:
+                kept[d] = band.copy()
+    return kept
+
+
+def _add_band(Kmat, d, sums):
+    """Add the hat sums (4, M - d) of band d to the pair weights."""
+    c = np.arange(sums.shape[1])
+    cp = c + d
+    Kmat[c, cp] += sums[0]
+    Kmat[c, cp + 1] += sums[1]
+    Kmat[c + 1, cp] += sums[2]
+    Kmat[c + 1, cp + 1] += sums[3]
 
 
 def _last_cell_xi_rule(sp, n_head=24, n_panel=12):
@@ -316,8 +377,10 @@ def _tail_mass_funcs(R, N, sp, nu, S, G, xi_s, wxi_s, xi_l, wxi_l):
 
     def mass_shared(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return (S * R ** (-sp) * t ** (N - 1)
-                * (phi_at(t, xi_s) * wxi_s).sum(-1))
+        core = np.empty(t.size)
+        for rows in _row_chunks(t.size, xi_s.size):
+            core[rows] = (phi_at(t[rows], xi_s) * wxi_s).sum(-1)
+        return S * R ** (-sp) * t ** (N - 1) * core
 
     def mass_last(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -348,11 +411,11 @@ def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
 
     The exterior mass comes from one call per mass function.  The two
     interior masses are integrated over panels graded toward the near
-    edge, a fresh panel set per (cell, t-node) pair; the panel sets of
-    ``_BLOCK_CELLS`` cells are built, evaluated and reduced in one array
-    pass per side.  The block is a fixed number of cells so that the
-    (t-node, panel, node) arrays, and with them the peak resident
-    memory, stay bounded whatever the grid size.
+    edge, a fresh panel set per (cell, t-node) pair.  The panel sets of
+    ``_BLOCK_CELLS`` cells are built together and padded to the longest
+    of them, so the block size fixes the panel count every row is summed
+    over, which the rounding of the sum can depend on; the rows are then
+    evaluated and reduced in chunks of at most ``_CHUNK_PTS`` points.
     """
     M = h.size
     R = r[-1]
@@ -369,14 +432,17 @@ def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
         pts = _graded_rows(lo, hi, 0.5 * (tm - edge),
                            toward_b=toward_hi, factor=grade_factor,
                            max_panels=60)
-        wid = np.diff(pts, axis=1)[:, :, None]
-        s = pts[:, :-1, None] + wid * ys
-        w = wid * wsn
-        tm = tm[:, None, None]
-        x, y = (s, tm) if toward_hi else (tm, s)
-        val = (S * x ** (N - 1) * y ** (nu - 1.0 - sp)
-               * (y - x) ** (-nu) * G(x / y))
-        return (val * w).sum(axis=(1, 2))
+        mass = np.empty(tm.size)
+        for rows in _row_chunks(tm.size, (pts.shape[1] - 1) * n_s):
+            wid = np.diff(pts[rows], axis=1)[:, :, None]
+            s = pts[rows, :-1, None] + wid * ys
+            w = wid * wsn
+            tr = tm[rows, None, None]
+            x, y = (s, tr) if toward_hi else (tr, s)
+            val = (S * x ** (N - 1) * y ** (nu - 1.0 - sp)
+                   * (y - x) ** (-nu) * G(x / y))
+            mass[rows] = (val * w).sum(axis=(1, 2))
+        return mass
 
     for c0 in range(0, M, _BLOCK_CELLS):
         left = np.arange(max(c0, 2), min(c0 + _BLOCK_CELLS, M))
@@ -411,14 +477,20 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     W = np.zeros((M + 1, tail_xi.size))
     pref = 2.0 * S * R ** (-sp)
 
-    c = np.arange(0, M - 1)
-    x = r[c][:, None] + h[c][:, None] * yx[None, :]        # (M-1, n_hat)
-    rho = x[:, :, None] * xi_s[None, None, :] / R
-    phi = G(rho) * (1.0 - rho) ** (-nu)
-    core = pref * x[:, :, None] ** (N - 1) * phi * wxi_s[None, None, :]
-    core = core * (h[c][:, None, None] * wx[None, :, None])
-    W[0:M - 1, 0:nq_s] += (core * (1.0 - yx)[None, :, None]).sum(axis=1)
-    W[1:M, 0:nq_s] += (core * yx[None, :, None]).sum(axis=1)
+    # the lo and hi hat parts of the interior cells, one row per cell
+    lo = np.empty((M - 1, nq_s))
+    hi = np.empty((M - 1, nq_s))
+    for rows in _row_chunks(M - 1, n_hat * nq_s):
+        hc = h[:M - 1][rows]
+        x = r[:M - 1][rows, None] + hc[:, None] * yx[None, :]  # (rows, n_hat)
+        rho = x[:, :, None] * xi_s[None, None, :] / R
+        phi = G(rho) * (1.0 - rho) ** (-nu)
+        core = pref * x[:, :, None] ** (N - 1) * phi * wxi_s[None, None, :]
+        core = core * (hc[:, None, None] * wx[None, :, None])
+        lo[rows] = (core * (1.0 - yx)[None, :, None]).sum(axis=1)
+        hi[rows] = (core * yx[None, :, None]).sum(axis=1)
+    W[0:M - 1, 0:nq_s] += lo
+    W[1:M, 0:nq_s] += hi
 
     a = M - 1
     ha = h[a]
@@ -517,7 +589,8 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     Kmat[idx[:-1] + 1, idx[:-1] + 2] += np.maximum(Bw, 0.0)
     Kmat[idx[:-1], idx[:-1] + 2] += Cw
 
-    _separated(Kmat, r, h, N, sp, nu, S, G)
+    check_sums = _separated(Kmat, r, h, N, sp, nu, S, G,
+                            keep=[d for d in _CHECK_BANDS if d < M])
 
     xi_s, wxi_s = gauss_jacobi_01(48, 0.0, sp - 1.0)
     xi_l, wxi_l = _last_cell_xi_rule(sp)
@@ -549,8 +622,8 @@ def assemble(grid: RadialGrid, params: ProblemParams,
         )
 
     dev, worst = _verification_pass(
-        r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw, Kmat, V_applied,
-        pre_sub, W, tail_xi)
+        r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw, check_sums, Kmat,
+        V_applied, pre_sub, W, tail_xi)
     if dev > _SELF_CHECK_TOL:
         raise ConvergenceError(
             f"assembly verification failed: relative deviation {dev:.2e} "
@@ -580,7 +653,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
 
 def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
-                       Kmat, V, pre_sub, W, tail_xi):
+                       check_sums, Kmat, V, pre_sub, W, tail_xi):
     """Re-integrate every block at elevated order; return the worst
     relative deviation and the cell pair it occurred at."""
     M = h.size
@@ -600,13 +673,13 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
     if rel[k] > dev:
         dev, worst = float(rel[k]), (k, k + 2)
 
-    bands = sorted({d for d in (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48,
-                                64, 96, 128, 192, 256, 384) if 2 <= d < M})
+    # K1 holds the production sums of the check bands, in band order
     K1 = np.zeros_like(Kmat)
+    for d, sums in check_sums.items():
+        _add_band(K1, d, sums)
     K2 = np.zeros_like(Kmat)
-    _separated(K1, r, h, N, sp, nu, S, G, bands=bands)
     _separated(K2, r, h, N, sp, nu, S, G,
-               order=lambda d: 2 * _band_order(d), bands=bands)
+               order=lambda d: 2 * _band_order(d), bands=list(check_sums))
     mask = K1 > 0.0
     if np.any(mask):
         rel = np.abs(K2[mask] - K1[mask]) / K1[mask]

@@ -10,7 +10,8 @@ end panels use Gauss-Jacobi rules whose weight absorbs the singular
 factor analytically (the factor is divided back out at the interior
 nodes, which is exact up to rounding), interior panels use plain
 Gauss-Legendre.  An n-versus-2n comparison per panel drives adaptive
-bisection until the requested relative tolerance is met.
+bisection until the requested relative tolerance is met; the integrand
+is evaluated once per round, on the nodes of every panel of the round.
 
 The fixed-rule helpers :func:`gauss_legendre_01` and
 :func:`gauss_jacobi_01` are exposed for consumers that build
@@ -188,8 +189,8 @@ class _Panel(NamedTuple):
     hi_exp: float
 
 
-def _eval_panel(f: Callable[[np.ndarray], np.ndarray], panel: _Panel, n: int):
-    """Integrate f over one panel with an n-point rule.
+def _panel_rule(panel: _Panel, n: int):
+    """Nodes and weights of the n-point rule on one panel.
 
     The endpoint weight, when declared, is divided out of ``f`` at the
     nodes and re-absorbed into Jacobi weights, so ``f`` is always the
@@ -199,18 +200,28 @@ def _eval_panel(f: Callable[[np.ndarray], np.ndarray], panel: _Panel, n: int):
     h = b - a
     if lo == 0.0 and hi == 0.0:
         y, w = _legendre_cached(n)
-        x = a + h * y
-        wf = h * w
-    else:
-        y, w = _jacobi_cached(n, hi, lo)
-        x = a + h * y
-        wf = w * h ** (lo + hi + 1.0)
-        if lo != 0.0:
-            wf = wf * (x - a) ** (-lo)
-        if hi != 0.0:
-            wf = wf * (b - x) ** (-hi)
-    fx = np.asarray(f(x), dtype=float)
-    return float(np.dot(wf, fx))
+        return a + h * y, h * w
+    y, w = _jacobi_cached(n, hi, lo)
+    x = a + h * y
+    wf = w * h ** (lo + hi + 1.0)
+    if lo != 0.0:
+        wf = wf * (x - a) ** (-lo)
+    if hi != 0.0:
+        wf = wf * (b - x) ** (-hi)
+    return x, wf
+
+
+def _eval_panels(f: Callable[[np.ndarray], np.ndarray],
+                 panels: Sequence[_Panel], n: int) -> list[tuple[float, float]]:
+    """The (n-point, 2n-point) values of every panel from one call of f."""
+    rules = [_panel_rule(panel, m) for panel in panels for m in (n, 2 * n)]
+    fx = np.asarray(f(np.concatenate([x for x, _ in rules])), dtype=float)
+    vals = []
+    k = 0
+    for x, wf in rules:
+        vals.append(float(np.dot(wf, fx[k:k + x.size])))
+        k += x.size
+    return list(zip(vals[0::2], vals[1::2]))
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -224,7 +235,10 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     ``points`` is an increasing breakpoint sequence; ``lo_exponent`` and
     ``hi_exponent`` declare power behavior ``(x - points[0])^{lo}`` and
     ``(points[-1] - x)^{hi}`` of the integrand at the extreme ends.
-    ``f`` must accept a node array and return values of the same shape.
+    ``f`` must accept a node array and return values of the same shape,
+    and it must be pointwise: each value depends on its own node only.
+    ``f`` is called once for the initial panels and once per refinement
+    round, on the nodes of all the panels that round creates.
 
     Raises ConvergenceError (carrying the best estimate) if the error
     target is still missed after ``spec.max_refinements`` bisection
@@ -250,10 +264,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     sum_abs = 0.0
     counter = 0
 
-    def push(panel: _Panel):
+    def push(panel: _Panel, coarse: float, fine: float):
         nonlocal n_evals, total, sum_abs, counter
-        coarse = _eval_panel(f, panel, n)
-        fine = _eval_panel(f, panel, 2 * n)
         n_evals += 3 * n
         err = abs(fine - coarse)
         total += fine
@@ -261,8 +273,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
         heapq.heappush(heap, (-err, counter, panel, fine, err))
         counter += 1
 
-    for panel in panels:
-        push(panel)
+    for panel, values in zip(panels, _eval_panels(f, panels, n)):
+        push(panel, *values)
 
     def current_error():
         return sum(entry[4] for entry in heap)
@@ -279,12 +291,17 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
             stale.append(heapq.heappop(heap))
         if not stale:
             stale.append(heapq.heappop(heap))
-        for _, _, panel, fine, err in stale:
+        halves = []
+        for _, _, panel, _, _ in stale:
+            m = 0.5 * (panel.a + panel.b)
+            halves += [_Panel(panel.a, m, panel.lo_exp, 0.0),
+                       _Panel(m, panel.b, 0.0, panel.hi_exp)]
+        values = _eval_panels(f, halves, n)
+        for k, (_, _, _, fine, _) in enumerate(stale):
             total -= fine
             sum_abs -= abs(fine)
-            m = 0.5 * (panel.a + panel.b)
-            push(_Panel(panel.a, m, panel.lo_exp, 0.0))
-            push(_Panel(m, panel.b, 0.0, panel.hi_exp))
+            push(halves[2 * k], *values[2 * k])
+            push(halves[2 * k + 1], *values[2 * k + 1])
 
     err_now = current_error()
     if err_now <= spec.tol * max(abs(total), 1e-300) or err_now <= 1e-15 * sum_abs:

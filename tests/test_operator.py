@@ -10,6 +10,7 @@ the discrete model at any resolution, so they use small grids.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,3 +503,102 @@ def test_assembly_makes_no_per_node_panel_calls(p25, monkeypatch):
                             grading=1.06)
     op.assemble(grid, p25)
     assert len(calls) < 10
+
+
+# ---------------------------------------------------------------------------
+# bounded array passes: the same bits as one pass per band or block
+# ---------------------------------------------------------------------------
+
+def _separated_by_band(Kmat, r, h, N, sp, nu, S, G, order=op._band_order,
+                       bands=None):
+    """Oracle: the hat-product weights one band at a time, each band in
+    one array pass and added to K before the next band is computed."""
+    M = h.size
+    for d in (bands if bands is not None else range(2, M)):
+        nd = order(d)
+        X, Wx = gauss_legendre_01(nd)
+        c = np.arange(0, M - d)
+        cp = c + d
+        x = r[c][:, None] + h[c][:, None] * X[None, :]     # (npair, nd)
+        y = r[cp][:, None] + h[cp][:, None] * X[None, :]
+        xx = x[:, :, None]
+        yy = y[:, None, :]
+        base = (2.0 * S * xx ** (N - 1) * yy ** (nu - 1.0 - sp)
+                * (yy - xx) ** (-nu) * G(xx / yy))
+        base = base * (Wx[None, :, None] * Wx[None, None, :])
+        base = base * (h[c] * h[cp])[:, None, None]
+        lo_m, hi_m = (1.0 - X)[None, :, None], X[None, :, None]
+        lo_k, hi_k = (1.0 - X)[None, None, :], X[None, None, :]
+        Kmat[c, cp] += (base * lo_m * lo_k).sum(axis=(1, 2))
+        Kmat[c, cp + 1] += (base * lo_m * hi_k).sum(axis=(1, 2))
+        Kmat[c + 1, cp] += (base * hi_m * lo_k).sum(axis=(1, 2))
+        Kmat[c + 1, cp + 1] += (base * hi_m * hi_k).sum(axis=(1, 2))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("M", [48, 128])
+def test_separated_matches_band_loop_bitwise(K48, p25, M):
+    # at M = 128 the order-4 bands span several chunks of whole pairs
+    grid = K48.grid if M == 48 else make_radial_grid(
+        tail_exponent=2.0, R_max=64.0, M=M, grading=1.03)
+    args, _, _ = _far_field_inputs(grid, p25, PRODUCTION_RULES)
+    # nonzero start values, as the near-field weights are in assemble,
+    # so the order of the additions shows in the bits
+    start = np.random.default_rng(M).uniform(0.0, 1.0, (M + 1, M + 1))
+    check = [d for d in op._CHECK_BANDS if d < M]
+    Kmat, ref = start.copy(), start.copy()
+    kept = op._separated(Kmat, *args, keep=check)
+    _separated_by_band(ref, *args)
+    assert _same_bits(Kmat, ref)
+
+    # the kept production sums rebuild the verification pass's K1, and
+    # the elevated-order K2 matches its band loop too
+    assert list(kept) == check
+    K1, ref1 = np.zeros_like(start), np.zeros_like(start)
+    for d, sums in kept.items():
+        op._add_band(K1, d, sums)
+    _separated_by_band(ref1, *args, bands=check)
+    assert _same_bits(K1, ref1)
+    K2, ref2 = np.zeros_like(start), np.zeros_like(start)
+    double = lambda d: 2 * op._band_order(d)  # noqa: E731
+    op._separated(K2, *args, order=double, bands=check)
+    _separated_by_band(ref2, *args, order=double, bands=check)
+    assert _same_bits(K2, ref2)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_assembly_bits_do_not_depend_on_the_chunk_size(K48, p2, p25, p,
+                                                       monkeypatch):
+    # 37 points per pass puts a chunk boundary inside every block
+    params = p2 if p == 2.0 else p25
+    K = K48 if p == 2.5 else op.assemble(K48.grid, params)
+    monkeypatch.setattr(op, "_CHUNK_PTS", 37)
+    ragged = op.assemble(K48.grid, params)
+    assert _same_bits(ragged.weights, K.weights)
+    assert _same_bits(ragged.tail_W, K.tail_W)
+    assert ragged.tail_self == K.tail_self
+    assert ragged.assembly_error == K.assembly_error
+    for name in ("adjacent_clips", "adjacent_clipped", "correction_clips",
+                 "correction_clipped"):
+        assert getattr(ragged, name) == getattr(K, name), name
+
+
+def test_assembly_peak_memory_is_bounded(p25):
+    # every block works in passes of at most _CHUNK_PTS points, so one
+    # assembly at M = 256 holds a few MB (the (M+1)^2 weight arrays and
+    # the band sums) at its peak; numpy reports its data buffers to
+    # tracemalloc
+    grid = make_radial_grid(tail_exponent=p25.beta_star, R_max=64.0, M=256,
+                            grading=1.03)
+    op.assemble(grid, p25)          # phi table and Gauss rules cached
+    tracemalloc.start()
+    try:
+        op.assemble(grid, p25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -1,4 +1,6 @@
+import heapq
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.special import beta as beta_fn
 
 from fracp.errors import ConvergenceError, DomainError
 from fracp.quadrature import (
+    QuadResult,
     QuadratureSpec,
     _graded_rows,
     gauss_jacobi_01,
@@ -184,3 +187,167 @@ def test_integrate_validates_breakpoints():
         integrate(np.cos, [0.0, 1.0, 0.5], spec)
     with pytest.raises(DomainError):
         integrate(np.cos, [0.0, 1.0], spec, lo_exponent=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# integrate against its panel-at-a-time loop
+# ---------------------------------------------------------------------------
+
+class _LoopPanel(NamedTuple):
+    a: float
+    b: float
+    lo_exp: float
+    hi_exp: float
+
+
+def _eval_loop_panel(f, panel, n):
+    a, b, lo, hi = panel
+    h = b - a
+    if lo == 0.0 and hi == 0.0:
+        y, w = gauss_legendre_01(n)
+        x = a + h * y
+        wf = h * w
+    else:
+        y, w = gauss_jacobi_01(n, exp_at_1=hi, exp_at_0=lo)
+        x = a + h * y
+        wf = w * h ** (lo + hi + 1.0)
+        if lo != 0.0:
+            wf = wf * (x - a) ** (-lo)
+        if hi != 0.0:
+            wf = wf * (b - x) ** (-hi)
+    fx = np.asarray(f(x), dtype=float)
+    return float(np.dot(wf, fx))
+
+
+def _integrate_by_panel(f, points, spec, *, lo_exponent=0.0,
+                        hi_exponent=0.0):
+    """Oracle: adaptive bisection with two calls of f per new panel.
+
+    Returns the QuadResult and the number of refinement rounds, or
+    raises ConvergenceError like integrate.
+    """
+    pts = list(map(float, points))
+    n = spec.nodes
+    panels = []
+    for k, (a, b) in enumerate(zip(pts, pts[1:])):
+        lo = lo_exponent if k == 0 else 0.0
+        hi = hi_exponent if k == len(pts) - 2 else 0.0
+        panels.append(_LoopPanel(a, b, lo, hi))
+
+    n_evals = 0
+    heap = []
+    total = 0.0
+    sum_abs = 0.0
+    counter = 0
+
+    def push(panel):
+        nonlocal n_evals, total, sum_abs, counter
+        coarse = _eval_loop_panel(f, panel, n)
+        fine = _eval_loop_panel(f, panel, 2 * n)
+        n_evals += 3 * n
+        err = abs(fine - coarse)
+        total += fine
+        sum_abs += abs(fine)
+        heapq.heappush(heap, (-err, counter, panel, fine, err))
+        counter += 1
+
+    for panel in panels:
+        push(panel)
+
+    def current_error():
+        return sum(entry[4] for entry in heap)
+
+    rounds = 0
+    for _ in range(spec.max_refinements + 1):
+        err_now = current_error()
+        target = spec.tol * max(abs(total), 1e-300)
+        if err_now <= target or err_now <= 1e-15 * sum_abs:
+            return (QuadResult(total, err_now / max(abs(total), 1e-300),
+                               n_evals), rounds)
+        budget = target / max(len(heap), 1)
+        stale = []
+        while heap and heap[0][4] > budget:
+            stale.append(heapq.heappop(heap))
+        if not stale:
+            stale.append(heapq.heappop(heap))
+        rounds += 1
+        for _, _, panel, fine, err in stale:
+            total -= fine
+            sum_abs -= abs(fine)
+            m = 0.5 * (panel.a + panel.b)
+            push(_LoopPanel(panel.a, m, panel.lo_exp, 0.0))
+            push(_LoopPanel(m, panel.b, 0.0, panel.hi_exp))
+
+    err_now = current_error()
+    if (err_now <= spec.tol * max(abs(total), 1e-300)
+            or err_now <= 1e-15 * sum_abs):
+        return (QuadResult(total, err_now / max(abs(total), 1e-300),
+                           n_evals), rounds)
+    raise ConvergenceError("stalled", best=total, estimate=err_now)
+
+
+def _integrand_cases():
+    cases = [
+        (np.cos, [0.0, 1.0], QuadratureSpec(nodes=12, tol=1e-12), {}),
+        (lambda x: x ** -0.5, [0.0, 1.0], QuadratureSpec(nodes=16, tol=1e-11),
+         {"lo_exponent": -0.5}),
+        (lambda x: (x * (1.0 - x)) ** -0.5, [0.0, 0.3, 1.0],
+         QuadratureSpec(nodes=16, tol=1e-11),
+         {"lo_exponent": -0.5, "hi_exponent": -0.5}),
+        (lambda x: np.zeros_like(x), [0.0, 1.0],
+         QuadratureSpec(nodes=8, tol=1e-10), {}),
+        # many rounds, most of them splitting more than one panel
+        (lambda x: np.abs(np.sin(40.0 * x)), [0.0, 1.0],
+         QuadratureSpec(nodes=4, tol=1e-10, max_refinements=20), {}),
+        (lambda x: 1.0 / (1e-3 + (x - 0.37) ** 2), [0.0, 1.0],
+         QuadratureSpec(nodes=8, tol=1e-10, max_refinements=20), {}),
+    ]
+    rng = np.random.default_rng(20260819)
+    for _ in range(12):
+        a = rng.uniform(-0.9, 2.0)
+        b = rng.uniform(-0.9, 2.0)
+        cases.append((lambda x, a=a, b=b: x ** b * (1.0 - x) ** a,
+                      [0.0, 0.5, 1.0], QuadratureSpec(nodes=20, tol=1e-10),
+                      {"lo_exponent": b, "hi_exponent": a}))
+    return cases
+
+
+def test_integrate_matches_panel_loop_bitwise():
+    saw_rounds = set()
+    for f, pts, spec, kw in _integrand_cases():
+        calls = []
+
+        def counted(x, f=f):
+            calls.append(x.size)
+            return f(x)
+
+        res = integrate(counted, pts, spec, **kw)
+        ref, rounds = _integrate_by_panel(f, pts, spec, **kw)
+        assert res.value == ref.value
+        assert res.rel_err == ref.rel_err
+        assert res.n_evals == ref.n_evals
+        # one call for the initial panels, one per refinement round
+        assert len(calls) == 1 + rounds
+        assert sum(calls) == ref.n_evals
+        saw_rounds.add(rounds)
+    assert 0 in saw_rounds and max(saw_rounds) >= 3
+
+
+def test_integrate_stall_matches_panel_loop():
+    f = lambda x: np.abs(np.sin(40.0 * x))  # noqa: E731
+    spec = QuadratureSpec(nodes=2, tol=1e-14, max_refinements=0)
+    with pytest.raises(ConvergenceError) as ref:
+        _integrate_by_panel(f, [0.0, 1.0], spec)
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    with pytest.raises(ConvergenceError) as err:
+        integrate(counted, [0.0, 1.0], spec)
+    assert err.value.best == ref.value.best
+    assert err.value.estimate == ref.value.estimate
+    # the initial panel, then one bisection round: max_refinements = 0
+    # still refines once before giving up
+    assert len(calls) == 2
