@@ -10,7 +10,10 @@ infimum-to-mean ratio on concentric balls).
 
 Measured values are always reported, whether or not a check passes, so a
 failed run still produces a usable record.  ``VerificationReport``
-serializes the whole collection to JSON with full float precision.
+serializes the whole collection to JSON with full float precision.  The
+solution CSV that carries a profile from one CLI step to the next
+(:func:`write_solution_csv`, :func:`read_solution_csv`) lives here too,
+so reading one back (``fracp plotdata``) does not load the solver.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .grid import RadialFunction, RadialGrid
 from .kernel import power_profile_constant, profile_window, unit_sphere_area
-from .operator import KernelMatrix, energy_seminorm, weak_residual
+from .operator import KernelMatrix, energy_seminorm, weak_residual, weight_a
 from .params import ProblemParams
 from .quadrature import QuadratureSpec
 
@@ -40,6 +43,8 @@ __all__ = [
     "comparison_check",
     "harnack_ratio",
     "uniform_bound_check",
+    "write_solution_csv",
+    "read_solution_csv",
 ]
 
 
@@ -442,3 +447,64 @@ class VerificationReport:
     def write(self, path: str) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(self.to_json())
+
+
+def write_solution_csv(u: RadialFunction, params: ProblemParams, path: str,
+                       *, rhs: np.ndarray, residual: np.ndarray,
+                       converged: bool) -> None:
+    """Write a solution profile with its right-hand side and residual.
+
+    The metadata header carries the problem instance, the grid hash and
+    the power-tail continuation so a profile file is self-describing.
+    """
+    grid = u.grid
+    if np.shape(rhs) != u.values.shape or np.shape(residual) != u.values.shape:
+        raise UsageError("rhs and residual must be nodal arrays matching "
+                         "the grid")
+    a_nodes = weight_a(grid.nodes, params)
+    lines = [
+        "# solution: N={} s={!r} p={!r} gamma={!r} alpha={!r} c_a={!r} "
+        "r_exp={!r}".format(params.N, params.s, params.p, params.gamma,
+                            params.alpha, params.c_a, params.r_exp),
+        "# grid_hash={} tail_exponent={!r} tail_amplitude={!r} "
+        "converged={}".format(grid.grid_hash, grid.tail_exponent,
+                              u.tail_amplitude, bool(converged)),
+        "r,u,a,rhs,residual",
+    ]
+    for vals in zip(grid.nodes.tolist(), u.values.tolist(), a_nodes.tolist(),
+                    np.asarray(rhs, dtype=float).tolist(),
+                    np.asarray(residual, dtype=float).tolist()):
+        lines.append(",".join(repr(v) for v in vals))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
+    """Read a profile written by :func:`write_solution_csv`.
+
+    Returns the radial function together with the parsed metadata
+    (instance fields, grid hash, tail data, converged flag).  The node
+    set and tail exponent reconstruct the grid; its hash must match the
+    stored one, which catches hand-edited or truncated files.
+    """
+    with open(path, encoding="ascii") as fh:
+        first = fh.readline().strip()
+        second = fh.readline().strip()
+        if not first.startswith("# solution:") or not second.startswith("#"):
+            raise UsageError(f"{path}: not a solution table")
+        meta: dict = {}
+        for token in (first[len("# solution:"):].split()
+                      + second[1:].split()):
+            key, _, val = token.partition("=")
+            meta[key] = val
+        columns = fh.readline().strip()
+        if columns != "r,u,a,rhs,residual":
+            raise UsageError(f"{path}: expected 'r,u,a,rhs,residual' columns")
+        rows = [line.split(",") for line in fh if line.strip()]
+    r = np.array([float(row[0]) for row in rows])
+    u = np.array([float(row[1]) for row in rows])
+    grid = RadialGrid(nodes=r, tail_exponent=float(meta["tail_exponent"]))
+    if grid.grid_hash != meta.get("grid_hash"):
+        raise UsageError(f"{path}: grid hash mismatch; file edited?")
+    meta["converged"] = meta.get("converged") == "True"
+    return RadialFunction(grid, u), meta

@@ -23,6 +23,11 @@ Subcommands:
 Exit codes: 0 all good, 1 a verification/ordering check failed, 2 bad
 usage or configuration, 3 numerical non-convergence.  Outputs are
 byte-stable for a fixed config.
+
+The solver and the battery are imported by the subcommands that run
+them: they load the dense Cholesky factorization, which
+``kernel-table`` and ``plotdata`` never need, and every subcommand is
+a process of its own.
 """
 
 from __future__ import annotations
@@ -34,16 +39,13 @@ import sys
 
 import numpy as np
 
-from .analysis import check_capacitary, check_decay_sandwich, decay_window
+from .analysis import (check_capacitary, check_decay_sandwich, decay_window,
+                       read_solution_csv, write_solution_csv)
 from .config import RunConfig, read_config
 from .errors import (ConfigError, ConvergenceError, DomainError, FracpError,
                      UsageError)
 from .kernel import profile_table_rows, profile_window, write_profile_table
 from .operator import assemble, weak_residual
-from .solver import (RegularizedProblem, TruncatedProblem, read_solution_csv,
-                     solve_capacitary, solve_full, solve_pure_singular,
-                     write_solution_csv)
-from .verify import VerifySettings, run_acceptance
 
 __all__ = ["main"]
 
@@ -87,6 +89,7 @@ def _cmd_kernel_table(cfg: RunConfig, args) -> int:
 
 
 def _cmd_capacitary(cfg: RunConfig, args) -> int:
+    from .solver import solve_capacitary
     params = cfg.params
     R = args.R
     grid = cfg.build_grid(anchors=(1.0, R))
@@ -111,6 +114,7 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
 
 
 def _run_continuation(cfg: RunConfig, grid, K):
+    from .solver import solve_pure_singular
     params = cfg.params
     u, reports = solve_pure_singular(params, grid, K, cfg.schedule(),
                                      tol=cfg.solver.tol)
@@ -127,6 +131,7 @@ def _run_continuation(cfg: RunConfig, grid, K):
 
 
 def _write_singular(cfg: RunConfig, grid, K, u, converged: bool, out: str):
+    from .solver import RegularizedProblem
     params = cfg.params
     n_last = cfg.schedule()[-1]
     prob = RegularizedProblem(params, n_last, grid, K)
@@ -153,6 +158,7 @@ def _cmd_solve_singular(cfg: RunConfig, args) -> int:
 
 
 def _cmd_solve_full(cfg: RunConfig, args) -> int:
+    from .solver import TruncatedProblem, solve_full
     params = cfg.params
     kappa = cfg.kappa if args.kappa is None else args.kappa
     if not 0.0 <= kappa <= 1.0:
@@ -191,6 +197,7 @@ def _cmd_solve_full(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
+    from .verify import VerifySettings, run_acceptance
     out = _out_dir(cfg, args)
     settings = VerifySettings(
         R_max=cfg.grid.r_max, grading=cfg.grid.grading, M=cfg.grid.nodes,

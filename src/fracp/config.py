@@ -25,7 +25,6 @@ from .errors import ConfigError, DomainError
 from .grid import RadialGrid, make_radial_grid
 from .params import ProblemParams
 from .quadrature import QuadratureSpec
-from .solver import doubling_schedule
 
 __all__ = ["GridSettings", "SolverSettings", "RunConfig",
            "parse_config", "read_config"]
@@ -64,6 +63,9 @@ class RunConfig:
                                 anchors=anchors)
 
     def schedule(self) -> list[int]:
+        # imported here: only a run that solves asks for its schedule,
+        # and the solver loads the dense Cholesky factorization
+        from .solver import doubling_schedule
         return doubling_schedule(self.solver.schedule_max_n)
 
 

@@ -49,7 +49,12 @@ Euler's transformation (DLMF 15.8) gives the bounded edge profile
 
 whose limit ``G(1) = S * B(a+1, mu - a - 1) / 2`` is computed in
 :func:`edge_limit`; the connection formula (DLMF 15.8.4) adds the
-leading correction ``G(1 - v) = G(1) + d v^nu + O(v)``.  The table
+leading correction ``G(1 - v) = G(1) + d v^nu + O(v)``.  The 2F1 is
+evaluated here in numpy (``_hyp2f1``): its Maclaurin series for
+``z = rho^2 <= 1/2``, and beyond that the connection formula in
+``w = 1 - z = v (2 - v)``, which is formed from v itself, so a point
+given by its distance v to the edge keeps all of its digits; an
+integer nu takes the logarithmic form (DLMF 15.8.10).  The table
 (:func:`get_phi_table`) holds cubic Hermite interpolants of G on
 uniform knots, built from this closed form and evaluated by index
 arithmetic; it serves every caller on the hot path.
@@ -62,7 +67,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma, gammaln, gammasgn, hyp2f1, rgamma
 
 from .errors import DomainError, UsageError
 from .params import ProblemParams
@@ -147,47 +151,175 @@ def edge_limit(N: int, sp: float, convention: str = PIPELINE_CONVENTION) -> floa
     """
     a = angular_exponent(N, convention)
     c = (N + sp) / 2.0
-    log_beta = gammaln(a + 1.0) + gammaln(c - a - 1.0) - gammaln(c)
+    log_beta = (math.lgamma(a + 1.0) + math.lgamma(c - a - 1.0)
+                - math.lgamma(c))
     return 0.5 * sphere_measure(N) * math.exp(log_beta)
 
 
-def _edge_profile_exact(rho, N: int, sp: float, convention: str):
+# ---------------------------------------------------------------------------
+# Gamma helpers and the Gauss hypergeometric function on [0, 1)
+# ---------------------------------------------------------------------------
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), zero at the poles x = 0, -1, -2, ..."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    return 1.0 / math.gamma(x)
+
+
+def _gamma_sign(x: float) -> float:
+    """The sign of Gamma(x) off its poles."""
+    if x > 0.0:
+        return 1.0
+    return -1.0 if math.floor(x) % 2 else 1.0
+
+
+def _digamma(x: float) -> float:
+    """psi(x) off the poles: the recurrence psi(x) = psi(x + 1) - 1/x up
+    to x >= 10, then the asymptotic series through x^-14 (its next term
+    is below 5e-17 there)."""
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    x2 = 1.0 / (x * x)
+    tail = x2 * (1 / 12 - x2 * (1 / 120 - x2 * (1 / 252 - x2 * (
+        1 / 240 - x2 * (1 / 132 - x2 * (691 / 32760 - x2 / 12))))))
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+_SERIES_EPS = 2.0 ** -56
+_SERIES_MAX_TERMS = 500
+
+
+def _hyp_series(a: float, b: float, c: float, x: np.ndarray) -> np.ndarray:
+    """sum_k (a)_k (b)_k / ((c)_k k!) x^k, vectorized over |x| <= 1/2.
+
+    Summed until a term is below 2^-56 of the sum everywhere, but not
+    before k passes the parameters (until then a ratio of successive
+    terms can exceed 1).  A nonpositive integer a or b ends the series.
+    """
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    k_min = max(abs(a), abs(b), abs(c)) + 2.0
+    for k in range(_SERIES_MAX_TERMS):
+        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * x
+        total += term
+        if k > k_min and not np.any(np.abs(term)
+                                    > _SERIES_EPS * np.abs(total)):
+            break
+    return total
+
+
+def _hyp2f1(a: float, b: float, c: float, z: np.ndarray,
+            w: np.ndarray) -> np.ndarray:
+    """2F1(a, b; c; z) for z in [0, 1) and nu = c - a - b > 0, vectorized.
+
+    ``w`` is 1 - z, passed separately so that a caller who knows it more
+    exactly than fl(1 - z) keeps those digits.  For z <= 1/2 the
+    Maclaurin series is summed.  Beyond it the connection formula
+    (DLMF 15.8.4) sums two series in w <= 1/2,
+
+        F = Gamma(c) Gamma(nu) / (Gamma(c-a) Gamma(c-b)) F(a, b; 1-nu; w)
+          + w^nu Gamma(c) Gamma(-nu) / (Gamma(a) Gamma(b))
+            F(c-a, c-b; 1+nu; w),
+
+    whose two terms grow like 1/|nu - m| and cancel as nu nears an
+    integer m, so about 1e-16/|nu - m| of relative accuracy is lost.  An
+    integer nu = m takes the logarithmic form (DLMF 15.8.10): a finite
+    sum of m terms, minus (-w)^m Gamma(c) / (Gamma(a) Gamma(b)) times
+
+        sum_n (a+m)_n (b+m)_n / (n! (n+m)!) w^n [log w - psi(n+1)
+              - psi(n+m+1) + psi(a+n+m) + psi(b+n+m)].
+
+    A nonpositive integer a or b makes F a polynomial, summed directly.
+    """
+    z = np.asarray(z, dtype=float)
+    if _rgamma(a) == 0.0 or _rgamma(b) == 0.0:
+        return _hyp_series(a, b, c, z)
+    out = np.empty(z.shape)
+    near = z > 0.5
+    out[~near] = _hyp_series(a, b, c, z[~near])
+    w = np.asarray(w, dtype=float)[near]
+    nu = c - a - b
+    m = round(nu)
+    gc = math.gamma(c)
+    if nu != m:
+        g1 = gc * math.gamma(nu) * _rgamma(c - a) * _rgamma(c - b)
+        g2 = gc * math.gamma(-nu) * _rgamma(a) * _rgamma(b)
+        out[near] = (g1 * _hyp_series(a, b, 1.0 - nu, w)
+                     + g2 * w ** nu * _hyp_series(c - a, c - b, 1.0 + nu, w))
+        return out
+    head = np.zeros_like(w)
+    coef = 1.0
+    wn = np.ones_like(w)
+    for n in range(m):
+        if n:
+            coef *= (a + n - 1.0) * (b + n - 1.0) / (n * (n - m))
+            wn = wn * w
+        head += coef * wn
+    head *= math.gamma(m) * gc * _rgamma(a + m) * _rgamma(b + m)
+    log_w = np.log(w)
+    tail = np.zeros_like(w)
+    coef = 1.0 / math.factorial(m)
+    wn = np.ones_like(w)
+    n_min = max(abs(a + m), abs(b + m)) + 2.0
+    for n in range(_SERIES_MAX_TERMS):
+        psi = (_digamma(a + n + m) + _digamma(b + n + m)
+               - _digamma(n + 1.0) - _digamma(n + m + 1.0))
+        term = coef * wn * (log_w + psi)
+        tail += term
+        if n > n_min and not np.any(np.abs(term)
+                                    > _SERIES_EPS * np.abs(tail)):
+            break
+        coef *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0))
+        wn = wn * w
+    out[near] = head - ((-1.0) ** m * gc * _rgamma(a) * _rgamma(b)
+                        * w ** m * tail)
+    return out
+
+
+def _edge_profile_exact(rho, N: int, sp: float, convention: str, v=None):
     """G(rho) = (1 - rho)^nu Phi(rho) from its closed form, vectorized.
 
     Gegenbauer's integral followed by Euler's transformation (DLMF 15.8)
     gives G = C0 (1+rho)^{-nu} 2F1(A, B; c; rho^2) with C0 = S B(a+1, 1/2),
     A = c - mu, B = 2a + 2 - mu, mu = (N+sp)/2 and c = a + 3/2.  The
     parameter excess c - A - B of this 2F1 is nu > 0, so it is bounded up
-    to and including rho = 1.
+    to and including rho = 1.  ``v`` is 1 - rho; a caller that knows it
+    more exactly than fl(1 - rho) passes it, and the 2F1 then takes
+    1 - rho^2 = v (2 - v) from it.
 
-    Very close to z = rho^2 = 1 (v = 1 - rho below about 3e-14) the 2F1
-    evaluation returns its z = 1 value and loses the v^nu term, so below
-    ``_V_MIN`` the edge expansion G = G(1) + d v^nu + O(v) takes over.
-    The connection formula (DLMF 15.8.4) gives it: the 2F1 splits into
-    an analytic part, G(1) + O(v), and (1 - z)^nu Gamma(c) Gamma(-nu) /
-    (Gamma(A) Gamma(B)) (1 + O(v)), and with 1 - z = v (1 + rho) the
-    powers of (1 + rho) cancel.  For an integer nu that term merges with
-    the analytic part and d is 0.
+    Below ``_V_MIN`` the edge expansion G = G(1) + d v^nu + O(v) is
+    used, with the exact endpoint of :func:`edge_limit`.  The connection
+    formula (DLMF 15.8.4) gives it: the 2F1 splits into an analytic part,
+    G(1) + O(v), and (1 - z)^nu Gamma(c) Gamma(-nu) / (Gamma(A) Gamma(B))
+    (1 + O(v)), and with 1 - z = v (1 + rho) the powers of (1 + rho)
+    cancel.  For an integer nu that term merges with the analytic part
+    and d is 0.
     """
     a = angular_exponent(N, convention)
     nu = edge_exponent(N, sp, convention)
     mu = (N + sp) / 2.0
     c = a + 1.5
     A, B = c - mu, 2.0 * a + 2.0 - mu
-    C0 = sphere_measure(N) * math.exp(gammaln(a + 1.0) + gammaln(0.5)
-                                      - gammaln(c))
+    C0 = sphere_measure(N) * math.exp(math.lgamma(a + 1.0)
+                                      + math.lgamma(0.5) - math.lgamma(c))
     rho = np.asarray(rho, dtype=float)
-    g = C0 * (1.0 + rho) ** (-nu) * hyp2f1(A, B, c, rho * rho)
-    v = 1.0 - rho
+    v = 1.0 - rho if v is None else np.asarray(v, dtype=float)
+    g = np.empty(rho.shape)
     edge = v < _V_MIN
+    far = ~edge
+    r, vf = rho[far], v[far]
+    g[far] = (C0 * (1.0 + r) ** (-nu)
+              * _hyp2f1(A, B, c, r * r, vf * (2.0 - vf)))
     if np.any(edge):
         d = 0.0
         if nu != round(nu):
-            d = C0 * gamma(c) * gamma(-nu) * rgamma(A) * rgamma(B)
-        g1 = edge_limit(N, sp, convention)
-        # [()] turns a 0-d result back into a scalar
-        g = np.where(edge, g1 + d * np.maximum(v, 0.0) ** nu, g)[()]
-    return g
+            d = C0 * math.gamma(c) * math.gamma(-nu) * _rgamma(A) * _rgamma(B)
+        g[edge] = (edge_limit(N, sp, convention)
+                   + d * np.maximum(v[edge], 0.0) ** nu)
+    return g[()]  # a 0-d result as a scalar
 
 
 def angular_reduction(rho, params: ProblemParams,
@@ -311,8 +443,9 @@ def _build_phi_table(N: int, sp: float, convention: str) -> PhiTable:
 
     x0 = math.log(_V_MIN)
     h_hi = (math.log(1.0 - (_RHO_SPLIT - 0.05)) - x0) / 1399
-    g_hi = _edge_profile_exact(1.0 - np.exp(x0 + k_hi * h_hi), N, sp,
-                               convention)
+    # knots at exact v, so 1 - rho^2 = v (2 - v) keeps all its digits
+    v_hi = np.exp(x0 + k_hi * h_hi)
+    g_hi = _edge_profile_exact(1.0 - v_hi, N, sp, convention, v=v_hi)
     return PhiTable(N=N, sp=sp, convention=convention, nu=nu, g1=g1,
                     _lo=_Hermite(0.0, h_lo, g_lo),
                     _hi=_Hermite(x0, h_hi, g_hi))
@@ -403,9 +536,11 @@ def riesz_power_constant(beta: float, N: int, s: float) -> float:
             f"beta={beta}: numerator Gamma argument out of range")
     if x4 == 0.0:
         return 0.0
-    sign = gammasgn(x1) * gammasgn(x2) * gammasgn(x3) * gammasgn(x4)
-    log_mag = gammaln(x1) + gammaln(x2) - gammaln(x3) - gammaln(x4)
-    return float(sign) * 2.0 ** (2.0 * s) * math.exp(log_mag)
+    sign = (_gamma_sign(x1) * _gamma_sign(x2) * _gamma_sign(x3)
+            * _gamma_sign(x4))
+    log_mag = (math.lgamma(x1) + math.lgamma(x2) - math.lgamma(x3)
+               - math.lgamma(x4))
+    return sign * 2.0 ** (2.0 * s) * math.exp(log_mag)
 
 
 def riesz_normalization(N: int, s: float) -> float:
@@ -416,7 +551,8 @@ def riesz_normalization(N: int, s: float) -> float:
     profile constant and :func:`riesz_power_constant` is
     ``2 / riesz_normalization(N, s)``.
     """
-    return (s * 4.0 ** s * math.exp(gammaln(N / 2.0 + s) - gammaln(1.0 - s))
+    return (s * 4.0 ** s
+            * math.exp(math.lgamma(N / 2.0 + s) - math.lgamma(1.0 - s))
             / math.pi ** (N / 2.0))
 
 

@@ -103,10 +103,11 @@ __all__ = [
 _SELF_CHECK_TOL = 1e-5
 _BLOCK_CELLS = 16  # cells per panel layout in _pair_corrections
 _TAIL_XI_CUT = 1e-6  # exterior coupling integrated up to xi = 1 - cut
-# quadrature points per array pass: float64 temporaries of up to 2^14
-# entries (128 kB) are reused from the heap, while larger ones are handed
-# back to the OS when freed and page-fault in again on the next pass
-_CHUNK_PTS = 1 << 14
+# quadrature points per array pass: float64 temporaries of 2^13 entries
+# (64 KiB) stay under glibc's default 128 KiB mmap threshold and are
+# reused from the heap; one at or above it (2^14 entries plus malloc's
+# header is) is mapped fresh and page-faults in again on every pass
+_CHUNK_PTS = 1 << 13
 # separated bands the verification pass re-integrates at twice the order
 _CHECK_BANDS = (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192,
                 256, 384)
@@ -293,24 +294,31 @@ def _separated(Kmat, r, h, N, sp, nu, S, G, order=_band_order, bands=None,
     Band d holds the cell pairs (c, c + d).  The bands of one Gauss order
     run as one pass over all their pairs, cut into chunks of whole pairs
     so that every pair is still reduced over its own (nd, nd) block.  The
-    four hat sums of each band (lo·lo, lo·hi, hi·lo, hi·hi) are then added
-    to K band by band in ascending order, so every entry receives the same
-    additions in the same order as a loop over single bands.  Returns the
-    sums of the bands in ``keep`` as {d: (4, M - d) array}.
+    four hat sums of a band (lo·lo, lo·hi, hi·lo, hi·hi) are added to K
+    as soon as the chunk that completes the band is done, in ascending
+    band order, so every entry receives the same additions in the same
+    order as a loop over single bands, and only the sums of the bands
+    still open are held.  Returns the sums of the bands in ``keep`` as
+    {d: (4, M - d) array}.
     """
     M = h.size
     kept = {}
     for nd, group in groupby(bands if bands is not None else range(2, M),
                              key=order):
-        group = list(group)
+        group = np.array(list(group))
         X, Wx = gauss_legendre_01(nd)
         lo = 1.0 - X
         hat = ((lo, lo), (lo, X), (X, lo), (X, X))
-        c = np.concatenate([np.arange(M - d) for d in group])
-        cp = c + np.repeat(group, [M - d for d in group])
-        sums = np.empty((4, c.size))
-        for pairs in _row_chunks(c.size, nd * nd):
-            ci, cj = c[pairs], cp[pairs]
+        # the group's pairs in band order, band b at [starts[b], ends[b])
+        ends = np.cumsum(M - group)
+        starts = ends - (M - group)
+        held = np.empty((4, 0))     # sums from the first open band on
+        done = 0                    # bands of the group added to K
+        for pairs in _row_chunks(int(ends[-1]), nd * nd):
+            k = np.arange(pairs.start, min(pairs.stop, ends[-1]))
+            b = np.searchsorted(ends, k, side="right")
+            ci = k - starts[b]
+            cj = ci + group[b]
             x = r[ci][:, None] + h[ci][:, None] * X[None, :]   # (pairs, nd)
             y = r[cj][:, None] + h[cj][:, None] * X[None, :]
             xx = x[:, :, None]
@@ -319,16 +327,19 @@ def _separated(Kmat, r, h, N, sp, nu, S, G, order=_band_order, bands=None,
                     * (yy - xx) ** (-nu) * G(xx / yy))
             base = base * (Wx[None, :, None] * Wx[None, None, :])
             base = base * (h[ci] * h[cj])[:, None, None]
-            for k, (hat_m, hat_k) in enumerate(hat):
-                sums[k, pairs] = (base * hat_m[None, :, None]
-                                  * hat_k[None, None, :]).sum(axis=(1, 2))
-        start = 0
-        for d in group:
-            band = sums[:, start:start + M - d]
-            start += M - d
-            _add_band(Kmat, d, band)
-            if d in keep:
-                kept[d] = band.copy()
+            sums = np.empty((4, k.size))
+            for j, (hat_m, hat_k) in enumerate(hat):
+                sums[j] = (base * hat_m[None, :, None]
+                           * hat_k[None, None, :]).sum(axis=(1, 2))
+            held = np.concatenate([held, sums], axis=1)
+            while done < group.size and ends[done] <= k[-1] + 1:
+                band_d = int(group[done])
+                band = held[:, :M - band_d]
+                held = held[:, M - band_d:]
+                done += 1
+                _add_band(Kmat, band_d, band)
+                if band_d in keep:
+                    kept[band_d] = band.copy()
     return kept
 
 
@@ -340,6 +351,31 @@ def _add_band(Kmat, d, sums):
     Kmat[c, cp + 1] += sums[1]
     Kmat[c + 1, cp] += sums[2]
     Kmat[c + 1, cp + 1] += sums[3]
+
+
+class _Diagonals:
+    """The diagonals j - i in {d - 1, d, d + 1} of an n x n matrix, for
+    the bands d given: every entry the hat sums of those bands reach.
+
+    Held as an (n, diagonals) array, ``values[i, k]`` being entry
+    (i, i + offsets[k]), with the offsets ascending, so its row-major
+    order is the full matrix's; it is indexed like the full matrix by
+    :func:`_add_band`.
+    """
+
+    def __init__(self, n: int, bands):
+        self.offsets = np.unique([d + e for d in bands for e in (-1, 0, 1)])
+        self._slot = np.zeros(n, dtype=np.intp)
+        self._slot[self.offsets] = np.arange(self.offsets.size)
+        self.values = np.zeros((n, self.offsets.size))
+
+    def __getitem__(self, index):
+        i, j = index
+        return self.values[i, self._slot[j - i]]
+
+    def __setitem__(self, index, value):
+        i, j = index
+        self.values[i, self._slot[j - i]] = value
 
 
 def _last_cell_xi_rule(sp, n_head=24, n_panel=12):
@@ -673,20 +709,23 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
     if rel[k] > dev:
         dev, worst = float(rel[k]), (k, k + 2)
 
-    # K1 holds the production sums of the check bands, in band order
-    K1 = np.zeros_like(Kmat)
+    # K1 holds the production sums of the check bands, in band order;
+    # K1 and K2 keep only the diagonals those bands reach
+    K1 = _Diagonals(M + 1, check_sums)
     for d, sums in check_sums.items():
         _add_band(K1, d, sums)
-    K2 = np.zeros_like(Kmat)
+    K2 = _Diagonals(M + 1, check_sums)
     _separated(K2, r, h, N, sp, nu, S, G,
                order=lambda d: 2 * _band_order(d), bands=list(check_sums))
-    mask = K1 > 0.0
+    mask = K1.values > 0.0
     if np.any(mask):
-        rel = np.abs(K2[mask] - K1[mask]) / K1[mask]
+        rel = (np.abs(K2.values[mask] - K1.values[mask])
+               / K1.values[mask])
         k = int(np.argmax(rel))
         if rel[k] > dev:
-            ii, jj = np.argwhere(mask)[k]
-            dev, worst = float(rel[k]), (int(ii), int(jj))
+            ii, slot = np.argwhere(mask)[k]
+            dev, worst = float(rel[k]), (int(ii),
+                                         int(ii + K1.offsets[slot]))
 
     # far-field corrections against finer t/s rules and a denser shared
     # xi rule (the last-cell mass already resolves the kernel edge)

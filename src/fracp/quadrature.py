@@ -15,18 +15,20 @@ is evaluated once per round, on the nodes of every panel of the round.
 
 The fixed-rule helpers :func:`gauss_legendre_01` and
 :func:`gauss_jacobi_01` are exposed for consumers that build
-deterministic tensor rules themselves (kernel matrix assembly).
+deterministic tensor rules themselves (kernel matrix assembly).  The
+Jacobi rules are computed here in numpy (Golub-Welsch, then one Newton
+step per node on the three-term recurrence).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import ConvergenceError, DomainError
 
@@ -81,11 +83,90 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x.copy(), w.copy()
 
 
+def _jacobi_pair(n: int, al, be, x):
+    """(p_n, p_{n-1}) with p_k = P_k^(al, be)(x) / P_k^(al, be)(1).
+
+    The three-term recurrence is run on the differences d_k = p_k -
+    p_{k-1}, with t = 2k + al + be:
+
+        d_{k+1} = ((t+1)(t+2) (x-1) p_k / 2 + k (k+be)(t+2) d_k / t)
+                  / ((k+al+1)(k+al+be+1)),
+
+    which keeps its digits toward x = 1.  ``al`` and ``be`` broadcast
+    against ``x``.
+    """
+    xm = x - 1.0
+    k = np.arange(1.0, n)[:, None]
+    t = 2.0 * k + al + be
+    den = (k + al + 1.0) * (k + al + be + 1.0)
+    ax = (t + 1.0) * (t + 2.0) / (2.0 * den) * xm
+    b = k * (k + be) * (t + 2.0) / (den * t)
+    d = (al + be + 2.0) * xm / (2.0 * (al + 1.0))
+    prev = np.ones_like(x)
+    p = prev + d
+    for i in range(n - 1):
+        d = ax[i] * p + b[i] * d
+        prev = p
+        p = p + d
+    return p, prev
+
+
 @lru_cache(maxsize=None)
 def _jacobi_cached(n: int, exp_at_1: float, exp_at_0: float):
-    x, w = roots_jacobi(int(n), exp_at_1, exp_at_0)
-    scale = 2.0 ** -(exp_at_1 + exp_at_0 + 1.0)
-    return 0.5 * (x + 1.0), scale * w
+    """The n-point Gauss rule of :func:`gauss_jacobi_01`.
+
+    Golub-Welsch on [-1, 1] with the weight (1-x)^alpha (1+x)^beta: the
+    nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix.  Each node then takes one Newton step on P_n, evaluated from
+    the end it is nearer to (P_n^(a,b)(x) = (-1)^n P_n^(b,a)(-x)), and
+    its weight is 1 / ((1 - x^2) P_n'(x)^2), scaled so that the weights
+    of the rule on [0, 1] sum to B(alpha + 1, beta + 1).
+    """
+    alpha, beta = exp_at_1, exp_at_0
+    k = np.arange(1.0, n)
+    s = 2.0 * k + alpha + beta
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (s * (s + 2.0))
+    off2 = np.empty(n - 1)
+    if n > 1:
+        # k = 1 with its factor (alpha + beta + 1) / (s - 1) cancelled
+        off2[0] = (4.0 * (1.0 + alpha) * (1.0 + beta)
+                   / ((2.0 + alpha + beta) ** 2 * (3.0 + alpha + beta)))
+        k, s = k[1:], s[1:]
+        off2[1:] = (4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+                    / (s * s * (s + 1.0) * (s - 1.0)))
+    J = np.diag(diag)
+    i = np.arange(n - 1)
+    J[i, i + 1] = J[i + 1, i] = np.sqrt(off2)
+    x = np.linalg.eigvalsh(J)
+
+    right = x >= 0.0
+    t = np.abs(x)
+    al = np.where(right, alpha, beta)
+    be = np.where(right, beta, alpha)
+    s = 2.0 * n + al + be
+
+    def newton_terms(t):
+        # P_n and P_n' in units of P_n(1), from (1 - t^2) P_n' =
+        # (n ((al - be) - s t) P_n + 2 (n + al)(n + be) P_{n-1}) / s and
+        # P_{n-1}(1) / P_n(1) = n / (n + al)
+        p, q = _jacobi_pair(n, al, be, t)
+        dp = (n * ((al - be) - s * t) * p + 2.0 * n * (n + be) * q) / (
+            s * (1.0 - t) * (1.0 + t))
+        return p, dp
+
+    p, dp = newton_terms(t)
+    t = t - p / dp
+    _, dp = newton_terms(t)
+    # the nodes read from the left end come in units of P_n^(beta,alpha)(1)
+    j = np.arange(1.0, n + 1.0)
+    dp = dp * np.where(right, 1.0, np.prod((beta + j) / (alpha + j)))
+    w = 1.0 / ((1.0 - t) * (1.0 + t) * dp * dp)
+    mass = (math.gamma(alpha + 1.0) * math.gamma(beta + 1.0)
+            / math.gamma(alpha + beta + 2.0))
+    x = np.where(right, t, -t)
+    return 0.5 * (x + 1.0), w * (mass / w.sum())
 
 
 def gauss_jacobi_01(n: int, exp_at_1: float = 0.0, exp_at_0: float = 0.0):
@@ -279,7 +360,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     def current_error():
         return sum(entry[4] for entry in heap)
 
-    for _ in range(spec.max_refinements + 1):
+    for _ in range(spec.max_refinements):
         err_now = current_error()
         target = spec.tol * max(abs(total), 1e-300)
         if err_now <= target or err_now <= 1e-15 * sum_abs:

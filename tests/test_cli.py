@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 import fracp
+from fracp.analysis import read_solution_csv, write_solution_csv
 from fracp.cli import main
 from fracp.config import parse_config
 from fracp.errors import UsageError
 from fracp.grid import RadialFunction
-from fracp.solver import read_solution_csv, write_solution_csv
 
 SMALL_CFG = """\
 params.N = 3
@@ -231,17 +231,35 @@ def test_missing_config_is_usage_error(tmp_path):
                  str(tmp_path / "absent.cfg")]) == 2
 
 
-def test_cold_start_skips_heavy_scipy_modules():
-    # every subcommand is one process, so the import of the entry point is
-    # paid each time: it must not pull in scipy's interpolation stack
-    # (which loads optimize, sparse and fft) nor linalg, which only the
-    # Newton step needs
-    heavy = ["scipy.interpolate", "scipy.optimize", "scipy.sparse",
-             "scipy.fft", "scipy.linalg"]
+def _scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running code."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, fracp.cli; "
-            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    probe = (code + "\nimport sys\nprint('scipy:', *sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == ""
+    return out.splitlines()[-1].split()[1:]
+
+
+def test_cold_start_skips_heavy_scipy_modules():
+    # every subcommand is one process, so the import of the entry point is
+    # paid each time: it loads no scipy module at all.  The solver loads
+    # scipy.linalg for the Newton step's Cholesky factorization, at import,
+    # and nothing of scipy.special
+    assert _scipy_modules_after("import fracp.cli") == []
+    loaded = _scipy_modules_after("import fracp.solver")
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.special")]
+
+
+def test_kernel_table_and_plotdata_processes_load_no_scipy(workdir,
+                                                           tmp_path):
+    # neither subcommand factors a matrix, so neither loads scipy
+    for name in ("u_bar.csv", "u_tilde.csv"):
+        shutil.copy(os.path.join(workdir["out"], name), tmp_path)
+    for argv in (["kernel-table", "--steps", "3"], ["plotdata"]):
+        argv += ["--config", workdir["cfg"], "--out", str(tmp_path)]
+        code = ("from fracp.cli import main\n"
+                f"assert main({argv!r}) == 0")
+        assert _scipy_modules_after(code) == [], argv[0]

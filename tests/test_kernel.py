@@ -124,6 +124,57 @@ def test_closed_form_matches_adaptive_oracle(N, sp, convention):
         pytest.approx(K.edge_limit(N, sp, convention), rel=1e-14)
 
 
+def _table_knots_z():
+    """z = rho^2 at every knot of both tables, guard knots included."""
+    h_lo = (K._RHO_SPLIT + 0.05) / 440
+    rho_lo = np.arange(-2, 443) * h_lo
+    x0 = math.log(K._V_MIN)
+    h_hi = (math.log(1.0 - (K._RHO_SPLIT - 0.05)) - x0) / 1399
+    rho_hi = 1.0 - np.exp(x0 + np.arange(-2, 1402) * h_hi)
+    rho = np.concatenate([rho_lo[rho_lo >= 0.0], rho_hi])
+    return rho * rho
+
+
+@pytest.mark.parametrize("convention", K.CONVENTIONS)
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+def test_hyp2f1_matches_scipy_at_the_table_knots(N, convention):
+    # scipy.special.hyp2f1 as the oracle, on the parameters of the edge
+    # profile's 2F1 and at the z of every table knot; w = 1 - z is exact
+    # there, so both sides see the same point
+    from scipy.special import hyp2f1
+
+    z = _table_knots_z()
+    w = 1.0 - z
+    a = K.angular_exponent(N, convention)
+    for sp in [0.05, 0.2, 0.5, 0.8, 1.0, 1.25, 1.5, 1.7, 2.0, 2.5, 2.99,
+               1.0 - 1e-6, 1.0 + 1e-6, 2.0 - 1e-6]:
+        mu = (N + sp) / 2.0
+        c = a + 1.5
+        A, B = c - mu, 2.0 * a + 2.0 - mu
+        nu = K.edge_exponent(N, sp, convention)
+        got = K._hyp2f1(A, B, c, z, w)
+        want = hyp2f1(A, B, c, z)
+        rel = np.abs(got / want - 1.0)
+        # next to an integer nu the connection formula's two terms grow
+        # like 1/|nu - m| and cancel, and take that factor of the digits
+        gap = abs(nu - round(nu))
+        tol = 1e-12 if gap == 0.0 or gap > 1e-3 else 1e-14 / gap
+        assert rel.max() <= tol, (sp, z[rel.argmax()])
+
+
+def test_gamma_helpers_match_scipy():
+    from scipy.special import gammasgn, psi, rgamma
+
+    for x in [-3.0, -2.5, -1.0, -0.7, 0.0, 0.3, 1.0, 1.4616321449683622,
+              2.5, 9.75, 10.0, 17.3, 120.0]:
+        assert K._rgamma(x) == pytest.approx(rgamma(x), rel=1e-14, abs=0.0)
+        if x != math.floor(x) or x > 0.0:
+            assert K._gamma_sign(x) == gammasgn(x)
+            # psi has a root near 1.46, so its error is absolute there
+            assert K._digamma(x) == pytest.approx(psi(x), rel=1e-14,
+                                                  abs=1e-15)
+
+
 def test_fresh_phi_table_needs_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the phi table must not call quadrature")
@@ -175,13 +226,21 @@ def test_phi_table_matches_adaptive(inst35):
 
 
 @pytest.mark.parametrize("convention", K.CONVENTIONS)
-@pytest.mark.parametrize("N, sp", [(3, 1.0), (3, 1.25), (4, 0.8), (5, 1.7)])
+@pytest.mark.parametrize("N, sp", [(3, 1.0), (3, 1.25), (4, 0.8), (5, 1.7),
+                                   (6, 0.05), (3, 0.2)])
 def test_phi_table_dense_past_the_split(N, sp, convention):
     # the whole table range rho in [0, 1 - 1e-12] against the closed form:
     # an even grid over the rho table and past the split, a ladder toward
     # the edge, and each interpolant alone over its whole knot range, so
     # the end knots and the end intervals (slopes from guard knots) too
     tab = K.get_phi_table(N, sp, convention)
+    # next to the edge against the integral itself: under "n-2" with a
+    # small sp, G moves fast in v there, so a knot placed off its exact v
+    # shows; v a power of two, so 1 - (1 - v) round-trips exactly
+    for e in range(30, 53):
+        v = 2.0 ** -e
+        want = _adaptive_edge_profile(v, N, sp, convention)
+        assert tab.edge_profile(1.0 - v) == pytest.approx(want, rel=5e-8), e
     rho = np.concatenate([np.linspace(0.0, 0.7, 7001),
                           1.0 - np.geomspace(1e-12, 0.3, 400)])
     want = K._edge_profile_exact(rho, N, sp, convention)

@@ -570,6 +570,31 @@ def test_separated_matches_band_loop_bitwise(K48, p25, M):
     assert _same_bits(K2, ref2)
 
 
+def test_diagonal_store_holds_the_check_bands_bitwise(p25):
+    # the verification pass keeps only the diagonals its check bands
+    # reach; filled by the same band additions, they hold the full
+    # matrix's bits, and the full matrix has nothing off them
+    M = 128
+    grid = make_radial_grid(tail_exponent=2.0, R_max=64.0, M=M,
+                            grading=1.03)
+    args, _, _ = _far_field_inputs(grid, p25, PRODUCTION_RULES)
+    check = [d for d in op._CHECK_BANDS if d < M]
+    double = lambda d: 2 * op._band_order(d)  # noqa: E731
+    full = np.zeros((M + 1, M + 1))
+    _separated_by_band(full, *args, order=double, bands=check)
+    store = op._Diagonals(M + 1, check)
+    op._separated(store, *args, order=double, bands=check)
+    i, j = np.nonzero(full)
+    assert set(np.unique(j - i)) <= set(store.offsets.tolist())
+    rows = np.arange(M + 1)[:, None]
+    cols = rows + store.offsets[None, :]
+    inside = cols <= M
+    assert _same_bits(store.values[inside],
+                      full[np.broadcast_to(rows, cols.shape)[inside],
+                           cols[inside]])
+    assert not np.any(store.values[~inside])
+
+
 @pytest.mark.parametrize("p", [2.0, 2.5])
 def test_assembly_bits_do_not_depend_on_the_chunk_size(K48, p2, p25, p,
                                                        monkeypatch):
@@ -602,3 +627,21 @@ def test_assembly_peak_memory_is_bounded(p25):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_assembly_peak_memory_at_512(p25):
+    # at M = 512 each (M+1)^2 array is 2.1 MB: K itself, plus one pass of
+    # at most _CHUNK_PTS points at a time.  The separated bands are added
+    # to K as they complete and the verification pass compares its check
+    # bands on their diagonals only, so no second or third full matrix
+    # is held (11.7 MB when both were)
+    grid = make_radial_grid(tail_exponent=p25.beta_star, R_max=64.0, M=512,
+                            grading=1.03)
+    op.assemble(grid, p25)          # phi table and Gauss rules cached
+    tracemalloc.start()
+    try:
+        op.assemble(grid, p25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5e6

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracp.analysis import write_solution_csv
 from fracp.errors import DomainError, UsageError
 from fracp.grid import RadialGrid, RadialFunction, make_radial_grid
 from fracp.params import ProblemParams
@@ -489,8 +490,8 @@ def test_write_solution_csv(tmp_path, p2, inst_oracle):
     rhs = prob.reaction(u.values)
     res = prob.at(u.values).gradient
     path = os.path.join(tmp_path, "sol.csv")
-    sv.write_solution_csv(u, p2, path, rhs=rhs, residual=res,
-                          converged=rep.converged)
+    write_solution_csv(u, p2, path, rhs=rhs, residual=res,
+                       converged=rep.converged)
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     assert grid.grid_hash in text
@@ -500,10 +501,10 @@ def test_write_solution_csv(tmp_path, p2, inst_oracle):
     assert len(lines) == 3 + grid.nodes.size
     # determinism: a second write is byte-identical
     path2 = os.path.join(tmp_path, "sol2.csv")
-    sv.write_solution_csv(u, p2, path2, rhs=rhs, residual=res,
-                          converged=rep.converged)
+    write_solution_csv(u, p2, path2, rhs=rhs, residual=res,
+                       converged=rep.converged)
     with open(path2, "r", encoding="ascii") as fh:
         assert fh.read() == text
     with pytest.raises(UsageError):
-        sv.write_solution_csv(u, p2, path, rhs=rhs[:3], residual=res,
-                              converged=True)
+        write_solution_csv(u, p2, path, rhs=rhs[:3], residual=res,
+                           converged=True)
