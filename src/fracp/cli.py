@@ -113,42 +113,39 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _run_continuation(cfg: RunConfig, grid, K):
-    from .solver import solve_pure_singular
-    params = cfg.params
-    u, reports = solve_pure_singular(params, grid, K, cfg.schedule(),
-                                     tol=cfg.solver.tol)
-    stationary = all(r.residual_norm <= cfg.solver.tol for r in reports)
+def _solve_singular(cfg: RunConfig, args):
+    """Assemble, run the continuation, print its levels, write u_bar.csv.
+
+    Returns the kernel matrix, u_bar, the CSV path and whether every
+    level met its stationarity tolerance.  The CSV's right-hand side and
+    residual are those of the level the continuation stopped at.
+    """
+    from .solver import RegularizedProblem, solve_pure_singular
+    params, tol = cfg.params, cfg.solver.tol
+    grid = cfg.build_grid()
+    K = assemble(grid, params, cfg.quad)
+    schedule = cfg.schedule()
+    print(f"{args.command}: continuation over n = {schedule}")
+    u, reports = solve_pure_singular(params, grid, K, schedule, tol=tol)
+    stationary = all(r.residual_norm <= tol for r in reports)
     settled = reports[-1].converged
-    for n, rep in zip(cfg.schedule(), reports):
+    for n, rep in zip(schedule, reports):
         print(f"  n={n:<6d} iters={rep.iterations:<3d} "
               f"residual={rep.residual_norm:.3e} energy={rep.final_energy!r}")
     if not settled:
         print("  note: continuation not settled at schedule end "
               "(successive levels still move more than solver.tol); "
               "the last level is reported")
-    return u, reports, stationary, settled
-
-
-def _write_singular(cfg: RunConfig, grid, K, u, converged: bool, out: str):
-    from .solver import RegularizedProblem
-    params = cfg.params
-    n_last = cfg.schedule()[-1]
-    prob = RegularizedProblem(params, n_last, grid, K)
-    path = os.path.join(out, "u_bar.csv")
+    prob = RegularizedProblem(params, schedule[len(reports) - 1], grid, K)
+    path = os.path.join(_out_dir(cfg, args), "u_bar.csv")
     write_solution_csv(u, params, path, rhs=prob.reaction(u.values),
                        residual=prob.at(u.values).gradient,
-                       converged=converged)
-    return path
+                       converged=stationary and settled)
+    return K, u, path, stationary
 
 
 def _cmd_solve_singular(cfg: RunConfig, args) -> int:
-    grid = cfg.build_grid()
-    K = assemble(grid, cfg.params, cfg.quad)
-    print(f"solve-singular: continuation over n = {cfg.schedule()}")
-    u, reports, stationary, settled = _run_continuation(cfg, grid, K)
-    out = _out_dir(cfg, args)
-    path = _write_singular(cfg, grid, K, u, stationary and settled, out)
+    _, _, path, stationary = _solve_singular(cfg, args)
     print(f"solve-singular: profile -> {path}")
     if not stationary:
         print("solve-singular: a regularization level missed its "
@@ -166,19 +163,15 @@ def _cmd_solve_full(cfg: RunConfig, args) -> int:
     if kappa > 0.0 and params.r_exp is None:
         raise ConfigError(
             "kappa > 0 needs params.r_exp in the config, see (H_f)")
-    grid = cfg.build_grid()
-    K = assemble(grid, params, cfg.quad)
-    print(f"solve-full: continuation over n = {cfg.schedule()}")
-    u_bar, _, stationary, settled = _run_continuation(cfg, grid, K)
-    out = _out_dir(cfg, args)
-    _write_singular(cfg, grid, K, u_bar, stationary and settled, out)
+    K, u_bar, path, stationary = _solve_singular(cfg, args)
     if not stationary:
         print("solve-full: continuation did not converge", file=sys.stderr)
         return 3
 
+    grid = u_bar.grid
     u_t, rep = solve_full(params, grid, K, u_bar, kappa, tol=cfg.solver.tol)
     prob = TruncatedProblem(params, grid, K, u_bar, kappa)
-    path = os.path.join(out, "u_tilde.csv")
+    path = os.path.join(os.path.dirname(path), "u_tilde.csv")
     write_solution_csv(u_t, params, path, rhs=prob.reaction(u_t.values),
                        residual=prob.at(u_t.values).gradient,
                        converged=rep.converged)

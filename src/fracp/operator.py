@@ -96,7 +96,6 @@ __all__ = [
     "energy_terms",
     "energy_seminorm",
     "weak_residual",
-    "energy_hessian",
     "weight_a",
 ]
 
@@ -501,10 +500,12 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     Interior cells couple through the shared Jacobi rule; the outermost
     cell sees the kernel edge as xi -> 1, so it uses the graded xi rule
     with radially graded panels toward R_max wherever the edge is closer
-    than two cell widths (one padded array pass over all ``xi_l``
-    nodes).  The sliver beyond 1 - 1e-6 is dropped: the tail profile
-    matches the boundary value continuously, so the energy integrand of
-    any profile on this grid vanishes at that corner.
+    than two cell widths.  Those panel sets are padded to one common
+    length once, then evaluated in chunks of at most ``_CHUNK_PTS``
+    points, one ``xi_l`` node per row.  The sliver beyond 1 - 1e-6 is
+    dropped: the tail profile matches the boundary value continuously,
+    so the energy integrand of any profile on this grid vanishes at
+    that corner.
     """
     M = h.size
     yx, wx = gauss_legendre_01(n_hat)
@@ -534,14 +535,17 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     # a zero scale leaves the single panel [r_a, R]
     ptsx = _graded_rows(r[a], R, np.where(gap < 2.0 * ha, 0.5 * gap, 0.0),
                         toward_b=True, factor=2.0, max_panels=60)
-    wid = np.diff(ptsx, axis=1)[:, :, None]
-    xg = ptsx[:, :-1, None] + wid * yx
-    rho = xg * xi_l[:, None, None] / R
-    phi = G(rho) * (1.0 - rho) ** (-nu)
-    val = pref * wxi_l[:, None, None] * xg ** (N - 1) * phi * (wid * wx)
-    frac = (xg - r[a]) / ha
-    W[a, nq_s:] = (val * (1.0 - frac)).sum(axis=(1, 2))
-    W[a + 1, nq_s:] = (val * frac).sum(axis=(1, 2))
+    Wa, Wb = W[a, nq_s:], W[a + 1, nq_s:]
+    for rows in _row_chunks(xi_l.size, (ptsx.shape[1] - 1) * n_hat):
+        wid = np.diff(ptsx[rows], axis=1)[:, :, None]
+        xg = ptsx[rows, :-1, None] + wid * yx
+        rho = xg * xi_l[rows, None, None] / R
+        phi = G(rho) * (1.0 - rho) ** (-nu)
+        val = (pref * wxi_l[rows, None, None] * xg ** (N - 1) * phi
+               * (wid * wx))
+        frac = (xg - r[a]) / ha
+        Wa[rows] = (val * (1.0 - frac)).sum(axis=(1, 2))
+        Wb[rows] = (val * frac).sum(axis=(1, 2))
     return tail_xi, W
 
 
@@ -895,12 +899,6 @@ def weak_residual(u: RadialFunction, K: KernelMatrix,
                   params: ProblemParams) -> np.ndarray:
     """Nodal pairing values R_i = (1/p) dE/dU_i (dual coefficients)."""
     return energy_terms(u, K, params).residual()
-
-
-def energy_hessian(u: RadialFunction, K: KernelMatrix,
-                   params: ProblemParams) -> np.ndarray:
-    """Dense second derivative of energy_seminorm / p at u."""
-    return energy_terms(u, K, params).hessian()
 
 
 def weight_a(r, params: ProblemParams):

@@ -432,48 +432,58 @@ def minimize_Jn(prob: RegularizedProblem, init: RadialFunction,
     return RadialFunction(prob.grid, _finish(prob, pt, rep, tol)), rep
 
 
+def _levels(params: ProblemParams, grid: RadialGrid, K: KernelMatrix,
+            schedule, tol: float):
+    """Minimize the levels J_n of the schedule in order; yields (u_n, report).
+
+    The first level starts at (1 + r^2)^{-beta_star/2} and each later
+    one from its predecessor's minimizer.  A level that drops below its
+    predecessor by more than ``tol`` (the sequence is monotone in exact
+    arithmetic) is flagged unconverged.  Every level is minimized in
+    one set of buffers, dropped with the generator, by the module's
+    :func:`minimize_Jn` as bound at call time, so a wrapper installed on
+    ``fracp.solver.minimize_Jn`` sees every level.
+    """
+    vals = (1.0 + grid.nodes ** 2) ** (-params.beta_star / 2.0)
+    buffers = _Buffers(K)
+    for k, n in enumerate(schedule):
+        prob = RegularizedProblem(params, n, grid, K)
+        prob._buffers = buffers
+        u, rep = minimize_Jn(prob, RadialFunction(grid, vals), tol)
+        if k and float((u.values - vals).min()) < -tol:
+            rep.converged = False
+        yield u, rep
+        vals = u.values
+
+
 def solve_pure_singular(params: ProblemParams, grid: RadialGrid,
                         K: KernelMatrix, schedule, tol: float
                         ) -> tuple[RadialFunction, list]:
     """Continuation in the shift index; returns the last level's minimizer.
 
-    The schedule must be strictly increasing and start at 1.  Levels are
-    warm-started from each other; the run stops early once successive
-    minimizers agree within ``tol`` in sup norm.  A level whose solution
-    drops below its predecessor by more than ``tol`` (the sequence is
-    monotone in exact arithmetic) is flagged unconverged, as is the
-    final level when the schedule runs out before the Cauchy criterion
-    is met.  Every level is minimized in one set of buffers,
-    dropped when the continuation returns.
+    The schedule must be strictly increasing and start at 1.  The levels
+    are those of :func:`_levels`; the run stops early once successive
+    minimizers agree within ``tol`` in sup norm, and the final level is
+    flagged unconverged when the schedule runs out before that Cauchy
+    criterion is met.
     """
     schedule = [int(n) for n in schedule]
     if not schedule or schedule[0] != 1:
         raise UsageError("continuation schedule must start at n=1")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise UsageError("continuation schedule must be strictly increasing")
-    r = grid.nodes
-    vals = (1.0 + r ** 2) ** (-params.beta_star / 2.0)
     reports = []
     prev = None
-    settled = False
-    buffers = _Buffers(K)
-    for n in schedule:
-        prob = RegularizedProblem(params, n, grid, K)
-        prob._buffers = buffers
-        u, rep = minimize_Jn(prob, RadialFunction(grid, vals), tol)
-        if prev is not None:
-            drop = float((u.values - prev).min())
-            if drop < -tol:
-                rep.converged = False
-            settled = bool(np.abs(u.values - prev).max() <= tol)
+    for u, rep in _levels(params, grid, K, schedule, tol):
         reports.append(rep)
-        vals = u.values
-        prev = vals
+        settled = prev is not None and bool(
+            np.abs(u.values - prev.values).max() <= tol)
+        prev = u
         if settled:
             break
     if not settled and len(schedule) > 1:
         reports[-1].converged = False
-    return RadialFunction(grid, vals), reports
+    return prev, reports
 
 
 def solve_capacitary(R: float, params: ProblemParams, grid: RadialGrid,

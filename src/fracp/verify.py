@@ -28,7 +28,7 @@ from .kernel import PIPELINE_CONVENTION, cross_check_p2, power_profile_constant
 from .operator import assemble, energy_seminorm, weak_residual
 from .params import ProblemParams
 from .quadrature import QuadratureSpec
-from .solver import (RegularizedProblem, doubling_schedule, minimize_Jn,
+from .solver import (RegularizedProblem, _levels, doubling_schedule,
                      solve_capacitary, solve_full, solve_pure_singular)
 
 __all__ = ["VerifySettings", "run_acceptance"]
@@ -37,6 +37,8 @@ __all__ = ["VerifySettings", "run_acceptance"]
 ZERO_TRIPLES = ((3, 0.5, 2.0), (3, 0.5, 2.5), (4, 0.4, 2.0))
 # p = 2 members of the family, where the Gamma closed form applies
 RIESZ_PAIRS = ((3, 0.5), (4, 0.4))
+# solver tolerance of the truncation battery
+_TRUNC_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class VerifySettings:
     schedule_max_n: int = 128
     trunc_max_n: int = 16384
     tol: float = 1e-8
-    trunc_tol: float = 1e-5
     seed: int = 20240817
 
 
@@ -213,19 +214,16 @@ def _check_continuation(report: VerificationReport, st: VerifySettings,
                         p2: ProblemParams, cache: dict):
     """Level-by-level monotonicity and energy flatness; returns u-bar."""
     g, K = _grid_and_matrix(cache, p2, st, st.M, p2.beta_star)
+    schedule = doubling_schedule(st.schedule_max_n)
     family = []
-    prev = RadialFunction(g, (1.0 + g.nodes ** 2) ** (-p2.beta_star / 2.0))
     worst = 0.0
     stationary = True
-    for n in doubling_schedule(st.schedule_max_n):
-        prob = RegularizedProblem(p2, n, g, K)
-        cur, rep = minimize_Jn(prob, prev, tol=st.tol)
+    for n, (cur, rep) in zip(schedule, _levels(p2, g, K, schedule, st.tol)):
         stationary &= _stationary(report, f"continuation level n={n}", rep,
                                   st.tol)
         if family:
-            worst = min(worst, float((cur.values - prev.values).min()))
+            worst = min(worst, float((cur.values - family[-1].values).min()))
         family.append(cur)
-        prev = cur
     u_bar = family[-1]
     scale = float(u_bar.values.max())
     normalized = worst / scale
@@ -274,10 +272,10 @@ def _check_truncation(report: VerificationReport, st: VerifySettings,
     g, K = _grid_and_matrix(cache, p25, st, st.M, p25.beta_star)
     schedule = doubling_schedule(st.trunc_max_n)
     u_bar, levels = solve_pure_singular(p25, g, K, schedule=schedule,
-                                        tol=st.trunc_tol)
+                                        tol=_TRUNC_TOL)
     # every level's miss gets its note, so no short-circuit here
     floor_ok = all([_stationary(report, f"truncation level n={n}", rep,
-                                st.trunc_tol)
+                                _TRUNC_TOL)
                     for n, rep in zip(schedule, levels)])
     scale = float(u_bar.values.max())
     report.note(
@@ -286,9 +284,9 @@ def _check_truncation(report: VerificationReport, st: VerifySettings,
         f"regularization levels up to n={st.trunc_max_n}")
     min_exp = float("inf")
     for kappa in (0.0, 0.5, 1.0):
-        u_t, rep = solve_full(p25, g, K, u_bar, kappa, tol=st.trunc_tol)
+        u_t, rep = solve_full(p25, g, K, u_bar, kappa, tol=_TRUNC_TOL)
         ok = _stationary(report, f"truncated solve kappa={kappa:g}", rep,
-                         st.trunc_tol)
+                         _TRUNC_TOL)
         drop = float((u_t.values - u_bar.values).min()) / scale
         report.add_check(CheckRecord(
             f"truncation-order-kappa-{kappa:g}",
@@ -296,8 +294,8 @@ def _check_truncation(report: VerificationReport, st: VerifySettings,
         if kappa == 0.0:
             gap = float(np.abs(u_t.values - u_bar.values).max())
             report.add_check(CheckRecord(
-                "truncation-kappa0-gap", gap <= 10.0 * st.trunc_tol, gap,
-                0.0, 10.0 * st.trunc_tol))
+                "truncation-kappa0-gap", gap <= 10.0 * _TRUNC_TOL, gap,
+                0.0, 10.0 * _TRUNC_TOL))
         fit = fit_decay(u_t)
         min_exp = min(min_exp, fit.exponent)
         if kappa == 1.0:

@@ -129,6 +129,25 @@ def test_singular_csv_roundtrip(workdir):
     assert rows[:, 3].min() > 0.0
 
 
+def test_settled_continuation_writes_the_level_it_returns(tmp_path, capsys):
+    # README parameters at a loose tolerance: successive levels agree
+    # within tol at n = 512, long before the schedule ends at 4096, and
+    # the stored residual must be that of the level actually returned
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("params.N = 3\nparams.s = 0.5\nparams.p = 2.5\n"
+                   "params.gamma = 0.5\nparams.r_exp = 1.2\n"
+                   "grid.nodes = 64\nsolver.tol = 1e-3\n"
+                   "solver.schedule_max_n = 4096\n"
+                   f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["solve-singular", "--config", str(cfg)]) == 0
+    assert "n=4096 " not in capsys.readouterr().out
+    path = os.path.join(tmp_path, "out", "u_bar.csv")
+    _, meta = read_solution_csv(path)
+    assert meta["converged"] is True
+    rows = np.loadtxt(path, delimiter=",", skiprows=3)
+    assert np.abs(rows[:, 4]).max() <= 1e-3
+
+
 def test_full_csv_dominates_singular(workdir):
     u_bar, _ = read_solution_csv(os.path.join(workdir["out"], "u_bar.csv"))
     u_t, meta = read_solution_csv(os.path.join(workdir["out"],

@@ -318,6 +318,47 @@ def test_pure_singular_warm_start_independence(p2, inst2):
     assert np.abs(u_a.values - u_b.values).max() <= 5.0 * tol
 
 
+def _fresh_chain(params, grid, K, schedule, tol):
+    """The continuation spelled out: minimize_Jn per level, each call
+    pricing into buffers of its own, warm-started from the last level."""
+    vals = (1.0 + grid.nodes ** 2) ** (-params.beta_star / 2.0)
+    chain = []
+    for n in schedule:
+        prob = sv.RegularizedProblem(params, n, grid, K)
+        u, rep = sv.minimize_Jn(prob, RadialFunction(grid, vals), tol)
+        chain.append((u, rep))
+        vals = u.values
+    return chain
+
+
+@pytest.mark.parametrize("which", ["p2", "p25"])
+def test_levels_with_shared_buffers_match_fresh_minimizations(which,
+                                                              request):
+    params = request.getfixturevalue(which)
+    grid, K = request.getfixturevalue("inst" + which[1:])
+    schedule = [1, 2, 4, 8, 16]
+    got = list(sv._levels(params, grid, K, schedule, 1e-10))
+    want = _fresh_chain(params, grid, K, schedule, 1e-10)
+    assert len(got) == len(want)
+    for (u, rep), (v, ref) in zip(got, want):
+        assert np.array_equal(u.values, v.values)
+        assert rep == ref
+
+
+def test_pure_singular_settles_early_at_a_loose_tol(p2, inst2):
+    # at tol 1e-3 successive levels agree within tol long before n = 4096
+    grid, K = inst2
+    tol = 1e-3
+    schedule = sv.doubling_schedule(4096)
+    u, reports = sv.solve_pure_singular(p2, grid, K, schedule, tol)
+    k = len(reports)
+    assert 2 <= k < len(schedule)
+    assert reports[-1].converged
+    chain = _fresh_chain(p2, grid, K, schedule[:k], tol)
+    assert np.array_equal(u.values, chain[-1][0].values)
+    assert np.abs(chain[-1][0].values - chain[-2][0].values).max() <= tol
+
+
 def test_pure_singular_schedule_validation(p2, inst2):
     grid, K = inst2
     with pytest.raises(UsageError):

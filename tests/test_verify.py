@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from fracp import verify
+from fracp import solver, verify
 from fracp.analysis import VerificationReport
 from fracp.params import ProblemParams
 
@@ -57,13 +57,13 @@ def test_continuation_passes_when_every_level_is_stationary(settings, p2,
 
 def test_continuation_fails_on_a_missed_level(settings, p2, cache,
                                               monkeypatch):
-    real = verify.minimize_Jn
+    real = solver.minimize_Jn
 
     def miss_level_2(prob, init, tol):
         u, rep = real(prob, init, tol)
         return u, (_missed(rep) if prob.n == 2 else rep)
 
-    monkeypatch.setattr(verify, "minimize_Jn", miss_level_2)
+    monkeypatch.setattr(solver, "minimize_Jn", miss_level_2)
     report = VerificationReport(p2)
     verify._check_continuation(report, settings, p2, cache)
     assert _checks(report, "continuation-monotone") == {
