@@ -279,6 +279,43 @@ def _hyp2f1(a: float, b: float, c: float, z: np.ndarray,
     return out
 
 
+def _profile_constants(N: int, sp: float, convention: str):
+    """(a, nu, mu, c, C0) of Phi = C0 2F1(mu, mu - a - 1/2; c; rho^2),
+    with C0 = S B(a+1, 1/2), S = sphere_measure(N)."""
+    a = angular_exponent(N, convention)
+    nu = edge_exponent(N, sp, convention)
+    mu = (N + sp) / 2.0
+    c = a + 1.5
+    C0 = sphere_measure(N) * math.exp(math.lgamma(a + 1.0)
+                                      + math.lgamma(0.5) - math.lgamma(c))
+    return a, nu, mu, c, C0
+
+
+def _profile_series(N: int, sp: float, convention: str) -> np.ndarray:
+    """Coefficients phi_k of Phi(rho) = sum_k phi_k rho^{2k}, for rho <= 1/2.
+
+    The terms of C0 2F1(mu, mu - a - 1/2; c; rho^2), from the term
+    recurrence; all of them are positive.  At rho = 1/2 the ratio of
+    successive terms is (1 + sp/k + O(k^-2))/4.  The series is cut at the
+    first term beyond the parameters (as in :func:`_hyp_series`) whose
+    value at rho = 1/2 is at most 2^-54 phi_0.  The ratios stay below
+    1/2 from there on (below 0.3 for N = 3..8 and sp across (0, N)), so
+    everything cut off sums to at most the unit roundoff 2^-53 times
+    phi_0, and so times Phi(rho), for every rho <= 1/2.
+    """
+    a, _, mu, c, C0 = _profile_constants(N, sp, convention)
+    b = mu - a - 0.5
+    k_min = max(mu, b, c) + 2.0
+    terms = [C0]
+    k = 0
+    while True:
+        nxt = terms[-1] * ((mu + k) * (b + k) / ((c + k) * (k + 1.0)))
+        k += 1
+        if k > k_min and nxt * 0.25 ** k <= 2.0 ** -54 * C0:
+            return np.array(terms)
+        terms.append(nxt)
+
+
 def _edge_profile_exact(rho, N: int, sp: float, convention: str, v=None):
     """G(rho) = (1 - rho)^nu Phi(rho) from its closed form, vectorized.
 
@@ -298,13 +335,8 @@ def _edge_profile_exact(rho, N: int, sp: float, convention: str, v=None):
     cancel.  For an integer nu that term merges with the analytic part
     and d is 0.
     """
-    a = angular_exponent(N, convention)
-    nu = edge_exponent(N, sp, convention)
-    mu = (N + sp) / 2.0
-    c = a + 1.5
+    a, nu, mu, c, C0 = _profile_constants(N, sp, convention)
     A, B = c - mu, 2.0 * a + 2.0 - mu
-    C0 = sphere_measure(N) * math.exp(math.lgamma(a + 1.0)
-                                      + math.lgamma(0.5) - math.lgamma(c))
     rho = np.asarray(rho, dtype=float)
     v = 1.0 - rho if v is None else np.asarray(v, dtype=float)
     g = np.empty(rho.shape)

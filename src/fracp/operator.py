@@ -53,15 +53,20 @@ within-cell and equal-slope adjacent parts stay exact); all weights stay
 nonnegative, which the monotonicity and comparison arguments downstream
 rely on.
 
-Everything is assembled with fixed-order Gauss rules in a fixed
-evaluation order, so a given (grid, params) input always produces the
-same matrix bit for bit.  Each block is evaluated in array passes of at
-most ``_CHUNK_PTS`` quadrature points, cut between rows (cells, cell
-pairs or radii) that are reduced on their own, so the pass size bounds
-the temporaries without changing a bit; the separated bands of one
-Gauss order share their passes.  A verification pass re-integrates
-every block at elevated order and records the worst relative deviation
-as ``assembly_error``; a deviation beyond 1e-5 raises
+Everything is assembled in a fixed evaluation order, so a given
+(grid, params) input always produces the same matrix bit for bit.  The
+near field uses fixed-order Gauss rules.  Each block is evaluated in
+array passes of at most ``_CHUNK_PTS`` quadrature points, cut between
+rows (cells, cell pairs or radii) that are reduced on their own, so the
+pass size bounds the temporaries without changing a bit; the separated
+bands of one Gauss order share their passes.  Far cell pairs, those with
+r_{c'} >= 2 r_{c+1}, take no quadrature: there r/r' <= 1/2, Phi is its
+power series in (r/r')^2 (:func:`fracp.kernel._profile_series`), and the
+kernel separates, so their hat sums are products of closed-form hat
+moments, summed without BLAS in tiles fixed by the grid.  A verification
+pass re-integrates every block at elevated order, the far pairs of its
+check bands included, and records the worst relative deviation as
+``assembly_error``; a deviation beyond 1e-5 raises
 :class:`~fracp.errors.ConvergenceError` naming the offending cell pair.
 """
 
@@ -76,6 +81,7 @@ from .errors import ConvergenceError, DomainError, FracpError, UsageError
 from .grid import RadialFunction, RadialGrid
 from .kernel import (
     PIPELINE_CONVENTION,
+    _profile_series,
     edge_exponent,
     get_phi_table,
     unit_sphere_area,
@@ -100,13 +106,18 @@ __all__ = [
 ]
 
 _SELF_CHECK_TOL = 1e-5
-_BLOCK_CELLS = 16  # cells per panel layout in _pair_corrections
 _TAIL_XI_CUT = 1e-6  # exterior coupling integrated up to xi = 1 - cut
 # quadrature points per array pass: float64 temporaries of 2^13 entries
 # (64 KiB) stay under glibc's default 128 KiB mmap threshold and are
 # reused from the heap; one at or above it (2^14 entries plus malloc's
 # header is) is mapped fresh and page-faults in again on every pass
 _CHUNK_PTS = 1 << 13
+# far-field tiles of _FAR_ROWS x _FAR_COLS cell pairs: their four hat
+# sums fill one _CHUNK_PTS array.  Fixed here, so the tiling, and with it
+# every bit of the far field, is a property of the grid alone
+_FAR_ROWS = 32
+_FAR_COLS = _CHUNK_PTS // (4 * _FAR_ROWS)
+_UNIT_ROUNDOFF = 2.0 ** -53
 # separated bands the verification pass re-integrates at twice the order
 _CHECK_BANDS = (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192,
                 256, 384)
@@ -176,7 +187,9 @@ def _require_match(grid: RadialGrid, K: KernelMatrix, params: ProblemParams):
 
 def _band_order(d: int) -> int:
     # integrands on separated pairs are analytic with the nearest kernel
-    # edge at least d-1 cells away; low tensor orders converge fast
+    # edge at least d-1 cells away; low tensor orders converge fast.  The
+    # Gauss rules serve the near pairs only, but on a uniform grid those
+    # reach every band (c' < 2c + 2), so every branch is still taken
     if d == 2:
         return 10
     if d == 3:
@@ -287,10 +300,13 @@ def _adjacent(r, h, N, sp, p, nu, S, G, n_u=16, n_x=12):
 
 
 def _separated(Kmat, r, h, N, sp, nu, S, G, order=_band_order, bands=None,
-               keep=()):
-    """Hat-product weights for all cell pairs at distance >= 2.
+               keep=(), far=None):
+    """Hat-product weights for cell pairs at distance >= 2, by Gauss rules.
 
-    Band d holds the cell pairs (c, c + d).  The bands of one Gauss order
+    Band d holds the cell pairs (c, c + d).  ``far`` (see
+    :func:`_far_start`) leaves out every pair (c, c') with
+    c' >= far[c], which :func:`_far_series` sums instead; without it
+    every pair of the bands is integrated.  The bands of one Gauss order
     run as one pass over all their pairs, cut into chunks of whole pairs
     so that every pair is still reduced over its own (nd, nd) block.  The
     four hat sums of a band (lo·lo, lo·hi, hi·lo, hi·hi) are added to K
@@ -298,26 +314,29 @@ def _separated(Kmat, r, h, N, sp, nu, S, G, order=_band_order, bands=None,
     band order, so every entry receives the same additions in the same
     order as a loop over single bands, and only the sums of the bands
     still open are held.  Returns the sums of the bands in ``keep`` as
-    {d: (4, M - d) array}.
+    {d: (4, M - d) array}, zero at the pairs left out.
     """
     M = h.size
     kept = {}
     for nd, group in groupby(bands if bands is not None else range(2, M),
                              key=order):
-        group = np.array(list(group))
+        group = list(group)
+        # the cells c of each band's pairs; the group's pairs in band
+        # order, band b at [ends[b] - cells[b].size, ends[b])
+        cells = [np.arange(M - d) if far is None
+                 else np.flatnonzero(far[:M - d] > np.arange(d, M))
+                 for d in group]
+        ends = np.cumsum([c.size for c in cells])
+        ci_all = np.concatenate(cells)
+        d_all = np.repeat(group, [c.size for c in cells])
         X, Wx = gauss_legendre_01(nd)
         lo = 1.0 - X
         hat = ((lo, lo), (lo, X), (X, lo), (X, X))
-        # the group's pairs in band order, band b at [starts[b], ends[b])
-        ends = np.cumsum(M - group)
-        starts = ends - (M - group)
         held = np.empty((4, 0))     # sums from the first open band on
         done = 0                    # bands of the group added to K
         for pairs in _row_chunks(int(ends[-1]), nd * nd):
-            k = np.arange(pairs.start, min(pairs.stop, ends[-1]))
-            b = np.searchsorted(ends, k, side="right")
-            ci = k - starts[b]
-            cj = ci + group[b]
+            ci = ci_all[pairs]
+            cj = ci + d_all[pairs]
             x = r[ci][:, None] + h[ci][:, None] * X[None, :]   # (pairs, nd)
             y = r[cj][:, None] + h[cj][:, None] * X[None, :]
             xx = x[:, :, None]
@@ -326,30 +345,182 @@ def _separated(Kmat, r, h, N, sp, nu, S, G, order=_band_order, bands=None,
                     * (yy - xx) ** (-nu) * G(xx / yy))
             base = base * (Wx[None, :, None] * Wx[None, None, :])
             base = base * (h[ci] * h[cj])[:, None, None]
-            sums = np.empty((4, k.size))
+            sums = np.empty((4, ci.size))
             for j, (hat_m, hat_k) in enumerate(hat):
                 sums[j] = (base * hat_m[None, :, None]
                            * hat_k[None, None, :]).sum(axis=(1, 2))
             held = np.concatenate([held, sums], axis=1)
-            while done < group.size and ends[done] <= k[-1] + 1:
-                band_d = int(group[done])
-                band = held[:, :M - band_d]
-                held = held[:, M - band_d:]
+            while done < len(group) and ends[done] <= pairs.stop:
+                band_d, c = group[done], cells[done]
+                band = held[:, :c.size]
+                held = held[:, c.size:]
                 done += 1
-                _add_band(Kmat, band_d, band)
+                _add_band(Kmat, band_d, band, c)
                 if band_d in keep:
-                    kept[band_d] = band.copy()
+                    kept[band_d] = np.zeros((4, M - band_d))
+                    kept[band_d][:, c] = band
+        for band_d in group[done:]:     # a group without a single pair
+            if band_d in keep:
+                kept[band_d] = np.zeros((4, M - band_d))
     return kept
 
 
-def _add_band(Kmat, d, sums):
-    """Add the hat sums (4, M - d) of band d to the pair weights."""
-    c = np.arange(sums.shape[1])
+def _add_band(Kmat, d, sums, c=None):
+    """Add the hat sums (4, n) of band d's pairs (c, c + d) to the pair
+    weights; ``c`` defaults to every pair of the band."""
+    if c is None:
+        c = np.arange(sums.shape[1])
     cp = c + d
     Kmat[c, cp] += sums[0]
     Kmat[c, cp + 1] += sums[1]
     Kmat[c + 1, cp] += sums[2]
     Kmat[c + 1, cp + 1] += sums[3]
+
+
+def _far_start(r):
+    """The first far partner of every cell: far[c] is the first cell c'
+    with r_{c'} >= 2 r_{c+1}, or M when there is none.
+
+    On such a pair r/r' <= 1/2 everywhere, inside the range of the
+    profile series; c' >= c + 2 always.
+    """
+    M = r.size - 1
+    return np.searchsorted(r[:M], 2.0 * r[1:], side="left")
+
+
+def _hat_integrals(delta, e):
+    """int_0^1 (s, 1 - s) (1 - delta s)^e ds for every cell ratio delta
+    and exponent e, as two (cells, exponents) arrays (lo, hi).
+
+    With s = (r_{c+1} - x)/h_c and delta = h_c/r_{c+1} these are the
+    moments of x^e over cell c against its lo and hi hats, divided by
+    h_c r_{c+1}^e.  With n = e + 1 and q = 1 - delta the closed forms
+
+        lo = (1 - q^n (1 + n delta)) / (n (n + 1) delta^2),
+        hi = (q^{n+1} - 1 + (n + 1) delta) / (n (n + 1) delta^2)
+
+    (q^n from log1p and expm1) hold to a few units of roundoff, except
+    on narrow cells, delta (|e| + 1) <= 1/4: there both numerators
+    cancel down to O(delta^2), and the binomial series
+    sum_j C(e, j) (-delta)^j (1/(j + 2), 1/((j + 1)(j + 2))), whose
+    terms fall by a factor 4 or more, is summed instead.  e = -2 (n + 1
+    = 0) takes the limit of the closed forms.  The exponents must not be
+    -1, and delta = 1 (the cell at the origin) needs e >= 0.
+    """
+    d = delta[:, None]
+    n = e[None, :] + 1.0
+    with np.errstate(divide="ignore"):
+        L = np.log1p(-d)                 # -inf at delta = 1
+    den = n * (n + 1.0) * d * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = (-np.expm1(n * L) - n * d * np.exp(n * L)) / den
+        hi = (np.expm1((n + 1.0) * L) + (n + 1.0) * d) / den
+    if np.any(e == -2.0):
+        k = np.flatnonzero(e == -2.0)
+        hi[:, k] = -(L + d) / (d * d)
+        lo[:, k] = 1.0 / (1.0 - d) - hi[:, k]
+    ii, kk = np.nonzero(d * (np.abs(e)[None, :] + 1.0) <= 0.25)
+    if ii.size:
+        dd, ee = delta[ii], e[kk]
+        term = np.ones_like(dd)
+        s_lo = np.zeros_like(dd)
+        s_hi = np.zeros_like(dd)
+        for j in range(28):             # 4^-28 < 2^-54
+            s_lo += term / (j + 2.0)
+            s_hi += term / ((j + 1.0) * (j + 2.0))
+            term = term * (-dd * (ee - j) / (j + 1.0))
+        lo[ii, kk] = s_lo
+        hi[ii, kk] = s_hi
+    return lo, hi
+
+
+def _far_series(Kmat, r, h, N, sp, S, phi, far, kept):
+    """Hat-product weights of the far pairs (c, c' >= far[c]) from the
+    profile series.
+
+    For r <= r'/2 the kernel 2 S r^{N-1} r'^{-1-sp} Phi(r/r') is
+    2 S sum_k phi_k r^{N-1+2k} r'^{-1-sp-2k} (:func:`fracp.kernel.
+    _profile_series`), so each of a pair's four hat sums is
+    2 S sum_k phi_k X_k(c) Y_k(c'), with X_k and Y_k the closed-form hat
+    moments (:func:`_hat_integrals`) of r^{N-1+2k} over cell c and of
+    r'^{-1-sp-2k} over cell c'.
+
+    The pairs go in tiles of ``_FAR_ROWS`` cells c by ``_FAR_COLS``
+    cells c', the columns of a row block starting at its first far
+    partner; pairs of a tile that are not far are masked out.  With
+    alpha the outer end of the row block, X_k is scaled by
+    (r_{c+1}/alpha)^{2k} and Y_k by (alpha/r_{c'+1})^{2k}, so neither
+    overflows where r'^{-2k} alone would (next to the origin).  A tile
+    sums the terms that its closest pair needs for the rest to stay
+    below the unit roundoff times phi_0, as a product over k in fixed
+    order (einsum, not BLAS), so the bits depend on neither the thread
+    count nor ``_CHUNK_PTS``.  The tiles are added to K one after the
+    other, and the far pairs' sums are written into the band sums
+    ``kept`` ({d: (4, M - d) array}) as well.
+    """
+    M = h.size
+    j_first = int(far.min())
+    if j_first >= M:
+        return
+    k2 = 2.0 * np.arange(phi.size)
+    coef = 2.0 * S * phi
+    b = r[1:]
+    log_b = np.log(b)
+    delta = h / b
+    # no cell left of j_first is anybody's far partner (and the first
+    # two, delta near 1, have no finite moments of a negative power)
+    y_lo = np.zeros((M, k2.size))
+    y_hi = np.zeros((M, k2.size))
+    y_lo[j_first:], y_hi[j_first:] = _hat_integrals(delta[j_first:],
+                                                    (-1.0 - sp) - k2)
+    y_scale = (h * b ** (-1.0 - sp))[j_first:, None]
+    y_lo[j_first:] *= y_scale
+    y_hi[j_first:] *= y_scale
+    for c0 in range(0, M, _FAR_ROWS):
+        c1 = min(c0 + _FAR_ROWS, M)
+        first = far[c0:c1]
+        if first.min() >= M:
+            continue
+        log_alpha = log_b[c1 - 1]
+        x_lo, x_hi = _hat_integrals(delta[c0:c1], (N - 1.0) + k2)
+        row_scale = np.exp(np.multiply.outer(log_b[c0:c1] - log_alpha, k2))
+        row_scale *= (h[c0:c1] * b[c0:c1] ** (N - 1.0))[:, None]
+        rows = np.concatenate([x_lo * row_scale,
+                               x_hi * row_scale]).T.copy()      # (K, 2nr)
+        nr = c1 - c0
+        for j0 in range(int(first.min()), M, _FAR_COLS):
+            j1 = min(j0 + _FAR_COLS, M)
+            nc = j1 - j0
+            start = np.maximum(first, j0)
+            live = start < j1
+            if not live.any():
+                continue
+            rho = float(np.max(b[c0:c1][live] / r[start[live]]))
+            tail = np.cumsum((coef * rho ** k2)[::-1])[::-1]
+            n_k = int(np.count_nonzero(tail > _UNIT_ROUNDOFF * coef[0]))
+            # alpha/r_{c'+1} can exceed 1 only in masked columns, whose
+            # entries may overflow; the far entries stay finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                col_scale = np.exp(np.multiply.outer(
+                    log_alpha - log_b[j0:j1], k2[:n_k]))
+                cols = (np.concatenate([y_lo[j0:j1, :n_k] * col_scale,
+                                        y_hi[j0:j1, :n_k] * col_scale])
+                        * coef[:n_k]).T.copy()                  # (n_k, 2nc)
+                acc = np.einsum("ki,kj->ij", rows[:n_k], cols)
+            mask = np.arange(j0, j1)[None, :] >= first[:, None]
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                part = acc[i * nr:(i + 1) * nr, j * nc:(j + 1) * nc]
+                dst = Kmat[c0 + i:c1 + i, j0 + j:j1 + j]
+                np.add(dst, part, out=dst, where=mask)
+            for d, sums in kept.items():    # the tile's far pairs of band d
+                off = c0 + d - j0           # band d's tile column in row 0
+                if not -nr < off < nc:
+                    continue
+                i = np.arange(max(0, -off), min(nr, nc - off))
+                vals = acc[np.add.outer((0, 0, nr, nr), i),
+                           np.add.outer((0, nc, 0, nc), i + off)]
+                np.copyto(sums[:, c0 + i[0]:c0 + i[-1] + 1], vals,
+                          where=mask[i, i + off])
 
 
 class _Diagonals:
@@ -446,11 +617,12 @@ def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
 
     The exterior mass comes from one call per mass function.  The two
     interior masses are integrated over panels graded toward the near
-    edge, a fresh panel set per (cell, t-node) pair.  The panel sets of
-    ``_BLOCK_CELLS`` cells are built together and padded to the longest
-    of them, so the block size fixes the panel count every row is summed
-    over, which the rounding of the sum can depend on; the rows are then
-    evaluated and reduced in chunks of at most ``_CHUNK_PTS`` points.
+    edge, a fresh panel set per (cell, t-node) pair.  The rows are taken
+    in order of their panel count, longest first, in batches whose panel
+    sets are built at once (at most ``_CHUNK_PTS`` breakpoints in the
+    build), then evaluated in chunks of at most ``_CHUNK_PTS`` points.
+    Every row is summed over its own panels only, so no padding, batch
+    or chunk changes a bit.
     """
     M = h.size
     R = r[-1]
@@ -463,33 +635,48 @@ def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
 
     def inner_mass(tm, lo, hi, toward_hi):
         # kernel mass seen from radii tm over [lo, hi], one row per tm
+        lo, hi = np.broadcast_arrays(lo, hi, tm)[:2]
         edge = hi if toward_hi else lo
-        pts = _graded_rows(lo, hi, 0.5 * (tm - edge),
-                           toward_b=toward_hi, factor=grade_factor,
-                           max_panels=60)
+        scale = 0.5 * np.abs(tm - edge)
+        # panels per row: the offsets scale * factor^j below the width,
+        # plus the end panel (an estimate: it only orders the rows)
+        n_pan = np.log((hi - lo) / scale) / np.log(grade_factor)
+        n_pan = np.minimum(np.maximum(n_pan, 1.0).astype(np.intp) + 2, 61)
+        # rows of about the same panel count share a batch, longest
+        # first; a batch's panel sets are built at once, padded to the
+        # longest of them (zero-width panels at the end away from the
+        # edge), and each run of rows with the same count is evaluated
+        # over exactly those panels, in chunks, so no batch or chunk
+        # changes a bit of a row
+        order = np.argsort(-n_pan, kind="stable")
         mass = np.empty(tm.size)
-        for rows in _row_chunks(tm.size, (pts.shape[1] - 1) * n_s):
-            wid = np.diff(pts[rows], axis=1)[:, :, None]
-            s = pts[rows, :-1, None] + wid * ys
-            w = wid * wsn
-            tr = tm[rows, None, None]
-            x, y = (s, tr) if toward_hi else (tr, s)
-            val = (S * x ** (N - 1) * y ** (nu - 1.0 - sp)
-                   * (y - x) ** (-nu) * G(x / y))
-            mass[rows] = (val * w).sum(axis=(1, 2))
+        for batch in _row_chunks(tm.size, 61):
+            idx = order[batch]
+            pts = _graded_rows(lo[idx], hi[idx], scale[idx],
+                               toward_b=toward_hi, factor=grade_factor,
+                               max_panels=60)
+            n_own = np.count_nonzero(np.diff(pts, axis=1) > 0.0, axis=1)
+            runs = np.flatnonzero(np.diff(n_own)) + 1
+            for a, b in zip([0, *runs], [*runs, idx.size]):
+                n = int(n_own[a])
+                own = slice(-n - 1, None) if toward_hi else slice(0, n + 1)
+                for rows in _row_chunks(b - a, n * n_s):
+                    rows = slice(a + rows.start, min(a + rows.stop, b))
+                    wid = np.diff(pts[rows, own], axis=1)[:, :, None]
+                    s = pts[rows, own][:, :-1, None] + wid * ys
+                    w = wid * wsn
+                    tr = tm[idx[rows], None, None]
+                    x, y = (s, tr) if toward_hi else (tr, s)
+                    val = (S * x ** (N - 1) * y ** (nu - 1.0 - sp)
+                           * (y - x) ** (-nu) * G(x / y))
+                    mass[idx[rows]] = (val * w).sum(axis=(1, 2))
         return mass
 
-    for c0 in range(0, M, _BLOCK_CELLS):
-        left = np.arange(max(c0, 2), min(c0 + _BLOCK_CELLS, M))
-        if left.size:                   # cells strictly left of a-1
-            far[left] += inner_mass(
-                t[left].ravel(), 0.0, np.repeat(r[left - 1], n_t),
-                True).reshape(-1, n_t)
-        right = np.arange(c0, min(c0 + _BLOCK_CELLS, M - 2))
-        if right.size:                  # cells strictly right of a+1
-            far[right] += inner_mass(
-                t[right].ravel(), np.repeat(r[right + 2], n_t), R,
-                False).reshape(-1, n_t)
+    # cells strictly left of a-1, and cells strictly right of a+1
+    far[2:] += inner_mass(t[2:].ravel(), 0.0, np.repeat(r[1:M - 1], n_t),
+                          True).reshape(-1, n_t)
+    far[:-2] += inner_mass(t[:-2].ravel(), np.repeat(r[2:M], n_t), R,
+                           False).reshape(-1, n_t)
     return 2.0 * h * ((wt * (1.0 - yt) * yt)[None, :] * far).sum(axis=1)
 
 
@@ -578,9 +765,10 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
     The angular profile is the reduction validated by the closed-form
     p = 2 cross-check in :mod:`fracp.kernel`.  The returned matrix is
-    symmetric, nonnegative, and deterministic for fixed inputs.  Raises :class:`ConvergenceError` when the elevated-order
-    verification pass disagrees with the production pass by more than
-    1e-5 on any block, naming the offending cell pair.
+    symmetric, nonnegative, and deterministic for fixed inputs.  Raises
+    :class:`ConvergenceError` when the elevated-order verification pass
+    disagrees with the production pass by more than 1e-5 on any block,
+    naming the offending cell pair.
     """
     if quad is None:
         quad = QuadratureSpec(nodes=24, tol=1e-9, max_refinements=12)
@@ -629,8 +817,12 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     Kmat[idx[:-1] + 1, idx[:-1] + 2] += np.maximum(Bw, 0.0)
     Kmat[idx[:-1], idx[:-1] + 2] += Cw
 
+    # near pairs by Gauss rules, far pairs from the profile series
+    far = _far_start(r)
     check_sums = _separated(Kmat, r, h, N, sp, nu, S, G,
-                            keep=[d for d in _CHECK_BANDS if d < M])
+                            keep=[d for d in _CHECK_BANDS if d < M], far=far)
+    _far_series(Kmat, r, h, N, sp, S,
+                _profile_series(N, sp, PIPELINE_CONVENTION), far, check_sums)
 
     xi_s, wxi_s = gauss_jacobi_01(48, 0.0, sp - 1.0)
     xi_l, wxi_l = _last_cell_xi_rule(sp)

@@ -10,6 +10,9 @@ the discrete model at any resolution, so they use small grids.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +28,7 @@ from fracp.kernel import (
 )
 from fracp.params import ProblemParams
 from fracp.quadrature import gauss_jacobi_01, gauss_legendre_01, graded_points
+from fracp import kernel
 from fracp import operator as op
 
 GOLD_HAT_ENERGY = 14076.91527532815439
@@ -510,14 +514,17 @@ def test_assembly_makes_no_per_node_panel_calls(p25, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _separated_by_band(Kmat, r, h, N, sp, nu, S, G, order=op._band_order,
-                       bands=None):
+                       bands=None, far=None):
     """Oracle: the hat-product weights one band at a time, each band in
-    one array pass and added to K before the next band is computed."""
+    one array pass and added to K before the next band is computed; with
+    ``far``, only the pairs (c, c') with c' < far[c]."""
     M = h.size
     for d in (bands if bands is not None else range(2, M)):
         nd = order(d)
         X, Wx = gauss_legendre_01(nd)
         c = np.arange(0, M - d)
+        if far is not None:
+            c = c[c + d < far[c]]
         cp = c + d
         x = r[c][:, None] + h[c][:, None] * X[None, :]     # (npair, nd)
         y = r[cp][:, None] + h[cp][:, None] * X[None, :]
@@ -542,26 +549,29 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("M", [48, 128])
 def test_separated_matches_band_loop_bitwise(K48, p25, M):
-    # at M = 128 the order-4 bands span several chunks of whole pairs
+    # the production pass integrates the near pairs, c' < far[c]; at
+    # M = 128 its order-4 bands span several chunks of whole pairs
     grid = K48.grid if M == 48 else make_radial_grid(
         tail_exponent=2.0, R_max=64.0, M=M, grading=1.03)
     args, _, _ = _far_field_inputs(grid, p25, PRODUCTION_RULES)
+    far = op._far_start(grid.nodes)
     # nonzero start values, as the near-field weights are in assemble,
     # so the order of the additions shows in the bits
     start = np.random.default_rng(M).uniform(0.0, 1.0, (M + 1, M + 1))
     check = [d for d in op._CHECK_BANDS if d < M]
     Kmat, ref = start.copy(), start.copy()
-    kept = op._separated(Kmat, *args, keep=check)
-    _separated_by_band(ref, *args)
+    kept = op._separated(Kmat, *args, keep=check, far=far)
+    _separated_by_band(ref, *args, far=far)
     assert _same_bits(Kmat, ref)
 
-    # the kept production sums rebuild the verification pass's K1, and
-    # the elevated-order K2 matches its band loop too
+    # the kept production sums of the near pairs are those of the band
+    # loop, the verification pass's K1 before the far pairs join it; the
+    # elevated-order K2 takes every pair and matches its band loop too
     assert list(kept) == check
     K1, ref1 = np.zeros_like(start), np.zeros_like(start)
     for d, sums in kept.items():
         op._add_band(K1, d, sums)
-    _separated_by_band(ref1, *args, bands=check)
+    _separated_by_band(ref1, *args, bands=check, far=far)
     assert _same_bits(K1, ref1)
     K2, ref2 = np.zeros_like(start), np.zeros_like(start)
     double = lambda d: 2 * op._band_order(d)  # noqa: E731
@@ -645,3 +655,111 @@ def test_assembly_peak_memory_at_512(p25):
     finally:
         tracemalloc.stop()
     assert peak < 8.5e6
+
+
+# ---------------------------------------------------------------------------
+# the far field from the profile series
+# ---------------------------------------------------------------------------
+
+SERIES_CASES = [(3, 0.5, 2.0), (3, 0.5, 2.5), (3, 0.3, 2.2), (5, 0.4, 2.0)]
+
+
+@pytest.mark.parametrize("N, s, p", SERIES_CASES)
+def test_profile_series_matches_closed_form(N, s, p):
+    # sum phi_k rho^{2k} is Phi on the whole range the far pairs use
+    sp = s * p
+    phi = kernel._profile_series(N, sp, PIPELINE_CONVENTION)
+    rho = np.linspace(0.0, 0.5, 2001)
+    series = (phi[None, :] * rho[:, None] ** (2 * np.arange(phi.size))).sum(1)
+    exact = (kernel._edge_profile_exact(rho, N, sp, PIPELINE_CONVENTION)
+             * (1.0 - rho) ** -edge_exponent(N, sp))
+    assert np.max(np.abs(series / exact - 1.0)) <= 1e-14
+
+
+def test_hat_integrals_match_gauss_legendre():
+    # int_0^1 (s, 1 - s)(1 - delta s)^e ds against a 64-point rule, which
+    # resolves (1 - delta s)^e to round-off for delta <= 1/2 at these
+    # exponents; narrow cells (small delta) are where the closed forms
+    # cancel and the series takes over
+    y, w = gauss_legendre_01(64)
+    for e in (-92.25, -45.5, -11.5, -3.7, -2.0, 2.0, 4.0, 10.0, 40.0, 90.0):
+        delta = np.array([1e-6, 1e-4, 2e-3, 0.0074, 0.03, 0.1, 0.25, 0.5]
+                         + ([0.9, 1.0] if e > 0 else []))
+        lo, hi = op._hat_integrals(delta, np.array([e]))
+        f = (1.0 - delta[:, None] * y[None, :]) ** e
+        ref_lo = (f * y * w).sum(axis=1)
+        ref_hi = (f * (1.0 - y) * w).sum(axis=1)
+        assert np.max(np.abs(lo[:, 0] / ref_lo - 1.0)) <= 5e-14, e
+        assert np.max(np.abs(hi[:, 0] / ref_hi - 1.0)) <= 5e-14, e
+
+
+def _far_grids():
+    # the battery's M = 512 grid (its first cell is 5e-7 wide, where
+    # r'^{-1-sp-2k} alone overflows), a finer geometric one and a
+    # uniform one
+    return [make_radial_grid(tail_exponent=0.0, R_max=64.0, M=512,
+                             grading=1.03),
+            make_radial_grid(tail_exponent=0.0, R_max=64.0, M=1024,
+                             grading=1.03 ** 0.25),
+            make_radial_grid(tail_exponent=0.0, R_max=64.0, M=256,
+                             grading=1.0)]
+
+
+@pytest.mark.parametrize("N, s, p", SERIES_CASES)
+def test_far_pairs_match_double_order_quadrature(N, s, p):
+    # the series' hat sums of every far pair of a spread of bands against
+    # the Gauss rules at twice the production order (the verification
+    # pass's rule): 1e-10, where the production rule is 1e-8 to 1e-6 off
+    params = ProblemParams.kernel_only(N, s, p)
+    sp = params.sp
+    phi = kernel._profile_series(N, sp, PIPELINE_CONVENTION)
+    for grid in _far_grids():
+        args, _, _ = _far_field_inputs(grid, params, PRODUCTION_RULES)
+        r, h, _, _, nu, S, G = args
+        M = h.size
+        far = op._far_start(r)
+        bands = sorted(set(range(2, M, 13)) | set(range(2, 40)))
+        series = {d: np.zeros((4, M - d)) for d in bands}
+        op._far_series(np.zeros((M + 1, M + 1)), r, h, N, sp, S, phi, far,
+                       series)
+        ref = op._separated(np.zeros((M + 1, M + 1)), *args,
+                            order=lambda d: 2 * op._band_order(d),
+                            bands=bands, keep=bands)
+        origin = False          # a far pair has its first cell at r = 0
+        for d in bands:
+            c = np.arange(M - d)
+            is_far = c + d >= far[c]
+            assert not np.any(series[d][:, ~is_far])
+            got, want = series[d][:, is_far], ref[d][:, is_far]
+            assert np.all(np.isfinite(got))
+            if is_far.any():
+                assert np.max(np.abs(got / want - 1.0)) <= 1e-10, (M, d)
+            origin |= bool(is_far[0])
+        assert origin
+
+
+def test_assembly_bits_do_not_depend_on_blas_threads(p25):
+    # the far field sums its series without BLAS; K and tail_W come out
+    # byte for byte the same with one and with two BLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(op.__file__)))
+    probe = (
+        "import hashlib\n"
+        "from fracp.grid import make_radial_grid\n"
+        "from fracp.operator import assemble\n"
+        "from fracp.params import ProblemParams\n"
+        f"params = ProblemParams(N=3, s=0.5, p=2.5, gamma={p25.gamma!r}, "
+        f"alpha={p25.alpha!r})\n"
+        "grid = make_radial_grid(tail_exponent=params.beta_star, R_max=64.0, "
+        "M=512, grading=1.03)\n"
+        "K = assemble(grid, params)\n"
+        "print(hashlib.sha256(K.weights.tobytes() + K.tail_W.tobytes())"
+        ".hexdigest())\n")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=300).stdout
+        digests.append(out.split()[-1])
+    assert digests[0] == digests[1]
