@@ -38,6 +38,7 @@ __all__ = [
     "decay_window",
     "fit_decay",
     "check_decay_sandwich",
+    "capacitary_stationarity",
     "check_capacitary",
     "fundamental_residual",
     "comparison_check",
@@ -163,8 +164,26 @@ def check_decay_sandwich(u: RadialFunction,
     return records
 
 
-def check_capacitary(u: RadialFunction, R: float, params: ProblemParams
-                     ) -> tuple[DecayFit, list[CheckRecord]]:
+def capacitary_stationarity(u: RadialFunction, R: float, K: KernelMatrix,
+                            params: ProblemParams, tol: float
+                            ) -> tuple[np.ndarray, str | None]:
+    """Weak residual of a capacitary profile, and a note if it missed.
+
+    The nodes with r <= R are pinned, so their residual is the force of
+    the constraint; the solve is stationary when the largest |residual|
+    on the free nodes r > R is at most ``tol``.  The note (None when
+    stationary) names the miss.
+    """
+    residual = weak_residual(u, K, params)
+    worst = float(np.abs(residual[u.grid.nodes > R]).max())
+    if worst <= tol:
+        return residual, None
+    return residual, (f"capacitary solve R={R:g} missed stationarity on "
+                      f"the free nodes: residual {worst:.3e} > tol {tol:g}")
+
+
+def check_capacitary(u: RadialFunction, R: float, params: ProblemParams,
+                     stationary: bool) -> tuple[DecayFit, list[CheckRecord]]:
     """Decay fit and pass/fail records of a unit-plateau capacitary profile.
 
     ``u`` is pinned to 1 on the ball of radius ``R``.  The records:
@@ -172,6 +191,9 @@ def check_capacitary(u: RadialFunction, R: float, params: ProblemParams
     beta_star; ``capacitary-plateau``, the scaled profile
     ``u (r/R)^beta_star`` on [2R, R_max/2] at most 1.05 p^(1/(p-1));
     ``capacitary-monotone``, no rise above 1e-8 between neighbor nodes.
+    A profile whose solve was not ``stationary`` (see
+    :func:`capacitary_stationarity`) fails all three, whatever it
+    measures.
     """
     fit = fit_decay(u)
     dev = abs(fit.exponent - params.beta_star) / params.beta_star
@@ -181,9 +203,12 @@ def check_capacitary(u: RadialFunction, R: float, params: ProblemParams
     cap = 1.05 * params.p ** (1.0 / (params.p - 1.0))
     rise = float(np.diff(u.values).max())
     return fit, [
-        CheckRecord("capacitary-exponent", dev <= 0.05, dev, 0.0, 0.05),
-        CheckRecord("capacitary-plateau", plateau <= cap, plateau, cap, 0.0),
-        CheckRecord("capacitary-monotone", rise <= 1e-8, rise, 0.0, 1e-8),
+        CheckRecord("capacitary-exponent", stationary and dev <= 0.05, dev,
+                    0.0, 0.05),
+        CheckRecord("capacitary-plateau", stationary and plateau <= cap,
+                    plateau, cap, 0.0),
+        CheckRecord("capacitary-monotone", stationary and rise <= 1e-8, rise,
+                    0.0, 1e-8),
     ]
 
 

@@ -63,10 +63,15 @@ bands of one Gauss order share their passes.  Far cell pairs, those with
 r_{c'} >= 2 r_{c+1}, take no quadrature: there r/r' <= 1/2, Phi is its
 power series in (r/r')^2 (:func:`fracp.kernel._profile_series`), and the
 kernel separates, so their hat sums are products of closed-form hat
-moments, summed without BLAS in tiles fixed by the grid.  A verification
+moments, summed without BLAS in tiles fixed by the grid.  The variance
+masses subtracted from K[a, a+1] use the same series: the kernel is
+homogeneous, so seen from a radius t the mass below t/2 and beyond 2t
+is a closed-form sum, and only the two windows next to t take a Gauss
+rule, one fixed rule in the log of the distance to t.  A verification
 pass re-integrates every block at elevated order, the far pairs of its
-check bands included, and records the worst relative deviation as
-``assembly_error``; a deviation beyond 1e-5 raises
+check bands included and the far halves of the variance masses from
+the phi table rather than the series, and records the worst relative
+deviation as ``assembly_error``; a deviation beyond 1e-5 raises
 :class:`~fracp.errors.ConvergenceError` naming the offending cell pair.
 """
 
@@ -575,7 +580,9 @@ def _tail_mass_funcs(R, N, sp, nu, S, G, xi_s, wxi_s, xi_l, wxi_l):
     cell away from the boundary; inside the outermost cell the edge of
     Phi comes within reach of the interval, so the graded rule is used
     there plus the closed-form sliver remainder of the leading edge
-    term beyond the cut.
+    term beyond the cut.  :func:`_pair_corrections` calls ``mass_shared``
+    only for radii t > R/2 left of the outermost cell; from t <= R/2 the
+    whole mass beyond max(r_{a+2}, 2t) is one of its far halves.
     """
     def phi_at(t, xi):
         rho = t[:, None] * xi[None, :] / R
@@ -604,8 +611,100 @@ def _tail_mass_funcs(R, N, sp, nu, S, G, xi_s, wxi_s, xi_l, wxi_l):
     return mass_shared, mass_last
 
 
-def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
-                      n_t=8, n_s=8, grade_factor=2.0):
+def _series_halves(N, sp, S, phi):
+    """The far halves of the variance masses from the profile series.
+
+    The kernel is homogeneous, kappa(lam s, lam t) = lam^{N-2-sp}
+    kappa(s, t), so the mass seen from a radius t over [0, u t] and over
+    [t/w, inf) depends on t through one power only.  For u, w <= 1/2
+    Phi = sum_k phi_k rho^{2k} (:func:`fracp.kernel._profile_series`)
+    holds on the whole range, and the two masses are
+
+        S t^{N-1-sp} sum_k phi_k u^{N+2k}/(N+2k),
+        S t^{N-1-sp} sum_k phi_k w^{sp+2k}/(sp+2k),
+
+    returned as functions ``inner(t, u)`` and ``outer(t, w)`` of row
+    arrays.  Every term is positive, and relative to the first term of
+    its sum it is at most phi_k 4^{-k}/phi_0, so the series' cut leaves
+    at most the unit roundoff of either sum.  Horner's rule in u^2
+    (w^2) runs in place on rows of at most ``_CHUNK_PTS`` entries.
+    """
+    k2 = 2.0 * np.arange(phi.size)
+
+    def half(e):
+        coef = (phi / (e + k2))[::-1]
+
+        def mass(t, u):
+            out = np.empty(t.size)
+            for rows in _row_chunks(t.size, 1):
+                u2 = u[rows] ** 2
+                acc = np.full(u2.size, coef[0])
+                for c in coef[1:]:
+                    acc *= u2
+                    acc += c
+                out[rows] = S * t[rows] ** (N - 1.0 - sp) * u[rows] ** e * acc
+            return out
+        return mass
+
+    return half(float(N)), half(sp)
+
+
+def _quadrature_halves(N, sp, nu, S, G, n):
+    """The far halves of :func:`_series_halves` by quadrature of Phi.
+
+    With rho = s/t (inner) and rho = t/s (outer) the two masses are
+
+        S t^{N-1-sp} u^N int_0^1 x^{N-1} Phi(u x) dx,
+        S t^{N-1-sp} w^sp int_0^1 xi^{sp-1} Phi(w xi) dxi,
+
+    each taken with the n-point Gauss-Jacobi rule of its power and Phi
+    from the edge profile G.  Phi(u x) is analytic out to x = 1/u >= 2,
+    so a low order is exact to the table's accuracy.  This is the
+    verification pass's rule: it shares no step with the series.
+    """
+    def half(e):
+        x, wx = gauss_jacobi_01(n, 0.0, e - 1.0)
+
+        def mass(t, u):
+            core = np.empty(t.size)
+            for rows in _row_chunks(t.size, n):
+                rho = u[rows, None] * x[None, :]
+                core[rows] = (G(rho) * (1.0 - rho) ** (-nu) * wx).sum(-1)
+            return S * t ** (N - 1.0 - sp) * u ** e * core
+        return mass
+
+    return half(float(N)), half(sp)
+
+
+def _window_mass(tm, lo, hi, N, sp, nu, S, G, n, left):
+    """Kernel mass seen from radii tm over the windows [lo, hi], one row
+    per radius, every window on the same side of its radius (``left``:
+    hi <= tm, else lo >= tm).
+
+    One n-point Gauss-Legendre rule in y = log|s - tm| over each window:
+    with ds = e^y dy the integrand is S x^{N-1} z^{nu-1-sp} e^{(1-nu) y}
+    G(x/z), (x, z) = (s, tm) or (tm, s), analytic in y all the way to the
+    kernel edge, so no grading is needed.  Empty windows give zero.
+    """
+    yq, wq = gauss_legendre_01(n)
+    d_lo, d_hi = (tm - hi, tm - lo) if left else (lo - tm, hi - tm)
+    out = np.zeros(tm.size)
+    live = np.flatnonzero(d_hi > d_lo)
+    a = np.log(d_lo[live])
+    L = np.log(d_hi[live]) - a
+    for rows in _row_chunks(live.size, n):
+        y = a[rows, None] + L[rows, None] * yq[None, :]        # (rows, n)
+        d = np.exp(y)
+        t = tm[live[rows], None]
+        x, z = (t - d, t) if left else (t, t + d)
+        val = (S * x ** (N - 1) * z ** (nu - 1.0 - sp)
+               * np.exp((1.0 - nu) * y) * G(x / z))
+        out[live[rows]] = L[rows] * (val * wq).sum(-1)
+    return out
+
+
+def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last, halves,
+                      n_t=8, n_y=12):
     """Separated-pair variance masses V_a to subtract from K[a, a+1].
 
     For cell a the hat products over all partners at distance >= 2 and
@@ -615,69 +714,43 @@ def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
     (R_max, inf).  Exact bookkeeping at p = 2; applied for every p as
     the pair-consistent allocation of that mass.
 
-    The exterior mass comes from one call per mass function.  The two
-    interior masses are integrated over panels graded toward the near
-    edge, a fresh panel set per (cell, t-node) pair.  The rows are taken
-    in order of their panel count, longest first, in batches whose panel
-    sets are built at once (at most ``_CHUNK_PTS`` breakpoints in the
-    build), then evaluated in chunks of at most ``_CHUNK_PTS`` points.
-    Every row is summed over its own panels only, so no padding, batch
-    or chunk changes a bit.
+    Seen from a t-node the mass splits at s = t/2 and s = 2t.  With
+    P = min(r_{a-1}, t/2) and B = max(r_{a+2}, 2t) the far halves
+    [0, P] and, while B <= R_max, [B, inf) come from ``halves`` (see
+    :func:`_series_halves`); rows with B > R_max take ``mass_shared``
+    for (R_max, inf), and the last cell ``mass_last``.  The near windows
+    [P, r_{a-1}] and [r_{a+2}, min(B, R_max)] take one n_y-point rule
+    in the log-distance (:func:`_window_mass`).  Every row has the same
+    node count, so each side is one array pass in chunks of whole rows.
     """
     M = h.size
     R = r[-1]
     yt, wt = gauss_legendre_01(n_t)
-    ys, wsn = gauss_legendre_01(n_s)
+    inner_half, outer_half = halves
     t = r[:-1, None] + h[:, None] * yt[None, :]            # (M, n_t)
-    far = np.empty((M, n_t))
-    far[:-1] = mass_shared(t[:-1].ravel()).reshape(M - 1, n_t)
-    far[-1] = mass_last(t[-1])
+    mass = np.empty((M, n_t))
 
-    def inner_mass(tm, lo, hi, toward_hi):
-        # kernel mass seen from radii tm over [lo, hi], one row per tm
-        lo, hi = np.broadcast_arrays(lo, hi, tm)[:2]
-        edge = hi if toward_hi else lo
-        scale = 0.5 * np.abs(tm - edge)
-        # panels per row: the offsets scale * factor^j below the width,
-        # plus the end panel (an estimate: it only orders the rows)
-        n_pan = np.log((hi - lo) / scale) / np.log(grade_factor)
-        n_pan = np.minimum(np.maximum(n_pan, 1.0).astype(np.intp) + 2, 61)
-        # rows of about the same panel count share a batch, longest
-        # first; a batch's panel sets are built at once, padded to the
-        # longest of them (zero-width panels at the end away from the
-        # edge), and each run of rows with the same count is evaluated
-        # over exactly those panels, in chunks, so no batch or chunk
-        # changes a bit of a row
-        order = np.argsort(-n_pan, kind="stable")
-        mass = np.empty(tm.size)
-        for batch in _row_chunks(tm.size, 61):
-            idx = order[batch]
-            pts = _graded_rows(lo[idx], hi[idx], scale[idx],
-                               toward_b=toward_hi, factor=grade_factor,
-                               max_panels=60)
-            n_own = np.count_nonzero(np.diff(pts, axis=1) > 0.0, axis=1)
-            runs = np.flatnonzero(np.diff(n_own)) + 1
-            for a, b in zip([0, *runs], [*runs, idx.size]):
-                n = int(n_own[a])
-                own = slice(-n - 1, None) if toward_hi else slice(0, n + 1)
-                for rows in _row_chunks(b - a, n * n_s):
-                    rows = slice(a + rows.start, min(a + rows.stop, b))
-                    wid = np.diff(pts[rows, own], axis=1)[:, :, None]
-                    s = pts[rows, own][:, :-1, None] + wid * ys
-                    w = wid * wsn
-                    tr = tm[idx[rows], None, None]
-                    x, y = (s, tr) if toward_hi else (tr, s)
-                    val = (S * x ** (N - 1) * y ** (nu - 1.0 - sp)
-                           * (y - x) ** (-nu) * G(x / y))
-                    mass[idx[rows]] = (val * w).sum(axis=(1, 2))
-        return mass
+    # partners right of a+1, rows a <= M-2
+    tr = t[:-1].ravel()
+    edge = np.repeat(r[2:], n_t)                            # r_{a+2}
+    B = np.maximum(edge, 2.0 * tr)
+    inside = B <= R
+    right = np.empty(tr.size)
+    right[inside] = outer_half(tr[inside], tr[inside] / B[inside])
+    right[~inside] = mass_shared(tr[~inside])
+    right += _window_mass(tr, edge, np.minimum(B, R), N, sp, nu, S, G, n_y,
+                          left=False)
+    mass[:-1] = right.reshape(M - 1, n_t)
+    mass[-1] = mass_last(t[-1])
 
-    # cells strictly left of a-1, and cells strictly right of a+1
-    far[2:] += inner_mass(t[2:].ravel(), 0.0, np.repeat(r[1:M - 1], n_t),
-                          True).reshape(-1, n_t)
-    far[:-2] += inner_mass(t[:-2].ravel(), np.repeat(r[2:M], n_t), R,
-                           False).reshape(-1, n_t)
-    return 2.0 * h * ((wt * (1.0 - yt) * yt)[None, :] * far).sum(axis=1)
+    # partners left of a-1, rows a >= 2
+    tl = t[2:].ravel()
+    edge = np.repeat(r[1:M - 1], n_t)                       # r_{a-1}
+    P = np.minimum(edge, 0.5 * tl)
+    left = inner_half(tl, P / tl)
+    left += _window_mass(tl, P, edge, N, sp, nu, S, G, n_y, left=True)
+    mass[2:] += left.reshape(M - 2, n_t)
+    return 2.0 * h * ((wt * (1.0 - yt) * yt)[None, :] * mass).sum(axis=1)
 
 
 def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
@@ -821,14 +894,15 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     far = _far_start(r)
     check_sums = _separated(Kmat, r, h, N, sp, nu, S, G,
                             keep=[d for d in _CHECK_BANDS if d < M], far=far)
-    _far_series(Kmat, r, h, N, sp, S,
-                _profile_series(N, sp, PIPELINE_CONVENTION), far, check_sums)
+    phi = _profile_series(N, sp, PIPELINE_CONVENTION)
+    _far_series(Kmat, r, h, N, sp, S, phi, far, check_sums)
 
     xi_s, wxi_s = gauss_jacobi_01(48, 0.0, sp - 1.0)
     xi_l, wxi_l = _last_cell_xi_rule(sp)
     mass_shared, mass_last = _tail_mass_funcs(R, N, sp, nu, S, G,
                                               xi_s, wxi_s, xi_l, wxi_l)
-    V = _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last)
+    V = _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
+                          _series_halves(N, sp, S, phi))
     pre_sub = Kmat[idx, idx + 1].copy()
     # Next to the truncation boundary the exact representation can demand
     # a slightly negative neighbor weight (the overlap part of the form
@@ -923,14 +997,16 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
             dev, worst = float(rel[k]), (int(ii),
                                          int(ii + K1.offsets[slot]))
 
-    # far-field corrections against finer t/s rules and a denser shared
-    # xi rule (the last-cell mass already resolves the kernel edge)
+    # far-field corrections against finer t and window rules, far halves
+    # by quadrature of the phi table instead of the series, and a denser
+    # shared xi rule (the last-cell mass already resolves the kernel edge)
     xi_s2, wxi_s2 = gauss_jacobi_01(64, 0.0, sp - 1.0)
     xi_l2, wxi_l2 = _last_cell_xi_rule(sp, n_head=32, n_panel=16)
     ms2, ml2 = _tail_mass_funcs(R, N, sp, nu, S, G, xi_s2, wxi_s2,
                                 xi_l2, wxi_l2)
     V2 = _pair_corrections(r, h, N, sp, nu, S, G, ms2, ml2,
-                           n_t=12, n_s=12, grade_factor=1.5)
+                           _quadrature_halves(N, sp, nu, S, G, 16),
+                           n_t=12, n_y=24)
     rel = (np.abs(np.minimum(V2, pre_sub) - V)
            / np.maximum(pre_sub, 1e-300))
     k = int(np.argmax(rel))

@@ -27,7 +27,8 @@ from fracp.kernel import (
     unit_sphere_area,
 )
 from fracp.params import ProblemParams
-from fracp.quadrature import gauss_jacobi_01, gauss_legendre_01, graded_points
+from fracp.quadrature import (QuadratureSpec, _graded_rows, gauss_jacobi_01,
+                              gauss_legendre_01, graded_points, integrate)
 from fracp import kernel
 from fracp import operator as op
 
@@ -298,7 +299,8 @@ def test_boundary_pair_weight_is_clipped(K16, p2):
     # ... and records the clip: the correction V_15 exceeded the
     # neighbor weight it is subtracted from by V_15 - pre_sub_15
     args, ms, ml = _far_field_inputs(K16.grid, p2, PRODUCTION_RULES)
-    V15 = _pair_corrections_loop(*args, ms, ml)[15]
+    V15 = _pair_corrections_loop(*args, ms, ml,
+                                 _far_halves(args, PRODUCTION_RULES))[15]
     r, h, N, sp, nu, S, G = args
     same = op._same_cell(r, h, N, sp, p2.p, nu, S, G)
     _, Bw, _ = op._adjacent(r, h, N, sp, p2.p, nu, S, G)
@@ -357,40 +359,90 @@ def test_power_profile_residual_scale(p2):
 # ---------------------------------------------------------------------------
 
 def _pair_corrections_loop(r, h, N, sp, nu, S, G, mass_shared, mass_last,
-                           n_t=8, n_s=8, grade_factor=2.0):
-    """Oracle: the separated-pair variance masses one (cell, t-node) at a
-    time, with one graded_points panel set each."""
+                           halves, n_t=8, n_y=12):
+    """Oracle: the variance masses of the log-distance rule one (cell,
+    t-node) at a time.  Seen from t the mass splits at t/2 and 2t: the
+    far halves from ``halves``, one node per call, the windows next to
+    t by an n_y-point Gauss-Legendre rule in y = log|s - t|, written
+    with (z - x)^{-nu} instead of e^{-nu y}, and (R_max, inf) from the
+    exterior mass functions where 2t > R_max."""
+    M = h.size
+    R = r[-1]
+    yt, wt = gauss_legendre_01(n_t)
+    yq, wq = gauss_legendre_01(n_y)
+    inner_half, outer_half = halves
+
+    def window(tm, d_lo, d_hi, sign):
+        if not d_hi > d_lo:
+            return 0.0
+        y = math.log(d_lo) + (math.log(d_hi) - math.log(d_lo)) * yq
+        s = tm + sign * np.exp(y)
+        x, z = (s, tm) if sign < 0 else (tm, s)
+        val = (S * x ** (N - 1) * z ** (nu - 1.0 - sp) * (z - x) ** (-nu)
+               * G(x / z) * np.exp(y))
+        return (math.log(d_hi) - math.log(d_lo)) * float((val * wq).sum())
+
+    V = np.zeros(M)
+    for a in range(M):
+        mass = np.zeros(n_t)
+        for m, tm in enumerate((r[a] + h[a] * yt).tolist()):
+            one = np.array([tm])
+            if a == M - 1:
+                mass[m] = mass_last(one)[0]
+            else:                       # cells right of a+1, and beyond R
+                edge = r[a + 2]
+                B = max(edge, 2.0 * tm)
+                mass[m] = (outer_half(one, np.array([tm / B]))[0]
+                           if B <= R else mass_shared(one)[0])
+                mass[m] += window(tm, edge - tm, min(B, R) - tm, 1.0)
+            if a >= 2:                  # cells left of a-1
+                edge = r[a - 1]
+                P = min(edge, 0.5 * tm)
+                mass[m] += (inner_half(one, np.array([P / tm]))[0]
+                            + window(tm, tm - edge, tm - P, -1.0))
+        V[a] = 2.0 * h[a] * float((wt * (1.0 - yt) * yt * mass).sum())
+    return V
+
+
+def _pair_corrections_graded(r, h, N, sp, nu, S, G, mass_shared, mass_last,
+                             n_t=8, n_s=16, grade_factor=1.5):
+    """Accuracy reference: the variance masses by the graded rule the
+    assembly used before the log-distance rule.  The interior masses
+    over [0, r_{a-1}] and [r_{a+2}, R_max] are integrated over panels
+    graded toward the near edge, a panel set per t-node with the first
+    panel half the distance to the edge, n_s Gauss points per panel;
+    the exterior mass comes from the mass functions for every cell.
+    The t-nodes of one cell are evaluated together, their panel sets
+    built by the row form of graded_points."""
     M = h.size
     R = r[-1]
     yt, wt = gauss_legendre_01(n_t)
     ys, wsn = gauss_legendre_01(n_s)
+
+    def graded_mass(t, lo, hi, toward_hi):
+        # the graded_points rows of all t-nodes at once, padded with
+        # zero-width panels at the end away from the edge
+        edge = hi if toward_hi else lo
+        pts = _graded_rows(lo, hi, 0.5 * np.abs(t - edge),
+                           toward_b=toward_hi, factor=grade_factor,
+                           max_panels=60)
+        wid = np.diff(pts, axis=1)[:, :, None]
+        s = pts[:, :-1, None] + wid * ys
+        tm = t[:, None, None]
+        x, y = (s, tm) if toward_hi else (tm, s)
+        val = (S * x ** (N - 1) * y ** (nu - 1.0 - sp) * (y - x) ** (-nu)
+               * G(x / y))
+        return (val * wid * wsn).sum(axis=(1, 2))
+
     V = np.zeros(M)
     for a in range(M):
         t = r[a] + h[a] * yt
-        far = (mass_last if a == M - 1 else mass_shared)(t)
-        if a >= 2:                      # cells strictly left of a-1
-            edge = r[a - 1]
-            for m, tm in enumerate(t.tolist()):
-                pts = np.asarray(graded_points(
-                    0.0, edge, toward=edge, scale=0.5 * (tm - edge),
-                    factor=grade_factor, max_panels=60))
-                s = pts[:-1, None] + np.diff(pts)[:, None] * ys[None, :]
-                w = np.diff(pts)[:, None] * wsn[None, :]
-                val = (S * s ** (N - 1) * tm ** (nu - 1.0 - sp)
-                       * (tm - s) ** (-nu) * G(s / tm))
-                far[m] += float((val * w).sum())
-        if a <= M - 3:                  # cells strictly right of a+1
-            edge = r[a + 2]
-            for m, tm in enumerate(t.tolist()):
-                pts = np.asarray(graded_points(
-                    edge, R, toward=edge, scale=0.5 * (edge - tm),
-                    factor=grade_factor, max_panels=60))
-                s = pts[:-1, None] + np.diff(pts)[:, None] * ys[None, :]
-                w = np.diff(pts)[:, None] * wsn[None, :]
-                val = (S * tm ** (N - 1) * s ** (nu - 1.0 - sp)
-                       * (s - tm) ** (-nu) * G(tm / s))
-                far[m] += float((val * w).sum())
-        V[a] = 2.0 * h[a] * float((wt * (1.0 - yt) * yt * far).sum())
+        mass = (mass_last if a == M - 1 else mass_shared)(t)
+        if a >= 2:
+            mass += graded_mass(t, 0.0, r[a - 1], True)
+        if a <= M - 3:
+            mass += graded_mass(t, r[a + 2], R, False)
+        V[a] = 2.0 * h[a] * float((wt * (1.0 - yt) * yt * mass).sum())
     return V
 
 
@@ -435,10 +487,11 @@ def _tail_columns_loop(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     return tail_xi, W
 
 
-# (n_t, n_s, grade_factor, shared xi nodes, last-cell head and panel
-# orders): the production pass and the verification pass of assemble
-PRODUCTION_RULES = (8, 8, 2.0, 48, 24, 12)
-VERIFICATION_RULES = (12, 12, 1.5, 64, 32, 16)
+# (n_t, n_y, far-half Jacobi order or None for the series, shared xi
+# nodes, last-cell head and panel orders): the production pass and the
+# verification pass of assemble
+PRODUCTION_RULES = (8, 12, None, 48, 24, 12)
+VERIFICATION_RULES = (12, 24, 16, 64, 32, 16)
 
 
 def _far_field_inputs(grid, params, rules):
@@ -452,6 +505,17 @@ def _far_field_inputs(grid, params, rules):
     ms, ml = op._tail_mass_funcs(grid.R_max, N, sp, nu, S, G,
                                  xi_s, wxi_s, xi_l, wxi_l)
     return (grid.nodes, grid.widths, N, sp, nu, S, G), ms, ml
+
+
+def _far_halves(args, rules):
+    # the far halves the pass of ``rules`` uses: the profile series in
+    # production, Gauss-Jacobi quadrature of the phi table in the check
+    _, _, N, sp, nu, S, G = args
+    n_half = rules[2]
+    if n_half is None:
+        return op._series_halves(
+            N, sp, S, kernel._profile_series(N, sp, PIPELINE_CONVENTION))
+    return op._quadrature_halves(N, sp, nu, S, G, n_half)
 
 
 def _max_rel(new, ref):
@@ -468,17 +532,102 @@ def test_pair_corrections_match_loop(p, rules):
     # the tail exponent (that is varied in the assemble test below)
     params = ProblemParams(N=3, s=0.5, p=p, gamma=0.5,
                            alpha=1.5 if p == 2.0 else 1.0)
-    n_t, n_s, factor = rules[:3]
+    n_t, n_y = rules[:2]
     for grading in (1.0, 1.03):
         for M in (16, 48, 128):
             grid = make_radial_grid(tail_exponent=0.0, R_max=64.0, M=M,
                                     grading=grading)
             args, ms, ml = _far_field_inputs(grid, params, rules)
-            V = op._pair_corrections(*args, ms, ml, n_t=n_t, n_s=n_s,
-                                     grade_factor=factor)
-            ref = _pair_corrections_loop(*args, ms, ml, n_t=n_t, n_s=n_s,
-                                         grade_factor=factor)
+            halves = _far_halves(args, rules)
+            V = op._pair_corrections(*args, ms, ml, halves, n_t=n_t,
+                                     n_y=n_y)
+            ref = _pair_corrections_loop(*args, ms, ml, halves, n_t=n_t,
+                                         n_y=n_y)
             assert _max_rel(V, ref) <= 1e-13, (grading, M)
+
+
+@pytest.mark.parametrize("rules", [PRODUCTION_RULES, VERIFICATION_RULES],
+                         ids=["production", "verification"])
+@pytest.mark.parametrize("N, s, p", [(3, 0.5, 2.0), (3, 0.5, 2.5),
+                                     (3, 0.3, 2.2), (5, 0.4, 2.0)])
+def test_pair_corrections_match_graded_rule(N, s, p, rules):
+    # the log-distance rule against the graded rule at twice its panel
+    # order and a finer grading, with the same t-rule and exterior mass
+    # functions: 1e-9, where the two were measured 1.4e-10 apart (the
+    # phi table's own error in these integrals, not either rule's)
+    params = ProblemParams.kernel_only(N, s, p)
+    n_t, n_y = rules[:2]
+    grids = [make_radial_grid(tail_exponent=0.0, R_max=64.0, M=M,
+                              grading=grading)
+             for grading in (1.0, 1.03) for M in (16, 48, 128)]
+    grids.append(make_radial_grid(tail_exponent=0.0, R_max=64.0, M=512,
+                                  grading=1.03 ** 0.5))
+    for grid in grids:
+        args, ms, ml = _far_field_inputs(grid, params, rules)
+        V = op._pair_corrections(*args, ms, ml, _far_halves(args, rules),
+                                 n_t=n_t, n_y=n_y)
+        ref = _pair_corrections_graded(*args, ms, ml, n_t=n_t)
+        assert _max_rel(V, ref) <= 1e-9, grid.widths.size
+
+
+@pytest.mark.parametrize("N, s, p", [(3, 0.5, 2.0), (3, 0.5, 2.5),
+                                     (3, 0.3, 2.2), (5, 0.4, 2.0)])
+def test_far_halves_match_adaptive_quadrature(N, s, p):
+    # the mass over [0, u t] is S t^{N-1-sp} int_0^u rho^{N-1} Phi, the
+    # mass over [t/u, inf) is S t^{N-1-sp} int_0^u xi^{sp-1} Phi, with Phi
+    # in closed form; the series to 1e-13, the verification pass's
+    # quadrature of the phi table to 1e-11 (the table's accuracy)
+    sp = s * p
+    nu = edge_exponent(N, sp)
+    S = unit_sphere_area(N - 1)
+
+    def Phi(rho):
+        return (kernel._edge_profile_exact(rho, N, sp, PIPELINE_CONVENTION)
+                * (1.0 - rho) ** -nu)
+
+    spec = QuadratureSpec(nodes=24, tol=1e-15, max_refinements=4)
+    u = np.array([1e-3, 0.1, 0.3, 0.5])
+    want_in = np.array([integrate(lambda x: x ** (N - 1) * Phi(x),
+                                  [0.0, v], spec).value for v in u])
+    want_out = np.array([integrate(lambda x: x ** (sp - 1.0) * Phi(x),
+                                   [0.0, v], spec,
+                                   lo_exponent=sp - 1.0).value for v in u])
+    series = op._series_halves(
+        N, sp, S, kernel._profile_series(N, sp, PIPELINE_CONVENTION))
+    table = op._quadrature_halves(
+        N, sp, nu, S, get_phi_table(N, sp).edge_profile, 16)
+    for t in (1.0, 3.7):
+        scale = S * t ** (N - 1.0 - sp)
+        tt = np.full(u.size, t)
+        for (inner, outer), tol in ((series, 1e-13), (table, 1e-11)):
+            assert np.max(np.abs(inner(tt, u) / (scale * want_in) - 1.0)) \
+                <= tol
+            assert np.max(np.abs(outer(tt, u) / (scale * want_out) - 1.0)) \
+                <= tol
+
+
+def test_verification_pass_does_not_use_the_series(p25, monkeypatch):
+    # the production far halves come from the series; the verification
+    # pass integrates its own from the phi table, so an error in the
+    # series shows as an assembly deviation
+    calls = []
+    series = op._profile_series
+    check = op._verification_pass
+
+    def counting(*args):
+        calls.append("series")
+        return series(*args)
+
+    def marked(*args):
+        calls.append("check")
+        return check(*args)
+
+    monkeypatch.setattr(op, "_profile_series", counting)
+    monkeypatch.setattr(op, "_verification_pass", marked)
+    grid = make_radial_grid(tail_exponent=2.0, R_max=64.0, M=48,
+                            grading=1.06)
+    op.assemble(grid, p25)
+    assert calls == ["series", "check"]
 
 
 @pytest.mark.parametrize("bt_star", [False, True], ids=["bt0", "bt_star"])

@@ -4,7 +4,9 @@ A solve that stops short of its stationarity tolerance can still return
 a profile that orders correctly, so the continuation and truncation
 checks must fail on the report itself.  The solvers are wrapped to
 return a report with a missed residual (the profile is left as solved),
-on a small grid so each check runs in well under a second.
+on a small grid so each check runs in well under a second.  The
+capacitary solve returns no report; its checks fail on the free-node
+residual of the profile, which the wrapper moves off the solution.
 """
 
 import dataclasses
@@ -111,4 +113,32 @@ def test_truncation_fails_when_its_floor_missed(settings, p25, cache,
     verify._check_truncation(report, settings, p25, cache)
     assert set(_checks(report, "truncation-order").values()) == {False}
     assert any("truncation level n=4 missed stationarity" in n
+               for n in report.notes)
+
+
+def test_capacitary_passes_when_its_solve_is_stationary(settings, p2, cache):
+    report = VerificationReport(p2)
+    verify._check_capacitary(report, settings, p2, cache)
+    assert set(_checks(report, "capacitary-").values()) == {True}
+    assert not report.notes
+
+
+def test_capacitary_fails_on_a_missed_solve(settings, p2, cache,
+                                            monkeypatch):
+    # a profile 1e-6 off the solution on its free nodes still decays at
+    # the capacitary rate, stays monotone and under the plateau cap, but
+    # it is not stationary, so every capacitary check must fail
+    real = verify.solve_capacitary
+
+    def off_by_1e6(R, params, grid, K, tol):
+        u = real(R, params, grid, K, tol)
+        vals = u.values.copy()
+        vals[grid.nodes > R] *= 1.0 - 1e-6
+        return dataclasses.replace(u, values=vals)
+
+    monkeypatch.setattr(verify, "solve_capacitary", off_by_1e6)
+    report = VerificationReport(p2)
+    verify._check_capacitary(report, settings, p2, cache)
+    assert set(_checks(report, "capacitary-").values()) == {False}
+    assert any("capacitary solve R=1 missed stationarity" in n
                for n in report.notes)
