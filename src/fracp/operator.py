@@ -73,11 +73,21 @@ check bands included and the far halves of the variance masses from
 the phi table rather than the series, and records the worst relative
 deviation as ``assembly_error``; a deviation beyond 1e-5 raises
 :class:`~fracp.errors.ConvergenceError` naming the offending cell pair.
+Of all the fields only ``tail_g`` and ``tail_self`` depend on the tail
+exponent, so a matrix for another exponent on the same nodes is derived
+from an assembled one rather than assembled again.
+
+Evaluation (:func:`energy_terms`) prices the energy, its residual and
+its Hessian at a point from one |D|^{p-2} pass into the buffers of the
+solve that asks.  ``W`` is zero outside two blocks, the shared Jacobi
+columns in rows 0..M-1 and the last cell's columns in rows M-1 and M,
+so the tail terms are priced on those blocks only; they are read off the
+matrix (:func:`_tail_blocks`), not assumed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 
 import numpy as np
@@ -809,17 +819,27 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     return tail_xi, W
 
 
-def _tail_self_coefficient(N, sp, p, bt, R, S, table, quad):
-    """Tail self energy 2 S R^{N-sp}/(p bt + sp - N) * profile integral."""
+def _tail_profile(grid, N, sp, p, tail_xi, quad=None):
+    """The two fields of a KernelMatrix that depend on the grid's tail
+    exponent bt: the profile values ``tail_g = tail_xi^bt`` at the
+    exterior samples, and the tail self-energy coefficient
+    2 S R^{N-sp}/(p bt + sp - N) * profile integral (``tail_self``).
+    The weights, ``tail_W`` and ``tail_xi`` depend on the nodes alone.
+    """
+    bt = grid.tail_exponent
+    tail_g = tail_xi ** bt if bt > 0.0 else np.ones_like(tail_xi)
     if bt == 0.0:
-        return 0.0
+        return tail_g, 0.0
     pw = p * bt + sp - N
     if pw <= 0.0:
         raise DomainError(
             f"tail_exponent={bt:g}: the exterior self-energy diverges for "
-            f"0 < beta_tail <= (N - sp)/p = {(N - sp) / p:g}"
+            f"0 < beta_tail <= (N - sp)/p = {(N - sp) / p:g}; "
+            "use 0 (constant extension) or a faster decay"
         )
-    nu = table.nu
+    if quad is None:
+        quad = QuadratureSpec(nodes=24, tol=1e-9, max_refinements=12)
+    table = get_phi_table(N, sp, PIPELINE_CONVENTION)
 
     def f(tau):
         return (tau ** (sp - 1.0)
@@ -828,8 +848,25 @@ def _tail_self_coefficient(N, sp, p, bt, R, S, table, quad):
 
     pts = [0.0, 0.25, 0.5] + graded_points(0.5, 1.0, toward=1.0,
                                            scale=1e-8, factor=4.0)[1:]
-    res = integrate(f, pts, quad, lo_exponent=sp - 1.0, hi_exponent=p - nu)
-    return 2.0 * S * R ** (N - sp) / pw * res.value
+    res = integrate(f, pts, quad, lo_exponent=sp - 1.0,
+                    hi_exponent=p - table.nu)
+    S = unit_sphere_area(N - 1)
+    return tail_g, 2.0 * S * grid.R_max ** (N - sp) / pw * res.value
+
+
+def _with_tail_exponent(K: KernelMatrix, grid: RadialGrid) -> KernelMatrix:
+    """K for ``grid``, which has K's nodes and its own tail exponent.
+
+    Only ``tail_g`` and ``tail_self`` are priced again
+    (:func:`_tail_profile`); every other field, the arrays included, is
+    K's.  The result equals, bit for bit, what :func:`assemble` builds on
+    ``grid`` with its default quadrature.
+    """
+    if not np.array_equal(grid.nodes, K.grid.nodes):
+        raise UsageError("the grid's nodes differ from the ones the kernel "
+                         "matrix was assembled on")
+    tail_g, tail_self = _tail_profile(grid, K.N, K.sp, K.p, K.tail_xi)
+    return replace(K, grid=grid, tail_g=tail_g, tail_self=tail_self)
 
 
 def assemble(grid: RadialGrid, params: ProblemParams,
@@ -843,8 +880,6 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     disagrees with the production pass by more than 1e-5 on any block,
     naming the offending cell pair.
     """
-    if quad is None:
-        quad = QuadratureSpec(nodes=24, tol=1e-9, max_refinements=12)
     N, sp, p = params.N, params.sp, params.p
     nu = edge_exponent(N, sp, PIPELINE_CONVENTION)
     table = get_phi_table(N, sp, PIPELINE_CONVENTION)
@@ -854,13 +889,12 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     h = grid.widths
     M = h.size
     R = grid.R_max
-    bt = grid.tail_exponent
-    if bt > 0.0 and p * bt + sp - N <= 0.0:
-        raise DomainError(
-            f"tail_exponent={bt:g}: the exterior self-energy diverges for "
-            f"0 < beta_tail <= (N - sp)/p = {(N - sp) / p:g}; "
-            "use 0 (constant extension) or a faster decay"
-        )
+    xi_s, wxi_s = gauss_jacobi_01(48, 0.0, sp - 1.0)
+    xi_l, wxi_l = _last_cell_xi_rule(sp)
+    # first, so that a divergent tail self-energy is refused before any
+    # assembly work
+    tail_g, tail_self = _tail_profile(grid, N, sp, p,
+                                      np.concatenate([xi_s, xi_l]), quad)
 
     Kmat = np.zeros((M + 1, M + 1))
     idx = np.arange(M)
@@ -897,8 +931,6 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     phi = _profile_series(N, sp, PIPELINE_CONVENTION)
     _far_series(Kmat, r, h, N, sp, S, phi, far, check_sums)
 
-    xi_s, wxi_s = gauss_jacobi_01(48, 0.0, sp - 1.0)
-    xi_l, wxi_l = _last_cell_xi_rule(sp)
     mass_shared, mass_last = _tail_mass_funcs(R, N, sp, nu, S, G,
                                               xi_s, wxi_s, xi_l, wxi_l)
     V = _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
@@ -916,8 +948,6 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
     tail_xi, W = _tail_columns(r, h, N, sp, nu, S, G, R,
                                xi_s, wxi_s, xi_l, wxi_l)
-    tail_self = _tail_self_coefficient(N, sp, p, bt, R, S, table, quad)
-    tail_g = tail_xi ** bt if bt > 0.0 else np.ones_like(tail_xi)
 
     if Kmat.min() < 0.0:
         i_bad, j_bad = np.unravel_index(int(np.argmin(Kmat)), Kmat.shape)
@@ -1034,39 +1064,77 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _tail_blocks(W):
+    """The two (rows, columns) slice pairs of ``W`` = ``tail_W`` that
+    hold every nonzero entry.
+
+    :func:`_tail_columns` fills the shared Jacobi columns in rows
+    0..M-1 and the last cell's columns in rows M-1 and M only, so 3/4 of
+    W is structural zeros at M = 512.  The split is read off the matrix
+    itself: it follows the last column with a nonzero above row M-1.
+    The columns after it are zero there, so rows M-1 and M hold all of
+    theirs; the columns up to it take rows 0..M-1, and row M as well if
+    it holds one of their nonzeros.  That is exact for any W, the empty
+    and the dense one included.
+    """
+    n = W.shape[0]                  # M + 1
+    upper = np.flatnonzero(W[:n - 2].any(axis=0))
+    split = int(upper[-1]) + 1 if upper.size else 0
+    last = n if W[n - 1, :split].any() else n - 1
+    return ((slice(0, last), slice(0, split)),
+            (slice(n - 2, n), slice(split, W.shape[1])))
+
+
+class _TailBlock:
+    """Work arrays for one block of ``tail_W`` from :func:`_tail_blocks`:
+    the block's ``rows`` and ``cols`` slices, and ``d``, ``flux`` and, for
+    p != 2, ``WA``, each of the block's shape."""
+
+    def __init__(self, K: KernelMatrix, rows: slice, cols: slice):
+        self.rows, self.cols = rows, cols
+        shape = K.tail_W[rows, cols].shape
+        self.d = np.empty(shape)
+        self.flux = np.empty(shape)
+        self.WA = None if K.p == 2.0 else np.empty(shape)
+
+
 class _Buffers:
     """Work arrays for pricing points of one solve on one KernelMatrix.
 
-    ``D``, ``WA`` and ``flux`` are (M+1)^2, ``d``, ``WtA`` and ``tflux``
-    are (M+1) x n_tail.  ``WA`` and ``WtA`` are only needed for p != 2,
-    where they are not the assembled weights themselves.  Every
+    ``D``, ``WA`` and ``flux`` are (M+1)^2; ``WA`` is only needed for
+    p != 2, where it is not the assembled weights themselves.  ``tail``
+    holds the two blocks of ``tail_W`` that carry its nonzeros
+    (:class:`_TailBlock`), each with its own work arrays, so the tail is
+    priced on 48 M + 288 entries instead of 192 (M+1).  Every
     evaluation priced into a set overwrites all of them and takes the next
     ``stamp``, so an evaluation can tell whether its weights are still
     there (a stamp, not a reference back, keeps the pair free of cycles).
     """
 
     def __init__(self, K: KernelMatrix):
-        n, n_tail = K.weights.shape[0], K.tail_g.size
+        n = K.weights.shape[0]
         self.D = np.empty((n, n))
         self.flux = np.empty((n, n))
-        self.d = np.empty((n, n_tail))
-        self.tflux = np.empty((n, n_tail))
         self.WA = None if K.p == 2.0 else np.empty((n, n))
-        self.WtA = None if K.p == 2.0 else np.empty((n, n_tail))
+        self.tail = [_TailBlock(K, rows, cols)
+                     for rows, cols in _tail_blocks(K.tail_W)]
         self.stamp = 0
 
 
 class _EnergyTerms:
     """The energy at one point, with what its derivatives need, from one pass.
 
-    ``WA = W |D|^{p-2}`` and ``WtA = tail_W |d|^{p-2}`` are the weights
-    the energy, the residual and the Hessian share.  The energy and the
-    residual are summed on construction from the pair and tail fluxes
-    ``WA D`` and ``WtA d``; only WA and WtA are kept for the Hessian.
+    ``WA = W |D|^{p-2}`` and, per tail block, ``WtA = W_b |d_b|^{p-2}``
+    are the weights the energy, the residual and the Hessian share.  The
+    energy and the residual are summed on construction from the pair and
+    tail fluxes ``WA D`` and ``WtA d``; only WA and the blocks' WtA are
+    kept for the Hessian.  The tail terms are priced on the blocks of
+    ``tail_W`` that hold its nonzeros (:func:`_tail_blocks`); the zeros
+    outside them add nothing to any sum.
 
-    Every array of (M+1)^2 or (M+1) x n_tail entries lives in ``buffers``
-    (a private set when none is given), written with ``out=`` in the
-    order the formulas read, so a shared set changes no bit of the
+    Every array of (M+1)^2 entries or of a tail block's shape lives in
+    ``buffers`` (a private set when none is given), written with ``out=``
+    in the order the formulas read, so a shared set changes no bit of the
     results.  A row or column vector is first copied across a buffer,
     because a ufunc that broadcasts allocates iterator buffers of up to
     8192 entries per operand.  A later evaluation priced into the same
@@ -1082,31 +1150,39 @@ class _EnergyTerms:
         buf = self._buf = buffers if buffers is not None else _Buffers(K)
         buf.stamp += 1
         self._stamp = buf.stamp
-        # every (M+1)^2 and (M+1) x n_tail array is written into the
+        # every (M+1)^2 and tail-block array is written into the
         # buffers: at M = 512 a fresh 2 MB temporary costs about as much
         # as its arithmetic, most of it in page faults
         np.copyto(buf.D, U[:, None])
         np.copyto(buf.flux, U)
         D = np.subtract(buf.D, buf.flux, out=buf.D)
-        np.copyto(buf.d, U[:, None])
-        np.copyto(buf.tflux, K.tail_g * um)
-        d = np.subtract(buf.d, buf.tflux, out=buf.d)
         if p == 2.0:
-            self.WA, self.WtA = K.weights, K.tail_W
+            self.WA = K.weights
         else:
             self.WA = np.abs(D, out=buf.WA)
             self.WA **= p - 2.0
             self.WA *= K.weights
-            self.WtA = np.abs(d, out=buf.WtA)
-            self.WtA **= p - 2.0
-            self.WtA *= K.tail_W
         A = np.multiply(self.WA, D, out=buf.flux)
-        At = np.multiply(self.WtA, d, out=buf.tflux)
         res = A.sum(axis=1)
-        res += At.sum(axis=1)
-        tail = float(np.multiply(At, d, out=d).sum())   # WtA d^2
-        np.copyto(d, K.tail_g)
-        res[-1] -= float(np.multiply(At, d, out=d).sum())
+        tail = 0.0
+        self.WtA = []
+        for blk in buf.tail:
+            W, g = K.tail_W[blk.rows, blk.cols], K.tail_g[blk.cols]
+            np.copyto(blk.d, U[blk.rows, None])
+            np.copyto(blk.flux, g * um)
+            d = np.subtract(blk.d, blk.flux, out=blk.d)
+            if p == 2.0:
+                WtA = W
+            else:
+                WtA = np.abs(d, out=blk.WA)
+                WtA **= p - 2.0
+                WtA *= W
+            At = np.multiply(WtA, d, out=blk.flux)
+            res[blk.rows] += At.sum(axis=1)
+            tail += float(np.multiply(At, d, out=d).sum())   # WtA d^2
+            np.copyto(d, g)
+            res[-1] -= float(np.multiply(At, d, out=d).sum())
+            self.WtA.append(WtA)
         res[-1] += K.tail_self * (um if p == 2.0
                                   else abs(um) ** (p - 2.0) * um)
         self._residual = res
@@ -1129,19 +1205,26 @@ class _EnergyTerms:
             raise UsageError("a later evaluation has overwritten the "
                              "weights of this point; price it again")
         K, p = self.K, self.K.p
-        diag = np.diag_indices_from(self.WA)
+        n = self.WA.shape[0]
         # off the diagonal H = -(p-1) WA; the diagonal holds the row sums
         H = np.multiply(self.WA, -(p - 1.0), out=buf.flux)
         np.fill_diagonal(H, 0.0)
-        H[diag] -= H.sum(axis=1)
-        Bt = np.multiply(self.WtA, p - 1.0, out=buf.tflux)
-        H[diag] += Bt.sum(axis=1)
-        np.copyto(buf.d, K.tail_g)
-        cross = np.multiply(Bt, buf.d, out=buf.d).sum(axis=1)
+        diag = H.reshape(-1)[::n + 1]       # a view of H's diagonal
+        diag -= H.sum(axis=1)
+        cross = np.zeros(n)
+        corner = 0.0
+        for blk, WtA in zip(buf.tail, self.WtA):
+            g = K.tail_g[blk.cols]
+            Bt = np.multiply(WtA, p - 1.0, out=blk.flux)
+            diag[blk.rows] += Bt.sum(axis=1)
+            np.copyto(blk.d, g)
+            cross[blk.rows] += np.multiply(Bt, blk.d, out=blk.d).sum(axis=1)
+            np.copyto(blk.d, g)
+            blk.d *= blk.d
+            corner += float(np.multiply(Bt, blk.d, out=blk.d).sum())
         H[:, -1] -= cross
         H[-1, :] -= cross
-        np.copyto(buf.d, K.tail_g ** 2)
-        H[-1, -1] += float(np.multiply(Bt, buf.d, out=buf.d).sum())
+        H[-1, -1] += corner
         H[-1, -1] += (p - 1.0) * K.tail_self * abs(self.um) ** (p - 2.0)
         return H
 

@@ -26,7 +26,8 @@ from .analysis import (CheckRecord, VerificationReport,
                        uniform_bound_check)
 from .grid import RadialFunction, make_radial_grid
 from .kernel import PIPELINE_CONVENTION, cross_check_p2, power_profile_constant
-from .operator import assemble, energy_seminorm, weak_residual
+from .operator import (_with_tail_exponent, assemble, energy_seminorm,
+                       weak_residual)
 from .params import ProblemParams
 from .quadrature import QuadratureSpec
 from .solver import (RegularizedProblem, _levels, doubling_schedule,
@@ -60,14 +61,39 @@ class VerifySettings:
 def _grid_and_matrix(cache: dict, params: ProblemParams, st: VerifySettings,
                      M: int, tail_exponent: float,
                      grading: float | None = None):
+    """The grid of M nodes with ``tail_exponent`` and its kernel matrix.
+
+    ``cache`` holds one entry per node set and (N, s, p), mapping tail
+    exponents to (grid, matrix), the assembled one first.  Only
+    ``tail_g`` and ``tail_self`` depend on the tail exponent, so another
+    exponent on the same nodes is derived from the assembled matrix
+    rather than assembled again.
+    """
     grading = st.grading if grading is None else grading
-    key = (M, st.R_max, grading, tail_exponent,
-           params.N, params.sp, params.p)
-    if key not in cache:
+    tails = cache.setdefault(
+        (M, st.R_max, grading, params.N, params.sp, params.p), {})
+    if tail_exponent not in tails:
         g = make_radial_grid(tail_exponent=tail_exponent, R_max=st.R_max,
                              M=M, grading=grading)
-        cache[key] = (g, assemble(g, params))
-    return cache[key]
+        if tails:
+            _, K = next(iter(tails.values()))
+            tails[tail_exponent] = (g, _with_tail_exponent(K, g))
+        else:
+            tails[tail_exponent] = (g, assemble(g, params))
+    return tails[tail_exponent]
+
+
+def _note_clips(report: VerificationReport, cache: dict):
+    """One note per assembly of the run: where it floored adjacent
+    weights and capped far-field corrections for nonnegativity."""
+    for (M, _, grading, N, sp, p), tails in cache.items():
+        _, K = next(iter(tails.values()))
+        report.note(
+            f"assembly M={M}, grading={grading:.6g}, N={N}, sp={sp:g}, "
+            f"p={p:g}: adjacent_clips={K.adjacent_clips} "
+            f"(adjacent_clipped={K.adjacent_clipped:.3e}), "
+            f"correction_clips={K.correction_clips} "
+            f"(correction_clipped={K.correction_clipped:.3e})")
 
 
 def _check_profile_zero(report: VerificationReport, quad: QuadratureSpec):
@@ -107,7 +133,8 @@ def _check_operator_identities(report: VerificationReport,
                                p25: ProblemParams, cache: dict,
                                rng: np.random.Generator):
     # constants sit in the kernel of the pairing only when the synthetic
-    # tail is flat, hence the dedicated tail_exponent = 0 grid
+    # tail is flat, hence the dedicated tail_exponent = 0 grid (its
+    # assembly serves the beta_star grid of the pairing identity too)
     g0, K0 = _grid_and_matrix(cache, p2, st, st.M_coarse, 0.0)
     const = RadialFunction(g0, np.full_like(g0.nodes, 0.731))
     ref = RadialFunction(g0, (1.0 + g0.nodes ** 2) ** -1.0)
@@ -389,6 +416,7 @@ def run_acceptance(settings: VerifySettings | None = None,
     _check_truncation(report, st, p25, cache)
     _check_harnack(report, p2, u_bar)
     _check_comparison(report, st, p2, cache, u_bar)
+    _note_clips(report, cache)
 
     if out_path is not None:
         report.write(out_path)

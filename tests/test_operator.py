@@ -6,9 +6,12 @@ self-interaction coefficient) with adaptive quadrature on the exact
 closed-form kernel at N=3, s=1/2, where the angular profile collapses to
 4*pi/(1-rho^2)^2.  The remaining tests are exact identities
 (homogeneity, Euler relations, truncation monotonicity) that hold for
-the discrete model at any resolution, so they use small grids.
+the discrete model at any resolution, so they use small grids.  The
+evaluation's property tests draw synthetic matrices with hypothesis,
+derandomized, so the suite runs the same examples every time.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,6 +20,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracp.errors import DomainError, FracpError, UsageError
 from fracp.grid import RadialGrid, RadialFunction, make_radial_grid
@@ -245,6 +249,107 @@ def test_shared_buffers_keep_values_and_refuse_stale_hessians(K48, p2, p25,
     assert np.abs(b.hessian() - H).max() <= 1e-12 * np.abs(H).max()
     with pytest.raises(UsageError):
         a.hessian()
+
+
+@pytest.mark.parametrize("N, s, p", [(3, 0.5, 2.0), (3, 0.5, 2.5),
+                                     (5, 0.4, 2.0), (5, 0.5, 2.5)])
+@pytest.mark.parametrize("M", [16, 48, 128])
+def test_tail_blocks_are_the_assembled_layout(N, s, p, M):
+    # the evaluation prices the tail on these blocks only: the shared
+    # Jacobi columns (48 nodes) in rows 0..M-1, the last cell's columns
+    # in rows M-1 and M, every entry of both positive, zeros elsewhere
+    params = ProblemParams.kernel_only(N, s, p)
+    grid = make_radial_grid(tail_exponent=params.beta_star, R_max=64.0, M=M,
+                            grading=1.03 ** (256 / M))
+    W = op.assemble(grid, params).tail_W
+    shared = (slice(0, M), slice(0, 48))
+    last = (slice(M - 1, M + 1), slice(48, W.shape[1]))
+    assert op._tail_blocks(W) == (shared, last)
+    inside = np.zeros(W.shape, dtype=bool)
+    inside[shared] = inside[last] = True
+    assert np.all(W[inside] > 0.0)
+    assert np.all(W[~inside] == 0.0)
+
+
+def _synthetic_matrix(seed, M, n_tail, layout, p):
+    """A KernelMatrix with random symmetric nonnegative weights (some of
+    them zero), random tail samples, profile values and self-energy, and
+    a ``tail_W`` of the given layout: "blocks" (the assembled one, at a
+    random split), "dense" (every entry positive) or "zero"."""
+    rng = np.random.default_rng(seed)
+    n = M + 1
+    Wp = rng.random((n, n)) * (rng.random((n, n)) < 0.8)
+    Wp = np.triu(Wp, 1)
+    tail_W = rng.random((n, n_tail))
+    if layout == "blocks":
+        split = int(rng.integers(1, n_tail))
+        tail_W[M, :split] = 0.0
+        tail_W[:M - 1, split:] = 0.0
+    elif layout == "zero":
+        tail_W[:] = 0.0
+    grid = RadialGrid(nodes=np.linspace(0.0, 16.0, n), tail_exponent=2.0)
+    xi = np.sort(rng.random(n_tail))
+    return op.KernelMatrix(
+        grid=grid, N=3, sp=1.0, p=p, nu=2.0, weights=Wp + Wp.T,
+        tail_xi=xi, tail_g=xi ** 2, tail_W=tail_W,
+        tail_self=float(rng.random()) * 10.0)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(16, 40),
+       n_tail=st.integers(2, 12),
+       layout=st.sampled_from(["blocks", "dense", "zero"]),
+       p=st.one_of(st.just(2.0), st.floats(2.0, 3.0)))
+def test_energy_terms_properties(seed, M, n_tail, layout, p):
+    # the block-priced evaluation against the term-by-term loop on any
+    # tail layout; a shared buffer set gives the bits of a private one,
+    # and the Hessian is exactly symmetric
+    K = _synthetic_matrix(seed, M, n_tail, layout, p)
+    (r0, c0), (r1, c1) = op._tail_blocks(K.tail_W)
+    inside = np.zeros(K.tail_W.shape, dtype=bool)
+    inside[r0, c0] = inside[r1, c1] = True
+    assert not np.any(K.tail_W[~inside])
+    rng = np.random.default_rng(seed + 1)
+    va, vb = rng.standard_normal((2, M + 1))
+    E, R, H = _energy_terms_loop(va, K)
+    alone = op._EnergyTerms(K, va)
+    Ha = alone.hessian()
+    assert alone.energy == pytest.approx(E, rel=1e-12)
+    assert np.abs(alone.residual() - R).max() <= 1e-12 * np.abs(R).max()
+    assert np.abs(Ha - H).max() <= 1e-12 * np.abs(H).max()
+    assert np.array_equal(Ha, Ha.T)
+    buffers = op._Buffers(K)
+    op._EnergyTerms(K, vb, buffers).hessian()
+    shared = op._EnergyTerms(K, va, buffers)
+    assert shared.energy == alone.energy
+    assert np.array_equal(shared.residual(), alone.residual())
+    assert np.array_equal(shared.hessian(), Ha)
+
+
+@pytest.mark.parametrize("bt_from, bt_to", [("0", "star"), ("star", "0")])
+def test_other_tail_exponent_matches_a_fresh_assembly(p25, bt_from, bt_to):
+    # only tail_g and tail_self depend on the tail exponent: the matrix
+    # derived from an assembly on the same nodes is the assembly of the
+    # other grid, field for field and bit for bit
+    bts = {"0": 0.0, "star": p25.beta_star}
+    grids = {k: make_radial_grid(tail_exponent=bt, R_max=64.0, M=48,
+                                 grading=1.06) for k, bt in bts.items()}
+    derived = op._with_tail_exponent(op.assemble(grids[bt_from], p25),
+                                     grids[bt_to])
+    fresh = op.assemble(grids[bt_to], p25)
+    assert derived.grid is grids[bt_to]
+    for f in dataclasses.fields(op.KernelMatrix):
+        a, b = getattr(derived, f.name), getattr(fresh, f.name)
+        if f.name == "grid":
+            assert a.grid_hash == b.grid_hash
+        elif isinstance(b, np.ndarray):
+            assert _same_bits(a, b), f.name
+        else:
+            assert a == b, f.name
+    other = make_radial_grid(tail_exponent=0.0, R_max=64.0, M=32,
+                             grading=1.06)
+    with pytest.raises(UsageError):
+        op._with_tail_exponent(fresh, other)
 
 
 def test_truncation_decreases_energy(K48, p25):

@@ -142,3 +142,33 @@ def test_capacitary_fails_on_a_missed_solve(settings, p2, cache,
     assert set(_checks(report, "capacitary-").values()) == {False}
     assert any("capacitary solve R=1 missed stationarity" in n
                for n in report.notes)
+
+
+def test_one_assembly_per_node_set_and_its_clips_noted(settings, p2,
+                                                      monkeypatch):
+    # another tail exponent on the same nodes and (N, s, p) is derived
+    # from the cached assembly; each assembly gets one clip note
+    calls = []
+    real = verify.assemble
+
+    def counting(grid, params):
+        calls.append(grid.tail_exponent)
+        return real(grid, params)
+
+    monkeypatch.setattr(verify, "assemble", counting)
+    cache = {}
+    g0, K0 = verify._grid_and_matrix(cache, p2, settings, 48, 0.0)
+    g2, K2 = verify._grid_and_matrix(cache, p2, settings, 48, p2.beta_star)
+    assert verify._grid_and_matrix(cache, p2, settings, 48, 0.0) == (g0, K0)
+    assert calls == [0.0]
+    assert K2.matches(g2) and K2.weights is K0.weights
+    assert K0.tail_self == 0.0
+    assert K2.tail_self > 0.0
+    report = VerificationReport(p2)
+    verify._note_clips(report, cache)
+    assert report.notes == [
+        f"assembly M=48, grading=1.03, N=3, sp=1, p=2: "
+        f"adjacent_clips={K0.adjacent_clips} "
+        f"(adjacent_clipped={K0.adjacent_clipped:.3e}), "
+        f"correction_clips={K0.correction_clips} "
+        f"(correction_clipped={K0.correction_clipped:.3e})"]
