@@ -506,13 +506,31 @@ def write_solution_csv(u: RadialFunction, params: ProblemParams, path: str,
         fh.write("\n".join(lines) + "\n")
 
 
+# the header fields write_solution_csv writes, and those that are numbers
+_SOLUTION_KEYS = ("N", "s", "p", "gamma", "alpha", "c_a", "r_exp",
+                  "grid_hash", "tail_exponent", "tail_amplitude", "converged")
+_SOLUTION_NUMBERS = ("N", "s", "p", "gamma", "alpha", "c_a", "tail_exponent",
+                     "tail_amplitude")
+
+
+def _number(path: str, where: str, text: str) -> float:
+    """``text`` as a float, or UsageError naming the file and the field."""
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{path}: {where} is not a number: {text!r}") \
+            from None
+
+
 def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
     """Read a profile written by :func:`write_solution_csv`.
 
     Returns the radial function together with the parsed metadata
     (instance fields, grid hash, tail data, converged flag).  The node
     set and tail exponent reconstruct the grid; its hash must match the
-    stored one, which catches hand-edited or truncated files.
+    stored one, which catches hand-edited or truncated files.  A header
+    key that is missing or not a number, and a node or value that is not
+    a number, raise :class:`UsageError` naming the file and the field.
     """
     with open(path, encoding="ascii") as fh:
         first = fh.readline().strip()
@@ -527,11 +545,23 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
         columns = fh.readline().strip()
         if columns != "r,u,a,rhs,residual":
             raise UsageError(f"{path}: expected 'r,u,a,rhs,residual' columns")
-        rows = [line.split(",") for line in fh if line.strip()]
-    r = np.array([float(row[0]) for row in rows])
-    u = np.array([float(row[1]) for row in rows])
-    grid = RadialGrid(nodes=r, tail_exponent=float(meta["tail_exponent"]))
-    if grid.grid_hash != meta.get("grid_hash"):
+        rows = [(n, line.split(",")) for n, line in enumerate(fh, start=4)
+                if line.strip()]
+    for key in _SOLUTION_KEYS:
+        if key not in meta:
+            raise UsageError(f"{path}: the header has no {key}= field")
+    for key in _SOLUTION_NUMBERS:
+        _number(path, f"header field {key}", meta[key])
+    r, u = [], []
+    for n, fields in rows:
+        if len(fields) != 5:
+            raise UsageError(f"{path}: line {n} has {len(fields)} fields, "
+                             "not 5")
+        r.append(_number(path, f"line {n}, field r", fields[0]))
+        u.append(_number(path, f"line {n}, field u", fields[1]))
+    grid = RadialGrid(nodes=np.array(r),
+                      tail_exponent=float(meta["tail_exponent"]))
+    if grid.grid_hash != meta["grid_hash"]:
         raise UsageError(f"{path}: grid hash mismatch; file edited?")
-    meta["converged"] = meta.get("converged") == "True"
-    return RadialFunction(grid, u), meta
+    meta["converged"] = meta["converged"] == "True"
+    return RadialFunction(grid, np.array(u)), meta

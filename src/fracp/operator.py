@@ -58,12 +58,15 @@ Everything is assembled in a fixed evaluation order, so a given
 near field uses fixed-order Gauss rules.  Each block is evaluated in
 array passes of at most ``_CHUNK_PTS`` quadrature points, cut between
 rows (cells, cell pairs or radii) that are reduced on their own, so the
-pass size bounds the temporaries without changing a bit; the separated
-bands of one Gauss order share their passes.  Far cell pairs, those with
-r_{c'} >= 2 r_{c+1}, take no quadrature: there r/r' <= 1/2, Phi is its
-power series in (r/r')^2 (:func:`fracp.kernel._profile_series`), and the
-kernel separates, so their hat sums are products of closed-form hat
-moments, summed without BLAS in tiles fixed by the grid.  The variance
+pass size bounds the temporaries without changing a bit.  The near
+separated cell pairs form one list in band order, whose pairs of one
+Gauss order share their passes; one scatter (:func:`_scatter`) adds
+their hat sums to K, and it alone fixes the order in which they reach
+an entry.  Far cell pairs, those with r_{c'} >= 2 r_{c+1}, take no
+quadrature: there r/r' <= 1/2, Phi is its power series in (r/r')^2
+(:func:`fracp.kernel._profile_series`), and the kernel separates, so
+their hat sums are products of closed-form hat moments, summed without
+BLAS in tiles fixed by the grid.  The variance
 masses subtracted from K[a, a+1] use the same series: the kernel is
 homogeneous, so seen from a radius t the mass below t/2 and beyond 2t
 is a closed-form sum, and only the two windows next to t take a Gauss
@@ -88,7 +91,6 @@ matrix (:func:`_tail_blocks`), not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -314,44 +316,39 @@ def _adjacent(r, h, N, sp, p, nu, S, G, n_u=16, n_x=12):
     return Aw, Bw, Cw
 
 
-def _separated(Kmat, r, h, N, sp, nu, S, G, order=_band_order, bands=None,
-               keep=(), far=None):
-    """Hat-product weights for cell pairs at distance >= 2, by Gauss rules.
+def _pairs(stop, bands):
+    """The cell pairs (c, c + d) with d in ``bands`` (ascending) and
+    c + d < stop[c], as the arrays (c, d): in band order, and c ascending
+    inside each band."""
+    c = np.arange(stop.size)
+    bands = np.asarray(bands, dtype=np.intp)
+    bands = bands[bands < (stop - c).max()]     # the bands a pair reaches
+    b, c = np.nonzero(c + bands[:, None] < stop)
+    return c, bands[b]
 
-    Band d holds the cell pairs (c, c + d).  ``far`` (see
-    :func:`_far_start`) leaves out every pair (c, c') with
-    c' >= far[c], which :func:`_far_series` sums instead; without it
-    every pair of the bands is integrated.  The bands of one Gauss order
-    run as one pass over all their pairs, cut into chunks of whole pairs
-    so that every pair is still reduced over its own (nd, nd) block.  The
-    four hat sums of a band (lo·lo, lo·hi, hi·lo, hi·hi) are added to K
-    as soon as the chunk that completes the band is done, in ascending
-    band order, so every entry receives the same additions in the same
-    order as a loop over single bands, and only the sums of the bands
-    still open are held.  Returns the sums of the bands in ``keep`` as
-    {d: (4, M - d) array}, zero at the pairs left out.
+
+def _hat_sums(c, d, r, h, N, sp, nu, S, G, order=_band_order):
+    """The four hat sums (lo·lo, lo·hi, hi·lo, hi·hi) of the cell pairs
+    (c, c + d), shape (4, pairs), by Gauss rules of ``order(d)`` points
+    per side.
+
+    The pairs of one Gauss order run as one pass, cut into chunks of
+    whole pairs, so every pair is still reduced over its own (nd, nd)
+    block and its bits depend on neither the chunks nor the other pairs.
     """
-    M = h.size
-    kept = {}
-    for nd, group in groupby(bands if bands is not None else range(2, M),
-                             key=order):
-        group = list(group)
-        # the cells c of each band's pairs; the group's pairs in band
-        # order, band b at [ends[b] - cells[b].size, ends[b])
-        cells = [np.arange(M - d) if far is None
-                 else np.flatnonzero(far[:M - d] > np.arange(d, M))
-                 for d in group]
-        ends = np.cumsum([c.size for c in cells])
-        ci_all = np.concatenate(cells)
-        d_all = np.repeat(group, [c.size for c in cells])
+    sums = np.empty((4, c.size))
+    groups = {}
+    for band in np.unique(d):
+        groups.setdefault(order(int(band)), []).append(band)
+    for nd, group in groups.items():
+        which = np.flatnonzero(np.isin(d, group))
         X, Wx = gauss_legendre_01(nd)
         lo = 1.0 - X
         hat = ((lo, lo), (lo, X), (X, lo), (X, X))
-        held = np.empty((4, 0))     # sums from the first open band on
-        done = 0                    # bands of the group added to K
-        for pairs in _row_chunks(int(ends[-1]), nd * nd):
-            ci = ci_all[pairs]
-            cj = ci + d_all[pairs]
+        for rows in _row_chunks(which.size, nd * nd):
+            pairs = which[rows]
+            ci = c[pairs]
+            cj = ci + d[pairs]
             x = r[ci][:, None] + h[ci][:, None] * X[None, :]   # (pairs, nd)
             y = r[cj][:, None] + h[cj][:, None] * X[None, :]
             xx = x[:, :, None]
@@ -360,36 +357,48 @@ def _separated(Kmat, r, h, N, sp, nu, S, G, order=_band_order, bands=None,
                     * (yy - xx) ** (-nu) * G(xx / yy))
             base = base * (Wx[None, :, None] * Wx[None, None, :])
             base = base * (h[ci] * h[cj])[:, None, None]
-            sums = np.empty((4, ci.size))
             for j, (hat_m, hat_k) in enumerate(hat):
-                sums[j] = (base * hat_m[None, :, None]
-                           * hat_k[None, None, :]).sum(axis=(1, 2))
-            held = np.concatenate([held, sums], axis=1)
-            while done < len(group) and ends[done] <= pairs.stop:
-                band_d, c = group[done], cells[done]
-                band = held[:, :c.size]
-                held = held[:, c.size:]
-                done += 1
-                _add_band(Kmat, band_d, band, c)
-                if band_d in keep:
-                    kept[band_d] = np.zeros((4, M - band_d))
-                    kept[band_d][:, c] = band
-        for band_d in group[done:]:     # a group without a single pair
-            if band_d in keep:
-                kept[band_d] = np.zeros((4, M - band_d))
-    return kept
+                sums[j, pairs] = (base * hat_m[None, :, None]
+                                  * hat_k[None, None, :]).sum(axis=(1, 2))
+    return sums
 
 
-def _add_band(Kmat, d, sums, c=None):
-    """Add the hat sums (4, n) of band d's pairs (c, c + d) to the pair
-    weights; ``c`` defaults to every pair of the band."""
-    if c is None:
-        c = np.arange(sums.shape[1])
-    cp = c + d
-    Kmat[c, cp] += sums[0]
-    Kmat[c, cp + 1] += sums[1]
-    Kmat[c + 1, cp] += sums[2]
-    Kmat[c + 1, cp + 1] += sums[3]
+def _entries(c, d, n):
+    """Flat row-major indices into an n x n matrix of the entries the
+    hat sums of the pairs (c, c + d) add to, shape (4, pairs): lo·lo to
+    (c, c + d), lo·hi to (c, c + d + 1), hi·lo to (c + 1, c + d) and
+    hi·hi to (c + 1, c + d + 1)."""
+    lo = c * n + (c + d)
+    hi = lo + n
+    return np.stack([lo, lo + 1, hi, hi + 1])
+
+
+def _scatter(dst, at, sums):
+    """Add the hat sums (4, pairs) to the flat array ``dst`` at the
+    positions ``at`` (4, pairs).
+
+    The one place that fixes the order in which hat sums reach an entry:
+    entry (i, j) receives lo·hi of band j - i - 1, lo·lo of band j - i,
+    hi·hi of band j - i and hi·lo of band j - i + 1, in that order, which
+    is the order of a loop over single bands.  Each pass reaches an entry
+    at most once, so the fancy-index additions are exact.
+    """
+    for k in (1, 0, 3, 2):
+        dst[at[k]] += sums[k]
+
+
+def _near_field(Kmat, r, h, N, sp, nu, S, G, far, checks):
+    """Add the hat sums of the near pairs, c + d < far[c], to K; return
+    those of the pairs ``checks`` (c, d) as (4, pairs), zero at their far
+    pairs."""
+    M = h.size
+    c, d = _pairs(far, np.arange(2, M))
+    sums = _hat_sums(c, d, r, h, N, sp, nu, S, G)
+    _scatter(Kmat.reshape(-1), _entries(c, d, M + 1), sums)
+    cc, cd = checks
+    check_sums = np.zeros((4, cc.size))
+    check_sums[:, cc + cd < far[cc]] = sums[:, np.isin(d, cd)]
+    return check_sums
 
 
 def _far_start(r):
@@ -536,31 +545,6 @@ def _far_series(Kmat, r, h, N, sp, S, phi, far, kept):
                            np.add.outer((0, nc, 0, nc), i + off)]
                 np.copyto(sums[:, c0 + i[0]:c0 + i[-1] + 1], vals,
                           where=mask[i, i + off])
-
-
-class _Diagonals:
-    """The diagonals j - i in {d - 1, d, d + 1} of an n x n matrix, for
-    the bands d given: every entry the hat sums of those bands reach.
-
-    Held as an (n, diagonals) array, ``values[i, k]`` being entry
-    (i, i + offsets[k]), with the offsets ascending, so its row-major
-    order is the full matrix's; it is indexed like the full matrix by
-    :func:`_add_band`.
-    """
-
-    def __init__(self, n: int, bands):
-        self.offsets = np.unique([d + e for d in bands for e in (-1, 0, 1)])
-        self._slot = np.zeros(n, dtype=np.intp)
-        self._slot[self.offsets] = np.arange(self.offsets.size)
-        self.values = np.zeros((n, self.offsets.size))
-
-    def __getitem__(self, index):
-        i, j = index
-        return self.values[i, self._slot[j - i]]
-
-    def __setitem__(self, index, value):
-        i, j = index
-        self.values[i, self._slot[j - i]] = value
 
 
 def _last_cell_xi_rule(sp, n_head=24, n_panel=12):
@@ -924,12 +908,17 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     Kmat[idx[:-1] + 1, idx[:-1] + 2] += np.maximum(Bw, 0.0)
     Kmat[idx[:-1], idx[:-1] + 2] += Cw
 
-    # near pairs by Gauss rules, far pairs from the profile series
+    # near pairs by Gauss rules, far pairs from the profile series; the
+    # pairs of the check bands keep their production sums for the
+    # verification pass, the far ones through per-band views {d: (4, M - d)}
     far = _far_start(r)
-    check_sums = _separated(Kmat, r, h, N, sp, nu, S, G,
-                            keep=[d for d in _CHECK_BANDS if d < M], far=far)
+    checks = _pairs(np.full(M, M), _CHECK_BANDS)
+    check_sums = _near_field(Kmat, r, h, N, sp, nu, S, G, far, checks)
+    bands, starts = np.unique(checks[1], return_index=True)
     phi = _profile_series(N, sp, PIPELINE_CONVENTION)
-    _far_series(Kmat, r, h, N, sp, S, phi, far, check_sums)
+    _far_series(Kmat, r, h, N, sp, S, phi, far,
+                {int(b): check_sums[:, i:i + M - b]
+                 for b, i in zip(bands, starts)})
 
     mass_shared, mass_last = _tail_mass_funcs(R, N, sp, nu, S, G,
                                               xi_s, wxi_s, xi_l, wxi_l)
@@ -958,7 +947,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
         )
 
     dev, worst = _verification_pass(
-        r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw, check_sums, Kmat,
+        r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw, checks, check_sums,
         V_applied, pre_sub, W, tail_xi)
     if dev > _SELF_CHECK_TOL:
         raise ConvergenceError(
@@ -989,9 +978,13 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
 
 def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
-                       check_sums, Kmat, V, pre_sub, W, tail_xi):
+                       checks, check_sums, V, pre_sub, W, tail_xi):
     """Re-integrate every block at elevated order; return the worst
-    relative deviation and the cell pair it occurred at."""
+    relative deviation and the cell pair it occurred at.
+
+    ``checks`` are the cell pairs (c, d) of the check bands
+    (:func:`_pairs`) and ``check_sums`` their production hat sums.
+    """
     M = h.size
     dev = 0.0
     worst = (0, 1)
@@ -1009,23 +1002,23 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
     if rel[k] > dev:
         dev, worst = float(rel[k]), (k, k + 2)
 
-    # K1 holds the production sums of the check bands, in band order;
-    # K1 and K2 keep only the diagonals those bands reach
-    K1 = _Diagonals(M + 1, check_sums)
-    for d, sums in check_sums.items():
-        _add_band(K1, d, sums)
-    K2 = _Diagonals(M + 1, check_sums)
-    _separated(K2, r, h, N, sp, nu, S, G,
-               order=lambda d: 2 * _band_order(d), bands=list(check_sums))
-    mask = K1.values > 0.0
+    # the check pairs' production and elevated-order sums, scattered
+    # over the entries they reach (flat row-major indices into K)
+    c, d = checks
+    keys, at = np.unique(_entries(c, d, M + 1), return_inverse=True)
+    at = at.reshape(4, -1)
+    K1 = np.zeros(keys.size)
+    _scatter(K1, at, check_sums)
+    K2 = np.zeros(keys.size)
+    _scatter(K2, at, _hat_sums(c, d, r, h, N, sp, nu, S, G,
+                               order=lambda d: 2 * _band_order(d)))
+    mask = K1 > 0.0
     if np.any(mask):
-        rel = (np.abs(K2.values[mask] - K1.values[mask])
-               / K1.values[mask])
+        rel = np.abs(K2[mask] - K1[mask]) / K1[mask]
         k = int(np.argmax(rel))
         if rel[k] > dev:
-            ii, slot = np.argwhere(mask)[k]
-            dev, worst = float(rel[k]), (int(ii),
-                                         int(ii + K1.offsets[slot]))
+            dev, worst = float(rel[k]), divmod(int(keys[mask][k]), M + 1)
+    del keys, at, K1, K2    # not held through the blocks below
 
     # far-field corrections against finer t and window rules, far halves
     # by quadrature of the phi table instead of the series, and a denser

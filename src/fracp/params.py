@@ -39,9 +39,6 @@ Derived exponents
     ``(N + alpha - gamma*beta_star - s*p)/(p - 1)``, the upper decay
     rate produced by the barrier argument.  (H_a) is equivalent to
     ``beta_star < beta_def < N/(p - 1)``.
-``p_star``
-    The critical exponent ``N*p/(N - s*p)`` bounding the admissible
-    weighted-norm orders.
 """
 
 from __future__ import annotations
@@ -112,10 +109,6 @@ class ProblemParams:
     @property
     def sp(self) -> float:
         return self.s * self.p
-
-    @property
-    def p_star(self) -> float:
-        return self.N * self.p / (self.N - self.sp)
 
     @property
     def beta_star(self) -> float:

@@ -288,14 +288,22 @@ def _solve_newton_step(hessian, g: np.ndarray) -> np.ndarray:
 
     ``hessian()`` returns the symmetric H in a work array.  H is
     factored in place, so a failed factorization leaves it overwritten
-    and every shifted retry asks for it again.
+    and every shifted retry asks for it again.  A non-finite entry of H
+    or g raises ValueError.
     """
     def solve(H):
         # H is symmetric, so H.T is the same matrix in the Fortran order
         # LAPACK works in; handed H itself, cho_factor would copy it
-        return -cho_solve(cho_factor(H.T, overwrite_a=True), g)
+        return -cho_solve(cho_factor(H.T, overwrite_a=True,
+                                     check_finite=False),
+                          g, check_finite=False)
 
     H = hessian()
+    # one reduction over H instead of scipy's scans of H, its factor and
+    # g: a NaN or inf anywhere leaves the sum non-finite (so would a sum
+    # that overflows, far beyond any Hessian of a solve)
+    if not (np.isfinite(H.sum()) and np.isfinite(g).all()):
+        raise ValueError("the Newton system holds infs or NaNs")
     n = H.shape[0]
     lam = 1e-10 * max(float(np.trace(H)) / n, 1.0)
     try:

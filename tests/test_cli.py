@@ -237,6 +237,34 @@ def test_edited_solution_file_rejected(workdir, tmp_path):
         read_solution_csv(str(bad))
 
 
+def _drop_token(line, key):
+    return " ".join(t for t in line.split(" ") if not t.startswith(key + "="))
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda lines: [lines[0], _drop_token(lines[1], "tail_exponent")]
+     + lines[2:], "tail_exponent="),
+    (lambda lines: [_drop_token(lines[0], "p")] + lines[1:], "p="),
+    (lambda lines: lines[:5] + [",".join(
+        f if k != 1 else "abc" for k, f in enumerate(lines[5].split(",")))]
+     + lines[6:], "line 6, field u"),
+], ids=["no-tail-exponent", "no-p", "bad-u"])
+def test_malformed_solution_file_is_a_usage_error(workdir, tmp_path, capsys,
+                                                  edit, named):
+    # a hand-edited u_bar.csv is bad input: exit 2 with a message naming
+    # the file and the field, not a traceback
+    for name in ("u_bar.csv", "u_tilde.csv"):
+        shutil.copy(os.path.join(workdir["out"], name), tmp_path)
+    path = tmp_path / "u_bar.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["plotdata", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (plotdata): ")
+    assert str(path) in err and named in err
+
+
 def test_verify_exit_matches_report(workdir):
     out = os.path.join(workdir["out"], "verify")
     rc = main(["verify", "--config", workdir["cfg"], "--out", out])

@@ -14,7 +14,6 @@ def test_derived_exponents():
     P = make()
     assert P.sp == 1.0
     assert P.beta_star == pytest.approx(2.0)
-    assert P.p_star == pytest.approx(3.0)
     # beta_def = (N + alpha - gamma*beta_star - sp) / (p - 1)
     assert P.beta_def == pytest.approx((3 + 1.5 - 0.5 * 2.0 - 1.0) / 1.0)
     lo, hi = P.alpha_window

@@ -200,6 +200,25 @@ def test_newton_step_shifts_until_the_factorization_succeeds():
     assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("where", ["H", "g"])
+def test_newton_step_refuses_a_non_finite_system(where):
+    # the factorization skips scipy's finiteness scans; one check must
+    # still see every entry: here a single NaN off-diagonal pair of an SPD
+    # H (its diagonal stays finite), or a NaN in g
+    rng = np.random.default_rng(3)
+    n = 12
+    A = rng.standard_normal((n, n))
+    H0 = A @ A.T + n * np.eye(n)
+    g = rng.standard_normal(n)
+    if where == "H":
+        H0[3, 7] = H0[7, 3] = np.nan
+    else:
+        g[5] = np.nan
+    assert np.all(np.isfinite(np.diag(H0)))
+    with pytest.raises(ValueError):
+        sv._solve_newton_step(lambda: H0.copy(), g)
+
+
 def test_capacitary_newton_steps_solve_the_free_block(p2, inst2,
                                                       monkeypatch):
     # the capacitary solve fixes the plateau nodes; each Newton step must
