@@ -7,8 +7,11 @@ CLI's CSVs, in any subdirectories).  For every file whose bytes differ:
 
 * a CSV gets, per numeric column, the number of rows that moved, the
   largest relative change (over the entries that are not 0 on the base
-  side) and the largest absolute change, plus every header comment
-  line that changed;
+  side) and the largest absolute change, also as a fraction of the
+  column's largest base |value|, plus every header comment line that
+  changed.  The fraction tells a round-off move of a column that
+  crosses 0 (a residual) from a real one, where the entrywise relative
+  change of an entry near 0 reads large;
 * ``report.json`` gets every moved value as ``base -> change``, the
   checks keyed by name, every flipped ``pass`` flag in bold, and the
   moved lines of a multi-line string (the notes).
@@ -62,7 +65,7 @@ def _compare_csv(base, change):
                    f"{len(rows_change)}")
         return out
     for j, name in enumerate(head_base):
-        rel, absolute, moved = 0.0, 0.0, 0
+        rel, absolute, scale, moved = 0.0, 0.0, 0.0, 0
         numeric = True
         for rb, rc in zip(rows_base, rows_change):
             b, c = _number(rb[j]), _number(rc[j])
@@ -70,6 +73,8 @@ def _compare_csv(base, change):
                 numeric = False
                 moved += rb[j] != rc[j]
                 continue
+            if not math.isnan(b):
+                scale = max(scale, abs(b))
             if b == c or (math.isnan(b) and math.isnan(c)):
                 continue
             moved += 1
@@ -82,9 +87,13 @@ def _compare_csv(base, change):
             out.append(f"  - `{name}`: {moved}/{len(rows_base)} rows differ "
                        "(not numeric)")
             continue
-        out.append(f"  - `{name}`: {moved}/{len(rows_base)} rows, largest "
-                   f"relative change {rel:.3g}, largest absolute change "
-                   f"{absolute:.3g}")
+        line = (f"  - `{name}`: {moved}/{len(rows_base)} rows, largest "
+                f"relative change {rel:.3g}, largest absolute change "
+                f"{absolute:.3g}")
+        if scale > 0.0:
+            line += (f" ({absolute / scale:.3g} of the column's largest "
+                     "base |value|)")
+        out.append(line)
     return out
 
 

@@ -19,6 +19,7 @@ window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError
@@ -70,11 +71,16 @@ class RunConfig:
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    # nan and inf parse as floats but slip through every range check
+    # below, since a comparison with nan is always False
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"{text} is not a finite number")
+    return v
 
 
 def _parse_int(text: str) -> int:
-    v = float(text)
+    v = _parse_float(text)
     if v != int(v):
         raise ValueError(f"{text} is not an integer")
     return int(v)
@@ -83,7 +89,7 @@ def _parse_int(text: str) -> int:
 def _parse_optional_float(text: str):
     if text.lower() in ("none", ""):
         return None
-    return float(text)
+    return _parse_float(text)
 
 
 def _parse_str(text: str) -> str:

@@ -82,10 +82,17 @@ from an assembled one rather than assembled again.
 
 Evaluation (:func:`energy_terms`) prices the energy, its residual and
 its Hessian at a point from one |D|^{p-2} pass into the buffers of the
-solve that asks.  ``W`` is zero outside two blocks, the shared Jacobi
-columns in rows 0..M-1 and the last cell's columns in rows M-1 and M,
-so the tail terms are priced on those blocks only; they are read off the
-matrix (:func:`_tail_blocks`), not assumed.
+solve that asks.  K is symmetric and the differences D_ij = U_i - U_j
+are antisymmetric, so each node pair is priced once, above the
+diagonal, in row blocks of about ``_PAIR_BLOCK`` entries that stay in
+cache (:func:`_pair_blocks`); a matrix of one block is priced as the
+whole square, both ways, exactly as a single pass would.  The Hessian
+is built over the pair weights of that pass, in place, and mirrored
+below the diagonal by exact copies, so it is exactly symmetric.  ``W``
+is zero outside two blocks, the shared Jacobi columns in rows 0..M-1
+and the last cell's columns in rows M-1 and M, so the tail terms are
+priced on those blocks only; they are read off the matrix
+(:func:`_tail_blocks`), not assumed.
 """
 
 from __future__ import annotations
@@ -134,6 +141,13 @@ _CHUNK_PTS = 1 << 13
 # every bit of the far field, is a property of the grid alone
 _FAR_ROWS = 32
 _FAR_COLS = _CHUNK_PTS // (4 * _FAR_ROWS)
+# node-pair entries per row block of an evaluation (_pair_blocks): the
+# four arrays a block streams through (D, flux, WA and its part of W)
+# take 512 KiB each, 2 MiB together, the L2 cache of a core.  Up to
+# M = 360 the node pairs are one block, the whole square priced both
+# ways, which in cache costs less than the copies and the mirror that
+# blocks of the upper triangle need; M = 512 is three blocks
+_PAIR_BLOCK = 1 << 16
 _UNIT_ROUNDOFF = 2.0 ** -53
 # separated bands the verification pass re-integrates at twice the order
 _CHECK_BANDS = (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192,
@@ -1079,109 +1093,193 @@ def _tail_blocks(W):
 
 
 class _TailBlock:
-    """Work arrays for one block of ``tail_W`` from :func:`_tail_blocks`:
-    the block's ``rows`` and ``cols`` slices, and ``d``, ``flux`` and, for
-    p != 2, ``WA``, each of the block's shape."""
+    """Arrays for one block of ``tail_W`` from :func:`_tail_blocks`, all
+    of the block's shape: the block's ``rows`` and ``cols`` slices; its
+    weights ``W`` copied out contiguous (its rows are strided in tail_W)
+    and ``g``, the tail profile values of its columns copied across its
+    rows; ``WA`` for p != 2; and the work arrays ``d`` and ``flux``, laid
+    over the two work arrays of the pair blocks, which are done with
+    them whenever the tail is priced."""
 
-    def __init__(self, K: KernelMatrix, rows: slice, cols: slice):
+    def __init__(self, K: KernelMatrix, rows: slice, cols: slice, D, flux):
         self.rows, self.cols = rows, cols
-        shape = K.tail_W[rows, cols].shape
-        self.d = np.empty(shape)
-        self.flux = np.empty(shape)
+        self.W = np.ascontiguousarray(K.tail_W[rows, cols])
+        shape, size = self.W.shape, self.W.size
+        self.g = np.broadcast_to(K.tail_g[cols], shape).copy()
         self.WA = None if K.p == 2.0 else np.empty(shape)
+        self.d = D[:size].reshape(shape)
+        self.flux = flux[:size].reshape(shape)
+
+
+def _pair_blocks(n):
+    """Row blocks [a, b) for pricing the node pairs of an n x n matrix.
+
+    Block [a, b) takes rows a..b-1 against columns a..n-1: the diagonal
+    square [a, b)^2 both ways, the rectangle [a, b) x [b, n) once, so
+    every pair i < j is priced in exactly one block.  A block takes as
+    many rows as keep it within ``_PAIR_BLOCK`` entries, and at least
+    one, or all the rows left when fewer than that would remain after
+    it, so no sliver of a few rows pays a block's fixed cost.  A matrix
+    of at most _PAIR_BLOCK entries is a single block.
+    """
+    a = 0
+    while a < n:
+        rows = max(1, _PAIR_BLOCK // (n - a))
+        b = n if n - a < 2 * rows else a + rows
+        yield a, b
+        a = b
+
+
+class _PairBlock:
+    """Views for pricing row block [a, b) of the node pairs
+    (:func:`_pair_blocks`): rows a..b-1 against columns a..M.
+
+    ``D`` and ``flux`` lay the block's shape over the buffers' two work
+    arrays.  ``WA`` holds the block's pair weights, for p != 2, packed
+    into the memory of H as one contiguous array from flat index
+    ``start``; ``place`` is the block's place in H.  ``Hb`` is where its
+    part of the Hessian is built: the place itself when that is
+    contiguous (only the first block's is), else D.
+    """
+
+    def __init__(self, a, b, H, D, flux, start):
+        shape = (b - a, H.shape[0] - a)
+        size = shape[0] * shape[1]
+        self.a, self.b = a, b
+        self.D = D[:size].reshape(shape)
+        self.flux = flux[:size].reshape(shape)
+        self.WA = H.reshape(-1)[start:start + size].reshape(shape)
+        self.place = H[a:b, a:]
+        self.Hb = self.place if self.place.flags.c_contiguous else self.D
 
 
 class _Buffers:
     """Work arrays for pricing points of one solve on one KernelMatrix.
 
-    ``D``, ``WA`` and ``flux`` are (M+1)^2; ``WA`` is only needed for
-    p != 2, where it is not the assembled weights themselves.  ``tail``
-    holds the two blocks of ``tail_W`` that carry its nonzeros
-    (:class:`_TailBlock`), each with its own work arrays, so the tail is
-    priced on 48 M + 288 entries instead of 192 (M+1).  Every
-    evaluation priced into a set overwrites all of them and takes the next
-    ``stamp``, so an evaluation can tell whether its weights are still
-    there (a stamp, not a reference back, keeps the pair free of cycles).
+    ``H`` is (M+1)^2: an evaluation packs its pair weights into H's
+    memory, and :meth:`_EnergyTerms.hessian` builds the Hessian over
+    them.  ``pairs`` lists the row blocks of the node pairs
+    (:class:`_PairBlock`) and ``tail`` the two blocks of ``tail_W``
+    that carry its nonzeros (:class:`_TailBlock`), so the tail is priced
+    on 48 M + 288 entries instead of 192 (M+1).  All of them share two
+    work arrays, sized for the largest block, for their ``D`` or ``d``
+    and their ``flux``.  Every evaluation priced into a set
+    overwrites all of them and takes the next ``stamp``, so an
+    evaluation can tell whether its weights are still there (a stamp,
+    not a reference back, keeps the pair free of cycles).
     """
 
     def __init__(self, K: KernelMatrix):
         n = K.weights.shape[0]
-        self.D = np.empty((n, n))
-        self.flux = np.empty((n, n))
-        self.WA = None if K.p == 2.0 else np.empty((n, n))
-        self.tail = [_TailBlock(K, rows, cols)
-                     for rows, cols in _tail_blocks(K.tail_W)]
+        blocks = list(_pair_blocks(n))
+        tail = _tail_blocks(K.tail_W)
+        size = max([(b - a) * (n - a) for a, b in blocks]
+                   + [K.tail_W[rows, cols].size for rows, cols in tail])
+        self.H = np.empty((n, n))
+        D, flux = np.empty(size), np.empty(size)
+        self.pairs = []
+        start = 0
+        for a, b in blocks:
+            self.pairs.append(_PairBlock(a, b, self.H, D, flux, start))
+            start += (b - a) * (n - a)
+        self.tail = [_TailBlock(K, rows, cols, D, flux)
+                     for rows, cols in tail]
         self.stamp = 0
 
 
 class _EnergyTerms:
     """The energy at one point, with what its derivatives need, from one pass.
 
-    ``WA = W |D|^{p-2}`` and, per tail block, ``WtA = W_b |d_b|^{p-2}``
-    are the weights the energy, the residual and the Hessian share.  The
-    energy and the residual are summed on construction from the pair and
-    tail fluxes ``WA D`` and ``WtA d``; only WA and the blocks' WtA are
-    kept for the Hessian.  The tail terms are priced on the blocks of
-    ``tail_W`` that hold its nonzeros (:func:`_tail_blocks`); the zeros
-    outside them add nothing to any sum.
+    ``WA = W |D|^{p-2}``, with ``D_ij = U_i - U_j``, and, per tail block,
+    ``WtA = W_b |d_b|^{p-2}`` are the weights the energy, the residual
+    and the Hessian share.  W is symmetric and D antisymmetric, so the
+    pair terms are priced on the upper triangle only, row block by row
+    block (:func:`_pair_blocks`).  A block's flux ``WA D`` adds its row
+    sums to R and subtracts the column sums of its rectangle; the pairs
+    of the rectangle add their energy ``WA D^2`` and those of the square,
+    priced both ways, half of it.  The tail terms are priced on the
+    blocks of ``tail_W`` that hold its nonzeros (:func:`_tail_blocks`);
+    the zeros outside them add nothing to any sum.  Only WA (for p = 2
+    it is W itself) and the blocks' WtA are kept for the Hessian.
 
-    Every array of (M+1)^2 entries or of a tail block's shape lives in
+    Every array of a block's or a tail block's shape lives in
     ``buffers`` (a private set when none is given), written with ``out=``
     in the order the formulas read, so a shared set changes no bit of the
-    results.  A row or column vector is first copied across a buffer,
-    because a ufunc that broadcasts allocates iterator buffers of up to
-    8192 entries per operand.  A later evaluation priced into the same
-    set overwrites WA and WtA; :meth:`hessian` then raises instead of
+    results.  Every ufunc operand is contiguous: a block of W is first
+    copied out, and a row or column vector is copied across a buffer,
+    because a ufunc on a strided 2-D block or one that broadcasts runs
+    through iterator buffers of up to 8192 entries per operand, at two
+    to four times the cost.  A matrix of one block is priced exactly as
+    the whole square.  A later evaluation priced into the same set
+    overwrites WA and WtA; :meth:`hessian` then raises instead of
     reading them.
     """
 
     def __init__(self, K: KernelMatrix, U: np.ndarray,
                  buffers: _Buffers | None = None):
         self.K = K
+        self._U = U = np.array(U, dtype=float)
         self.um = um = float(U[-1])
         p = K.p
         buf = self._buf = buffers if buffers is not None else _Buffers(K)
         buf.stamp += 1
         self._stamp = buf.stamp
-        # every (M+1)^2 and tail-block array is written into the
-        # buffers: at M = 512 a fresh 2 MB temporary costs about as much
-        # as its arithmetic, most of it in page faults
-        np.copyto(buf.D, U[:, None])
-        np.copyto(buf.flux, U)
-        D = np.subtract(buf.D, buf.flux, out=buf.D)
-        if p == 2.0:
-            self.WA = K.weights
-        else:
-            self.WA = np.abs(D, out=buf.WA)
-            self.WA **= p - 2.0
-            self.WA *= K.weights
-        A = np.multiply(self.WA, D, out=buf.flux)
-        res = A.sum(axis=1)
+        self._kept = True       # WA is in the buffers until hessian()
+        n = U.size
+        res = np.zeros(n)
+        pairs = 0.0
+        for blk in buf.pairs:
+            a, b = blk.a, blk.b
+            D, WA = self._pair_weights(blk)
+            A = np.multiply(WA, D, out=blk.flux)
+            res[a:b] += A.sum(axis=1)
+            AD = np.multiply(A, D, out=D)       # WA D^2
+            pairs += 0.5 * float(AD[:, :b - a].sum())
+            if b < n:
+                res[b:] -= A[:, b - a:].sum(axis=0)
+                pairs += float(AD[:, b - a:].sum())
         tail = 0.0
         self.WtA = []
         for blk in buf.tail:
-            W, g = K.tail_W[blk.rows, blk.cols], K.tail_g[blk.cols]
             np.copyto(blk.d, U[blk.rows, None])
-            np.copyto(blk.flux, g * um)
+            np.multiply(blk.g, um, out=blk.flux)
             d = np.subtract(blk.d, blk.flux, out=blk.d)
             if p == 2.0:
-                WtA = W
+                WtA = blk.W
             else:
                 WtA = np.abs(d, out=blk.WA)
                 WtA **= p - 2.0
-                WtA *= W
+                WtA *= blk.W
             At = np.multiply(WtA, d, out=blk.flux)
             res[blk.rows] += At.sum(axis=1)
             tail += float(np.multiply(At, d, out=d).sum())   # WtA d^2
-            np.copyto(d, g)
-            res[-1] -= float(np.multiply(At, d, out=d).sum())
+            res[-1] -= float(np.multiply(At, blk.g, out=d).sum())
             self.WtA.append(WtA)
         res[-1] += K.tail_self * (um if p == 2.0
                                   else abs(um) ** (p - 2.0) * um)
         self._residual = res
-        pairs = np.multiply(A, D, out=A)   # WA D^2
-        self.energy = (0.5 * float(pairs.sum()) + tail
-                       + K.tail_self * abs(um) ** p)
+        self.energy = pairs + tail + K.tail_self * abs(um) ** p
+
+    def _pair_weights(self, blk: _PairBlock):
+        """D and WA of one row block, as contiguous arrays: D in the
+        block's ``D``, WA in its ``WA`` (for p = 2, W itself, copied out
+        unless the block's rows are whole rows of W)."""
+        K, U = self.K, self._U
+        a, b = blk.a, blk.b
+        D, row = blk.D, blk.flux
+        np.copyto(D, U[a:b, None])
+        np.copyto(row, U[a:])
+        np.subtract(D, row, out=D)
+        W = K.weights[a:b, a:]
+        if not W.flags.c_contiguous:
+            np.copyto(row, W)
+            W = row
+        if K.p == 2.0:
+            return D, W
+        WA = np.abs(D, out=blk.WA)
+        WA **= K.p - 2.0
+        WA *= W
+        return D, WA
 
     def residual(self) -> np.ndarray:
         """Nodal pairing values R_i = (1/p) dE/dU_i (dual coefficients)."""
@@ -1190,30 +1288,53 @@ class _EnergyTerms:
     def hessian(self) -> np.ndarray:
         """Dense second derivative of the energy / p.
 
-        Built into the flux buffer, so the array is overwritten by the
-        next evaluation or Hessian priced into the same buffers.
+        Built in the buffers' ``H`` over this point's WA: block by
+        block, H = -(p-1) WA off the diagonal, its rectangle mirrored
+        below the diagonal by an exact transposed copy, so H is exactly
+        symmetric, and the row sums on the diagonal.  A block writes H
+        only at or after the start of its own packed WA, below which
+        lie the blocks before it, so building from the last block reads
+        every WA before it is overwritten.  H is overwritten by the next
+        evaluation priced into the same buffers; a second call, after
+        the caller may have factored H in place, prices WA again first.
         """
         buf = self._buf
         if buf.stamp != self._stamp:
             raise UsageError("a later evaluation has overwritten the "
                              "weights of this point; price it again")
         K, p = self.K, self.K.p
-        n = self.WA.shape[0]
-        # off the diagonal H = -(p-1) WA; the diagonal holds the row sums
-        H = np.multiply(self.WA, -(p - 1.0), out=buf.flux)
-        np.fill_diagonal(H, 0.0)
+        H = buf.H
+        n = H.shape[0]
+        if not self._kept and p != 2.0:
+            for blk in buf.pairs:
+                self._pair_weights(blk)
+        self._kept = False
         diag = H.reshape(-1)[::n + 1]       # a view of H's diagonal
-        diag -= H.sum(axis=1)
+        for blk in reversed(buf.pairs):
+            a, b, Hb = blk.a, blk.b, blk.Hb
+            WA = K.weights[a:b, a:] if p == 2.0 else blk.WA
+            if not WA.flags.c_contiguous:
+                np.copyto(Hb, WA)
+                WA = Hb
+            np.multiply(WA, -(p - 1.0), out=Hb)
+            # the diagonal of the block's square takes minus its row sums
+            np.fill_diagonal(Hb, 0.0)
+            Hb.reshape(-1)[::Hb.shape[1] + 1] -= Hb.sum(axis=1)
+            if b < n:
+                # and the rows below, built already, minus its column sums
+                rect = Hb[:, b - a:]
+                diag[b:] -= rect.sum(axis=0)
+                np.copyto(H[b:, a:b], rect.T)
+            if Hb is not blk.place:
+                np.copyto(blk.place, Hb)
         cross = np.zeros(n)
         corner = 0.0
         for blk, WtA in zip(buf.tail, self.WtA):
-            g = K.tail_g[blk.cols]
             Bt = np.multiply(WtA, p - 1.0, out=blk.flux)
             diag[blk.rows] += Bt.sum(axis=1)
-            np.copyto(blk.d, g)
-            cross[blk.rows] += np.multiply(Bt, blk.d, out=blk.d).sum(axis=1)
-            np.copyto(blk.d, g)
-            blk.d *= blk.d
+            cross[blk.rows] += np.multiply(Bt, blk.g, out=blk.d).sum(axis=1)
+            g = K.tail_g[blk.cols]
+            np.copyto(blk.d, g * g)
             corner += float(np.multiply(Bt, blk.d, out=blk.d).sum())
         H[:, -1] -= cross
         H[-1, :] -= cross

@@ -43,6 +43,7 @@ Derived exponents
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -94,8 +95,9 @@ class ProblemParams:
                 f"r_exp={self.r_exp}: need 1 < r < p-1 = {self.p - 1.0:g}, "
                 "see (H_f); for p = 2 that interval is empty, use r_exp=None"
             )
-        if self.c_a <= 0.0:
-            raise DomainError(f"c_a={self.c_a}: weight amplitude must be positive")
+        if not 0.0 < self.c_a < math.inf:
+            raise DomainError(f"c_a={self.c_a}: weight amplitude must be "
+                              "positive and finite")
         lo, hi = self.alpha_window
         if not lo < self.alpha < hi:
             raise DomainError(

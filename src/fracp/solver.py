@@ -287,14 +287,16 @@ def _solve_newton_step(hessian, g: np.ndarray) -> np.ndarray:
     """Direction -H^{-1} g, shifting the diagonal when H is not SPD.
 
     ``hessian()`` returns the symmetric H in a work array.  H is
-    factored in place, so a failed factorization leaves it overwritten
-    and every shifted retry asks for it again.  A non-finite entry of H
-    or g raises ValueError.
+    factored in place through LAPACK's lower-triangle path, which
+    overwrites the lower triangle of H.T, H's upper one, so a failed
+    factorization leaves H overwritten and every shifted retry asks for
+    it again.  A non-finite entry of H or g raises ValueError.
     """
     def solve(H):
         # H is symmetric, so H.T is the same matrix in the Fortran order
-        # LAPACK works in; handed H itself, cho_factor would copy it
-        return -cho_solve(cho_factor(H.T, overwrite_a=True,
+        # LAPACK works in (handed H itself, cho_factor would copy it);
+        # the lower-triangle path factors it faster than the upper one
+        return -cho_solve(cho_factor(H.T, lower=True, overwrite_a=True,
                                      check_finite=False),
                           g, check_finite=False)
 

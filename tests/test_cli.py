@@ -278,6 +278,19 @@ def test_missing_config_is_usage_error(tmp_path):
                  str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_non_finite_setting_is_a_usage_error(tmp_path, capsys):
+    # solver.tol = inf used to pass validation: zero Newton iterations and
+    # a u_bar.csv marked converged
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.format(out=out).replace("solver.tol = 1e-8",
+                                                     "solver.tol = inf"))
+    assert main(["solve-singular", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "line 9: solver.tol = 'inf'" in err
+    assert not out.exists()
+
+
 def _scipy_modules_after(code: str) -> list[str]:
     """The scipy modules a fresh interpreter holds after running code."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracp.__file__)))

@@ -62,7 +62,26 @@ def test_moved_csv_column(compare, capsys, tmp_path):
     assert out.splitlines() == [
         "- `flow/u_bar.csv`",
         "  - `u`: 2/3 rows, largest relative change 0.25, largest "
-        "absolute change 2",
+        "absolute change 2 (0.25 of the column's largest base |value|)",
+    ]
+
+
+def test_round_off_move_of_a_column_through_0(compare, capsys, tmp_path):
+    # a residual column crosses 0: an entry of 2.7e-16 that moves to
+    # 5.3e-15 is a relative change of 18.6, but the move is 5.03e-15
+    # against a column whose largest |value| is 4e-10, which is what
+    # tells it for round-off; a column of zeros has no such scale
+    base = "r,residual,zero\n1,2.7e-16,0\n2,-3.1e-10,0\n3,4.0e-10,0\n"
+    change = base.replace("2.7e-16,0", "5.3e-15,1e-300")
+    out = _run(compare, capsys, *_pair(tmp_path, {"u_bar.csv": base},
+                                       {"u_bar.csv": change}))
+    assert out.splitlines() == [
+        "- `u_bar.csv`",
+        "  - `residual`: 1/3 rows, largest relative change 18.6, largest "
+        "absolute change 5.03e-15 (1.26e-05 of the column's largest base "
+        "|value|)",
+        "  - `zero`: 1/3 rows, largest relative change 0, largest "
+        "absolute change 1e-300",
     ]
 
 

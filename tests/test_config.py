@@ -1,5 +1,7 @@
 """Parsing and validation of the flat key=value run configuration."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,26 @@ def test_bad_literal_reports_line_and_key():
         parse_config("params.N = three\n")
     with pytest.raises(ConfigError, match=r"not an integer"):
         parse_config(REQUIRED.replace("params.N = 3", "params.N = 3.5"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [
+    "params.s", "params.p", "params.gamma", "params.alpha", "params.c_a",
+    "params.r_exp", "kappa", "grid.r_max", "grid.grading", "quad.tol",
+    "solver.tol",
+    # integer keys parse through the same float literal
+    "params.N", "grid.nodes", "quad.nodes", "quad.max_refinements",
+    "solver.schedule_max_n", "seed"])
+def test_non_finite_value_reports_line_and_key(key, value):
+    # a comparison with nan is always False, so nan and inf would slip
+    # through every range check after parsing (solver.tol = inf solved
+    # nothing and reported convergence); the parser refuses them
+    lines = [line for line in REQUIRED.splitlines()
+             if line.split("=")[0].strip() != key] + [f"{key} = {value}"]
+    with pytest.raises(ConfigError, match=(
+            rf"^line {len(lines)}: {re.escape(key)} = '{value}': "
+            rf"{value} is not a finite number$")):
+        parse_config("\n".join(lines) + "\n")
 
 
 def test_kappa_bounds_and_growth_requirement():

@@ -203,10 +203,39 @@ def _energy_terms_loop(U, K):
     return E, R, H
 
 
-@pytest.mark.parametrize("p", [2.0, 2.5])
-def test_energy_terms_match_term_loop(K48, p2, p25, p):
-    # the tail terms of node M couple U_M to itself (gradient direction
-    # (1 - g) e_M); the four Hessian updates of add() sum to that exactly
+def _pair_block_budget(n, blocks):
+    """A ``_PAIR_BLOCK`` that cuts an n x n matrix into one block, two,
+    or at least three of growing height with a ragged last one."""
+    return {"one": n * n, "two": n * (n // 2), "ragged": 3 * n}[blocks]
+
+
+def _check_block_layout(n, blocks):
+    rows = [b - a for a, b in op._pair_blocks(n)]
+    if blocks == "ragged":
+        assert len(rows) >= 3 and rows[-1] != rows[0]
+    else:
+        assert len(rows) == {"one": 1, "two": 2}[blocks]
+
+
+@pytest.mark.parametrize("n", [17, 49, 129, 257, 300])
+@pytest.mark.parametrize("budget", [1, 7, 200, 1 << 16])
+def test_pair_blocks_price_every_pair_once(n, budget, monkeypatch):
+    # rows a..b-1 against columns a..n-1: the blocks tile the rows in
+    # order, so each pair i < j lies in exactly one block; a block stays
+    # within the budget unless it takes the last rows, and then fewer
+    # than twice its share were left
+    monkeypatch.setattr(op, "_PAIR_BLOCK", budget)
+    blocks = list(op._pair_blocks(n))
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(b0 == a1 for (_, b0), (a1, _) in zip(blocks, blocks[1:]))
+    for a, b in blocks:
+        share = max(1, budget // (n - a))
+        assert b - a == share or (b == n and n - a < 2 * share)
+    if n * n <= budget:
+        assert blocks == [(0, n)]
+
+
+def _check_term_loop(K48, p2, p25, p):
     params = p25 if p == 2.5 else p2
     K = K48 if p == 2.5 else op.assemble(K48.grid, p2)
     rng = np.random.default_rng(4242)
@@ -216,7 +245,30 @@ def test_energy_terms_match_term_loop(K48, p2, p25, p):
     E, R, H = _energy_terms_loop(vals, K)
     assert terms.energy == pytest.approx(E, rel=1e-12)
     assert np.abs(terms.residual() - R).max() <= 1e-12 * np.abs(R).max()
-    assert np.abs(terms.hessian() - H).max() <= 1e-12 * np.abs(H).max()
+    Ht = terms.hessian()
+    assert np.abs(Ht - H).max() <= 1e-12 * np.abs(H).max()
+    assert np.array_equal(Ht, Ht.T)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_energy_terms_match_term_loop(K48, p2, p25, p):
+    # the tail terms of node M couple U_M to itself (gradient direction
+    # (1 - g) e_M); the four Hessian updates of add() sum to that exactly.
+    # At M = 48 the node pairs are one block, priced as the whole square
+    _check_block_layout(K48.grid.nodes.size, "one")
+    _check_term_loop(K48, p2, p25, p)
+
+
+@pytest.mark.parametrize("blocks", ["two", "ragged"])
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_energy_terms_match_term_loop_in_row_blocks(K48, p2, p25, p, blocks,
+                                                    monkeypatch):
+    # the same point with the node pairs priced on the upper triangle,
+    # block by block
+    n = K48.grid.nodes.size
+    monkeypatch.setattr(op, "_PAIR_BLOCK", _pair_block_budget(n, blocks))
+    _check_block_layout(n, blocks)
+    _check_term_loop(K48, p2, p25, p)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5])
@@ -271,6 +323,23 @@ def test_tail_blocks_are_the_assembled_layout(N, s, p, M):
     assert np.all(W[~inside] == 0.0)
 
 
+@pytest.mark.parametrize("N, s, p", [(3, 0.5, 2.0), (3, 0.5, 2.5),
+                                     (5, 0.4, 2.0)])
+@pytest.mark.parametrize("M", [16, 48, 128])
+def test_weights_are_what_one_triangle_prices(N, s, p, M):
+    # the evaluation prices a pair (i, j) from the entry above the
+    # diagonal (:func:`_pair_blocks`), so an asymmetric K would be
+    # mispriced without a sign: K must equal its transpose bit for bit,
+    # with no negative weight and a zero diagonal
+    params = ProblemParams.kernel_only(N, s, p)
+    grid = make_radial_grid(tail_exponent=params.beta_star, R_max=64.0, M=M,
+                            grading=1.03 ** (256 / M))
+    W = op.assemble(grid, params).weights
+    assert np.array_equal(W.view(np.uint64), W.T.view(np.uint64))
+    assert W.min() >= 0.0
+    assert not np.diag(W).any()
+
+
 def _synthetic_matrix(seed, M, n_tail, layout, p):
     """A KernelMatrix with random symmetric nonnegative weights (some of
     them zero), random tail samples, profile values and self-energy, and
@@ -295,15 +364,38 @@ def _synthetic_matrix(seed, M, n_tail, layout, p):
         tail_self=float(rng.random()) * 10.0)
 
 
+_energy_examples = given(
+    seed=st.integers(0, 2 ** 32 - 1), M=st.integers(16, 40),
+    n_tail=st.integers(2, 12),
+    layout=st.sampled_from(["blocks", "dense", "zero"]),
+    p=st.one_of(st.just(2.0), st.floats(2.0, 3.0)))
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(16, 40),
-       n_tail=st.integers(2, 12),
-       layout=st.sampled_from(["blocks", "dense", "zero"]),
-       p=st.one_of(st.just(2.0), st.floats(2.0, 3.0)))
+@_energy_examples
 def test_energy_terms_properties(seed, M, n_tail, layout, p):
-    # the block-priced evaluation against the term-by-term loop on any
-    # tail layout; a shared buffer set gives the bits of a private one,
-    # and the Hessian is exactly symmetric
+    # the evaluation against the term-by-term loop on any tail layout; a
+    # shared buffer set gives the bits of a private one, the Hessian is
+    # exactly symmetric, and a second call rebuilds it bit for bit after
+    # the first was overwritten, as a factorization in place overwrites
+    # it.  Up to M = 40 the node pairs are one block
+    _check_block_layout(M + 1, "one")
+    _check_energy_terms(seed, M, n_tail, layout, p)
+
+
+@pytest.mark.parametrize("blocks", ["two", "ragged"])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@_energy_examples
+def test_energy_terms_properties_in_row_blocks(blocks, seed, M, n_tail,
+                                               layout, p):
+    # the same properties with the node pairs cut into row blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(op, "_PAIR_BLOCK", _pair_block_budget(M + 1, blocks))
+        _check_block_layout(M + 1, blocks)
+        _check_energy_terms(seed, M, n_tail, layout, p)
+
+
+def _check_energy_terms(seed, M, n_tail, layout, p):
     K = _synthetic_matrix(seed, M, n_tail, layout, p)
     (r0, c0), (r1, c1) = op._tail_blocks(K.tail_W)
     inside = np.zeros(K.tail_W.shape, dtype=bool)
@@ -323,6 +415,9 @@ def test_energy_terms_properties(seed, M, n_tail, layout, p):
     shared = op._EnergyTerms(K, va, buffers)
     assert shared.energy == alone.energy
     assert np.array_equal(shared.residual(), alone.residual())
+    Hs = shared.hessian()
+    assert np.array_equal(Hs, Ha)
+    Hs.fill(np.nan)
     assert np.array_equal(shared.hessian(), Ha)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fracp.errors import DomainError
@@ -81,6 +83,14 @@ def test_weight_amplitude_guard():
         make(c_a=0.0)
     with pytest.raises(DomainError):
         make(c_a=-1.0)
+
+
+@pytest.mark.parametrize("c_a", [math.nan, math.inf])
+def test_weight_amplitude_must_be_finite(c_a):
+    # nan fails no one-sided comparison, and an infinite weight makes
+    # every reaction integral infinite
+    with pytest.raises(DomainError, match="positive and finite"):
+        make(c_a=c_a)
 
 
 def test_kernel_only_constructor():

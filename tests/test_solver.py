@@ -143,7 +143,22 @@ def test_newton_step_allocates_no_full_size_array(p25, monkeypatch):
     # a running solve prices, builds and factors in its own buffers, so
     # one further Newton step (Hessian, factorization, backtracking, the
     # next gradient) holds less than one (M+1)^2 float array at a time;
-    # numpy reports its data buffers to tracemalloc
+    # numpy reports its data buffers to tracemalloc.  At M = 64 the node
+    # pairs are one block
+    assert list(op._pair_blocks(65)) == [(0, 65)]
+    _check_newton_step_allocations(p25, monkeypatch)
+
+
+def test_newton_step_in_row_blocks_allocates_no_full_size_array(p25,
+                                                                monkeypatch):
+    # the same with the node pairs priced in row blocks of 8 to 25 rows,
+    # each Hessian block built in the shared work arrays
+    monkeypatch.setattr(op, "_PAIR_BLOCK", 8 * 65)
+    assert len(list(op._pair_blocks(65))) == 5
+    _check_newton_step_allocations(p25, monkeypatch)
+
+
+def _check_newton_step_allocations(p25, monkeypatch):
     grid = make_radial_grid(tail_exponent=p25.beta_star, R_max=64.0, M=64,
                             grading=1.05)
     K = op.assemble(grid, p25)
