@@ -14,7 +14,10 @@ CLI's CSVs, in any subdirectories).  For every file whose bytes differ:
   change of an entry near 0 reads large;
 * ``report.json`` gets every moved value as ``base -> change``, the
   checks keyed by name, every flipped ``pass`` flag in bold, and the
-  moved lines of a multi-line string (the notes).
+  lines of a multi-line string (the notes) that changed, were added or
+  were removed.  The two sides' lines are aligned by
+  ``difflib.SequenceMatcher``, so one inserted or deleted line does not
+  report every line after it as changed.
 
 The script only reports; its exit code is 0 unless a file cannot be
 read.
@@ -23,6 +26,7 @@ read.
 from __future__ import annotations
 
 import csv
+import difflib
 import json
 import math
 import os
@@ -97,6 +101,27 @@ def _compare_csv(base, change):
     return out
 
 
+def _compare_lines(key, old, new):
+    """The lines of ``old`` and ``new`` that changed, were removed or
+    were added, in order; a changed line carries its base line number."""
+    a, b = old.splitlines(), new.splitlines()
+    out = []
+    matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        paired = min(i2 - i1, j2 - j1)  # a replaced block, line by line
+        out += [f"  - `{key}` line {i1 + k + 1}: {a[i1 + k]!r} -> "
+                f"{b[j1 + k]!r}" for k in range(paired)]
+        out += [f"  - `{key}` line {i + 1} removed: {a[i]!r}"
+                for i in range(i1 + paired, i2)]
+        out += [f"  - `{key}` added as line {j + 1}: {b[j]!r}"
+                for j in range(j1 + paired, j2)]
+    if len(a) != len(b):
+        out.append(f"  - `{key}`: {len(a)} -> {len(b)} lines")
+    return out
+
+
 def _flatten(value, path, into):
     if isinstance(value, dict):
         for key, item in value.items():
@@ -124,13 +149,7 @@ def _compare_report(base, change):
         if old == new:
             continue
         if isinstance(old, str) and isinstance(new, str) and "\n" in old:
-            lines_old, lines_new = old.splitlines(), new.splitlines()
-            out += [f"  - `{key}` line {k + 1}: {a!r} -> {b!r}"
-                    for k, (a, b) in enumerate(zip(lines_old, lines_new))
-                    if a != b]
-            if len(lines_old) != len(lines_new):
-                out.append(f"  - `{key}`: {len(lines_old)} -> "
-                           f"{len(lines_new)} lines")
+            out += _compare_lines(key, old, new)
             continue
         line = f"  - `{key}`: {old!r} -> {new!r}"
         if key.endswith("].pass"):

@@ -104,7 +104,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, FracpError, UsageError
 from .grid import RadialFunction, RadialGrid
 from .kernel import (
-    PIPELINE_CONVENTION,
     _profile_series,
     edge_exponent,
     get_phi_table,
@@ -165,7 +164,7 @@ class KernelMatrix:
     ``tail_g = tail_xi^{beta_tail}``), and ``tail_self`` is the
     closed-form tail self-energy coefficient.  ``N``, ``sp`` and ``p``
     name the instance the weights were assembled for, and ``nu`` is the
-    kernel edge exponent of the pipeline convention.
+    kernel edge exponent sp + 1.
 
     The clip fields record where assembly gave up exactness for
     nonnegativity: ``adjacent_clips`` adjacent-pair weights (A' and B'
@@ -837,7 +836,7 @@ def _tail_profile(grid, N, sp, p, tail_xi, quad=None):
         )
     if quad is None:
         quad = QuadratureSpec(nodes=24, tol=1e-9, max_refinements=12)
-    table = get_phi_table(N, sp, PIPELINE_CONVENTION)
+    table = get_phi_table(N, sp)
 
     def f(tau):
         return (tau ** (sp - 1.0)
@@ -879,8 +878,8 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     naming the offending cell pair.
     """
     N, sp, p = params.N, params.sp, params.p
-    nu = edge_exponent(N, sp, PIPELINE_CONVENTION)
-    table = get_phi_table(N, sp, PIPELINE_CONVENTION)
+    nu = edge_exponent(N, sp)
+    table = get_phi_table(N, sp)
     G = table.edge_profile
     S = unit_sphere_area(N - 1)
     r = grid.nodes
@@ -929,7 +928,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     checks = _pairs(np.full(M, M), _CHECK_BANDS)
     check_sums = _near_field(Kmat, r, h, N, sp, nu, S, G, far, checks)
     bands, starts = np.unique(checks[1], return_index=True)
-    phi = _profile_series(N, sp, PIPELINE_CONVENTION)
+    phi = _profile_series(N, sp)
     _far_series(Kmat, r, h, N, sp, S, phi, far,
                 {int(b): check_sums[:, i:i + M - b]
                  for b, i in zip(bands, starts)})

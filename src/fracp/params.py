@@ -80,7 +80,8 @@ class ProblemParams:
     r_exp: float | None = None
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 3:
+        if not (math.isfinite(self.N) and int(self.N) == self.N
+                and self.N >= 3):
             raise DomainError(f"N={self.N}: need an integer N >= 3, see (H_f)")
         if not 0.0 < self.s < 1.0:
             raise DomainError(f"s={self.s}: need 0 < s < 1, see (H_f)")

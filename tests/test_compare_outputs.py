@@ -99,6 +99,22 @@ def test_flipped_pass_flag(compare, capsys, tmp_path):
     ]
 
 
+def test_note_lines_inserted_and_removed(compare, capsys, tmp_path):
+    # the lines are aligned, not paired by index: one inserted line and
+    # one removed line leave the lines between them unreported
+    base = dict(REPORT, notes="first\nsecond\nthird\nfourth")
+    change = dict(REPORT, notes="first\nnew\nsecond\nthird, changed")
+    out = _run(compare, capsys,
+               *_pair(tmp_path, {"report.json": json.dumps(base)},
+                      {"report.json": json.dumps(change)}))
+    assert out.splitlines() == [
+        "- `report.json`",
+        "  - `notes` added as line 2: 'new'",
+        "  - `notes` line 3: 'third' -> 'third, changed'",
+        "  - `notes` line 4 removed: 'fourth'",
+    ]
+
+
 def test_file_on_one_side_only(compare, capsys, tmp_path):
     out = _run(compare, capsys,
                *_pair(tmp_path, {"u_bar.csv": CSV},

@@ -3,7 +3,8 @@
 The GOLD_* values below were produced by a 30-digit arbitrary-precision
 evaluation of the angular integral, the profile-constant integral, and
 the Gamma-function closed form, then rounded to double precision.  They
-pin both exponent conventions so the cross-check cannot drift silently.
+pin the angular exponent a = (N - 3)/2 so the kernel cannot drift
+silently.
 """
 
 import math
@@ -12,20 +13,16 @@ import os
 import numpy as np
 import pytest
 
-from fracp.errors import DomainError, UsageError
+from fracp.errors import DomainError
 from fracp.params import ProblemParams
 from fracp.quadrature import QuadratureSpec, graded_points, integrate
 from fracp import kernel as K
 
 GOLD_PHI0_N3_STD = 12.566370614359173       # 4*pi
-GOLD_PHI0_N3_N2 = 9.86960440108935862      # pi^2
 GOLD_PHI05_N3_STD = 22.3402144255274186
-GOLD_PHI05_N3_N2 = 13.1594725347858115
-GOLD_PHI0_N4_N2 = 16.7551608191455639      # 16*pi/3
 GOLD_PHI0_N4_STD = 19.7392088021787172     # 2*pi^2
 
 GOLD_CBETA12_N3_STD = 12.1502075934660583
-GOLD_CBETA12_N3_N2 = 7.38580161406662043
 GOLD_CBETA15_P25_STD = -13.7120677614862795
 GOLD_CBETA09_P25_STD = 3.59844113038368275
 
@@ -33,6 +30,13 @@ GOLD_LAM_12 = 0.615536707435050681
 GOLD_LAM_225 = -0.517766952966368811
 GOLD_CALIB_N3_S05 = 19.7392088021787172    # 2*pi^2 again, by coincidence of (3, 1/2)
 GOLD_CALIB_N4_S04 = 33.9794005661988324
+
+
+def _cases(*cases):
+    """Parametrize (N, sp) cases with the ids "<N>-<sp>-n-3" they kept
+    while a second exponent, a = (N - 2)/2, was tested beside them."""
+    return [pytest.param(*case, id="-".join(map(str, case)) + "-n-3")
+            for case in cases]
 
 
 @pytest.fixture(scope="module")
@@ -58,42 +62,33 @@ def test_sphere_measures():
 
 
 def test_angular_exponent_conventions():
-    assert K.angular_exponent(3, "n-2") == 0.5
-    assert K.angular_exponent(3, "n-3") == 0.0
-    assert K.angular_exponent(4, "n-3") == 0.5
-    with pytest.raises(UsageError):
-        K.angular_exponent(3, "n-1")
+    # a = (N - 3)/2, the sphere-slicing exponent
+    assert K.angular_exponent(3) == 0.0
+    assert K.angular_exponent(4) == 0.5
 
 
 def test_edge_exponent():
-    assert K.edge_exponent(3, 1.0, "n-3") == pytest.approx(2.0)   # 1 + sp
-    assert K.edge_exponent(3, 1.0, "n-2") == pytest.approx(1.0)   # sp
-    assert K.edge_exponent(4, 1.6, "n-3") == pytest.approx(2.6)
+    assert K.edge_exponent(3, 1.0) == pytest.approx(2.0)   # 1 + sp
+    assert K.edge_exponent(4, 1.6) == pytest.approx(2.6)
 
 
 def test_angular_reduction_goldens(inst35):
-    assert K.angular_reduction(0.0, inst35, "n-3") == \
+    assert K.angular_reduction(0.0, inst35) == \
         pytest.approx(GOLD_PHI0_N3_STD, rel=1e-12)
-    assert K.angular_reduction(0.0, inst35, "n-2") == \
-        pytest.approx(GOLD_PHI0_N3_N2, rel=1e-12)
-    assert K.angular_reduction(0.5, inst35, "n-3") == \
+    assert K.angular_reduction(0.5, inst35) == \
         pytest.approx(GOLD_PHI05_N3_STD, rel=1e-12)
-    assert K.angular_reduction(0.5, inst35, "n-2") == \
-        pytest.approx(GOLD_PHI05_N3_N2, rel=1e-12)
     P4 = ProblemParams.kernel_only(4, 0.4, 2.0)
-    assert K.angular_reduction(0.0, P4, "n-2") == \
-        pytest.approx(GOLD_PHI0_N4_N2, rel=1e-12)
-    assert K.angular_reduction(0.0, P4, "n-3") == \
+    assert K.angular_reduction(0.0, P4) == \
         pytest.approx(GOLD_PHI0_N4_STD, rel=1e-12)
 
 
-def _adaptive_edge_profile(v, N, sp, convention):
+def _adaptive_edge_profile(v, N, sp):
     """Oracle: G = v^nu Phi(1 - v) by adaptive quadrature of the integral.
 
     Substituting u = 1 - t turns 1 - 2 t rho + rho^2 into v^2 + 2 rho u,
     which is free of cancellation near the edge.
     """
-    a = K.angular_exponent(N, convention)
+    a = K.angular_exponent(N)
     c = (N + sp) / 2.0
     rho = 1.0 - v
     v2 = v * v
@@ -105,23 +100,23 @@ def _adaptive_edge_profile(v, N, sp, convention):
                         factor=4.0, max_panels=60)
     quad = QuadratureSpec(nodes=24, tol=1e-10, max_refinements=14)
     res = integrate(f, pts, quad, lo_exponent=a, hi_exponent=a)
-    nu = K.edge_exponent(N, sp, convention)
+    nu = K.edge_exponent(N, sp)
     return K.sphere_measure(N) * res.value * v ** nu
 
 
-@pytest.mark.parametrize("convention", K.CONVENTIONS)
-@pytest.mark.parametrize("N, sp", [(3, 1.0), (3, 1.25), (4, 0.8), (5, 1.7)])
-def test_closed_form_matches_adaptive_oracle(N, sp, convention):
+@pytest.mark.parametrize("N, sp", _cases((3, 1.0), (3, 1.25), (4, 0.8),
+                                         (5, 1.7)))
+def test_closed_form_matches_adaptive_oracle(N, sp):
     P = ProblemParams.kernel_only(N, sp / 2.0, 2.0)
-    nu = K.edge_exponent(N, sp, convention)
+    nu = K.edge_exponent(N, sp)
     for v in np.geomspace(1e-9, 1.0, 16):
         rho = 1.0 - v
         v = 1.0 - rho  # exact: the pair (rho, v) describes one point
-        got = K.angular_reduction(rho, P, convention) * v ** nu
-        want = _adaptive_edge_profile(v, N, sp, convention)
+        got = K.angular_reduction(rho, P) * v ** nu
+        want = _adaptive_edge_profile(v, N, sp)
         assert got == pytest.approx(want, rel=1e-11)
-    assert K._edge_profile_exact(1.0, N, sp, convention) == \
-        pytest.approx(K.edge_limit(N, sp, convention), rel=1e-14)
+    assert K._edge_profile_exact(1.0, N, sp) == \
+        pytest.approx(K.edge_limit(N, sp), rel=1e-14)
 
 
 def _table_knots_z():
@@ -135,9 +130,8 @@ def _table_knots_z():
     return rho * rho
 
 
-@pytest.mark.parametrize("convention", K.CONVENTIONS)
-@pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
-def test_hyp2f1_matches_scipy_at_the_table_knots(N, convention):
+@pytest.mark.parametrize("N", _cases((3,), (4,), (5,), (6,), (7,)))
+def test_hyp2f1_matches_scipy_at_the_table_knots(N):
     # scipy.special.hyp2f1 as the oracle, on the parameters of the edge
     # profile's 2F1 and at the z of every table knot; w = 1 - z is exact
     # there, so both sides see the same point
@@ -145,13 +139,13 @@ def test_hyp2f1_matches_scipy_at_the_table_knots(N, convention):
 
     z = _table_knots_z()
     w = 1.0 - z
-    a = K.angular_exponent(N, convention)
+    a = K.angular_exponent(N)
     for sp in [0.05, 0.2, 0.5, 0.8, 1.0, 1.25, 1.5, 1.7, 2.0, 2.5, 2.99,
                1.0 - 1e-6, 1.0 + 1e-6, 2.0 - 1e-6]:
         mu = (N + sp) / 2.0
         c = a + 1.5
         A, B = c - mu, 2.0 * a + 2.0 - mu
-        nu = K.edge_exponent(N, sp, convention)
+        nu = K.edge_exponent(N, sp)
         got = K._hyp2f1(A, B, c, z, w)
         want = hyp2f1(A, B, c, z)
         rel = np.abs(got / want - 1.0)
@@ -181,7 +175,7 @@ def test_fresh_phi_table_needs_no_quadrature(monkeypatch):
 
     monkeypatch.setattr(K, "integrate", refuse)
     monkeypatch.setattr(K, "_TABLE_CACHE", {})
-    tab = K.get_phi_table(3, 1.0, "n-3")
+    tab = K.get_phi_table(3, 1.0)
     assert float(tab.phi(0.0)) == pytest.approx(GOLD_PHI0_N3_STD, rel=1e-12)
 
 
@@ -194,56 +188,55 @@ def test_angular_reduction_domain(inst35):
 
 def test_angular_reduction_monotone(inst35):
     ladder = [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99]
-    vals = [K.angular_reduction(r, inst35, "n-3") for r in ladder]
+    vals = [K.angular_reduction(r, inst35) for r in ladder]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_edge_profile_bounded_and_limits(inst35):
     # (1 - rho)^nu * Phi stays bounded and approaches the closed form
-    nu = K.edge_exponent(3, 1.0, "n-3")
-    g1 = K.edge_limit(3, 1.0, "n-3")
+    nu = K.edge_exponent(3, 1.0)
+    g1 = K.edge_limit(3, 1.0)
     assert g1 == pytest.approx(math.pi, rel=1e-14)
     for v in [1e-2, 1e-5, 1e-9, 1e-12]:
-        phi = K.angular_reduction(1.0 - v, inst35, "n-3")
+        phi = K.angular_reduction(1.0 - v, inst35)
         g = phi * v**nu
         assert abs(g) < 2.0 * g1
     # v a power of two so 1 - (1 - v) round-trips exactly
     v = 2.0**-30
-    phi_edge = K.angular_reduction(1.0 - v, inst35, "n-3")
+    phi_edge = K.angular_reduction(1.0 - v, inst35)
     assert phi_edge * v**2 == pytest.approx(g1, rel=1e-8)
 
 
 def test_phi_table_matches_adaptive(inst35):
-    tab = K.get_phi_table(3, 1.0, "n-3")
+    tab = K.get_phi_table(3, 1.0)
     rng = np.random.default_rng(7)
     ladder = np.concatenate([
         rng.uniform(0.0, 0.99, 20),
         1.0 - np.geomspace(1e-11, 1e-2, 12),
     ])
     for r in ladder:
-        direct = K.angular_reduction(float(r), inst35, "n-3")
+        direct = K.angular_reduction(float(r), inst35)
         assert float(tab.phi(float(r))) == pytest.approx(direct, rel=5e-8)
 
 
-@pytest.mark.parametrize("convention", K.CONVENTIONS)
-@pytest.mark.parametrize("N, sp", [(3, 1.0), (3, 1.25), (4, 0.8), (5, 1.7),
-                                   (6, 0.05), (3, 0.2)])
-def test_phi_table_dense_past_the_split(N, sp, convention):
+@pytest.mark.parametrize("N, sp", _cases((3, 1.0), (3, 1.25), (4, 0.8),
+                                         (5, 1.7), (6, 0.05), (3, 0.2)))
+def test_phi_table_dense_past_the_split(N, sp):
     # the whole table range rho in [0, 1 - 1e-12] against the closed form:
     # an even grid over the rho table and past the split, a ladder toward
     # the edge, and each interpolant alone over its whole knot range, so
     # the end knots and the end intervals (slopes from guard knots) too
-    tab = K.get_phi_table(N, sp, convention)
-    # next to the edge against the integral itself: under "n-2" with a
-    # small sp, G moves fast in v there, so a knot placed off its exact v
-    # shows; v a power of two, so 1 - (1 - v) round-trips exactly
+    tab = K.get_phi_table(N, sp)
+    # next to the edge against the integral itself, so a knot placed off
+    # its exact v shows; v a power of two, so 1 - (1 - v) round-trips
+    # exactly
     for e in range(30, 53):
         v = 2.0 ** -e
-        want = _adaptive_edge_profile(v, N, sp, convention)
+        want = _adaptive_edge_profile(v, N, sp)
         assert tab.edge_profile(1.0 - v) == pytest.approx(want, rel=5e-8), e
     rho = np.concatenate([np.linspace(0.0, 0.7, 7001),
                           1.0 - np.geomspace(1e-12, 0.3, 400)])
-    want = K._edge_profile_exact(rho, N, sp, convention)
+    want = K._edge_profile_exact(rho, N, sp)
     rel = np.abs(tab.edge_profile(rho) / want - 1.0)
     assert rel.max() <= 5e-8, f"worst at rho={rho[rel.argmax()]!r}"
 
@@ -251,7 +244,7 @@ def test_phi_table_dense_past_the_split(N, sp, convention):
     rho = np.linspace(0.0, K._RHO_SPLIT + 0.05, 4 * 440 + 1)
     assert rho[0] == lo.x0 and rho[-1] == pytest.approx(
         lo.x0 + (lo.last + 1.0) / lo.inv_h, rel=1e-15)
-    want = K._edge_profile_exact(rho, N, sp, convention)
+    want = K._edge_profile_exact(rho, N, sp)
     rel = np.abs(lo(rho) / want - 1.0)
     assert rel.max() <= 5e-8, f"rho table worst at rho={rho[rel.argmax()]!r}"
 
@@ -260,7 +253,7 @@ def test_phi_table_dense_past_the_split(N, sp, convention):
     assert np.exp(x[-1]) == pytest.approx(1.0 - (K._RHO_SPLIT - 0.05),
                                           rel=1e-14)
     rho = 1.0 - np.exp(x)
-    want = K._edge_profile_exact(rho, N, sp, convention)
+    want = K._edge_profile_exact(rho, N, sp)
     rel = np.abs(hi(np.log(1.0 - rho)) / want - 1.0)
     assert rel.max() <= 5e-8, f"log-v table worst at rho={rho[rel.argmax()]!r}"
 
@@ -279,25 +272,25 @@ def test_hermite_reproduces_cubics():
     assert err.max() <= 1e-13, f"worst at x={x[err.argmax()]!r}"
 
 
-@pytest.mark.parametrize("convention", K.CONVENTIONS)
-@pytest.mark.parametrize("N, sp", [(3, 0.2), (6, 0.05)])
-def test_edge_profile_below_table_matches_adaptive_oracle(N, sp, convention):
-    # below _V_MIN both the table and the closed form use the expansion
-    # g1 + d v^nu; under "n-2" with small sp the v^nu term is of order 1
-    tab = K.get_phi_table(N, sp, convention)
+@pytest.mark.parametrize("N, sp", _cases((3, 0.2), (6, 0.05)))
+def test_edge_profile_below_table_matches_adaptive_oracle(N, sp):
+    # below _V_MIN both the table and the closed form return G(1); the
+    # smallest sp give the slowest edge term d v^nu, nu = sp + 1, and it
+    # must stay below the bound there too
+    tab = K.get_phi_table(N, sp)
     for v in [2.0 ** -40, 2.0 ** -42, 2.0 ** -46, 2.0 ** -50]:
-        want = _adaptive_edge_profile(v, N, sp, convention)
+        want = _adaptive_edge_profile(v, N, sp)
         assert tab.edge_profile(1.0 - v) == pytest.approx(want, rel=1e-11)
-        assert K._edge_profile_exact(1.0 - v, N, sp, convention) == \
+        assert K._edge_profile_exact(1.0 - v, N, sp) == \
             pytest.approx(want, rel=1e-11)
-    g1 = K.edge_limit(N, sp, convention)
+    g1 = K.edge_limit(N, sp)
     assert tab.edge_profile(1.0) == g1
-    assert K._edge_profile_exact(1.0, N, sp, convention) == g1
+    assert K._edge_profile_exact(1.0, N, sp) == g1
 
 
 def test_phi_table_cache_and_vector_eval():
-    t1 = K.get_phi_table(3, 1.0, "n-3")
-    t2 = K.get_phi_table(3, 1.0, "n-3")
+    t1 = K.get_phi_table(3, 1.0)
+    t2 = K.get_phi_table(3, 1.0)
     assert t1 is t2
     vals = t1.phi(np.array([0.0, 0.3, 0.9, 1.0 - 1e-14]))
     assert vals.shape == (4,)
@@ -307,24 +300,21 @@ def test_phi_table_cache_and_vector_eval():
 
 
 def test_profile_constant_goldens(quad, inst35):
-    got = K.power_profile_constant(1.2, inst35, quad, "n-3")
+    got = K.power_profile_constant(1.2, inst35, quad)
     assert got == pytest.approx(GOLD_CBETA12_N3_STD, rel=1e-8)
-    got2 = K.power_profile_constant(1.2, inst35, quad, "n-2")
-    assert got2 == pytest.approx(GOLD_CBETA12_N3_N2, rel=1e-8)
 
 
 def test_profile_constant_p25_goldens(quad):
     P = ProblemParams(N=3, s=0.5, p=2.5, gamma=0.5, alpha=1.2, r_exp=1.2)
-    got = K.power_profile_constant(1.5, P, quad, "n-3")
+    got = K.power_profile_constant(1.5, P, quad)
     assert got == pytest.approx(GOLD_CBETA15_P25_STD, rel=1e-8)
-    got = K.power_profile_constant(0.9, P, quad, "n-3")
+    got = K.power_profile_constant(0.9, P, quad)
     assert got == pytest.approx(GOLD_CBETA09_P25_STD, rel=1e-8)
 
 
 def test_profile_constant_structural_zero(quad, inst35):
-    at_star = K.power_profile_constant(inst35.beta_star, inst35, quad, "n-3")
-    nearby = K.power_profile_constant(0.9 * inst35.beta_star, inst35, quad,
-                                      "n-3")
+    at_star = K.power_profile_constant(inst35.beta_star, inst35, quad)
+    nearby = K.power_profile_constant(0.9 * inst35.beta_star, inst35, quad)
     assert abs(at_star) <= 1e-8 * abs(nearby)
 
 
@@ -333,7 +323,7 @@ def test_profile_constant_window(quad, inst35):
     assert (lo, hi) == (1.0, 3.0)
     for bad in [lo, hi, 0.5, 3.5]:
         with pytest.raises(DomainError):
-            K.power_profile_constant(bad, inst35, quad, "n-3")
+            K.power_profile_constant(bad, inst35, quad)
 
 
 def test_riesz_power_constant_goldens():
@@ -364,21 +354,19 @@ def test_riesz_normalization_closed_form():
 
 
 def test_cross_check_selects_slicing_exponent():
+    # the exponent a = (N - 3)/2 reproduces both the shape of the p = 2
+    # closed form and its constant 2/C_{N,s}
     res = K.cross_check_p2(3, 0.5)
-    assert res.selected == "n-3"
-    by_name = {c.convention: c for c in res.checks}
-    assert by_name["n-3"].passes
-    assert by_name["n-3"].max_rel_dev < 1e-8
-    assert not by_name["n-2"].passes
-    assert by_name["n-2"].max_rel_dev > 1e-3
-    assert by_name["n-3"].calibration == \
-        pytest.approx(GOLD_CALIB_N3_S05, rel=1e-7)
-    assert by_name["n-3"].calibration == \
+    assert res.passes
+    assert res.max_rel_dev < 1e-8
+    assert res.calibration == pytest.approx(GOLD_CALIB_N3_S05, rel=1e-7)
+    assert res.calibration == \
         pytest.approx(res.theory_calibration, rel=1e-7)
+    assert res.calibration_error <= 1e-8
     # measured sign above beta_star is negative, matching the oracle
-    assert by_name["n-3"].probe_value < 0.0
+    assert res.probe_value < 0.0
     assert res.riesz_probe < 0.0
-    assert by_name["n-3"].probe_sign_matches
+    assert res.probe_sign_matches
     assert res.notes
 
 

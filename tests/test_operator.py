@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 from fracp.errors import DomainError, FracpError, UsageError
 from fracp.grid import RadialGrid, RadialFunction, make_radial_grid
 from fracp.kernel import (
-    PIPELINE_CONVENTION,
     edge_exponent,
     get_phi_table,
     unit_sphere_area,
@@ -696,9 +695,9 @@ VERIFICATION_RULES = (12, 24, 16, 64, 32, 16)
 
 def _far_field_inputs(grid, params, rules):
     N, sp = params.N, params.sp
-    nu = edge_exponent(N, sp, PIPELINE_CONVENTION)
+    nu = edge_exponent(N, sp)
     S = unit_sphere_area(N - 1)
-    G = get_phi_table(N, sp, PIPELINE_CONVENTION).edge_profile
+    G = get_phi_table(N, sp).edge_profile
     _, _, _, n_xi, n_head, n_panel = rules
     xi_s, wxi_s = gauss_jacobi_01(n_xi, 0.0, sp - 1.0)
     xi_l, wxi_l = op._last_cell_xi_rule(sp, n_head=n_head, n_panel=n_panel)
@@ -714,7 +713,7 @@ def _far_halves(args, rules):
     n_half = rules[2]
     if n_half is None:
         return op._series_halves(
-            N, sp, S, kernel._profile_series(N, sp, PIPELINE_CONVENTION))
+            N, sp, S, kernel._profile_series(N, sp))
     return op._quadrature_halves(N, sp, nu, S, G, n_half)
 
 
@@ -782,7 +781,7 @@ def test_far_halves_match_adaptive_quadrature(N, s, p):
     S = unit_sphere_area(N - 1)
 
     def Phi(rho):
-        return (kernel._edge_profile_exact(rho, N, sp, PIPELINE_CONVENTION)
+        return (kernel._edge_profile_exact(rho, N, sp)
                 * (1.0 - rho) ** -nu)
 
     spec = QuadratureSpec(nodes=24, tol=1e-15, max_refinements=4)
@@ -793,7 +792,7 @@ def test_far_halves_match_adaptive_quadrature(N, s, p):
                                    [0.0, v], spec,
                                    lo_exponent=sp - 1.0).value for v in u])
     series = op._series_halves(
-        N, sp, S, kernel._profile_series(N, sp, PIPELINE_CONVENTION))
+        N, sp, S, kernel._profile_series(N, sp))
     table = op._quadrature_halves(
         N, sp, nu, S, get_phi_table(N, sp).edge_profile, 16)
     for t in (1.0, 3.7):
@@ -1026,10 +1025,10 @@ SERIES_CASES = [(3, 0.5, 2.0), (3, 0.5, 2.5), (3, 0.3, 2.2), (5, 0.4, 2.0)]
 def test_profile_series_matches_closed_form(N, s, p):
     # sum phi_k rho^{2k} is Phi on the whole range the far pairs use
     sp = s * p
-    phi = kernel._profile_series(N, sp, PIPELINE_CONVENTION)
+    phi = kernel._profile_series(N, sp)
     rho = np.linspace(0.0, 0.5, 2001)
     series = (phi[None, :] * rho[:, None] ** (2 * np.arange(phi.size))).sum(1)
-    exact = (kernel._edge_profile_exact(rho, N, sp, PIPELINE_CONVENTION)
+    exact = (kernel._edge_profile_exact(rho, N, sp)
              * (1.0 - rho) ** -edge_exponent(N, sp))
     assert np.max(np.abs(series / exact - 1.0)) <= 1e-14
 
@@ -1070,7 +1069,7 @@ def test_far_pairs_match_double_order_quadrature(N, s, p):
     # pass's rule): 1e-10, where the production rule is 1e-8 to 1e-6 off
     params = ProblemParams.kernel_only(N, s, p)
     sp = params.sp
-    phi = kernel._profile_series(N, sp, PIPELINE_CONVENTION)
+    phi = kernel._profile_series(N, sp)
     for grid in _far_grids():
         args, _, _ = _far_field_inputs(grid, params, PRODUCTION_RULES)
         r, h, _, _, nu, S, G = args

@@ -38,6 +38,13 @@ def test_dimension_guard(bad):
         make(**bad)
 
 
+@pytest.mark.parametrize("N", [math.inf, -math.inf, math.nan])
+def test_dimension_guard_nonfinite(N):
+    # int() of these raises OverflowError or ValueError of its own
+    with pytest.raises(DomainError, match=r"\(H_f\)"):
+        make(N=N)
+
+
 @pytest.mark.parametrize("bad", [dict(s=0.0), dict(s=1.0), dict(s=-0.2)])
 def test_order_guard(bad):
     with pytest.raises(DomainError):

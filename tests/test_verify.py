@@ -6,14 +6,16 @@ checks must fail on the report itself.  The solvers are wrapped to
 return a report with a missed residual (the profile is left as solved),
 on a small grid so each check runs in well under a second.  The
 capacitary solve returns no report; its checks fail on the free-node
-residual of the profile, which the wrapper moves off the solution.
+residual of the profile, which the wrapper moves off the solution.  A
+phi table scaled by 1.01 keeps the shape of every profile constant, so
+only the closed-form constant of criterion 2 can see it.
 """
 
 import dataclasses
 
 import pytest
 
-from fracp import solver, verify
+from fracp import kernel, solver, verify
 from fracp.analysis import VerificationReport
 from fracp.params import ProblemParams
 
@@ -172,3 +174,29 @@ def test_one_assembly_per_node_set_and_its_clips_noted(settings, p2,
         f"(adjacent_clipped={K0.adjacent_clipped:.3e}), "
         f"correction_clips={K0.correction_clips} "
         f"(correction_clipped={K0.correction_clipped:.3e})"]
+
+
+def test_riesz_ladder_fails_on_a_scaled_phi_table(p2, monkeypatch):
+    # G times 1.01, in tables of their own: C(beta) scales on the whole
+    # ladder, so the shape still matches to round-off, but the
+    # calibration misses 2/C_{N,s} by 1e-2 and the check must fail
+    build = kernel._build_phi_table
+
+    def scaled(N, sp):
+        tab = build(N, sp)
+        edge_profile = tab.edge_profile
+        tab.edge_profile = lambda rho: 1.01 * edge_profile(rho)
+        return tab
+
+    monkeypatch.setattr(kernel, "_TABLE_CACHE", {})
+    monkeypatch.setattr(kernel, "_build_phi_table", scaled)
+    res = kernel.cross_check_p2(3, 0.5)
+    assert res.max_rel_dev <= 1e-4
+    assert res.calibration_error == pytest.approx(1e-2, rel=1e-6)
+    assert not res.passes
+    report = VerificationReport(p2)
+    verify._check_riesz_ladder(report)
+    assert _checks(report, "riesz-ladder-") == {
+        "riesz-ladder-N3-s0.5": False, "riesz-ladder-N4-s0.4": False}
+    assert any("calibration misses 2/normalization by 1.000e-02" in n
+               for n in report.notes)
