@@ -27,8 +27,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .grid import RadialFunction, RadialGrid
 from .kernel import power_profile_constant, profile_window, unit_sphere_area
-from .operator import (KernelMatrix, _tail_blocks, energy_seminorm,
-                       weak_residual, weight_a)
+from .operator import KernelMatrix, energy_seminorm, weak_residual, weight_a
 from .params import ProblemParams
 from .quadrature import QuadratureSpec
 
@@ -287,9 +286,9 @@ def fundamental_residual(beta: float, params: ProblemParams,
     p = K.p
     D = np.abs(U[:, None] - U[None, :]) ** (p - 1.0)
     scale = (K.weights * D).sum(axis=1)
-    for rows, cols in _tail_blocks(K.tail_W):
-        dt = np.abs(U[rows, None] - K.tail_g[cols] * U[-1]) ** (p - 1.0)
-        scale[rows] += (K.tail_W[rows, cols] * dt).sum(axis=1)
+    for blk in K.tail:
+        dt = np.abs(U[blk.rows, None] - blk.g * U[-1]) ** (p - 1.0)
+        scale[blk.rows] += (blk.W * dt).sum(axis=1)
 
     idx = np.flatnonzero((r >= 2.0) & (r <= grid.R_max / 2.0))
     worst = 0.0

@@ -651,8 +651,9 @@ def profile_table_rows(params: ProblemParams, betas, quad: QuadratureSpec):
 def write_profile_table(out_dir: str, params: ProblemParams, rows) -> str:
     """Write a beta sweep as ``cbeta_N{N}_s{s}_p{p}.csv``.
 
-    Comment lines carry the instance and, at p = 2, the measured
-    one-point calibration against the closed form.
+    Comment lines carry the instance and, at p = 2, the closed-form
+    calibration 2/C_{N,s} (:func:`riesz_normalization`); the measured
+    one is asserted against it by :func:`cross_check_p2`, not written.
     """
     name = f"cbeta_N{params.N}_s{params.s:g}_p{params.p:g}.csv"
     path = os.path.join(out_dir, name)

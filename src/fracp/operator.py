@@ -76,9 +76,9 @@ check bands included and the far halves of the variance masses from
 the phi table rather than the series, and records the worst relative
 deviation as ``assembly_error``; a deviation beyond 1e-5 raises
 :class:`~fracp.errors.ConvergenceError` naming the offending cell pair.
-Of all the fields only ``tail_g`` and ``tail_self`` depend on the tail
-exponent, so a matrix for another exponent on the same nodes is derived
-from an assembled one rather than assembled again.
+Of all the fields only the tail blocks' ``g`` and ``tail_self`` depend
+on the tail exponent, so a matrix for another exponent on the same nodes
+is derived from an assembled one rather than assembled again.
 
 Evaluation (:func:`energy_terms`) prices the energy, its residual and
 its Hessian at a point from one |D|^{p-2} pass into the buffers of the
@@ -89,10 +89,10 @@ cache (:func:`_pair_blocks`); a matrix of one block is priced as the
 whole square, both ways, exactly as a single pass would.  The Hessian
 is built over the pair weights of that pass, in place, and mirrored
 below the diagonal by exact copies, so it is exactly symmetric.  ``W``
-is zero outside two blocks, the shared Jacobi columns in rows 0..M-1
-and the last cell's columns in rows M-1 and M, so the tail terms are
-priced on those blocks only; they are read off the matrix
-(:func:`_tail_blocks`), not assumed.
+is stored as the blocks the assembly fills (:class:`TailBlock`): the
+shared Jacobi columns over rows 0..M-1 and the last cell's columns over
+rows M-1 and M.  The tail terms are priced on each block as it is
+stored, any number of them; outside the blocks ``W`` is zero.
 """
 
 from __future__ import annotations
@@ -121,6 +121,7 @@ from .quadrature import (
 
 __all__ = [
     "KernelMatrix",
+    "TailBlock",
     "assemble",
     "energy_terms",
     "energy_seminorm",
@@ -153,18 +154,34 @@ _CHECK_BANDS = (2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192,
                 256, 384)
 
 
+@dataclass(frozen=True, eq=False)
+class TailBlock:
+    """One block of the exterior coupling: the nodes ``rows`` against
+    the exterior samples ``xi = R_max / r'``, of profile values
+    ``g = xi^{beta_tail}``, by the C-contiguous weights ``W``."""
+
+    start: int
+    xi: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+    W: np.ndarray = field(repr=False)
+
+    @property
+    def rows(self) -> slice:
+        return slice(self.start, self.start + self.W.shape[0])
+
+
 @dataclass
 class KernelMatrix:
     """Assembled pair weights realizing the energy on one grid.
 
     ``weights`` is dense symmetric with zero diagonal; entry (i, j)
     carries the full both-orderings mass of the pair, so the energy sums
-    each unordered pair once.  ``tail_W`` couples nodes to the exterior
-    sample points ``tail_xi = R_max / r'`` (profile values
-    ``tail_g = tail_xi^{beta_tail}``), and ``tail_self`` is the
-    closed-form tail self-energy coefficient.  ``N``, ``sp`` and ``p``
-    name the instance the weights were assembled for, and ``nu`` is the
-    kernel edge exponent sp + 1.
+    each unordered pair once.  ``tail`` couples the nodes to the exterior
+    samples in blocks (:class:`TailBlock`), zero outside them: the 48
+    shared Jacobi columns over rows 0..M-1 and the last cell's columns
+    over rows M-1 and M.  ``tail_self`` is the closed-form tail
+    self-energy coefficient.  ``N``, ``sp`` and ``p`` name the instance
+    the weights were assembled for.
 
     The clip fields record where assembly gave up exactness for
     nonnegativity: ``adjacent_clips`` adjacent-pair weights (A' and B'
@@ -179,11 +196,8 @@ class KernelMatrix:
     N: int
     sp: float
     p: float
-    nu: float
     weights: np.ndarray = field(repr=False, default=None)
-    tail_xi: np.ndarray = field(repr=False, default=None)
-    tail_g: np.ndarray = field(repr=False, default=None)
-    tail_W: np.ndarray = field(repr=False, default=None)
+    tail: tuple[TailBlock, ...] = field(repr=False, default=())
     tail_self: float = 0.0
     assembly_error: float = 0.0
     adjacent_clips: int = 0
@@ -245,7 +259,7 @@ def _same_cell(r, h, N, sp, p, nu, S, G, n_u=16, n_r=12):
     """Within-cell weights D_a / h_a^p for K[a, a+1].
 
     With w = r' - r the pair integral over one cell is
-    2 S int_0^h w^{p-nu} int (r'-w)^{N-1} r'^{nu-1-sp} G((r'-w)/r') dr' dw;
+    2 S int_0^h w^{p-nu} int (r'-w)^{N-1} G((r'-w)/r') dr' dw, nu = sp + 1;
     the outer power sits in a Jacobi weight, so the evaluation is
     singularity-free for every p.
     """
@@ -259,7 +273,7 @@ def _same_cell(r, h, N, sp, p, nu, S, G, n_u=16, n_r=12):
         wid = (hc[:, None] - u)[:, :, None]
         rp = lo + wid * yr[None, None, :]              # (rows, n_u, n_r)
         x = rp - u[:, :, None]
-        vals = x ** (N - 1) * rp ** (nu - 1.0 - sp) * G(x / rp)
+        vals = x ** (N - 1) * G(x / rp)
         inner[rows] = wid[:, :, 0] * np.einsum("aur,r->au", vals, wr)
     D = 2.0 * S * h ** (p - nu + 1.0) * np.einsum("au,u->a", inner, wu)
     return D / h ** p
@@ -294,7 +308,7 @@ def _adjacent(r, h, N, sp, p, nu, S, G, n_u=16, n_x=12):
         xi = u[:, :, None] * ys[None, None, :]
         x = rm[:, None, None] - xi
         y = rm[:, None, None] + (u[:, :, None] - xi)
-        base = x ** (N - 1) * y ** (nu - 1.0 - sp) * G(x / y)
+        base = x ** (N - 1) * G(x / y)
         scale = 2.0 * S * u1 ** (p + 2.0 - nu)
         Ia += scale * np.einsum("aus,s,u->a", base, ws * ys ** p, wu)
         Ib += scale * np.einsum("aus,s,u->a", base, ws * (1.0 - ys) ** p, wu)
@@ -314,8 +328,7 @@ def _adjacent(r, h, N, sp, p, nu, S, G, n_u=16, n_x=12):
             eta = u[:, :, None] - xi
             x = rm[:, None, None] - xi
             y = rm[:, None, None] + eta
-            ker = (u[:, :, None] ** (-nu) * x ** (N - 1)
-                   * y ** (nu - 1.0 - sp) * G(x / y))
+            ker = u[:, :, None] ** (-nu) * x ** (N - 1) * G(x / y)
             ker = ker * wid_x[:, :, None] * ws[None, None, :]
             pref = 2.0 * S * wid_u
             Ia += pref * np.einsum("aus,u->a", ker * xi ** p, wg)
@@ -366,8 +379,8 @@ def _hat_sums(c, d, r, h, N, sp, nu, S, G, order=_band_order):
             y = r[cj][:, None] + h[cj][:, None] * X[None, :]
             xx = x[:, :, None]
             yy = y[:, None, :]
-            base = (2.0 * S * xx ** (N - 1) * yy ** (nu - 1.0 - sp)
-                    * (yy - xx) ** (-nu) * G(xx / yy))
+            base = (2.0 * S * xx ** (N - 1) * (yy - xx) ** (-nu)
+                    * G(xx / yy))
             base = base * (Wx[None, :, None] * Wx[None, None, :])
             base = base * (h[ci] * h[cj])[:, None, None]
             for j, (hat_m, hat_k) in enumerate(hat):
@@ -689,8 +702,8 @@ def _window_mass(tm, lo, hi, N, sp, nu, S, G, n, left):
     hi <= tm, else lo >= tm).
 
     One n-point Gauss-Legendre rule in y = log|s - tm| over each window:
-    with ds = e^y dy the integrand is S x^{N-1} z^{nu-1-sp} e^{(1-nu) y}
-    G(x/z), (x, z) = (s, tm) or (tm, s), analytic in y all the way to the
+    with ds = e^y dy the integrand is S x^{N-1} e^{(1-nu) y} G(x/z),
+    (x, z) = (s, tm) or (tm, s), analytic in y all the way to the
     kernel edge, so no grading is needed.  Empty windows give zero.
     """
     yq, wq = gauss_legendre_01(n)
@@ -704,8 +717,7 @@ def _window_mass(tm, lo, hi, N, sp, nu, S, G, n, left):
         d = np.exp(y)
         t = tm[live[rows], None]
         x, z = (t - d, t) if left else (t, t + d)
-        val = (S * x ** (N - 1) * z ** (nu - 1.0 - sp)
-               * np.exp((1.0 - nu) * y) * G(x / z))
+        val = S * x ** (N - 1) * np.exp((1.0 - nu) * y) * G(x / z)
         out[live[rows]] = L[rows] * (val * wq).sum(-1)
     return out
 
@@ -762,7 +774,9 @@ def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last, halves,
 
 def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
                   n_hat=6):
-    """Exterior coupling matrix W on the combined xi node set.
+    """The exterior coupling W as its two blocks, zero outside them:
+    the shared columns ``xi_s`` over rows 0..M-1 and the last cell's
+    columns ``xi_l`` over rows M-1 and M.
 
     Interior cells couple through the shared Jacobi rule; the outermost
     cell sees the kernel edge as xi -> 1, so it uses the graded xi rule
@@ -777,8 +791,8 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     M = h.size
     yx, wx = gauss_legendre_01(n_hat)
     nq_s = xi_s.size
-    tail_xi = np.concatenate([xi_s, xi_l])
-    W = np.zeros((M + 1, tail_xi.size))
+    shared = np.zeros((M, nq_s))
+    Wa, Wb = last = np.empty((2, xi_l.size))        # rows M-1 and M
     pref = 2.0 * S * R ** (-sp)
 
     # the lo and hi hat parts of the interior cells, one row per cell
@@ -793,8 +807,8 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
         core = core * (hc[:, None, None] * wx[None, :, None])
         lo[rows] = (core * (1.0 - yx)[None, :, None]).sum(axis=1)
         hi[rows] = (core * yx[None, :, None]).sum(axis=1)
-    W[0:M - 1, 0:nq_s] += lo
-    W[1:M, 0:nq_s] += hi
+    shared[0:M - 1] += lo
+    shared[1:M] += hi
 
     a = M - 1
     ha = h[a]
@@ -802,7 +816,6 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     # a zero scale leaves the single panel [r_a, R]
     ptsx = _graded_rows(r[a], R, np.where(gap < 2.0 * ha, 0.5 * gap, 0.0),
                         toward_b=True, factor=2.0, max_panels=60)
-    Wa, Wb = W[a, nq_s:], W[a + 1, nq_s:]
     for rows in _row_chunks(xi_l.size, (ptsx.shape[1] - 1) * n_hat):
         wid = np.diff(ptsx[rows], axis=1)[:, :, None]
         xg = ptsx[rows, :-1, None] + wid * yx
@@ -813,20 +826,20 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
         frac = (xg - r[a]) / ha
         Wa[rows] = (val * (1.0 - frac)).sum(axis=(1, 2))
         Wb[rows] = (val * frac).sum(axis=(1, 2))
-    return tail_xi, W
+    return shared, last
 
 
-def _tail_profile(grid, N, sp, p, tail_xi, quad=None):
-    """The two fields of a KernelMatrix that depend on the grid's tail
-    exponent bt: the profile values ``tail_g = tail_xi^bt`` at the
-    exterior samples, and the tail self-energy coefficient
-    2 S R^{N-sp}/(p bt + sp - N) * profile integral (``tail_self``).
-    The weights, ``tail_W`` and ``tail_xi`` depend on the nodes alone.
+def _tail_profile(grid, N, sp, p, xis, quad=None):
+    """What a KernelMatrix holds that depends on the grid's tail
+    exponent bt: the profile values g = xi^bt of the tail blocks, one
+    array per array of samples in ``xis``, and the tail self-energy
+    coefficient 2 S R^{N-sp}/(p bt + sp - N) * profile integral
+    (``tail_self``).  The weights and samples depend on the nodes alone.
     """
     bt = grid.tail_exponent
-    tail_g = tail_xi ** bt if bt > 0.0 else np.ones_like(tail_xi)
+    gs = [xi ** bt for xi in xis]
     if bt == 0.0:
-        return tail_g, 0.0
+        return gs, 0.0
     pw = p * bt + sp - N
     if pw <= 0.0:
         raise DomainError(
@@ -848,13 +861,13 @@ def _tail_profile(grid, N, sp, p, tail_xi, quad=None):
     res = integrate(f, pts, quad, lo_exponent=sp - 1.0,
                     hi_exponent=p - table.nu)
     S = unit_sphere_area(N - 1)
-    return tail_g, 2.0 * S * grid.R_max ** (N - sp) / pw * res.value
+    return gs, 2.0 * S * grid.R_max ** (N - sp) / pw * res.value
 
 
 def _with_tail_exponent(K: KernelMatrix, grid: RadialGrid) -> KernelMatrix:
     """K for ``grid``, which has K's nodes and its own tail exponent.
 
-    Only ``tail_g`` and ``tail_self`` are priced again
+    Only the tail blocks' ``g`` and ``tail_self`` are priced again
     (:func:`_tail_profile`); every other field, the arrays included, is
     K's.  The result equals, bit for bit, what :func:`assemble` builds on
     ``grid`` with its default quadrature.
@@ -862,8 +875,10 @@ def _with_tail_exponent(K: KernelMatrix, grid: RadialGrid) -> KernelMatrix:
     if not np.array_equal(grid.nodes, K.grid.nodes):
         raise UsageError("the grid's nodes differ from the ones the kernel "
                          "matrix was assembled on")
-    tail_g, tail_self = _tail_profile(grid, K.N, K.sp, K.p, K.tail_xi)
-    return replace(K, grid=grid, tail_g=tail_g, tail_self=tail_self)
+    gs, tail_self = _tail_profile(grid, K.N, K.sp, K.p,
+                                  [blk.xi for blk in K.tail])
+    return replace(K, grid=grid, tail_self=tail_self,
+                   tail=tuple(replace(blk, g=g) for blk, g in zip(K.tail, gs)))
 
 
 def assemble(grid: RadialGrid, params: ProblemParams,
@@ -890,8 +905,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     xi_l, wxi_l = _last_cell_xi_rule(sp)
     # first, so that a divergent tail self-energy is refused before any
     # assembly work
-    tail_g, tail_self = _tail_profile(grid, N, sp, p,
-                                      np.concatenate([xi_s, xi_l]), quad)
+    gs, tail_self = _tail_profile(grid, N, sp, p, (xi_s, xi_l), quad)
 
     Kmat = np.zeros((M + 1, M + 1))
     idx = np.arange(M)
@@ -948,8 +962,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     capped = np.maximum(V - pre_sub, 0.0)
     Kmat[idx, idx + 1] = pre_sub - V_applied
 
-    tail_xi, W = _tail_columns(r, h, N, sp, nu, S, G, R,
-                               xi_s, wxi_s, xi_l, wxi_l)
+    W = _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l)
 
     if Kmat.min() < 0.0:
         i_bad, j_bad = np.unravel_index(int(np.argmin(Kmat)), Kmat.shape)
@@ -961,7 +974,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
     dev, worst = _verification_pass(
         r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw, checks, check_sums,
-        V_applied, pre_sub, W, tail_xi)
+        V_applied, pre_sub, W, (xi_s, xi_l))
     if dev > _SELF_CHECK_TOL:
         raise ConvergenceError(
             f"assembly verification failed: relative deviation {dev:.2e} "
@@ -976,11 +989,9 @@ def assemble(grid: RadialGrid, params: ProblemParams,
         N=N,
         sp=sp,
         p=p,
-        nu=nu,
         weights=Kmat,
-        tail_xi=tail_xi,
-        tail_g=tail_g,
-        tail_W=W,
+        tail=tuple(TailBlock(start, xi, g, w) for start, xi, g, w
+                   in zip((0, M - 1), (xi_s, xi_l), gs, W)),
         tail_self=tail_self,
         assembly_error=dev,
         adjacent_clips=int(np.count_nonzero(floored)),
@@ -991,7 +1002,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
 
 def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
-                       checks, check_sums, V, pre_sub, W, tail_xi):
+                       checks, check_sums, V, pre_sub, W, xis):
     """Re-integrate every block at elevated order; return the worst
     relative deviation and the cell pair it occurred at.
 
@@ -1051,12 +1062,11 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
 
     # exterior coupling: compare rule-independent row functionals (total
     # mass and a curvature-weighted mass) between the two xi rules
-    _, W2 = _tail_columns(r, h, N, sp, nu, S, G, R, xi_s2, wxi_s2,
-                          xi_l2, wxi_l2, n_hat=10)
-    xi2 = np.concatenate([xi_s2, xi_l2])
+    W2 = _tail_columns(r, h, N, sp, nu, S, G, R, xi_s2, wxi_s2,
+                       xi_l2, wxi_l2, n_hat=10)
     for g_pow in (0.0, 2.0):
-        f1 = (W * tail_xi[None, :] ** g_pow).sum(axis=1)
-        f2 = (W2 * xi2[None, :] ** g_pow).sum(axis=1)
+        f1 = _tail_row_sums(W, xis, g_pow)
+        f2 = _tail_row_sums(W2, (xi_s2, xi_l2), g_pow)
         scale_w = max(float(f1.max()), 1e-300)
         rel = np.abs(f2 - f1) / scale_w
         k = int(np.argmax(rel))
@@ -1066,46 +1076,38 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
     return dev, worst
 
 
+def _tail_row_sums(Ws, xis, g_pow):
+    """sum_q W_iq xi_q^g_pow for every node, from the weights ``Ws`` and
+    samples ``xis`` of the two blocks of :func:`_tail_columns`, each row
+    summed as the dense row of W: rows 0..M-2 over the shared block
+    (zeros after a row's entries leave numpy's pairwise sum unchanged),
+    rows M-1 and M, where the blocks meet, over the columns of both.
+    """
+    (W_s, W_l), (xi_s, xi_l) = Ws, xis
+    meet = np.zeros((2, xi_s.size + xi_l.size))
+    meet[0, :xi_s.size] = W_s[-1]
+    meet[:, xi_s.size:] = W_l
+    return np.concatenate([(W_s[:-1] * xi_s ** g_pow).sum(axis=1),
+                           (meet * np.concatenate(xis) ** g_pow).sum(axis=1)])
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _tail_blocks(W):
-    """The two (rows, columns) slice pairs of ``W`` = ``tail_W`` that
-    hold every nonzero entry.
-
-    :func:`_tail_columns` fills the shared Jacobi columns in rows
-    0..M-1 and the last cell's columns in rows M-1 and M only, so 3/4 of
-    W is structural zeros at M = 512.  The split is read off the matrix
-    itself: it follows the last column with a nonzero above row M-1.
-    The columns after it are zero there, so rows M-1 and M hold all of
-    theirs; the columns up to it take rows 0..M-1, and row M as well if
-    it holds one of their nonzeros.  That is exact for any W, the empty
-    and the dense one included.
-    """
-    n = W.shape[0]                  # M + 1
-    upper = np.flatnonzero(W[:n - 2].any(axis=0))
-    split = int(upper[-1]) + 1 if upper.size else 0
-    last = n if W[n - 1, :split].any() else n - 1
-    return ((slice(0, last), slice(0, split)),
-            (slice(n - 2, n), slice(split, W.shape[1])))
-
-
 class _TailBlock:
-    """Arrays for one block of ``tail_W`` from :func:`_tail_blocks`, all
-    of the block's shape: the block's ``rows`` and ``cols`` slices; its
-    weights ``W`` copied out contiguous (its rows are strided in tail_W)
-    and ``g``, the tail profile values of its columns copied across its
+    """Arrays for pricing one tail block of K (:class:`TailBlock`), all
+    of the block's shape but ``rows``: its weights ``W``, K's own array,
+    not a copy; ``g``, the block's profile values copied across its
     rows; ``WA`` for p != 2; and the work arrays ``d`` and ``flux``, laid
     over the two work arrays of the pair blocks, which are done with
     them whenever the tail is priced."""
 
-    def __init__(self, K: KernelMatrix, rows: slice, cols: slice, D, flux):
-        self.rows, self.cols = rows, cols
-        self.W = np.ascontiguousarray(K.tail_W[rows, cols])
+    def __init__(self, blk: TailBlock, p: float, D, flux):
+        self.rows, self.W = blk.rows, blk.W
         shape, size = self.W.shape, self.W.size
-        self.g = np.broadcast_to(K.tail_g[cols], shape).copy()
-        self.WA = None if K.p == 2.0 else np.empty(shape)
+        self.g = np.broadcast_to(blk.g, shape).copy()
+        self.WA = None if p == 2.0 else np.empty(shape)
         self.d = D[:size].reshape(shape)
         self.flux = flux[:size].reshape(shape)
 
@@ -1158,22 +1160,20 @@ class _Buffers:
     ``H`` is (M+1)^2: an evaluation packs its pair weights into H's
     memory, and :meth:`_EnergyTerms.hessian` builds the Hessian over
     them.  ``pairs`` lists the row blocks of the node pairs
-    (:class:`_PairBlock`) and ``tail`` the two blocks of ``tail_W``
-    that carry its nonzeros (:class:`_TailBlock`), so the tail is priced
-    on 48 M + 288 entries instead of 192 (M+1).  All of them share two
-    work arrays, sized for the largest block, for their ``D`` or ``d``
-    and their ``flux``.  Every evaluation priced into a set
-    overwrites all of them and takes the next ``stamp``, so an
-    evaluation can tell whether its weights are still there (a stamp,
-    not a reference back, keeps the pair free of cycles).
+    (:class:`_PairBlock`) and ``tail`` those of K's tail blocks
+    (:class:`_TailBlock`).  All of them share two work arrays, sized for
+    the largest block, for their ``D`` or ``d`` and their ``flux``.
+    Every evaluation priced into a set overwrites all of them and takes
+    the next ``stamp``, so an evaluation can tell whether its weights
+    are still there (a stamp, not a reference back, keeps the pair free
+    of cycles).
     """
 
     def __init__(self, K: KernelMatrix):
         n = K.weights.shape[0]
         blocks = list(_pair_blocks(n))
-        tail = _tail_blocks(K.tail_W)
         size = max([(b - a) * (n - a) for a, b in blocks]
-                   + [K.tail_W[rows, cols].size for rows, cols in tail])
+                   + [blk.W.size for blk in K.tail])
         self.H = np.empty((n, n))
         D, flux = np.empty(size), np.empty(size)
         self.pairs = []
@@ -1181,8 +1181,7 @@ class _Buffers:
         for a, b in blocks:
             self.pairs.append(_PairBlock(a, b, self.H, D, flux, start))
             start += (b - a) * (n - a)
-        self.tail = [_TailBlock(K, rows, cols, D, flux)
-                     for rows, cols in tail]
+        self.tail = [_TailBlock(blk, K.p, D, flux) for blk in K.tail]
         self.stamp = 0
 
 
@@ -1196,19 +1195,19 @@ class _EnergyTerms:
     block (:func:`_pair_blocks`).  A block's flux ``WA D`` adds its row
     sums to R and subtracts the column sums of its rectangle; the pairs
     of the rectangle add their energy ``WA D^2`` and those of the square,
-    priced both ways, half of it.  The tail terms are priced on the
-    blocks of ``tail_W`` that hold its nonzeros (:func:`_tail_blocks`);
-    the zeros outside them add nothing to any sum.  Only WA (for p = 2
-    it is W itself) and the blocks' WtA are kept for the Hessian.
+    priced both ways, half of it.  The tail terms are priced on K's tail
+    blocks, one after the other.  Only WA (for p = 2 it is W itself) and
+    the tail blocks' WtA are kept for the Hessian.
 
-    Every array of a block's or a tail block's shape lives in
+    Every work array of a block's or a tail block's shape lives in
     ``buffers`` (a private set when none is given), written with ``out=``
     in the order the formulas read, so a shared set changes no bit of the
-    results.  Every ufunc operand is contiguous: a block of W is first
-    copied out, and a row or column vector is copied across a buffer,
-    because a ufunc on a strided 2-D block or one that broadcasts runs
-    through iterator buffers of up to 8192 entries per operand, at two
-    to four times the cost.  A matrix of one block is priced exactly as
+    results.  Every ufunc operand is contiguous: a row block of K's
+    weights is first copied out (its tail blocks are stored contiguous),
+    and a row or column vector is copied across a buffer, because a ufunc
+    on a strided 2-D block or one that broadcasts runs through iterator
+    buffers of up to 8192 entries per operand, at two to four times the
+    cost.  A matrix of one block is priced exactly as
     the whole square.  A later evaluation priced into the same set
     overwrites WA and WtA; :meth:`hessian` then raises instead of
     reading them.
@@ -1332,7 +1331,7 @@ class _EnergyTerms:
             Bt = np.multiply(WtA, p - 1.0, out=blk.flux)
             diag[blk.rows] += Bt.sum(axis=1)
             cross[blk.rows] += np.multiply(Bt, blk.g, out=blk.d).sum(axis=1)
-            g = K.tail_g[blk.cols]
+            g = blk.g[0]                # the profile values, one row
             np.copyto(blk.d, g * g)
             corner += float(np.multiply(Bt, blk.d, out=blk.d).sum())
         H[:, -1] -= cross

@@ -64,10 +64,10 @@ def _grid_and_matrix(cache: dict, params: ProblemParams, st: VerifySettings,
     """The grid of M nodes with ``tail_exponent`` and its kernel matrix.
 
     ``cache`` holds one entry per node set and (N, s, p), mapping tail
-    exponents to (grid, matrix), the assembled one first.  Only
-    ``tail_g`` and ``tail_self`` depend on the tail exponent, so another
-    exponent on the same nodes is derived from the assembled matrix
-    rather than assembled again.
+    exponents to (grid, matrix), the assembled one first.  Only the
+    tail blocks' ``g`` and ``tail_self`` depend on the tail exponent, so
+    another exponent on the same nodes is derived from the assembled
+    matrix rather than assembled again.
     """
     grading = st.grading if grading is None else grading
     tails = cache.setdefault(

@@ -192,9 +192,10 @@ def _energy_terms_loop(U, K):
     for i in range(n):
         for j in range(i + 1, n):
             add(float(K.weights[i, j]), i, j, 1.0)
-    for i in range(n):
-        for q in range(K.tail_g.size):
-            add(float(K.tail_W[i, q]), i, n - 1, float(K.tail_g[q]))
+    for blk in K.tail:
+        for k, i in enumerate(range(blk.start, blk.start + len(blk.W))):
+            for q in range(blk.xi.size):
+                add(float(blk.W[k, q]), i, n - 1, float(blk.g[q]))
     um = float(U[-1])
     E += K.tail_self * abs(um) ** p
     R[-1] += K.tail_self * abs(um) ** (p - 2.0) * um
@@ -306,20 +307,21 @@ def test_shared_buffers_keep_values_and_refuse_stale_hessians(K48, p2, p25,
                                      (5, 0.4, 2.0), (5, 0.5, 2.5)])
 @pytest.mark.parametrize("M", [16, 48, 128])
 def test_tail_blocks_are_the_assembled_layout(N, s, p, M):
-    # the evaluation prices the tail on these blocks only: the shared
-    # Jacobi columns (48 nodes) in rows 0..M-1, the last cell's columns
-    # in rows M-1 and M, every entry of both positive, zeros elsewhere
+    # the assembly stores the exterior coupling as two blocks: the shared
+    # Jacobi columns (48 nodes) over rows 0..M-1 and the last cell's
+    # columns over rows M-1 and M, every entry of both positive, each
+    # block's weights contiguous and one profile value per column
     params = ProblemParams.kernel_only(N, s, p)
     grid = make_radial_grid(tail_exponent=params.beta_star, R_max=64.0, M=M,
                             grading=1.03 ** (256 / M))
-    W = op.assemble(grid, params).tail_W
-    shared = (slice(0, M), slice(0, 48))
-    last = (slice(M - 1, M + 1), slice(48, W.shape[1]))
-    assert op._tail_blocks(W) == (shared, last)
-    inside = np.zeros(W.shape, dtype=bool)
-    inside[shared] = inside[last] = True
-    assert np.all(W[inside] > 0.0)
-    assert np.all(W[~inside] == 0.0)
+    shared, last = op.assemble(grid, params).tail
+    assert shared.rows == slice(0, M) and shared.W.shape == (M, 48)
+    assert last.rows == slice(M - 1, M + 1)
+    assert last.W.shape == (2, last.xi.size)
+    for blk in (shared, last):
+        assert np.all(blk.W > 0.0)
+        assert blk.W.flags.c_contiguous
+        assert blk.g.shape == blk.xi.shape == (blk.W.shape[1],)
 
 
 @pytest.mark.parametrize("N, s, p", [(3, 0.5, 2.0), (3, 0.5, 2.5),
@@ -342,24 +344,27 @@ def test_weights_are_what_one_triangle_prices(N, s, p, M):
 def _synthetic_matrix(seed, M, n_tail, layout, p):
     """A KernelMatrix with random symmetric nonnegative weights (some of
     them zero), random tail samples, profile values and self-energy, and
-    a ``tail_W`` of the given layout: "blocks" (the assembled one, at a
-    random split), "dense" (every entry positive) or "zero"."""
+    tail blocks of the given layout: "blocks" (the assembled two, the
+    first columns over rows 0..M-1 and the rest over rows M-1 and M, at a
+    random split), "dense" (one block, every node against every sample)
+    or "zero" (no block)."""
     rng = np.random.default_rng(seed)
     n = M + 1
     Wp = rng.random((n, n)) * (rng.random((n, n)) < 0.8)
     Wp = np.triu(Wp, 1)
-    tail_W = rng.random((n, n_tail))
+    Wt = rng.random((n, n_tail))
+    blocks = {"dense": [(0, slice(0, n), slice(0, n_tail))], "zero": []}
     if layout == "blocks":
         split = int(rng.integers(1, n_tail))
-        tail_W[M, :split] = 0.0
-        tail_W[:M - 1, split:] = 0.0
-    elif layout == "zero":
-        tail_W[:] = 0.0
+        blocks["blocks"] = [(0, slice(0, M), slice(0, split)),
+                            (M - 1, slice(M - 1, n), slice(split, n_tail))]
     grid = RadialGrid(nodes=np.linspace(0.0, 16.0, n), tail_exponent=2.0)
     xi = np.sort(rng.random(n_tail))
+    tail = tuple(op.TailBlock(start, xi[cols], xi[cols] ** 2,
+                              np.ascontiguousarray(Wt[rows, cols]))
+                 for start, rows, cols in blocks[layout])
     return op.KernelMatrix(
-        grid=grid, N=3, sp=1.0, p=p, nu=2.0, weights=Wp + Wp.T,
-        tail_xi=xi, tail_g=xi ** 2, tail_W=tail_W,
+        grid=grid, N=3, sp=1.0, p=p, weights=Wp + Wp.T, tail=tail,
         tail_self=float(rng.random()) * 10.0)
 
 
@@ -396,10 +401,7 @@ def test_energy_terms_properties_in_row_blocks(blocks, seed, M, n_tail,
 
 def _check_energy_terms(seed, M, n_tail, layout, p):
     K = _synthetic_matrix(seed, M, n_tail, layout, p)
-    (r0, c0), (r1, c1) = op._tail_blocks(K.tail_W)
-    inside = np.zeros(K.tail_W.shape, dtype=bool)
-    inside[r0, c0] = inside[r1, c1] = True
-    assert not np.any(K.tail_W[~inside])
+    assert len(K.tail) == {"dense": 1, "blocks": 2, "zero": 0}[layout]
     rng = np.random.default_rng(seed + 1)
     va, vb = rng.standard_normal((2, M + 1))
     E, R, H = _energy_terms_loop(va, K)
@@ -410,6 +412,7 @@ def _check_energy_terms(seed, M, n_tail, layout, p):
     assert np.abs(Ha - H).max() <= 1e-12 * np.abs(H).max()
     assert np.array_equal(Ha, Ha.T)
     buffers = op._Buffers(K)
+    _check_tail_buffers(K, buffers)
     op._EnergyTerms(K, vb, buffers).hessian()
     shared = op._EnergyTerms(K, va, buffers)
     assert shared.energy == alone.energy
@@ -420,11 +423,34 @@ def _check_energy_terms(seed, M, n_tail, layout, p):
     assert np.array_equal(shared.hessian(), Ha)
 
 
+def _check_tail_buffers(K, buffers):
+    # the buffers price K's tail blocks in place: no copy of their weights
+    assert len(buffers.tail) == len(K.tail)
+    for work, blk in zip(buffers.tail, K.tail):
+        assert np.shares_memory(work.W, blk.W)
+        assert work.rows == blk.rows
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_buffers_price_the_tail_blocks_in_place(K48, p2, p25, p):
+    # an evaluation and its Hessian read K's tail weights where K holds
+    # them and leave every bit of them as it was
+    params = p25 if p == 2.5 else p2
+    K = K48 if p == 2.5 else op.assemble(K48.grid, p2)
+    before = [blk.W.copy() for blk in K.tail]
+    buffers = op._Buffers(K)
+    _check_tail_buffers(K, buffers)
+    vals = (1.0 + K.grid.nodes ** 2) ** -0.75
+    op.energy_terms(RadialFunction(K.grid, vals), K, params,
+                    buffers=buffers).hessian()
+    assert all(_same_bits(blk.W, W) for blk, W in zip(K.tail, before))
+
+
 @pytest.mark.parametrize("bt_from, bt_to", [("0", "star"), ("star", "0")])
 def test_other_tail_exponent_matches_a_fresh_assembly(p25, bt_from, bt_to):
-    # only tail_g and tail_self depend on the tail exponent: the matrix
-    # derived from an assembly on the same nodes is the assembly of the
-    # other grid, field for field and bit for bit
+    # only the tail blocks' g and tail_self depend on the tail exponent:
+    # the matrix derived from an assembly on the same nodes is the
+    # assembly of the other grid, field for field and bit for bit
     bts = {"0": 0.0, "star": p25.beta_star}
     grids = {k: make_radial_grid(tail_exponent=bt, R_max=64.0, M=48,
                                  grading=1.06) for k, bt in bts.items()}
@@ -436,6 +462,12 @@ def test_other_tail_exponent_matches_a_fresh_assembly(p25, bt_from, bt_to):
         a, b = getattr(derived, f.name), getattr(fresh, f.name)
         if f.name == "grid":
             assert a.grid_hash == b.grid_hash
+        elif f.name == "tail":
+            assert len(a) == len(b) == 2
+            for x, y in zip(a, b):
+                assert x.start == y.start
+                assert all(_same_bits(getattr(x, k), getattr(y, k))
+                           for k in ("xi", "g", "W"))
         elif isinstance(b, np.ndarray):
             assert _same_bits(a, b), f.name
         else:
@@ -479,13 +511,13 @@ def test_matrix_structure(K48):
     np.testing.assert_array_equal(W, W.T)
     assert np.all(np.diag(W) == 0.0)
     assert W.min() >= 0.0
-    assert K48.tail_W.min() >= 0.0
+    for blk in K48.tail:
+        assert blk.W.min() >= 0.0
+        assert np.all((blk.xi > 0.0) & (blk.xi < 1.0))
+        np.testing.assert_allclose(
+            blk.g, blk.xi ** K48.grid.tail_exponent, rtol=1e-14)
     assert K48.tail_self >= 0.0
-    assert np.all((K48.tail_xi > 0.0) & (K48.tail_xi < 1.0))
-    np.testing.assert_allclose(
-        K48.tail_g, K48.tail_xi ** K48.grid.tail_exponent, rtol=1e-14)
     assert 0.0 <= K48.assembly_error <= 1e-5
-    assert K48.nu == pytest.approx(1.0 + K48.sp)
 
 
 def test_boundary_pair_weight_is_clipped(K16, p2):
@@ -577,8 +609,7 @@ def _pair_corrections_loop(r, h, N, sp, nu, S, G, mass_shared, mass_last,
         y = math.log(d_lo) + (math.log(d_hi) - math.log(d_lo)) * yq
         s = tm + sign * np.exp(y)
         x, z = (s, tm) if sign < 0 else (tm, s)
-        val = (S * x ** (N - 1) * z ** (nu - 1.0 - sp) * (z - x) ** (-nu)
-               * G(x / z) * np.exp(y))
+        val = S * x ** (N - 1) * (z - x) ** (-nu) * G(x / z) * np.exp(y)
         return (math.log(d_hi) - math.log(d_lo)) * float((val * wq).sum())
 
     V = np.zeros(M)
@@ -629,8 +660,7 @@ def _pair_corrections_graded(r, h, N, sp, nu, S, G, mass_shared, mass_last,
         s = pts[:, :-1, None] + wid * ys
         tm = t[:, None, None]
         x, y = (s, tm) if toward_hi else (tm, s)
-        val = (S * x ** (N - 1) * y ** (nu - 1.0 - sp) * (y - x) ** (-nu)
-               * G(x / y))
+        val = S * x ** (N - 1) * (y - x) ** (-nu) * G(x / y)
         return (val * wid * wsn).sum(axis=(1, 2))
 
     V = np.zeros(M)
@@ -647,13 +677,12 @@ def _pair_corrections_graded(r, h, N, sp, nu, S, G, mass_shared, mass_last,
 
 def _tail_columns_loop(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
                        n_hat=6):
-    """Oracle: the exterior coupling with the last cell's columns built
-    one xi node at a time."""
+    """Oracle: the exterior coupling's two blocks with the last cell's
+    columns built one xi node at a time."""
     M = h.size
     yx, wx = gauss_legendre_01(n_hat)
-    nq_s = xi_s.size
-    tail_xi = np.concatenate([xi_s, xi_l])
-    W = np.zeros((M + 1, tail_xi.size))
+    shared = np.zeros((M, xi_s.size))
+    last = np.zeros((2, xi_l.size))
     pref = 2.0 * S * R ** (-sp)
 
     c = np.arange(0, M - 1)
@@ -662,8 +691,8 @@ def _tail_columns_loop(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     phi = G(rho) * (1.0 - rho) ** (-nu)
     core = pref * x[:, :, None] ** (N - 1) * phi * wxi_s[None, None, :]
     core = core * (h[c][:, None, None] * wx[None, :, None])
-    W[0:M - 1, 0:nq_s] += (core * (1.0 - yx)[None, :, None]).sum(axis=1)
-    W[1:M, 0:nq_s] += (core * yx[None, :, None]).sum(axis=1)
+    shared[0:M - 1] += (core * (1.0 - yx)[None, :, None]).sum(axis=1)
+    shared[1:M] += (core * yx[None, :, None]).sum(axis=1)
 
     a = M - 1
     ha = h[a]
@@ -681,9 +710,9 @@ def _tail_columns_loop(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
         phi = G(rho) * (1.0 - rho) ** (-nu)
         val = pref * wq * xg ** (N - 1) * phi * wg_x
         frac = (xg - r[a]) / ha
-        W[a, nq_s + j] += float((val * (1.0 - frac)).sum())
-        W[a + 1, nq_s + j] += float((val * frac).sum())
-    return tail_xi, W
+        last[0, j] += float((val * (1.0 - frac)).sum())
+        last[1, j] += float((val * frac).sum())
+    return shared, last
 
 
 # (n_t, n_y, far-half Jacobi order or None for the series, shared xi
@@ -839,7 +868,9 @@ def test_assemble_matches_loop_oracle(p25, bt_star, monkeypatch):
     monkeypatch.setattr(op, "_tail_columns", _tail_columns_loop)
     ref = op.assemble(grid, p25)
     assert _max_rel(K.weights, ref.weights) <= 1e-13
-    assert _max_rel(K.tail_W, ref.tail_W) <= 1e-13
+    for blk, want in zip(K.tail, ref.tail, strict=True):
+        assert blk.rows == want.rows
+        assert _max_rel(blk.W, want.W) <= 1e-13
     assert K.assembly_error == pytest.approx(ref.assembly_error, rel=1e-12)
 
 
@@ -878,8 +909,8 @@ def _separated_by_band(Kmat, r, h, N, sp, nu, S, G, order=op._band_order,
         y = r[cp][:, None] + h[cp][:, None] * X[None, :]
         xx = x[:, :, None]
         yy = y[:, None, :]
-        base = (2.0 * S * xx ** (N - 1) * yy ** (nu - 1.0 - sp)
-                * (yy - xx) ** (-nu) * G(xx / yy))
+        base = (2.0 * S * xx ** (N - 1) * (yy - xx) ** (-nu)
+                * G(xx / yy))
         base = base * (Wx[None, :, None] * Wx[None, None, :])
         base = base * (h[c] * h[cp])[:, None, None]
         lo_m, hi_m = (1.0 - X)[None, :, None], X[None, :, None]
@@ -971,7 +1002,8 @@ def test_assembly_bits_do_not_depend_on_the_chunk_size(K48, p2, p25, p,
     monkeypatch.setattr(op, "_CHUNK_PTS", 37)
     ragged = op.assemble(K48.grid, params)
     assert _same_bits(ragged.weights, K.weights)
-    assert _same_bits(ragged.tail_W, K.tail_W)
+    for blk, want in zip(ragged.tail, K.tail, strict=True):
+        assert blk.rows == want.rows and _same_bits(blk.W, want.W)
     assert ragged.tail_self == K.tail_self
     assert ragged.assembly_error == K.assembly_error
     for name in ("adjacent_clips", "adjacent_clipped", "correction_clips",
@@ -1096,8 +1128,8 @@ def test_far_pairs_match_double_order_quadrature(N, s, p):
 
 
 def test_assembly_bits_do_not_depend_on_blas_threads(p25):
-    # the far field sums its series without BLAS; K and tail_W come out
-    # byte for byte the same with one and with two BLAS threads
+    # the far field sums its series without BLAS; K and its tail blocks
+    # come out byte for byte the same with one and with two BLAS threads
     src = os.path.dirname(os.path.dirname(os.path.abspath(op.__file__)))
     probe = (
         "import hashlib\n"
@@ -1109,8 +1141,8 @@ def test_assembly_bits_do_not_depend_on_blas_threads(p25):
         "grid = make_radial_grid(tail_exponent=params.beta_star, R_max=64.0, "
         "M=512, grading=1.03)\n"
         "K = assemble(grid, params)\n"
-        "print(hashlib.sha256(K.weights.tobytes() + K.tail_W.tobytes())"
-        ".hexdigest())\n")
+        "print(hashlib.sha256(b''.join([K.weights.tobytes()]\n"
+        "    + [blk.W.tobytes() for blk in K.tail])).hexdigest())\n")
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
