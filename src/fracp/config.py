@@ -111,8 +111,6 @@ _KEYS = {
     "grid.nodes": (_parse_int, 256),
     "grid.grading": (_parse_float, 1.03),
     "quad.nodes": (_parse_int, 24),
-    "quad.tol": (_parse_float, 1e-9),
-    "quad.max_refinements": (_parse_int, 12),
     "solver.tol": (_parse_float, 1e-8),
     "solver.schedule_max_n": (_parse_int, 128),
     "output_dir": (_parse_str, "out"),
@@ -190,11 +188,7 @@ def parse_config(text: str) -> RunConfig:
 
     if values["quad.nodes"] < 4:
         raise ConfigError(f"quad.nodes={values['quad.nodes']!r}: too few")
-    if values["quad.tol"] <= 0.0:
-        raise ConfigError(f"quad.tol={values['quad.tol']!r}: must be > 0")
-    quad = QuadratureSpec(nodes=values["quad.nodes"],
-                          tol=values["quad.tol"],
-                          max_refinements=values["quad.max_refinements"])
+    quad = QuadratureSpec(nodes=values["quad.nodes"])
 
     ss = SolverSettings(tol=values["solver.tol"],
                         schedule_max_n=values["solver.schedule_max_n"])

@@ -22,7 +22,9 @@ the unit-sphere area.  This module assembles that reduced form into
 a sum of elementary pair terms: ``K`` couples node pairs inside the box,
 ``W`` couples every node to quadrature samples of the exterior tail
 profile (``g_q`` are the tail profile values at the samples), and
-``c_self`` is the closed-form self-energy of the tail.
+``c_self`` is the self-energy of the tail: a closed-form factor times
+one profile integral over (0, 1), taken by the same fixed composite rule
+and breakpoints as the power-profile constant C(beta).
 
 Why pair terms reproduce the energy
 -----------------------------------
@@ -104,6 +106,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, FracpError, UsageError
 from .grid import RadialFunction, RadialGrid
 from .kernel import (
+    _UNIT_POINTS,
     _profile_series,
     edge_exponent,
     get_phi_table,
@@ -834,7 +837,10 @@ def _tail_profile(grid, N, sp, p, xis, quad=None):
     exponent bt: the profile values g = xi^bt of the tail blocks, one
     array per array of samples in ``xis``, and the tail self-energy
     coefficient 2 S R^{N-sp}/(p bt + sp - N) * profile integral
-    (``tail_self``).  The weights and samples depend on the nodes alone.
+    (``tail_self``).  The profile integral takes C(beta)'s fixed rule on
+    the same breakpoints (``kernel._UNIT_POINTS``), at ``quad.nodes``
+    per panel (24 by default).  The weights and samples depend on the
+    nodes alone.
     """
     bt = grid.tail_exponent
     gs = [xi ** bt for xi in xis]
@@ -847,8 +853,6 @@ def _tail_profile(grid, N, sp, p, xis, quad=None):
             f"0 < beta_tail <= (N - sp)/p = {(N - sp) / p:g}; "
             "use 0 (constant extension) or a faster decay"
         )
-    if quad is None:
-        quad = QuadratureSpec(nodes=24, tol=1e-9, max_refinements=12)
     table = get_phi_table(N, sp)
 
     def f(tau):
@@ -856,10 +860,8 @@ def _tail_profile(grid, N, sp, p, xis, quad=None):
                 * (-np.expm1(bt * np.log(tau))) ** p
                 * table.phi(tau))
 
-    pts = [0.0, 0.25, 0.5] + graded_points(0.5, 1.0, toward=1.0,
-                                           scale=1e-8, factor=4.0)[1:]
-    res = integrate(f, pts, quad, lo_exponent=sp - 1.0,
-                    hi_exponent=p - table.nu)
+    res = integrate(f, _UNIT_POINTS, quad or QuadratureSpec(),
+                    lo_exponent=sp - 1.0, hi_exponent=p - table.nu)
     S = unit_sphere_area(N - 1)
     return gs, 2.0 * S * grid.R_max ** (N - sp) / pw * res.value
 
@@ -868,9 +870,10 @@ def _with_tail_exponent(K: KernelMatrix, grid: RadialGrid) -> KernelMatrix:
     """K for ``grid``, which has K's nodes and its own tail exponent.
 
     Only the tail blocks' ``g`` and ``tail_self`` are priced again
-    (:func:`_tail_profile`); every other field, the arrays included, is
-    K's.  The result equals, bit for bit, what :func:`assemble` builds on
-    ``grid`` with its default quadrature.
+    (:func:`_tail_profile`, whose self-energy integral is one fixed rule
+    with no refinement rounds); every other field, the arrays included,
+    is K's.  The result equals, bit for bit, what :func:`assemble` builds
+    on ``grid`` with the default :class:`QuadratureSpec`.
     """
     if not np.array_equal(grid.nodes, K.grid.nodes):
         raise UsageError("the grid's nodes differ from the ones the kernel "

@@ -504,6 +504,8 @@ def solve_capacitary(R: float, params: ProblemParams, grid: RadialGrid,
     capacitary potential whose decay rate separates the admissible
     window.  The constraint is eliminated (nodes with r <= R are fixed)
     and the remaining convex problem solved by the same damped Newton.
+    The minimizer is returned as solved, not clipped: the comparison
+    principle puts it in [0, 1].
     """
     if not 0.0 < R < grid.R_max / 4.0:
         raise UsageError(
@@ -517,7 +519,7 @@ def solve_capacitary(R: float, params: ProblemParams, grid: RadialGrid,
         decay = (grid.nodes[k + 1:] / R) ** -params.beta_star
     x0[k + 1:] = np.minimum(1.0, decay)
     pt, _ = _minimize(Functional(params, grid, K), x0, tol, free=free)
-    return RadialFunction(grid, np.clip(pt.vals, 0.0, 1.0))
+    return RadialFunction(grid, pt.vals)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for decay fits, residual checks, comparison, and reports."""
 
+import dataclasses
 import json
 import math
 
@@ -22,7 +23,7 @@ from fracp.analysis import (
 )
 from fracp.errors import DomainError, UsageError
 from fracp.grid import RadialFunction, RadialGrid, make_radial_grid
-from fracp.operator import assemble, weak_residual
+from fracp.operator import _with_tail_exponent, assemble, weak_residual
 from fracp.params import ProblemParams
 from fracp.solver import RegularizedProblem, minimize_Jn, solve_pure_singular
 
@@ -176,6 +177,34 @@ def test_fundamental_residual_off_star(p2):
     g = make_radial_grid(tail_exponent=1.2, R_max=64.0, M=256, grading=1.03)
     K = assemble(g, p2)
     assert fundamental_residual(1.2, p2, g, K) <= 0.05
+
+
+def _scaled(K, factor):
+    """K with every pair weight, tail weight and the tail self-energy
+    scaled by ``factor``: the operator times a constant."""
+    return dataclasses.replace(
+        K, weights=K.weights * factor, tail_self=K.tail_self * factor,
+        tail=tuple(dataclasses.replace(blk, W=blk.W * factor)
+                   for blk in K.tail))
+
+
+def test_fundamental_residual_sees_the_operator_constant(p25):
+    # off beta_star C(beta) != 0, so the pairing defect of r^-beta
+    # against C(beta) times its moment carries the operator's constant:
+    # on the battery's p = 2.5 operator (M = 256, grading 1.03, derived
+    # for the tail exponent 0.85 beta_star) K scaled by 1.01 or 0.99
+    # reads at least twice the true operator's defect
+    grid = make_radial_grid(tail_exponent=p25.beta_star, R_max=64.0, M=256,
+                            grading=1.03)
+    beta = 0.85 * p25.beta_star
+    g = make_radial_grid(tail_exponent=beta, R_max=64.0, M=256,
+                         grading=1.03)
+    K = _with_tail_exponent(assemble(grid, p25), g)
+    true = fundamental_residual(beta, p25, g, K)
+    assert true <= 1e-3
+    for factor in (1.01, 0.99):
+        assert fundamental_residual(beta, p25, g, _scaled(K, factor)) \
+            >= 2.0 * true, factor
 
 
 def test_fundamental_residual_validation(p2, grid_star):

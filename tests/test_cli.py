@@ -72,6 +72,22 @@ def test_kernel_table_range_must_fit_window(workdir):
                  "--beta-min", "0.1", "--beta-max", "1.0"]) == 2
 
 
+def test_kernel_table_at_small_s_exits_0(tmp_path):
+    # the default sweep at (3, 0.3, 2) passes beta where
+    # N - sp - beta (p - 1) is near 0, so rho^{N - sp - beta (p - 1)}
+    # varies over all of (0, 1e-6); every row must meet the 1e-9 target
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("params.N = 3\nparams.s = 0.3\nparams.p = 2\n"
+                   "params.gamma = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["kernel-table", "--config", str(cfg), "--out",
+                 str(out)]) == 0
+    rows = np.loadtxt(out / "cbeta_N3_s0.3_p2.csv", delimiter=",",
+                      skiprows=4)
+    assert np.all(rows[:, 2] <= 1e-9)
+    assert np.all(rows[:, 3] == 2808)
+
+
 def test_capacitary_run(workdir, capsys):
     out = os.path.join(workdir["out"], "cap")
     assert main(["capacitary", "--config", workdir["cfg"],

@@ -105,11 +105,9 @@ def test_bad_literal_reports_line_and_key():
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", [
     "params.s", "params.p", "params.gamma", "params.alpha", "params.c_a",
-    "params.r_exp", "kappa", "grid.r_max", "grid.grading", "quad.tol",
-    "solver.tol",
+    "params.r_exp", "kappa", "grid.r_max", "grid.grading", "solver.tol",
     # integer keys parse through the same float literal
-    "params.N", "grid.nodes", "quad.nodes", "quad.max_refinements",
-    "solver.schedule_max_n", "seed"])
+    "params.N", "grid.nodes", "quad.nodes", "solver.schedule_max_n", "seed"])
 def test_non_finite_value_reports_line_and_key(key, value):
     # a comparison with nan is always False, so nan and inf would slip
     # through every range check after parsing (solver.tol = inf solved
@@ -136,7 +134,9 @@ def test_kappa_bounds_and_growth_requirement():
     ("grid.nodes = 8", "at least 16"),
     ("grid.grading = 1.5", "1 <= grading <= 1.2"),
     ("quad.nodes = 2", "too few"),
-    ("quad.tol = 0", "must be > 0"),
+    # the fixed quadrature rule has no tolerance and no refinement rounds
+    ("quad.tol = 0", "unknown key"),
+    ("quad.max_refinements = 12", "unknown key"),
     ("solver.tol = -1e-8", "must be > 0"),
     ("solver.max_iter = 0", "unknown key"),
     ("solver.schedule_max_n = 0", "must be >= 1"),

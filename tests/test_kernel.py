@@ -13,9 +13,10 @@ import os
 import numpy as np
 import pytest
 
+from adaptive_quadrature import UNIT_POINTS, integrate_adaptive
 from fracp.errors import DomainError
 from fracp.params import ProblemParams
-from fracp.quadrature import QuadratureSpec, graded_points, integrate
+from fracp.quadrature import QuadratureSpec, graded_points
 from fracp import kernel as K
 
 GOLD_PHI0_N3_STD = 12.566370614359173       # 4*pi
@@ -41,7 +42,7 @@ def _cases(*cases):
 
 @pytest.fixture(scope="module")
 def quad():
-    return QuadratureSpec(nodes=24, tol=1e-10, max_refinements=14)
+    return QuadratureSpec()
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +99,8 @@ def _adaptive_edge_profile(v, N, sp):
 
     pts = graded_points(0.0, 2.0, toward=0.0, scale=max(v2, 1e-28),
                         factor=4.0, max_panels=60)
-    quad = QuadratureSpec(nodes=24, tol=1e-10, max_refinements=14)
-    res = integrate(f, pts, quad, lo_exponent=a, hi_exponent=a)
+    res = integrate_adaptive(f, pts, tol=1e-10, max_refinements=14,
+                             lo_exponent=a, hi_exponent=a)
     nu = K.edge_exponent(N, sp)
     return K.sphere_measure(N) * res.value * v ** nu
 
@@ -324,6 +325,53 @@ def test_profile_constant_window(quad, inst35):
     for bad in [lo, hi, 0.5, 3.5]:
         with pytest.raises(DomainError):
             K.power_profile_constant(bad, inst35, quad)
+
+
+def _profile_constant_oracle(beta, P):
+    """C(beta) by the tests' adaptive bisection on the phi table."""
+    N, sp, p = P.N, P.sp, P.p
+    e1 = N - sp - beta * (p - 1.0)
+    phi = K.get_phi_table(N, sp).phi
+
+    def f(rho):
+        # 1 - rho^e1 and 1 - rho^beta by expm1: both cancel toward rho = 1
+        return (rho ** (sp - 1.0) * -np.expm1(e1 * np.log(rho))
+                * (-np.expm1(beta * np.log(rho))) ** (p - 1.0) * phi(rho))
+
+    res = integrate_adaptive(f, UNIT_POINTS, tol=1e-11, max_refinements=12,
+                             lo_exponent=sp - 1.0 + min(e1, 0.0),
+                             hi_exponent=p - K.edge_exponent(N, sp))
+    return 2.0 * res.value
+
+
+PIN_SETS = [(3, 0.5, 2.0), (3, 0.5, 2.5), (5, 0.4, 2.2), (3, 0.9, 2.5)]
+
+
+@pytest.mark.parametrize("N, s, p", PIN_SETS)
+def test_profile_constant_matches_adaptive_oracle(N, s, p):
+    # the fixed rule against refinement to 1e-11 (the oracle's target is
+    # relative to C, so the sample stays off beta_star, where C vanishes),
+    # measured relative to max(|C|, 1); the phi table is the same on both
+    # sides, so this measures the quadrature alone
+    P = ProblemParams.kernel_only(N, s, p)
+    lo, hi = K.profile_window(P)
+    for beta in lo + (hi - lo) * np.array([0.02, 0.2, 0.45, 0.7, 0.98]):
+        res = K.power_profile_result(beta, P, QuadratureSpec())
+        want = _profile_constant_oracle(beta, P)
+        assert abs(res.value - want) <= 5e-11 * max(abs(want), 1.0), beta
+        assert res.rel_err <= 1e-9 and res.n_evals == 2808
+
+
+def test_profile_constant_meets_its_target_near_beta_star_at_small_s():
+    # at (3, 0.3, 2) and beta in [2.334, 2.388], e1 = N - sp - beta (p - 1)
+    # lies in (0.012, 0.066): rho^e1 varies over all of (0, 1e-6), where a
+    # rule without panels graded toward 0 misses the 1e-9 target
+    P = ProblemParams.kernel_only(3, 0.3, 2.0)
+    for beta in np.linspace(2.334, 2.388, 7):
+        res = K.power_profile_result(beta, P, QuadratureSpec())
+        assert res.rel_err <= 1e-9, beta
+        want = _profile_constant_oracle(beta, P)
+        assert abs(res.value - want) <= 5e-11 * max(abs(want), 1.0), beta
 
 
 def test_riesz_power_constant_goldens():

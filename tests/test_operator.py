@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adaptive_quadrature import UNIT_POINTS, integrate_adaptive
+
 from fracp.errors import DomainError, FracpError, UsageError
 from fracp.grid import RadialGrid, RadialFunction, make_radial_grid
 from fracp.kernel import (
@@ -30,8 +32,8 @@ from fracp.kernel import (
     unit_sphere_area,
 )
 from fracp.params import ProblemParams
-from fracp.quadrature import (QuadratureSpec, _graded_rows, gauss_jacobi_01,
-                              gauss_legendre_01, graded_points, integrate)
+from fracp.quadrature import (_graded_rows, gauss_jacobi_01,
+                              gauss_legendre_01, graded_points)
 from fracp import kernel
 from fracp import operator as op
 
@@ -73,6 +75,35 @@ def test_hat_energy_golden(K16, p2):
 
 def test_tail_self_coefficient_golden(K16):
     assert K16.tail_self == pytest.approx(GOLD_SELF_COEFF, rel=1e-7)
+
+
+@pytest.mark.parametrize("N, s, p", [(3, 0.5, 2.0), (3, 0.5, 2.5),
+                                     (5, 0.4, 2.2), (3, 0.9, 2.5)])
+def test_tail_self_matches_adaptive_oracle(N, s, p):
+    # the tail self-energy's profile integral, int_0^1 tau^{sp-1}
+    # (1 - tau^bt)^p Phi(tau) dtau, by the fixed rule against the tests'
+    # adaptive bisection to 1e-11 on the same phi table, for tail
+    # exponents from just above (N - sp)/p to twice beta_star
+    sp = s * p
+    nu = edge_exponent(N, sp)
+    phi = get_phi_table(N, sp).phi
+    lo = (N - sp) / p
+    beta_star = (N - sp) / (p - 1.0)
+    for bt in (1.05 * lo, beta_star, 2.0 * beta_star):
+        grid = make_radial_grid(tail_exponent=bt, R_max=64.0, M=16,
+                                grading=1.2)
+        _, got = op._tail_profile(grid, N, sp, p, [])
+
+        def f(tau):
+            return (tau ** (sp - 1.0) * (-np.expm1(bt * np.log(tau))) ** p
+                    * phi(tau))
+
+        res = integrate_adaptive(f, UNIT_POINTS, tol=1e-11,
+                                 max_refinements=12, lo_exponent=sp - 1.0,
+                                 hi_exponent=p - nu)
+        want = (2.0 * unit_sphere_area(N - 1) * 64.0 ** (N - sp)
+                / (p * bt + sp - N) * res.value)
+        assert got == pytest.approx(want, rel=5e-11, abs=0.0), bt
 
 
 def test_weight_function_values(p2):
@@ -813,13 +844,13 @@ def test_far_halves_match_adaptive_quadrature(N, s, p):
         return (kernel._edge_profile_exact(rho, N, sp)
                 * (1.0 - rho) ** -nu)
 
-    spec = QuadratureSpec(nodes=24, tol=1e-15, max_refinements=4)
     u = np.array([1e-3, 0.1, 0.3, 0.5])
-    want_in = np.array([integrate(lambda x: x ** (N - 1) * Phi(x),
-                                  [0.0, v], spec).value for v in u])
-    want_out = np.array([integrate(lambda x: x ** (sp - 1.0) * Phi(x),
-                                   [0.0, v], spec,
-                                   lo_exponent=sp - 1.0).value for v in u])
+    want_in = np.array([integrate_adaptive(
+        lambda x: x ** (N - 1) * Phi(x), [0.0, v], tol=1e-15,
+        max_refinements=4).value for v in u])
+    want_out = np.array([integrate_adaptive(
+        lambda x: x ** (sp - 1.0) * Phi(x), [0.0, v], tol=1e-15,
+        max_refinements=4, lo_exponent=sp - 1.0).value for v in u])
     series = op._series_halves(
         N, sp, S, kernel._profile_series(N, sp))
     table = op._quadrature_halves(
@@ -1167,8 +1198,9 @@ def _bubble_loads(grid, N, s):
     (-Delta)^s (Di Nezza, Palatucci and Valdinoci 2012), so at p = 2
     node i's residual is (2/C_{N,s}) c_{N,s} int U^{(N+2s)/(N-2s)}
     phi_i dx.  The hats take a 20-point Gauss rule per cell; node M's
-    exterior basis (R/r)^{N-2s} is integrated in xi = R/r by adaptive
-    quadrature.
+    exterior basis (R/r)^{N-2s} is integrated in xi = R/r by the tests'
+    adaptive bisection oracle (``adaptive_quadrature``), which shares no
+    integrator code with the package.
     """
     r, h, R = grid.nodes, grid.widths, grid.R_max
     coef = (2.0 / kernel.riesz_normalization(N, s)
@@ -1180,9 +1212,9 @@ def _bubble_loads(grid, N, s):
     loads = np.zeros(r.size)
     loads[:-1] += (f * (1.0 - y)).sum(axis=1)
     loads[1:] += (f * y).sum(axis=1)
-    loads[-1] += integrate(
+    loads[-1] += integrate_adaptive(
         lambda xi: R ** N * xi ** (N - 1) * (xi * xi + R * R)
-        ** (-(N + 2 * s) / 2), [0.0, 1.0], QuadratureSpec()).value
+        ** (-(N + 2 * s) / 2), [0.0, 1.0]).value
     return coef * loads
 
 

@@ -431,6 +431,22 @@ def test_capacitary_profile(p2, inst2):
     assert prod.max() <= p2.p ** (1.0 / (p2.p - 1.0)) * 1.05
 
 
+@pytest.mark.parametrize("which", ["p2", "p25"])
+def test_capacitary_potential_lies_in_the_unit_interval(which, request):
+    # the comparison principle puts the minimizer between the constant
+    # subsolution 0 and the constant supersolution 1; the solve returns
+    # it unclipped, so this reads the minimizer itself (README grid:
+    # M = 256, grading 1.03, tail exponent beta_star, solver tolerance)
+    params = request.getfixturevalue(which)
+    grid = make_radial_grid(tail_exponent=params.beta_star, R_max=64.0,
+                            M=256, grading=1.03)
+    tol = 1e-8
+    u = sv.solve_capacitary(1.0, params, grid, op.assemble(grid, params),
+                            tol)
+    assert u.values.min() >= -tol and u.values.max() <= 1.0 + tol
+    assert u.values[-1] > 0.0
+
+
 def test_capacitary_validation(p2, inst2):
     grid, K = inst2
     with pytest.raises(UsageError):
