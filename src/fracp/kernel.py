@@ -48,9 +48,11 @@ evaluated here in numpy (``_hyp2f1``): its Maclaurin series for
 ``w = 1 - z = v (2 - v)``, which is formed from v itself, so a point
 given by its distance v to the edge keeps all of its digits; an
 integer nu takes the logarithmic form (DLMF 15.8.10).  The table
-(:func:`get_phi_table`) holds cubic Hermite interpolants of G on
-uniform knots, built from this closed form and evaluated by index
-arithmetic; it serves every caller on the hot path.
+(:func:`get_phi_table`) holds one cubic Hermite interpolant of G on
+uniform knots in q = sqrt(-log(1 - rho)), in which G is even and smooth
+at both ends, built from this closed form and evaluated by index
+arithmetic.  G and Phi = G (1 - rho)^{-nu} are both read from it; it
+serves every caller on the hot path.
 """
 
 from __future__ import annotations
@@ -338,8 +340,9 @@ def angular_reduction(rho, params: ProblemParams):
 # Hermite table for the edge profile G(rho) = (1 - rho)^nu Phi(rho)
 # ---------------------------------------------------------------------------
 
-_RHO_SPLIT = 0.5
 _V_MIN = 1e-12
+_RHO_TOP = float(np.nextafter(1.0, 0.0))  # below 1: log1p(-rho) finite
+_KNOTS = 4096
 
 
 class _Hermite:
@@ -349,30 +352,32 @@ class _Hermite:
     end let every knot take its slope from the fourth-order central
     difference (-y[k+2] + 8 y[k+1] - 8 y[k-1] + y[k-2]) / 12h, which is
     exact for quartics, so the interpolant reproduces cubics.  A point
-    is located by index arithmetic, i = floor((x - x0)/h) clipped to the
-    table (outside it the end cubics extrapolate), and its cubic is read
-    from four contiguous per-interval coefficient arrays.
+    is located by index arithmetic, t = (x - x0)/h clipped to [0, n-1]
+    (outside the table the end values hold), and its cubic is read from
+    four contiguous per-interval coefficient arrays; a constant piece at
+    the last knot makes t = n-1 read that knot's value exactly.
     """
 
-    __slots__ = ("x0", "inv_h", "last", "c0", "c1", "c2", "c3")
+    __slots__ = ("x0", "inv_h", "end", "c0", "c1", "c2", "c3")
 
     def __init__(self, x0: float, h: float, y: np.ndarray):
         y = np.asarray(y, dtype=float)
         d = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / 12.0  # h y'
         yk = y[2:-2]
         dy = yk[1:] - yk[:-1]
+        zero = np.zeros(1)
         self.x0 = float(x0)
         self.inv_h = 1.0 / h
-        self.last = float(yk.size - 2)  # index of the last interval
+        self.end = float(yk.size - 1)  # index of the last knot
         # p(t) = c0 + t (c1 + t (c2 + t c3)), t = (x - x_i)/h in [0, 1]
-        self.c0 = yk[:-1]
-        self.c1 = d[:-1]
-        self.c2 = 3.0 * dy - 2.0 * d[:-1] - d[1:]
-        self.c3 = d[:-1] + d[1:] - 2.0 * dy
+        self.c0 = yk
+        self.c1 = np.concatenate([d[:-1], zero])
+        self.c2 = np.concatenate([3.0 * dy - 2.0 * d[:-1] - d[1:], zero])
+        self.c3 = np.concatenate([d[:-1] + d[1:] - 2.0 * dy, zero])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        t = (x - self.x0) * self.inv_h
-        i = np.clip(t, 0.0, self.last).astype(np.intp)
+        t = np.clip((x - self.x0) * self.inv_h, 0.0, self.end)
+        i = t.astype(np.intp)
         t -= i
         out = self.c3.take(i)
         out *= t
@@ -388,31 +393,24 @@ class _Hermite:
 class PhiTable:
     """Fast, table-backed evaluation of Phi and its edge profile G.
 
-    G is bounded on [0, 1], with a (1 - rho)^nu edge term.  It is
-    tabulated from its closed form as two cubic Hermite interpolants on
-    uniform knots: in rho on [0, ``_RHO_SPLIT`` + 0.05] (441 knots,
-    used left of the split) and in log v, v = 1 - rho, on
-    [log ``_V_MIN``, log 0.55] (1400 knots, used right of it).  Below
-    ``_V_MIN`` G is the exact endpoint ``g1 = G(1)`` from
-    :func:`edge_limit`, as in the closed form.
+    G is bounded on [0, 1] and even and smooth in q = sqrt(-log(1 - rho)):
+    analytic in rho ~ q^2 at the origin, G(1) + d e^{-nu q^2} + O(e^{-q^2})
+    at the edge.  One cubic Hermite interpolant in q, on ``_KNOTS``
+    uniform knots over [0, sqrt(-log ``_V_MIN``)], holds it for every
+    rho; its knots sit at their exact v = e^{-q^2} = 1 - rho.  From
+    ``_V_MIN`` on, the last knot, G is the exact endpoint G(1) of
+    :func:`edge_limit`, as in the closed form.  Phi is the same lookup
+    times (1 - rho)^{-nu}, from the unclipped log(1 - rho), so it keeps
+    its growth inside ``_V_MIN`` of the edge.
     """
 
     nu: float
-    g1: float
-    _lo: _Hermite = field(repr=False)
-    _hi: _Hermite = field(repr=False)
+    _g: _Hermite = field(repr=False)
 
     def edge_profile(self, rho):
         """G(rho), vectorized over rho in [0, 1]."""
-        rho = np.asarray(rho, dtype=float)
-        v = 1.0 - rho
-        out = np.full_like(rho, self.g1)  # G(1) below _V_MIN
-        left = rho <= _RHO_SPLIT
-        right = (~left) & (v >= _V_MIN)
-        if np.any(left):
-            out[left] = self._lo(rho[left])
-        if np.any(right):
-            out[right] = self._hi(np.log(v[right]))
+        rho = np.clip(rho, 0.0, _RHO_TOP)
+        out = self._g(np.sqrt(-np.log1p(-rho)))
         return out if out.ndim else float(out)
 
     def phi(self, rho):
@@ -420,26 +418,21 @@ class PhiTable:
         rho = np.asarray(rho, dtype=float)
         if np.any(rho >= 1.0) or np.any(rho < 0.0):
             raise DomainError("phi table evaluated outside [0, 1)")
-        return self.edge_profile(rho) * (1.0 - rho) ** (-self.nu)
+        log_v = np.log1p(-rho)
+        out = self._g(np.sqrt(-log_v)) * np.exp(-self.nu * log_v)
+        return out if out.ndim else float(out)
 
 
 def _build_phi_table(N: int, sp: float) -> PhiTable:
-    nu = edge_exponent(N, sp)
-    g1 = edge_limit(N, sp)
-    k_lo = np.arange(-2, 441 + 2)
-    k_hi = np.arange(-2, 1400 + 2)
-
-    # both tables run 0.05 past the split
-    h_lo = (_RHO_SPLIT + 0.05) / 440
-    g_lo = _edge_profile_exact(k_lo * h_lo, N, sp)
-
-    x0 = math.log(_V_MIN)
-    h_hi = (math.log(1.0 - (_RHO_SPLIT - 0.05)) - x0) / 1399
-    # knots at exact v, so 1 - rho^2 = v (2 - v) keeps all its digits
-    v_hi = np.exp(x0 + k_hi * h_hi)
-    g_hi = _edge_profile_exact(1.0 - v_hi, N, sp, v=v_hi)
-    return PhiTable(nu=nu, g1=g1, _lo=_Hermite(0.0, h_lo, g_lo),
-                    _hi=_Hermite(x0, h_hi, g_hi))
+    h = math.sqrt(-math.log(_V_MIN)) / (_KNOTS - 1)
+    # knots at exact v, so 1 - rho^2 = v (2 - v) keeps all its digits;
+    # the guards below q = 0 mirror those above it (G is even in q), and
+    # the last knot and the guards past it hold G(1)
+    q = np.arange(-2, _KNOTS + 2) * h
+    v = np.exp(-q * q)
+    v[_KNOTS + 1:] = 0.0
+    g = _edge_profile_exact(1.0 - v, N, sp, v=v)
+    return PhiTable(nu=edge_exponent(N, sp), _g=_Hermite(0.0, h, g))
 
 
 _TABLE_CACHE: dict[tuple, PhiTable] = {}
@@ -465,11 +458,14 @@ def profile_window(params: ProblemParams) -> tuple[float, float]:
 
 
 # breakpoints of the integrals over rho in (0, 1) against the angular
-# factor: 24 panels shrinking by 4 toward the origin, where the
-# integrands carry powers of rho (the last panel 0.5 * 4^-24 ~ 2e-15
-# wide), and 14 toward the kernel's edge at rho = 1 (the last 1e-8 wide)
+# factor: 91 panels shrinking by 4 toward the origin, where the
+# integrands carry powers of rho (the last panel 0.5 * 4^-90 ~ 3e-55
+# wide: for a small e1 = N - sp - beta (p - 1), 1 - rho^e1 varies on all
+# of those scales), and 14 toward the kernel's edge at rho = 1 (the last
+# 1e-8 wide)
 _UNIT_POINTS = tuple(
-    graded_points(0.0, 0.5, toward=0.0, scale=0.5 * 4.0 ** -24)
+    graded_points(0.0, 0.5, toward=0.0, scale=0.5 * 4.0 ** -90,
+                  max_panels=90)
     + graded_points(0.5, 1.0, toward=1.0, scale=1e-8)[1:])
 
 
@@ -478,8 +474,8 @@ def power_profile_result(beta: float, params: ProblemParams,
     """C(beta) with the quadrature's error estimate and node count.
 
     The angular factor comes from the cached :class:`PhiTable`.  The
-    integral is one fixed composite rule on ``_UNIT_POINTS`` (39 panels;
-    2,808 evaluations at the default 24 nodes): ``rel_err`` is its
+    integral is one fixed composite rule on ``_UNIT_POINTS`` (105 panels;
+    7,560 evaluations at the default 24 nodes): ``rel_err`` is its
     n-versus-2n estimate, ``n_evals`` a constant of the rule.
     """
     N, sp, p = params.N, params.sp, params.p

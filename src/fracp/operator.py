@@ -258,7 +258,7 @@ def _row_chunks(n_rows, pts_per_row):
         yield slice(k, k + step)
 
 
-def _same_cell(r, h, N, sp, p, nu, S, G, n_u=16, n_r=12):
+def _same_cell(r, h, N, sp, p, nu, S, table, n_u=16, n_r=12):
     """Within-cell weights D_a / h_a^p for K[a, a+1].
 
     With w = r' - r the pair integral over one cell is
@@ -276,13 +276,13 @@ def _same_cell(r, h, N, sp, p, nu, S, G, n_u=16, n_r=12):
         wid = (hc[:, None] - u)[:, :, None]
         rp = lo + wid * yr[None, None, :]              # (rows, n_u, n_r)
         x = rp - u[:, :, None]
-        vals = x ** (N - 1) * G(x / rp)
+        vals = x ** (N - 1) * table.edge_profile(x / rp)
         inner[rows] = wid[:, :, 0] * np.einsum("aur,r->au", vals, wr)
     D = 2.0 * S * h ** (p - nu + 1.0) * np.einsum("au,u->a", inner, wu)
     return D / h ** p
 
 
-def _adjacent(r, h, N, sp, p, nu, S, G, n_u=16, n_x=12):
+def _adjacent(r, h, N, sp, p, nu, S, table, n_u=16, n_x=12):
     """Three-term weights (A', B', C') for every adjacent cell pair.
 
     Local coordinates: xi into the left cell, eta into the right cell,
@@ -311,7 +311,7 @@ def _adjacent(r, h, N, sp, p, nu, S, G, n_u=16, n_x=12):
         xi = u[:, :, None] * ys[None, None, :]
         x = rm[:, None, None] - xi
         y = rm[:, None, None] + (u[:, :, None] - xi)
-        base = x ** (N - 1) * G(x / y)
+        base = x ** (N - 1) * table.edge_profile(x / y)
         scale = 2.0 * S * u1 ** (p + 2.0 - nu)
         Ia += scale * np.einsum("aus,s,u->a", base, ws * ys ** p, wu)
         Ib += scale * np.einsum("aus,s,u->a", base, ws * (1.0 - ys) ** p, wu)
@@ -331,7 +331,8 @@ def _adjacent(r, h, N, sp, p, nu, S, G, n_u=16, n_x=12):
             eta = u[:, :, None] - xi
             x = rm[:, None, None] - xi
             y = rm[:, None, None] + eta
-            ker = u[:, :, None] ** (-nu) * x ** (N - 1) * G(x / y)
+            ker = (u[:, :, None] ** (-nu) * x ** (N - 1)
+                   * table.edge_profile(x / y))
             ker = ker * wid_x[:, :, None] * ws[None, None, :]
             pref = 2.0 * S * wid_u
             Ia += pref * np.einsum("aus,u->a", ker * xi ** p, wg)
@@ -356,7 +357,7 @@ def _pairs(stop, bands):
     return c, bands[b]
 
 
-def _hat_sums(c, d, r, h, N, sp, nu, S, G, order=_band_order):
+def _hat_sums(c, d, r, h, N, sp, nu, S, table, order=_band_order):
     """The four hat sums (lo·lo, lo·hi, hi·lo, hi·hi) of the cell pairs
     (c, c + d), shape (4, pairs), by Gauss rules of ``order(d)`` points
     per side.
@@ -382,8 +383,8 @@ def _hat_sums(c, d, r, h, N, sp, nu, S, G, order=_band_order):
             y = r[cj][:, None] + h[cj][:, None] * X[None, :]
             xx = x[:, :, None]
             yy = y[:, None, :]
-            base = (2.0 * S * xx ** (N - 1) * (yy - xx) ** (-nu)
-                    * G(xx / yy))
+            base = (2.0 * S * xx ** (N - 1) * yy ** (-nu)
+                    * table.phi(xx / yy))
             base = base * (Wx[None, :, None] * Wx[None, None, :])
             base = base * (h[ci] * h[cj])[:, None, None]
             for j, (hat_m, hat_k) in enumerate(hat):
@@ -416,13 +417,13 @@ def _scatter(dst, at, sums):
         dst[at[k]] += sums[k]
 
 
-def _near_field(Kmat, r, h, N, sp, nu, S, G, far, checks):
+def _near_field(Kmat, r, h, N, sp, nu, S, table, far, checks):
     """Add the hat sums of the near pairs, c + d < far[c], to K; return
     those of the pairs ``checks`` (c, d) as (4, pairs), zero at their far
     pairs."""
     M = h.size
     c, d = _pairs(far, np.arange(2, M))
-    sums = _hat_sums(c, d, r, h, N, sp, nu, S, G)
+    sums = _hat_sums(c, d, r, h, N, sp, nu, S, table)
     _scatter(Kmat.reshape(-1), _entries(c, d, M + 1), sums)
     cc, cd = checks
     check_sums = np.zeros((4, cc.size))
@@ -594,7 +595,7 @@ def _last_cell_xi_rule(sp, n_head=24, n_panel=12):
     return np.concatenate([xi_h, xi_g]), np.concatenate([w_h, w_g])
 
 
-def _tail_mass_funcs(R, N, sp, nu, S, G, xi_s, wxi_s, xi_l, wxi_l):
+def _tail_mass_funcs(R, N, sp, nu, S, table, xi_s, wxi_s, xi_l, wxi_l):
     """Kernel mass beyond the box as a function of the interior radius.
 
     Substituting xi = R/r' maps (R, inf) to (0, 1):
@@ -608,8 +609,7 @@ def _tail_mass_funcs(R, N, sp, nu, S, G, xi_s, wxi_s, xi_l, wxi_l):
     whole mass beyond max(r_{a+2}, 2t) is one of its far halves.
     """
     def phi_at(t, xi):
-        rho = t[:, None] * xi[None, :] / R
-        return G(rho) * (1.0 - rho) ** (-nu)
+        return table.phi(t[:, None] * xi[None, :] / R)
 
     def mass_shared(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -628,7 +628,7 @@ def _tail_mass_funcs(R, N, sp, nu, S, G, xi_s, wxi_s, xi_l, wxi_l):
                                                - m0 ** (1.0 - nu))
         else:
             sliver = (R / t) * np.log(m0 / m1)
-        core = core + G(t / R) * sliver
+        core = core + table.edge_profile(t / R) * sliver
         return S * R ** (-sp) * t ** (N - 1) * core
 
     return mass_shared, mass_last
@@ -672,7 +672,7 @@ def _series_halves(N, sp, S, phi):
     return half(float(N)), half(sp)
 
 
-def _quadrature_halves(N, sp, nu, S, G, n):
+def _quadrature_halves(N, sp, S, table, n):
     """The far halves of :func:`_series_halves` by quadrature of Phi.
 
     With rho = s/t (inner) and rho = t/s (outer) the two masses are
@@ -681,7 +681,7 @@ def _quadrature_halves(N, sp, nu, S, G, n):
         S t^{N-1-sp} w^sp int_0^1 xi^{sp-1} Phi(w xi) dxi,
 
     each taken with the n-point Gauss-Jacobi rule of its power and Phi
-    from the edge profile G.  Phi(u x) is analytic out to x = 1/u >= 2,
+    from the phi table.  Phi(u x) is analytic out to x = 1/u >= 2,
     so a low order is exact to the table's accuracy.  This is the
     verification pass's rule: it shares no step with the series.
     """
@@ -691,15 +691,15 @@ def _quadrature_halves(N, sp, nu, S, G, n):
         def mass(t, u):
             core = np.empty(t.size)
             for rows in _row_chunks(t.size, n):
-                rho = u[rows, None] * x[None, :]
-                core[rows] = (G(rho) * (1.0 - rho) ** (-nu) * wx).sum(-1)
+                core[rows] = (table.phi(u[rows, None] * x[None, :])
+                              * wx).sum(-1)
             return S * t ** (N - 1.0 - sp) * u ** e * core
         return mass
 
     return half(float(N)), half(sp)
 
 
-def _window_mass(tm, lo, hi, N, sp, nu, S, G, n, left):
+def _window_mass(tm, lo, hi, N, sp, nu, S, table, n, left):
     """Kernel mass seen from radii tm over the windows [lo, hi], one row
     per radius, every window on the same side of its radius (``left``:
     hi <= tm, else lo >= tm).
@@ -720,13 +720,14 @@ def _window_mass(tm, lo, hi, N, sp, nu, S, G, n, left):
         d = np.exp(y)
         t = tm[live[rows], None]
         x, z = (t - d, t) if left else (t, t + d)
-        val = S * x ** (N - 1) * np.exp((1.0 - nu) * y) * G(x / z)
+        val = (S * x ** (N - 1) * np.exp((1.0 - nu) * y)
+               * table.edge_profile(x / z))
         out[live[rows]] = L[rows] * (val * wq).sum(-1)
     return out
 
 
-def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last, halves,
-                      n_t=8, n_y=12):
+def _pair_corrections(r, h, N, sp, nu, S, table, mass_shared, mass_last,
+                      halves, n_t=8, n_y=12):
     """Separated-pair variance masses V_a to subtract from K[a, a+1].
 
     For cell a the hat products over all partners at distance >= 2 and
@@ -760,8 +761,8 @@ def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last, halves,
     right = np.empty(tr.size)
     right[inside] = outer_half(tr[inside], tr[inside] / B[inside])
     right[~inside] = mass_shared(tr[~inside])
-    right += _window_mass(tr, edge, np.minimum(B, R), N, sp, nu, S, G, n_y,
-                          left=False)
+    right += _window_mass(tr, edge, np.minimum(B, R), N, sp, nu, S, table,
+                          n_y, left=False)
     mass[:-1] = right.reshape(M - 1, n_t)
     mass[-1] = mass_last(t[-1])
 
@@ -770,12 +771,12 @@ def _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last, halves,
     edge = np.repeat(r[1:M - 1], n_t)                       # r_{a-1}
     P = np.minimum(edge, 0.5 * tl)
     left = inner_half(tl, P / tl)
-    left += _window_mass(tl, P, edge, N, sp, nu, S, G, n_y, left=True)
+    left += _window_mass(tl, P, edge, N, sp, nu, S, table, n_y, left=True)
     mass[2:] += left.reshape(M - 2, n_t)
     return 2.0 * h * ((wt * (1.0 - yt) * yt)[None, :] * mass).sum(axis=1)
 
 
-def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
+def _tail_columns(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l, wxi_l,
                   n_hat=6):
     """The exterior coupling W as its two blocks, zero outside them:
     the shared columns ``xi_s`` over rows 0..M-1 and the last cell's
@@ -804,8 +805,7 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     for rows in _row_chunks(M - 1, n_hat * nq_s):
         hc = h[:M - 1][rows]
         x = r[:M - 1][rows, None] + hc[:, None] * yx[None, :]  # (rows, n_hat)
-        rho = x[:, :, None] * xi_s[None, None, :] / R
-        phi = G(rho) * (1.0 - rho) ** (-nu)
+        phi = table.phi(x[:, :, None] * xi_s[None, None, :] / R)
         core = pref * x[:, :, None] ** (N - 1) * phi * wxi_s[None, None, :]
         core = core * (hc[:, None, None] * wx[None, :, None])
         lo[rows] = (core * (1.0 - yx)[None, :, None]).sum(axis=1)
@@ -822,8 +822,7 @@ def _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
     for rows in _row_chunks(xi_l.size, (ptsx.shape[1] - 1) * n_hat):
         wid = np.diff(ptsx[rows], axis=1)[:, :, None]
         xg = ptsx[rows, :-1, None] + wid * yx
-        rho = xg * xi_l[rows, None, None] / R
-        phi = G(rho) * (1.0 - rho) ** (-nu)
+        phi = table.phi(xg * xi_l[rows, None, None] / R)
         val = (pref * wxi_l[rows, None, None] * xg ** (N - 1) * phi
                * (wid * wx))
         frac = (xg - r[a]) / ha
@@ -898,7 +897,6 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     N, sp, p = params.N, params.sp, params.p
     nu = edge_exponent(N, sp)
     table = get_phi_table(N, sp)
-    G = table.edge_profile
     S = unit_sphere_area(N - 1)
     r = grid.nodes
     h = grid.widths
@@ -913,10 +911,10 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     Kmat = np.zeros((M + 1, M + 1))
     idx = np.arange(M)
 
-    same = _same_cell(r, h, N, sp, p, nu, S, G)
+    same = _same_cell(r, h, N, sp, p, nu, S, table)
     Kmat[idx, idx + 1] += same
 
-    Aw, Bw, Cw = _adjacent(r, h, N, sp, p, nu, S, G)
+    Aw, Bw, Cw = _adjacent(r, h, N, sp, p, nu, S, table)
     # The implied diagonal coefficients Aw + Cw and Bw + Cw of the local
     # quadratic form are positive for any true energy, and the cross term
     # is nonnegative for this kernel.  Violations mean the quadrature or
@@ -943,16 +941,16 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     # verification pass, the far ones through per-band views {d: (4, M - d)}
     far = _far_start(r)
     checks = _pairs(np.full(M, M), _CHECK_BANDS)
-    check_sums = _near_field(Kmat, r, h, N, sp, nu, S, G, far, checks)
+    check_sums = _near_field(Kmat, r, h, N, sp, nu, S, table, far, checks)
     bands, starts = np.unique(checks[1], return_index=True)
     phi = _profile_series(N, sp)
     _far_series(Kmat, r, h, N, sp, S, phi, far,
                 {int(b): check_sums[:, i:i + M - b]
                  for b, i in zip(bands, starts)})
 
-    mass_shared, mass_last = _tail_mass_funcs(R, N, sp, nu, S, G,
+    mass_shared, mass_last = _tail_mass_funcs(R, N, sp, nu, S, table,
                                               xi_s, wxi_s, xi_l, wxi_l)
-    V = _pair_corrections(r, h, N, sp, nu, S, G, mass_shared, mass_last,
+    V = _pair_corrections(r, h, N, sp, nu, S, table, mass_shared, mass_last,
                           _series_halves(N, sp, S, phi))
     pre_sub = Kmat[idx, idx + 1].copy()
     # Next to the truncation boundary the exact representation can demand
@@ -965,7 +963,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     capped = np.maximum(V - pre_sub, 0.0)
     Kmat[idx, idx + 1] = pre_sub - V_applied
 
-    W = _tail_columns(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l)
+    W = _tail_columns(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l, wxi_l)
 
     if Kmat.min() < 0.0:
         i_bad, j_bad = np.unravel_index(int(np.argmin(Kmat)), Kmat.shape)
@@ -976,7 +974,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
         )
 
     dev, worst = _verification_pass(
-        r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw, checks, check_sums,
+        r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw, checks, check_sums,
         V_applied, pre_sub, W, (xi_s, xi_l))
     if dev > _SELF_CHECK_TOL:
         raise ConvergenceError(
@@ -1004,7 +1002,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     )
 
 
-def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
+def _verification_pass(r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw,
                        checks, check_sums, V, pre_sub, W, xis):
     """Re-integrate every block at elevated order; return the worst
     relative deviation and the cell pair it occurred at.
@@ -1016,13 +1014,13 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
     dev = 0.0
     worst = (0, 1)
 
-    same2 = _same_cell(r, h, N, sp, p, nu, S, G, n_u=24, n_r=18)
+    same2 = _same_cell(r, h, N, sp, p, nu, S, table, n_u=24, n_r=18)
     rel = np.abs(same2 - same) / np.maximum(same, 1e-300)
     k = int(np.argmax(rel))
     if rel[k] > dev:
         dev, worst = float(rel[k]), (k, k + 1)
 
-    Aw2, Bw2, Cw2 = _adjacent(r, h, N, sp, p, nu, S, G, n_u=24, n_x=18)
+    Aw2, Bw2, Cw2 = _adjacent(r, h, N, sp, p, nu, S, table, n_u=24, n_x=18)
     scale_adj = np.maximum(np.abs(Aw) + np.abs(Bw) + np.abs(Cw), 1e-300)
     rel = (np.abs(Aw2 - Aw) + np.abs(Bw2 - Bw) + np.abs(Cw2 - Cw)) / scale_adj
     k = int(np.argmax(rel))
@@ -1037,7 +1035,7 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
     K1 = np.zeros(keys.size)
     _scatter(K1, at, check_sums)
     K2 = np.zeros(keys.size)
-    _scatter(K2, at, _hat_sums(c, d, r, h, N, sp, nu, S, G,
+    _scatter(K2, at, _hat_sums(c, d, r, h, N, sp, nu, S, table,
                                order=lambda d: 2 * _band_order(d)))
     mask = K1 > 0.0
     if np.any(mask):
@@ -1052,10 +1050,10 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
     # shared xi rule (the last-cell mass already resolves the kernel edge)
     xi_s2, wxi_s2 = gauss_jacobi_01(64, 0.0, sp - 1.0)
     xi_l2, wxi_l2 = _last_cell_xi_rule(sp, n_head=32, n_panel=16)
-    ms2, ml2 = _tail_mass_funcs(R, N, sp, nu, S, G, xi_s2, wxi_s2,
+    ms2, ml2 = _tail_mass_funcs(R, N, sp, nu, S, table, xi_s2, wxi_s2,
                                 xi_l2, wxi_l2)
-    V2 = _pair_corrections(r, h, N, sp, nu, S, G, ms2, ml2,
-                           _quadrature_halves(N, sp, nu, S, G, 16),
+    V2 = _pair_corrections(r, h, N, sp, nu, S, table, ms2, ml2,
+                           _quadrature_halves(N, sp, S, table, 16),
                            n_t=12, n_y=24)
     rel = (np.abs(np.minimum(V2, pre_sub) - V)
            / np.maximum(pre_sub, 1e-300))
@@ -1065,7 +1063,7 @@ def _verification_pass(r, h, N, sp, p, nu, S, G, R, same, Aw, Bw, Cw,
 
     # exterior coupling: compare rule-independent row functionals (total
     # mass and a curvature-weighted mass) between the two xi rules
-    W2 = _tail_columns(r, h, N, sp, nu, S, G, R, xi_s2, wxi_s2,
+    W2 = _tail_columns(r, h, N, sp, S, table, R, xi_s2, wxi_s2,
                        xi_l2, wxi_l2, n_hat=10)
     for g_pow in (0.0, 2.0):
         f1 = _tail_row_sums(W, xis, g_pow)

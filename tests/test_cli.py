@@ -85,7 +85,7 @@ def test_kernel_table_at_small_s_exits_0(tmp_path):
     rows = np.loadtxt(out / "cbeta_N3_s0.3_p2.csv", delimiter=",",
                       skiprows=4)
     assert np.all(rows[:, 2] <= 1e-9)
-    assert np.all(rows[:, 3] == 2808)
+    assert np.all(rows[:, 3] == 7560)
 
 
 def test_capacitary_run(workdir, capsys):

@@ -121,13 +121,11 @@ def test_closed_form_matches_adaptive_oracle(N, sp):
 
 
 def _table_knots_z():
-    """z = rho^2 at every knot of both tables, guard knots included."""
-    h_lo = (K._RHO_SPLIT + 0.05) / 440
-    rho_lo = np.arange(-2, 443) * h_lo
-    x0 = math.log(K._V_MIN)
-    h_hi = (math.log(1.0 - (K._RHO_SPLIT - 0.05)) - x0) / 1399
-    rho_hi = 1.0 - np.exp(x0 + np.arange(-2, 1402) * h_hi)
-    rho = np.concatenate([rho_lo[rho_lo >= 0.0], rho_hi])
+    """z = rho^2 at every knot of the table, guard knots included: the
+    knots sit at q = sqrt(-log(1 - rho)) = k h, h = sqrt(-log _V_MIN) /
+    (_KNOTS - 1), k = -2.._KNOTS + 1."""
+    h = math.sqrt(-math.log(K._V_MIN)) / (K._KNOTS - 1)
+    rho = 1.0 - np.exp(-(np.arange(-2, K._KNOTS + 2) * h) ** 2)
     return rho * rho
 
 
@@ -223,10 +221,10 @@ def test_phi_table_matches_adaptive(inst35):
 @pytest.mark.parametrize("N, sp", _cases((3, 1.0), (3, 1.25), (4, 0.8),
                                          (5, 1.7), (6, 0.05), (3, 0.2)))
 def test_phi_table_dense_past_the_split(N, sp):
-    # the whole table range rho in [0, 1 - 1e-12] against the closed form:
-    # an even grid over the rho table and past the split, a ladder toward
-    # the edge, and each interpolant alone over its whole knot range, so
-    # the end knots and the end intervals (slopes from guard knots) too
+    # the whole table range rho in [0, 1 - 1e-12] against the closed form,
+    # on both sides of rho = 1/2: an even grid, a ladder toward the edge,
+    # and the interpolant alone over its whole knot range in q, so the end
+    # knots and the end intervals (slopes from guard knots) too
     tab = K.get_phi_table(N, sp)
     # next to the edge against the integral itself, so a knot placed off
     # its exact v shows; v a power of two, so 1 - (1 - v) round-trips
@@ -239,24 +237,53 @@ def test_phi_table_dense_past_the_split(N, sp):
                           1.0 - np.geomspace(1e-12, 0.3, 400)])
     want = K._edge_profile_exact(rho, N, sp)
     rel = np.abs(tab.edge_profile(rho) / want - 1.0)
-    assert rel.max() <= 5e-8, f"worst at rho={rho[rel.argmax()]!r}"
+    assert rel.max() <= 5e-12, f"worst at rho={rho[rel.argmax()]!r}"
 
-    lo, hi = tab._lo, tab._hi
-    rho = np.linspace(0.0, K._RHO_SPLIT + 0.05, 4 * 440 + 1)
-    assert rho[0] == lo.x0 and rho[-1] == pytest.approx(
-        lo.x0 + (lo.last + 1.0) / lo.inv_h, rel=1e-15)
-    want = K._edge_profile_exact(rho, N, sp)
-    rel = np.abs(lo(rho) / want - 1.0)
-    assert rel.max() <= 5e-8, f"rho table worst at rho={rho[rel.argmax()]!r}"
+    g = tab._g
+    q = np.linspace(0.0, g.end / g.inv_h, 4 * (K._KNOTS - 1) + 1)
+    assert np.exp(-q[-1] ** 2) == pytest.approx(K._V_MIN, rel=1e-14)
+    v = np.exp(-q * q)
+    want = K._edge_profile_exact(1.0 - v, N, sp, v=v)
+    rel = np.abs(g(q) / want - 1.0)
+    assert rel.max() <= 5e-12, f"worst at q={q[rel.argmax()]!r}"
 
-    x = np.linspace(hi.x0, hi.x0 + (hi.last + 1.0) / hi.inv_h, 4 * 1399 + 1)
-    assert np.exp(x[0]) == pytest.approx(K._V_MIN, rel=1e-14)
-    assert np.exp(x[-1]) == pytest.approx(1.0 - (K._RHO_SPLIT - 0.05),
-                                          rel=1e-14)
-    rho = 1.0 - np.exp(x)
-    want = K._edge_profile_exact(rho, N, sp)
-    rel = np.abs(hi(np.log(1.0 - rho)) / want - 1.0)
-    assert rel.max() <= 5e-8, f"log-v table worst at rho={rho[rel.argmax()]!r}"
+
+# the (N, sp) the table's accuracy is pinned on: sp from 0.05 to 2.5,
+# N from 3 to 8
+TABLE_PIN_CASES = [(3, 0.2), (6, 0.05), (8, 0.1), (3, 0.66), (4, 0.8),
+                   (3, 1.0), (3, 1.25), (3, 1.5), (5, 1.7), (3, 2.25),
+                   (4, 2.5)]
+
+
+@pytest.mark.parametrize("N, sp", TABLE_PIN_CASES)
+def test_edge_profile_matches_closed_form_to_5e12(N, sp):
+    # the interpolant in q against the closed form on 200,001 points in
+    # rho in [0, 1/2] and 200,001 log-spaced points in 1 - rho in
+    # [1e-12, 1/2], and exactly G(1) at rho = 1
+    tab = K.get_phi_table(N, sp)
+    rho = np.linspace(0.0, 0.5, 200_001)
+    rel = np.abs(tab.edge_profile(rho) / K._edge_profile_exact(rho, N, sp)
+                 - 1.0)
+    assert rel.max() <= 5e-12, f"worst at rho={rho[rel.argmax()]!r}"
+    rho = 1.0 - np.geomspace(1e-12, 0.5, 200_001)
+    v = 1.0 - rho           # exact: the pair (rho, v) describes one point
+    rel = np.abs(tab.edge_profile(rho)
+                 / K._edge_profile_exact(rho, N, sp, v=v) - 1.0)
+    assert rel.max() <= 5e-12, f"worst at v={v[rel.argmax()]!r}"
+    assert tab.edge_profile(1.0) == K.edge_limit(N, sp)
+
+
+@pytest.mark.parametrize("N, s", [(3, 0.5), (3, 0.1), (4, 0.4), (5, 0.85)])
+def test_phi_table_matches_angular_reduction_at_the_edge(N, s):
+    # Phi = G (1 - rho)^{-nu} with the edge factor from the unclipped
+    # log(1 - rho): it keeps growing inside _V_MIN of the edge, where G
+    # itself is G(1), down to 1 - rho = 1e-15
+    P = ProblemParams.kernel_only(N, s, 2.0)
+    tab = K.get_phi_table(N, P.sp)
+    rho = np.concatenate([np.linspace(0.0, 0.99, 991),
+                          1.0 - np.geomspace(1e-15, 1e-2, 131)])
+    rel = np.abs(tab.phi(rho) / K.angular_reduction(rho, P) - 1.0)
+    assert rel.max() <= 5e-12, f"worst at rho={rho[rel.argmax()]!r}"
 
 
 def test_hermite_reproduces_cubics():
@@ -327,7 +354,7 @@ def test_profile_constant_window(quad, inst35):
             K.power_profile_constant(bad, inst35, quad)
 
 
-def _profile_constant_oracle(beta, P):
+def _profile_constant_oracle(beta, P, points=UNIT_POINTS):
     """C(beta) by the tests' adaptive bisection on the phi table."""
     N, sp, p = P.N, P.sp, P.p
     e1 = N - sp - beta * (p - 1.0)
@@ -338,7 +365,7 @@ def _profile_constant_oracle(beta, P):
         return (rho ** (sp - 1.0) * -np.expm1(e1 * np.log(rho))
                 * (-np.expm1(beta * np.log(rho))) ** (p - 1.0) * phi(rho))
 
-    res = integrate_adaptive(f, UNIT_POINTS, tol=1e-11, max_refinements=12,
+    res = integrate_adaptive(f, points, tol=1e-11, max_refinements=12,
                              lo_exponent=sp - 1.0 + min(e1, 0.0),
                              hi_exponent=p - K.edge_exponent(N, sp))
     return 2.0 * res.value
@@ -359,19 +386,32 @@ def test_profile_constant_matches_adaptive_oracle(N, s, p):
         res = K.power_profile_result(beta, P, QuadratureSpec())
         want = _profile_constant_oracle(beta, P)
         assert abs(res.value - want) <= 5e-11 * max(abs(want), 1.0), beta
-        assert res.rel_err <= 1e-9 and res.n_evals == 2808
+        assert res.rel_err <= 1e-9 and res.n_evals == 7560
 
 
 def test_profile_constant_meets_its_target_near_beta_star_at_small_s():
     # at (3, 0.3, 2) and beta in [2.334, 2.388], e1 = N - sp - beta (p - 1)
     # lies in (0.012, 0.066): rho^e1 varies over all of (0, 1e-6), where a
-    # rule without panels graded toward 0 misses the 1e-9 target
-    P = ProblemParams.kernel_only(3, 0.3, 2.0)
-    for beta in np.linspace(2.334, 2.388, 7):
-        res = K.power_profile_result(beta, P, QuadratureSpec())
-        assert res.rel_err <= 1e-9, beta
-        want = _profile_constant_oracle(beta, P)
-        assert abs(res.value - want) <= 5e-11 * max(abs(want), 1.0), beta
+    # rule without panels graded toward 0 misses the 1e-9 target.  At
+    # (3, 0.2, 2) and (4, 0.1, 2) the last three rows of the default
+    # kernel-table sweep, |e1| <= 0.19 at sp = 0.4 and 0.2, missed it with
+    # panels down to 0.5 * 4^-24 only.  The oracle bisects from panels
+    # halving down to 1e-60: from 1e-30 it stalls at (4, 0.1, 2), where
+    # the mass below rho = 1e-30 is still 1e-5 of C
+    deep = (graded_points(0.0, 0.5, toward=0.0, scale=1e-60, factor=2.0,
+                          max_panels=250)
+            + [x for x in UNIT_POINTS if x > 0.5])
+    cases = [((3, 0.3), np.linspace(2.334, 2.388, 7)),
+             ((3, 0.2), np.linspace(1.56, 2.76, 13)[-3:]),
+             ((4, 0.1), np.linspace(2.28, 3.88, 13)[-3:])]
+    for (N, s), betas in cases:
+        P = ProblemParams.kernel_only(N, s, 2.0)
+        for beta in betas:
+            res = K.power_profile_result(beta, P, QuadratureSpec())
+            assert res.rel_err <= 1e-9, (N, s, beta)
+            want = _profile_constant_oracle(beta, P, deep)
+            assert abs(res.value - want) <= 5e-11 * max(abs(want), 1.0), \
+                (N, s, beta)
 
 
 def test_riesz_power_constant_goldens():

@@ -563,9 +563,9 @@ def test_boundary_pair_weight_is_clipped(K16, p2):
     args, ms, ml = _far_field_inputs(K16.grid, p2, PRODUCTION_RULES)
     V15 = _pair_corrections_loop(*args, ms, ml,
                                  _far_halves(args, PRODUCTION_RULES))[15]
-    r, h, N, sp, nu, S, G = args
-    same = op._same_cell(r, h, N, sp, p2.p, nu, S, G)
-    _, Bw, _ = op._adjacent(r, h, N, sp, p2.p, nu, S, G)
+    r, h, N, sp, nu, S, table = args
+    same = op._same_cell(r, h, N, sp, p2.p, nu, S, table)
+    _, Bw, _ = op._adjacent(r, h, N, sp, p2.p, nu, S, table)
     pre15 = same[15] + max(Bw[14], 0.0)
     assert K16.correction_clips >= 1
     assert V15 > pre15
@@ -620,8 +620,8 @@ def test_power_profile_residual_scale(p2):
 # the far-field blocks against their per-node loops
 # ---------------------------------------------------------------------------
 
-def _pair_corrections_loop(r, h, N, sp, nu, S, G, mass_shared, mass_last,
-                           halves, n_t=8, n_y=12):
+def _pair_corrections_loop(r, h, N, sp, nu, S, table, mass_shared,
+                           mass_last, halves, n_t=8, n_y=12):
     """Oracle: the variance masses of the log-distance rule one (cell,
     t-node) at a time.  Seen from t the mass splits at t/2 and 2t: the
     far halves from ``halves``, one node per call, the windows next to
@@ -640,7 +640,8 @@ def _pair_corrections_loop(r, h, N, sp, nu, S, G, mass_shared, mass_last,
         y = math.log(d_lo) + (math.log(d_hi) - math.log(d_lo)) * yq
         s = tm + sign * np.exp(y)
         x, z = (s, tm) if sign < 0 else (tm, s)
-        val = S * x ** (N - 1) * (z - x) ** (-nu) * G(x / z) * np.exp(y)
+        val = (S * x ** (N - 1) * (z - x) ** (-nu)
+               * table.edge_profile(x / z) * np.exp(y))
         return (math.log(d_hi) - math.log(d_lo)) * float((val * wq).sum())
 
     V = np.zeros(M)
@@ -665,8 +666,8 @@ def _pair_corrections_loop(r, h, N, sp, nu, S, G, mass_shared, mass_last,
     return V
 
 
-def _pair_corrections_graded(r, h, N, sp, nu, S, G, mass_shared, mass_last,
-                             n_t=8, n_s=16, grade_factor=1.5):
+def _pair_corrections_graded(r, h, N, sp, nu, S, table, mass_shared,
+                             mass_last, n_t=8, n_s=16, grade_factor=1.5):
     """Accuracy reference: the variance masses by the graded rule the
     assembly used before the log-distance rule.  The interior masses
     over [0, r_{a-1}] and [r_{a+2}, R_max] are integrated over panels
@@ -691,7 +692,7 @@ def _pair_corrections_graded(r, h, N, sp, nu, S, G, mass_shared, mass_last,
         s = pts[:, :-1, None] + wid * ys
         tm = t[:, None, None]
         x, y = (s, tm) if toward_hi else (tm, s)
-        val = S * x ** (N - 1) * (y - x) ** (-nu) * G(x / y)
+        val = S * x ** (N - 1) * y ** (-nu) * table.phi(x / y)
         return (val * wid * wsn).sum(axis=(1, 2))
 
     V = np.zeros(M)
@@ -706,7 +707,7 @@ def _pair_corrections_graded(r, h, N, sp, nu, S, G, mass_shared, mass_last,
     return V
 
 
-def _tail_columns_loop(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
+def _tail_columns_loop(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l, wxi_l,
                        n_hat=6):
     """Oracle: the exterior coupling's two blocks with the last cell's
     columns built one xi node at a time."""
@@ -718,8 +719,7 @@ def _tail_columns_loop(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
 
     c = np.arange(0, M - 1)
     x = r[c][:, None] + h[c][:, None] * yx[None, :]        # (M-1, n_hat)
-    rho = x[:, :, None] * xi_s[None, None, :] / R
-    phi = G(rho) * (1.0 - rho) ** (-nu)
+    phi = table.phi(x[:, :, None] * xi_s[None, None, :] / R)
     core = pref * x[:, :, None] ** (N - 1) * phi * wxi_s[None, None, :]
     core = core * (h[c][:, None, None] * wx[None, :, None])
     shared[0:M - 1] += (core * (1.0 - yx)[None, :, None]).sum(axis=1)
@@ -737,8 +737,7 @@ def _tail_columns_loop(r, h, N, sp, nu, S, G, R, xi_s, wxi_s, xi_l, wxi_l,
             ptsx = np.array([r[a], R])
         xg = (ptsx[:-1, None] + np.diff(ptsx)[:, None] * yx[None, :]).ravel()
         wg_x = (np.diff(ptsx)[:, None] * wx[None, :]).ravel()
-        rho = xg * xiq / R
-        phi = G(rho) * (1.0 - rho) ** (-nu)
+        phi = table.phi(xg * xiq / R)
         val = pref * wq * xg ** (N - 1) * phi * wg_x
         frac = (xg - r[a]) / ha
         last[0, j] += float((val * (1.0 - frac)).sum())
@@ -757,24 +756,24 @@ def _far_field_inputs(grid, params, rules):
     N, sp = params.N, params.sp
     nu = edge_exponent(N, sp)
     S = unit_sphere_area(N - 1)
-    G = get_phi_table(N, sp).edge_profile
+    table = get_phi_table(N, sp)
     _, _, _, n_xi, n_head, n_panel = rules
     xi_s, wxi_s = gauss_jacobi_01(n_xi, 0.0, sp - 1.0)
     xi_l, wxi_l = op._last_cell_xi_rule(sp, n_head=n_head, n_panel=n_panel)
-    ms, ml = op._tail_mass_funcs(grid.R_max, N, sp, nu, S, G,
+    ms, ml = op._tail_mass_funcs(grid.R_max, N, sp, nu, S, table,
                                  xi_s, wxi_s, xi_l, wxi_l)
-    return (grid.nodes, grid.widths, N, sp, nu, S, G), ms, ml
+    return (grid.nodes, grid.widths, N, sp, nu, S, table), ms, ml
 
 
 def _far_halves(args, rules):
     # the far halves the pass of ``rules`` uses: the profile series in
     # production, Gauss-Jacobi quadrature of the phi table in the check
-    _, _, N, sp, nu, S, G = args
+    _, _, N, sp, _, S, table = args
     n_half = rules[2]
     if n_half is None:
         return op._series_halves(
             N, sp, S, kernel._profile_series(N, sp))
-    return op._quadrature_halves(N, sp, nu, S, G, n_half)
+    return op._quadrature_halves(N, sp, S, table, n_half)
 
 
 def _max_rel(new, ref):
@@ -853,8 +852,7 @@ def test_far_halves_match_adaptive_quadrature(N, s, p):
         max_refinements=4, lo_exponent=sp - 1.0).value for v in u])
     series = op._series_halves(
         N, sp, S, kernel._profile_series(N, sp))
-    table = op._quadrature_halves(
-        N, sp, nu, S, get_phi_table(N, sp).edge_profile, 16)
+    table = op._quadrature_halves(N, sp, S, get_phi_table(N, sp), 16)
     for t in (1.0, 3.7):
         scale = S * t ** (N - 1.0 - sp)
         tt = np.full(u.size, t)
@@ -923,8 +921,8 @@ def test_assembly_makes_no_per_node_panel_calls(p25, monkeypatch):
 # bounded array passes: the same bits as one pass per band or block
 # ---------------------------------------------------------------------------
 
-def _separated_by_band(Kmat, r, h, N, sp, nu, S, G, order=op._band_order,
-                       bands=None, far=None):
+def _separated_by_band(Kmat, r, h, N, sp, nu, S, table,
+                       order=op._band_order, bands=None, far=None):
     """Oracle: the hat-product weights one band at a time, each band in
     one array pass and added to K before the next band is computed; with
     ``far``, only the pairs (c, c') with c' < far[c]."""
@@ -940,8 +938,8 @@ def _separated_by_band(Kmat, r, h, N, sp, nu, S, G, order=op._band_order,
         y = r[cp][:, None] + h[cp][:, None] * X[None, :]
         xx = x[:, :, None]
         yy = y[:, None, :]
-        base = (2.0 * S * xx ** (N - 1) * (yy - xx) ** (-nu)
-                * G(xx / yy))
+        base = (2.0 * S * xx ** (N - 1) * yy ** (-nu)
+                * table.phi(xx / yy))
         base = base * (Wx[None, :, None] * Wx[None, None, :])
         base = base * (h[c] * h[cp])[:, None, None]
         lo_m, hi_m = (1.0 - X)[None, :, None], X[None, :, None]
@@ -1135,7 +1133,7 @@ def test_far_pairs_match_double_order_quadrature(N, s, p):
     phi = kernel._profile_series(N, sp)
     for grid in _far_grids():
         args, _, _ = _far_field_inputs(grid, params, PRODUCTION_RULES)
-        r, h, _, _, nu, S, G = args
+        r, h, _, _, _, S, _ = args
         M = h.size
         far = op._far_start(r)
         bands = sorted(set(range(2, M, 13)) | set(range(2, 40)))

@@ -177,19 +177,14 @@ def test_one_assembly_per_node_set_and_its_clips_noted(settings, p2,
 
 
 def test_riesz_ladder_fails_on_a_scaled_phi_table(p2, monkeypatch):
-    # G times 1.01, in tables of their own: C(beta) scales on the whole
-    # ladder, so the shape still matches to round-off, but the
-    # calibration misses 2/C_{N,s} by 1e-2 and the check must fail
-    build = kernel._build_phi_table
-
-    def scaled(N, sp):
-        tab = build(N, sp)
-        edge_profile = tab.edge_profile
-        tab.edge_profile = lambda rho: 1.01 * edge_profile(rho)
-        return tab
-
+    # G times 1.01 at every knot, in tables of their own, so both G and
+    # Phi read the scaled knots: C(beta) scales on the whole ladder, so
+    # the shape still matches to round-off, but the calibration misses
+    # 2/C_{N,s} by 1e-2 and the check must fail
+    hermite = kernel._Hermite
     monkeypatch.setattr(kernel, "_TABLE_CACHE", {})
-    monkeypatch.setattr(kernel, "_build_phi_table", scaled)
+    monkeypatch.setattr(kernel, "_Hermite",
+                        lambda x0, h, y: hermite(x0, h, 1.01 * y))
     res = kernel.cross_check_p2(3, 0.5)
     assert res.max_rel_dev <= 1e-4
     assert res.calibration_error == pytest.approx(1e-2, rel=1e-6)
