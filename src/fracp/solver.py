@@ -29,10 +29,13 @@ Everything here is deterministic: fixed quadrature rules, fixed
 iteration order, no randomness.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, UsageError
 from .grid import RadialFunction, RadialGrid
@@ -65,6 +68,37 @@ _MAX_ITER = 200
 _ARMIJO_C1 = 1e-4
 _ARMIJO_STEPS = 60
 _TAIL_RULE_NODES = 32
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, loaded without ``scipy.linalg``.
+
+    Each solving subcommand is one process, and importing the
+    ``scipy.linalg`` package would cost it a quarter of a second and
+    some 20 MB for the two routines the Newton step calls.  So the
+    extension module is loaded by file from the installed scipy
+    directory and registered under its own name: a later ``import
+    scipy.linalg`` reuses it, and one made earlier is reused here.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg")
+            for d in (scipy.submodule_search_locations if scipy else [])]
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, dirs)
+    if spec is None:
+        raise ImportError(f"fracp.solver needs scipy's {_FLAPACK}; searched "
+                          f"{os.pathsep.join(dirs) or 'no scipy directory'}",
+                          name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+_potrf, _potrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 # ---------------------------------------------------------------------------
@@ -283,40 +317,56 @@ class SolveReport:
 # damped Newton core
 
 
+def _cholesky_solve(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """H^{-1} g for a symmetric H, factored in place by LAPACK.
+
+    ``dpotrf`` factors H on its lower-triangle path, which overwrites
+    the lower triangle of H.T, H's upper one; ``dpotrs`` then solves
+    with the factor.  Both get the arguments ``scipy.linalg.cho_factor``
+    and ``cho_solve`` pass them, so the result is theirs, bit for bit.
+    A non-positive leading minor raises ``np.linalg.LinAlgError``; an
+    illegal argument to either routine raises ValueError.
+    """
+    # H is symmetric, so H.T is the same matrix in the Fortran order
+    # LAPACK works in (handed H itself, dpotrf would copy it); the
+    # lower-triangle path factors it faster than the upper one
+    c, info = _potrf(H.T, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the "
+                                    "array is not positive definite")
+    if info == 0:
+        x, info = _potrs(c, g, lower=1)
+    if info < 0:
+        raise ValueError(f"LAPACK's dpotrf or dpotrs reported an illegal "
+                         f"value in argument {-info}")
+    return x
+
+
 def _solve_newton_step(hessian, g: np.ndarray) -> np.ndarray:
     """Direction -H^{-1} g, shifting the diagonal when H is not SPD.
 
-    ``hessian()`` returns the symmetric H in a work array.  H is
-    factored in place through LAPACK's lower-triangle path, which
-    overwrites the lower triangle of H.T, H's upper one, so a failed
-    factorization leaves H overwritten and every shifted retry asks for
-    it again.  A non-finite entry of H or g raises ValueError.
+    ``hessian()`` returns the symmetric H in a work array, which
+    :func:`_cholesky_solve` factors in place, so a failed factorization
+    leaves H overwritten and every shifted retry asks for it again.  A
+    non-finite entry of H or g raises ValueError.
     """
-    def solve(H):
-        # H is symmetric, so H.T is the same matrix in the Fortran order
-        # LAPACK works in (handed H itself, cho_factor would copy it);
-        # the lower-triangle path factors it faster than the upper one
-        return -cho_solve(cho_factor(H.T, lower=True, overwrite_a=True,
-                                     check_finite=False),
-                          g, check_finite=False)
-
     H = hessian()
-    # one reduction over H instead of scipy's scans of H, its factor and
-    # g: a NaN or inf anywhere leaves the sum non-finite (so would a sum
-    # that overflows, far beyond any Hessian of a solve)
+    # one reduction over H instead of scans of H, its factor and g: a
+    # NaN or inf anywhere leaves the sum non-finite (so would a sum that
+    # overflows, far beyond any Hessian of a solve)
     if not (np.isfinite(H.sum()) and np.isfinite(g).all()):
         raise ValueError("the Newton system holds infs or NaNs")
     n = H.shape[0]
     lam = 1e-10 * max(float(np.trace(H)) / n, 1.0)
     try:
-        return solve(H)
+        return -_cholesky_solve(H, g)
     except np.linalg.LinAlgError:
         pass
     for _ in range(12):
         H = hessian()
         H[np.diag_indices(n)] += lam
         try:
-            return solve(H)
+            return -_cholesky_solve(H, g)
         except np.linalg.LinAlgError:
             lam *= 100.0
     # fully regularized fall-through: steepest descent

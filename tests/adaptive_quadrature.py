@@ -22,10 +22,12 @@ from fracp.quadrature import (QuadResult, gauss_jacobi_01, gauss_legendre_01,
 
 # breakpoints of (0, 1) for the integrals against the angular factor
 # (powers of rho at 0, the kernel's edge at 1): panels halving toward
-# both ends, down to 1e-30 and to 1e-12 wide, so the bisection starts
-# from a mesh of its own and not from the package's
-UNIT_POINTS = (graded_points(0.0, 0.5, toward=0.0, scale=1e-30, factor=2.0,
-                             max_panels=120)
+# both ends, down to 1e-60 and to 1e-12 wide, so the bisection starts
+# from a mesh of its own and not from the package's.  The depth at 0 is
+# for small sp near beta_star, where rho^e1 with e1 near 0 still holds
+# 1e-5 of C(beta) below rho = 1e-30: from there the bisection stalls
+UNIT_POINTS = (graded_points(0.0, 0.5, toward=0.0, scale=1e-60, factor=2.0,
+                             max_panels=250)
                + graded_points(0.5, 1.0, toward=1.0, scale=1e-12, factor=2.0,
                                max_panels=60)[1:])
 

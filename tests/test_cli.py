@@ -321,12 +321,17 @@ def _scipy_modules_after(code: str) -> list[str]:
 def test_cold_start_skips_heavy_scipy_modules():
     # every subcommand is one process, so the import of the entry point is
     # paid each time: it loads no scipy module at all.  The solver loads
-    # scipy.linalg for the Newton step's Cholesky factorization, at import,
-    # and nothing of scipy.special
+    # scipy's compiled LAPACK wrappers for the Newton step's Cholesky
+    # factorization, at import, by file: not the scipy or scipy.linalg
+    # packages, nor anything of scipy._lib or scipy.special
     assert _scipy_modules_after("import fracp.cli") == []
-    loaded = _scipy_modules_after("import fracp.solver")
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.special")]
+    assert _scipy_modules_after("import fracp.solver") == [
+        "scipy.linalg._flapack"]
+
+
+def _subcommand_scipy_modules(argv: list[str]) -> list[str]:
+    code = f"from fracp.cli import main\nassert main({argv!r}) == 0"
+    return _scipy_modules_after(code)
 
 
 def test_kernel_table_and_plotdata_processes_load_no_scipy(workdir,
@@ -336,6 +341,15 @@ def test_kernel_table_and_plotdata_processes_load_no_scipy(workdir,
         shutil.copy(os.path.join(workdir["out"], name), tmp_path)
     for argv in (["kernel-table", "--steps", "3"], ["plotdata"]):
         argv += ["--config", workdir["cfg"], "--out", str(tmp_path)]
-        code = ("from fracp.cli import main\n"
-                f"assert main({argv!r}) == 0")
-        assert _scipy_modules_after(code) == [], argv[0]
+        assert _subcommand_scipy_modules(argv) == [], argv[0]
+
+
+def test_solving_processes_load_only_the_lapack_wrappers(workdir, tmp_path):
+    # the three solving subcommands, each in a fresh interpreter as the
+    # README flow runs them, load the LAPACK wrapper module and no other
+    # scipy module; solve-full reads the u_bar.csv solve-singular wrote
+    for argv in (["capacitary", "--R", "1"], ["solve-singular"],
+                 ["solve-full", "--kappa", "0.5"]):
+        argv += ["--config", workdir["cfg"], "--out", str(tmp_path)]
+        assert _subcommand_scipy_modules(argv) == [
+            "scipy.linalg._flapack"], argv[0]

@@ -354,7 +354,7 @@ def test_profile_constant_window(quad, inst35):
             K.power_profile_constant(bad, inst35, quad)
 
 
-def _profile_constant_oracle(beta, P, points=UNIT_POINTS):
+def _profile_constant_oracle(beta, P):
     """C(beta) by the tests' adaptive bisection on the phi table."""
     N, sp, p = P.N, P.sp, P.p
     e1 = N - sp - beta * (p - 1.0)
@@ -365,7 +365,7 @@ def _profile_constant_oracle(beta, P, points=UNIT_POINTS):
         return (rho ** (sp - 1.0) * -np.expm1(e1 * np.log(rho))
                 * (-np.expm1(beta * np.log(rho))) ** (p - 1.0) * phi(rho))
 
-    res = integrate_adaptive(f, points, tol=1e-11, max_refinements=12,
+    res = integrate_adaptive(f, UNIT_POINTS, tol=1e-11, max_refinements=12,
                              lo_exponent=sp - 1.0 + min(e1, 0.0),
                              hi_exponent=p - K.edge_exponent(N, sp))
     return 2.0 * res.value
@@ -395,12 +395,9 @@ def test_profile_constant_meets_its_target_near_beta_star_at_small_s():
     # rule without panels graded toward 0 misses the 1e-9 target.  At
     # (3, 0.2, 2) and (4, 0.1, 2) the last three rows of the default
     # kernel-table sweep, |e1| <= 0.19 at sp = 0.4 and 0.2, missed it with
-    # panels down to 0.5 * 4^-24 only.  The oracle bisects from panels
-    # halving down to 1e-60: from 1e-30 it stalls at (4, 0.1, 2), where
-    # the mass below rho = 1e-30 is still 1e-5 of C
-    deep = (graded_points(0.0, 0.5, toward=0.0, scale=1e-60, factor=2.0,
-                          max_panels=250)
-            + [x for x in UNIT_POINTS if x > 0.5])
+    # panels down to 0.5 * 4^-24 only.  The oracle's UNIT_POINTS reach
+    # 1e-60: from 1e-30 it stalls at (4, 0.1, 2), where the mass below
+    # rho = 1e-30 is still 1e-5 of C
     cases = [((3, 0.3), np.linspace(2.334, 2.388, 7)),
              ((3, 0.2), np.linspace(1.56, 2.76, 13)[-3:]),
              ((4, 0.1), np.linspace(2.28, 3.88, 13)[-3:])]
@@ -409,7 +406,7 @@ def test_profile_constant_meets_its_target_near_beta_star_at_small_s():
         for beta in betas:
             res = K.power_profile_result(beta, P, QuadratureSpec())
             assert res.rel_err <= 1e-9, (N, s, beta)
-            want = _profile_constant_oracle(beta, P, deep)
+            want = _profile_constant_oracle(beta, P)
             assert abs(res.value - want) <= 5e-11 * max(abs(want), 1.0), \
                 (N, s, beta)
 

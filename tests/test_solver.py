@@ -9,6 +9,8 @@ below.  The remaining goldens are direct antiderivative evaluations.
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -256,6 +258,120 @@ def test_capacitary_newton_steps_solve_the_free_block(p2, inst2,
         assert H0.shape == (n_free, n_free)
         ref = np.linalg.solve(H0, -g)
         assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def _cho_step(H0: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Newton step through scipy.linalg's public Cholesky path."""
+    from scipy.linalg import cho_factor, cho_solve
+    return -cho_solve(cho_factor(H0.copy().T, lower=True, overwrite_a=True,
+                                 check_finite=False), g, check_finite=False)
+
+
+@pytest.mark.parametrize("n", [17, 129, 257, 513])
+def test_newton_step_matches_scipy_cho_solve_bitwise(n):
+    # the step calls LAPACK's dpotrf/dpotrs with the arguments
+    # cho_factor/cho_solve pass, so it must be theirs to the last bit
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    H0 = A @ A.T + n * np.eye(n)
+    g = rng.standard_normal(n)
+    d = sv._solve_newton_step(lambda: H0.copy(), g)
+    assert d.tobytes() == _cho_step(H0, g).tobytes()
+
+
+def test_capacitary_newton_steps_match_scipy_cho_solve_bitwise(p2, inst2,
+                                                               monkeypatch):
+    # the same on the free-block copies of H a capacitary solve factors
+    grid, K = inst2
+    real = sv._solve_newton_step
+    seen = []
+
+    def step(hessian, g):
+        H0 = hessian().copy()
+        d = real(hessian, g)
+        seen.append(d.tobytes() == _cho_step(H0, g).tobytes())
+        return d
+
+    monkeypatch.setattr(sv, "_solve_newton_step", step)
+    sv.solve_capacitary(1.0, p2, grid, K, tol=1e-9)
+    assert seen and all(seen)
+
+
+def test_cholesky_solve_names_the_failing_leading_minor():
+    # a 3x3 leading block that is not positive definite: dpotrf stops at
+    # the third pivot, and the error is the LinAlgError the shift loop
+    # catches
+    H = np.diag([4.0, 2.0, -1.0, 5.0])
+    with pytest.raises(np.linalg.LinAlgError, match="^3-th leading minor"):
+        sv._cholesky_solve(H, np.ones(4))
+
+
+@pytest.mark.parametrize("routine", ["_potrf", "_potrs"])
+def test_cholesky_solve_refuses_an_illegal_argument(routine, monkeypatch):
+    # LAPACK's info < 0 names an illegal argument; it is no failed
+    # factorization, so it must not reach the shift loop as one
+    real = getattr(sv, routine)
+    monkeypatch.setattr(sv, routine,
+                        lambda *a, **kw: (real(*a, **kw)[0], -2))
+    H = np.eye(3) * 2.0
+    with pytest.raises(ValueError, match="illegal value in argument 2$"):
+        sv._solve_newton_step(lambda: H.copy(), np.ones(3))
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_scipy_linalg_imports_after_the_solver_and_shares_its_lapack():
+    # the solver loads scipy's LAPACK wrappers by file; a later import of
+    # scipy.linalg in the same process must work, reuse that module, and
+    # factor to the same bits
+    code = """
+import numpy as np
+import fracp.solver as sv
+import scipy.linalg
+assert sv._potrf is scipy.linalg.lapack.dpotrf
+assert sv._potrs is scipy.linalg.lapack.dpotrs
+rng = np.random.default_rng(5)
+A = rng.standard_normal((64, 64))
+H = A @ A.T + 64.0 * np.eye(64)
+c, _ = scipy.linalg.cho_factor(H.copy().T, lower=True, check_finite=False)
+f, info = sv._potrf(H.copy().T, lower=1, clean=0, overwrite_a=1)
+assert info == 0 and c.tobytes() == f.tobytes()
+print("ok")
+"""
+    res = _run_fresh(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["ok"]
+
+
+def test_solver_import_names_the_directory_when_lapack_is_missing():
+    # no fallback: without the wrapper module the import fails, and says
+    # where it looked
+    code = """
+import importlib.machinery as m
+import importlib.util
+import os
+real = m.PathFinder.find_spec
+m.PathFinder.find_spec = classmethod(
+    lambda cls, name, path=None, target=None:
+    None if name == "scipy.linalg._flapack" else real(name, path, target))
+where = os.path.join(
+    importlib.util.find_spec("scipy").submodule_search_locations[0],
+    "linalg")
+try:
+    import fracp.solver
+except ImportError as exc:
+    assert exc.name == "scipy.linalg._flapack", exc.name
+    assert where in str(exc), (where, str(exc))
+    print("ImportError")
+"""
+    res = _run_fresh(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["ImportError"]
 
 
 def test_minimizer_beats_zero_and_init(p2, inst_oracle):
