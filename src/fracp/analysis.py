@@ -525,11 +525,13 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
     """Read a profile written by :func:`write_solution_csv`.
 
     Returns the radial function together with the parsed metadata
-    (instance fields, grid hash, tail data, converged flag).  The node
-    set and tail exponent reconstruct the grid; its hash must match the
-    stored one, which catches hand-edited or truncated files.  A header
-    key that is missing or not a number, and a node or value that is not
-    a number, raise :class:`UsageError` naming the file and the field.
+    (instance fields, grid hash, tail data, converged flag, and
+    ``residual_norm``, the sup norm of the stored residual column).  The
+    node set and tail exponent reconstruct the grid; its hash must match
+    the stored one, which catches hand-edited or truncated files.  A
+    header key that is missing or not a number, and a node, value or
+    residual that is not a number, raise :class:`UsageError` naming the
+    file and the field.
     """
     with open(path, encoding="ascii") as fh:
         first = fh.readline().strip()
@@ -551,16 +553,18 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
             raise UsageError(f"{path}: the header has no {key}= field")
     for key in _SOLUTION_NUMBERS:
         _number(path, f"header field {key}", meta[key])
-    r, u = [], []
+    r, u, residual = [], [], []
     for n, fields in rows:
         if len(fields) != 5:
             raise UsageError(f"{path}: line {n} has {len(fields)} fields, "
                              "not 5")
         r.append(_number(path, f"line {n}, field r", fields[0]))
         u.append(_number(path, f"line {n}, field u", fields[1]))
+        residual.append(_number(path, f"line {n}, field residual", fields[4]))
     grid = RadialGrid(nodes=np.array(r),
                       tail_exponent=float(meta["tail_exponent"]))
     if grid.grid_hash != meta["grid_hash"]:
         raise UsageError(f"{path}: grid hash mismatch; file edited?")
     meta["converged"] = meta["converged"] == "True"
+    meta["residual_norm"] = float(np.abs(residual).max())
     return RadialFunction(grid, np.array(u)), meta

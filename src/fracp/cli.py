@@ -12,8 +12,8 @@ Subcommands:
 ``solve-singular``
     Run the regularization continuation and write the limit profile.
 ``solve-full --kappa X``
-    Continuation plus the truncated full problem; checks that the full
-    solution dominates the pure-singular one.
+    The truncated full problem on top of the ``u_bar.csv`` that
+    ``solve-singular`` wrote; checks that the full solution dominates it.
 ``verify``
     The whole acceptance battery; writes ``report.json``.
 ``plotdata``
@@ -111,19 +111,33 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _solve_singular(cfg: RunConfig, args):
-    """Assemble, run the continuation, print its levels, write u_bar.csv.
+def _read_input(cfg: RunConfig, out: str, name: str, step: str):
+    """The profile ``<out>/<name>.csv`` that ``step`` wrote, its header and
+    path; ConfigError if it is missing or was computed for other parameters
+    or on another grid than this config's."""
+    path = os.path.join(out, name + ".csv")
+    if not os.path.exists(path):
+        raise ConfigError(f"missing input {path}; run {step} first")
+    u, meta = read_solution_csv(path)
+    for key in ("N", "s", "p", "gamma", "alpha", "c_a"):
+        got, want = float(meta[key]), float(getattr(cfg.params, key))
+        if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+            raise ConfigError(
+                f"{name}.csv was computed at {key}={got!r} but the config "
+                f"says {key}={want!r}; run {step} again")
+    if meta["grid_hash"] != cfg.build_grid().grid_hash:
+        raise ConfigError(f"{name}.csv lies on another grid than the "
+                          f"config's; run {step} again")
+    return u, meta, path
 
-    Returns the kernel matrix, u_bar, the CSV path and whether every
-    level met its stationarity tolerance.  The CSV's right-hand side and
-    residual are those of the level the continuation stopped at.
-    """
+
+def _cmd_solve_singular(cfg: RunConfig, args) -> int:
     from .solver import RegularizedProblem, solve_pure_singular
     params, tol = cfg.params, cfg.solver.tol
     grid = cfg.build_grid()
     K = assemble(grid, params, cfg.quad)
     schedule = cfg.schedule()
-    print(f"{args.command}: continuation over n = {schedule}")
+    print(f"solve-singular: continuation over n = {schedule}")
     u, reports = solve_pure_singular(params, grid, K, schedule, tol=tol)
     stationary = all(r.residual_norm <= tol for r in reports)
     settled = reports[-1].converged
@@ -139,11 +153,6 @@ def _solve_singular(cfg: RunConfig, args):
     write_solution_csv(u, params, path, rhs=prob.reaction(u.values),
                        residual=prob.at(u.values).gradient,
                        converged=stationary and settled)
-    return K, u, path, stationary
-
-
-def _cmd_solve_singular(cfg: RunConfig, args) -> int:
-    _, _, path, stationary = _solve_singular(cfg, args)
     print(f"solve-singular: profile -> {path}")
     if not stationary:
         print("solve-singular: a regularization level missed its "
@@ -161,15 +170,19 @@ def _cmd_solve_full(cfg: RunConfig, args) -> int:
     if kappa > 0.0 and params.r_exp is None:
         raise ConfigError(
             "kappa > 0 needs params.r_exp in the config, see (H_f)")
-    K, u_bar, path, stationary = _solve_singular(cfg, args)
-    if not stationary:
-        print("solve-full: continuation did not converge", file=sys.stderr)
+    out = _out_dir(cfg, args)
+    u_bar, meta, path = _read_input(cfg, out, "u_bar", "solve-singular")
+    print(f"solve-full: u_bar <- {path}")
+    if not meta["residual_norm"] <= cfg.solver.tol:     # a nan misses too
+        print(f"solve-full: {path} misses the stationarity tolerance "
+              f"(residual {meta['residual_norm']:.3e})", file=sys.stderr)
         return 3
 
     grid = u_bar.grid
+    K = assemble(grid, params, cfg.quad)
     u_t, rep = solve_full(params, grid, K, u_bar, kappa, tol=cfg.solver.tol)
     prob = TruncatedProblem(params, grid, K, u_bar, kappa)
-    path = os.path.join(os.path.dirname(path), "u_tilde.csv")
+    path = os.path.join(out, "u_tilde.csv")
     write_solution_csv(u_t, params, path, rhs=prob.reaction(u_t.values),
                        residual=prob.at(u_t.values).gradient,
                        converged=rep.converged)
@@ -211,26 +224,8 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
 def _cmd_plotdata(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     params = cfg.params
-    paths = {name: os.path.join(out, name + ".csv")
-             for name in ("u_bar", "u_tilde")}
-    for name, path in paths.items():
-        if not os.path.exists(path):
-            raise ConfigError(
-                f"missing input {path}; run "
-                f"{'solve-singular' if name == 'u_bar' else 'solve-full'} "
-                "first")
-    u_bar, meta = read_solution_csv(paths["u_bar"])
-    u_tilde, _ = read_solution_csv(paths["u_tilde"])
-    if u_bar.grid.grid_hash != u_tilde.grid.grid_hash:
-        raise ConfigError("u_bar.csv and u_tilde.csv use different grids")
-    for key, want in (("N", float(params.N)), ("s", params.s),
-                      ("p", params.p), ("gamma", params.gamma),
-                      ("alpha", params.alpha)):
-        got = float(meta[key])
-        if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-            raise ConfigError(
-                f"u_bar.csv was computed at {key}={got!r} but the config "
-                f"says {key}={want!r}")
+    u_bar, _, _ = _read_input(cfg, out, "u_bar", "solve-singular")
+    u_tilde, _, _ = _read_input(cfg, out, "u_tilde", "solve-full")
 
     lo, hi = decay_window(u_bar.grid)
     r = u_bar.grid.nodes
@@ -303,8 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("solve-full",
-                       help="truncated full problem on top of the "
-                            "continuation")
+                       help="truncated full problem on top of the u_bar.csv "
+                            "solve-singular wrote")
     common(p)
     p.add_argument("--kappa", type=float, default=None,
                    help="growth-term weight in [0, 1] (overrides config)")

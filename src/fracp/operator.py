@@ -368,7 +368,7 @@ def _hat_sums(c, d, r, h, N, sp, nu, S, table, order=_band_order):
     """
     sums = np.empty((4, c.size))
     groups = {}
-    for band in np.unique(d):
+    for band in np.flatnonzero(np.bincount(d)):
         groups.setdefault(order(int(band)), []).append(band)
     for nd, group in groups.items():
         which = np.flatnonzero(np.isin(d, group))

@@ -183,6 +183,102 @@ def test_solve_full_kappa_flag_validated(workdir):
                  "--kappa", "1.5"]) == 2
 
 
+def test_solve_full_writes_what_the_library_path_writes(workdir, tmp_path):
+    # the u_tilde.csv that solve-full built on the u_bar.csv read from disk
+    # is byte for byte the one of the in-process chain solve_pure_singular
+    # -> solve_full, since a profile round-trips its floats through repr
+    import fracp.solver as sv
+    from fracp.operator import assemble
+    cfg = parse_config(SMALL_CFG.format(out=tmp_path))
+    params, tol = cfg.params, cfg.solver.tol
+    grid = cfg.build_grid()
+    K = assemble(grid, params, cfg.quad)
+    u_bar, _ = sv.solve_pure_singular(params, grid, K, cfg.schedule(),
+                                      tol=tol)
+    u_t, rep = sv.solve_full(params, grid, K, u_bar, 0.5, tol=tol)
+    prob = sv.TruncatedProblem(params, grid, K, u_bar, 0.5)
+    path = tmp_path / "u_tilde.csv"
+    write_solution_csv(u_t, params, str(path),
+                       rhs=prob.reaction(u_t.values),
+                       residual=prob.at(u_t.values).gradient,
+                       converged=rep.converged)
+    with open(os.path.join(workdir["out"], "u_tilde.csv"), "rb") as fh:
+        assert fh.read() == path.read_bytes()
+
+
+def test_solve_full_runs_no_continuation(workdir, tmp_path, monkeypatch,
+                                         capsys):
+    # solve-full builds on the u_bar.csv solve-singular wrote: it solves no
+    # regularized level and leaves that file as it found it
+    import fracp.solver as sv
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve-full ran the continuation")
+
+    monkeypatch.setattr(sv, "minimize_Jn", unreachable)
+    monkeypatch.setattr(sv, "solve_pure_singular", unreachable)
+    shutil.copy(os.path.join(workdir["out"], "u_bar.csv"), tmp_path)
+    before = (tmp_path / "u_bar.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["solve-full", "--config", workdir["cfg"], "--kappa", "0.5",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "u_bar.csv").read_bytes() == before
+    assert (tmp_path / "u_tilde.csv").exists()
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"solve-full: u_bar <- {tmp_path / 'u_bar.csv'}"
+
+
+def test_solve_full_without_u_bar_exits_2(workdir, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["solve-full", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 2
+    assert "run solve-singular first" in capsys.readouterr().err
+    assert not (tmp_path / "u_tilde.csv").exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: text + "params.c_a = 2\n", "c_a="),
+    (lambda text: text.replace("grid.nodes = 48", "grid.nodes = 40"),
+     "another grid"),
+], ids=["c_a", "grid"])
+def test_inputs_of_another_run_are_refused(workdir, tmp_path, capsys, edit,
+                                           named):
+    # a u_bar.csv that solve-singular wrote under another config is refused
+    # by both steps that read it, whatever else sits beside it
+    other = tmp_path / "other.cfg"
+    other.write_text(edit(SMALL_CFG.format(out=tmp_path)))
+    assert main(["solve-singular", "--config", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["solve-full", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "u_tilde.csv").exists()
+    shutil.copy(os.path.join(workdir["out"], "u_tilde.csv"), tmp_path)
+    assert main(["plotdata", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (plotdata): u_bar.csv") and named in err
+
+
+def test_solve_full_refuses_a_non_stationary_u_bar(workdir, tmp_path,
+                                                   capsys):
+    # the stored residual is the defect of u_bar's own level; the grid hash
+    # covers only the nodes and the tail exponent, so the edited file still
+    # reads, and solve-full gates on the residual it finds there
+    lines = open(os.path.join(workdir["out"], "u_bar.csv")).read() \
+        .splitlines()
+    fields = lines[10].split(",")
+    lines[10] = ",".join(fields[:4] + ["0.001"])
+    (tmp_path / "u_bar.csv").write_text("\n".join(lines) + "\n")
+    _, meta = read_solution_csv(str(tmp_path / "u_bar.csv"))
+    assert meta["residual_norm"] == 1e-3
+    capsys.readouterr()
+    assert main(["solve-full", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 3
+    assert "stationarity" in capsys.readouterr().err
+    assert not (tmp_path / "u_tilde.csv").exists()
+
+
 def test_plotdata_outputs(workdir):
     assert main(["plotdata", "--config", workdir["cfg"]]) == 0
     loglog = os.path.join(workdir["out"], "loglog.csv")
@@ -264,7 +360,10 @@ def _drop_token(line, key):
     (lambda lines: lines[:5] + [",".join(
         f if k != 1 else "abc" for k, f in enumerate(lines[5].split(",")))]
      + lines[6:], "line 6, field u"),
-], ids=["no-tail-exponent", "no-p", "bad-u"])
+    (lambda lines: lines[:5] + [",".join(
+        f if k != 4 else "abc" for k, f in enumerate(lines[5].split(",")))]
+     + lines[6:], "line 6, field residual"),
+], ids=["no-tail-exponent", "no-p", "bad-u", "bad-residual"])
 def test_malformed_solution_file_is_a_usage_error(workdir, tmp_path, capsys,
                                                   edit, named):
     # a hand-edited u_bar.csv is bad input: exit 2 with a message naming

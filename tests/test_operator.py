@@ -1183,6 +1183,25 @@ def test_assembly_bits_do_not_depend_on_blas_threads(p25):
     assert digests[0] == digests[1]
 
 
+def test_assembly_does_not_load_numpy_ma():
+    # numpy's np.unique imports numpy.ma (about 10 ms) on its first call;
+    # every process that assembles K pays its own start-up, so assembly on
+    # the README parameters must leave numpy.ma unloaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(op.__file__)))
+    probe = (
+        "import sys\n"
+        "from fracp.config import parse_config\n"
+        "from fracp.operator import assemble\n"
+        "cfg = parse_config('params.N = 3\\nparams.s = 0.5\\nparams.p = 2.5\\n"
+        "params.gamma = 0.5\\nparams.r_exp = 1.2\\ngrid.nodes = 256\\n')\n"
+        "assemble(cfg.build_grid(), cfg.params, cfg.quad)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out.split()[-1] == "False"
+
+
 # ---------------------------------------------------------------------------
 # the whole assembled operator against the fractional Sobolev bubble
 # ---------------------------------------------------------------------------
