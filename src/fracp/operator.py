@@ -116,6 +116,7 @@ from .params import ProblemParams
 from .quadrature import (
     QuadratureSpec,
     _graded_rows,
+    _panel_rules,
     gauss_jacobi_01,
     gauss_legendre_01,
     graded_points,
@@ -587,11 +588,8 @@ def _last_cell_xi_rule(sp, n_head=24, n_panel=12):
     w_h = 0.5 ** sp * head_w
     pts = graded_points(0.5, 1.0, toward=1.0, scale=_TAIL_XI_CUT,
                         factor=4.0, max_panels=60)[:-1]
-    yg, wg = gauss_legendre_01(n_panel)
-    lo = np.asarray(pts[:-1])
-    hi = np.asarray(pts[1:])
-    xi_g = (lo[:, None] + (hi - lo)[:, None] * yg[None, :]).ravel()
-    w_g = ((hi - lo)[:, None] * wg[None, :]).ravel() * xi_g ** (sp - 1.0)
+    xi_g, w_g = (v.ravel() for v in _panel_rules(np.asarray(pts), n_panel))
+    w_g = w_g * xi_g ** (sp - 1.0)
     return np.concatenate([xi_h, xi_g]), np.concatenate([w_h, w_g])
 
 

@@ -259,46 +259,36 @@ def _collapse(pts: list[float], b: float) -> list[float]:
     return out
 
 
-class _Panel(NamedTuple):
-    a: float
-    b: float
-    lo_exp: float
-    hi_exp: float
+def _panel_rules(pts: np.ndarray, m: int, lo_exp: float = 0.0,
+                 hi_exp: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point rules on every panel of the breakpoints ``pts``.
 
-
-def _panel_rule(panel: _Panel, n: int):
-    """Nodes and weights of the n-point rule on one panel.
-
-    The endpoint weight, when declared, is divided out of ``f`` at the
-    nodes and re-absorbed into Jacobi weights, so ``f`` is always the
-    full integrand.
+    Returns nodes and weights as (panels, m) arrays, row k the rule on
+    [pts[k], pts[k+1]]: Gauss-Legendre, except that the first panel
+    absorbs ``(x - pts[0])^{lo_exp}`` and the last ``(pts[-1] -
+    x)^{hi_exp}`` into Gauss-Jacobi weights, with the factor divided back
+    out at the nodes, so the rules always take the full integrand.
     """
-    a, b, lo, hi = panel
+    a, b = pts[:-1], pts[1:]
     h = b - a
-    if lo == 0.0 and hi == 0.0:
-        y, w = _legendre_cached(n)
-        return a + h * y, h * w
-    y, w = _jacobi_cached(n, hi, lo)
-    x = a + h * y
-    wf = w * h ** (lo + hi + 1.0)
-    if lo != 0.0:
-        wf = wf * (x - a) ** (-lo)
-    if hi != 0.0:
-        wf = wf * (b - x) ** (-hi)
+    y, w = _legendre_cached(m)
+    x = a[:, None] + h[:, None] * y
+    wf = h[:, None] * w
+    last = a.size - 1
+    for k in {0, last}:
+        lo = lo_exp if k == 0 else 0.0
+        hi = hi_exp if k == last else 0.0
+        if lo == 0.0 and hi == 0.0:
+            continue
+        ak, bk, hk = float(a[k]), float(b[k]), float(h[k])
+        yj, wj = _jacobi_cached(m, hi, lo)
+        x[k] = ak + hk * yj
+        wf[k] = wj * hk ** (lo + hi + 1.0)
+        if lo != 0.0:
+            wf[k] *= (x[k] - ak) ** (-lo)
+        if hi != 0.0:
+            wf[k] *= (bk - x[k]) ** (-hi)
     return x, wf
-
-
-def _eval_panels(f: Callable[[np.ndarray], np.ndarray],
-                 panels: Sequence[_Panel], n: int) -> list[tuple[float, float]]:
-    """The (n-point, 2n-point) values of every panel from one call of f."""
-    rules = [_panel_rule(panel, m) for panel in panels for m in (n, 2 * n)]
-    fx = np.asarray(f(np.concatenate([x for x, _ in rules])), dtype=float)
-    vals = []
-    k = 0
-    for x, wf in rules:
-        vals.append(float(np.dot(wf, fx[k:k + x.size])))
-        k += x.size
-    return list(zip(vals[0::2], vals[1::2]))
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray],
@@ -323,28 +313,30 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     relative to the summed panel magnitudes; the breakpoints are the
     caller's to grade toward the singularities.
     """
-    pts = list(map(float, points))
-    if len(pts) < 2 or any(q <= p for p, q in zip(pts, pts[1:])):
+    pts = np.array(points, dtype=float)
+    if pts.size < 2 or np.any(pts[1:] <= pts[:-1]):
         raise DomainError("breakpoints must be strictly increasing")
     if lo_exponent <= -1.0 or hi_exponent <= -1.0:
         raise DomainError("endpoint exponents must exceed -1")
 
     n = spec.nodes
-    last = len(pts) - 2
-    panels = [_Panel(a, b, lo_exponent if k == 0 else 0.0,
-                     hi_exponent if k == last else 0.0)
-              for k, (a, b) in enumerate(zip(pts, pts[1:]))]
-    values = _eval_panels(f, panels, n)
-    total = sum(fine for _, fine in values)
-    err = sum(abs(fine - coarse) for coarse, fine in values)
-    sum_abs = sum(abs(fine) for _, fine in values)
+    (xc, wc), (xf, wf) = (_panel_rules(pts, m, lo_exponent, hi_exponent)
+                          for m in (n, 2 * n))
+    # panel by panel, its n nodes and then its 2n nodes
+    x = np.concatenate([xc, xf], axis=1)
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    coarse = [float(np.dot(w, v)) for w, v in zip(wc, fx[:, :n])]
+    fine = [float(np.dot(w, v)) for w, v in zip(wf, fx[:, n:])]
+    total = sum(fine)
+    err = sum(abs(v - c) for c, v in zip(coarse, fine))
+    sum_abs = sum(map(abs, fine))
     rel_err = err / max(abs(total), 1e-300)
     if err <= _REL_TOL * abs(total) or err <= 1e-15 * sum_abs:
-        return QuadResult(total, rel_err, 3 * n * len(panels))
+        return QuadResult(total, rel_err, x.size)
     raise ConvergenceError(
         f"quadrature missed its error target: estimated relative error "
         f"{rel_err:.3e} (target {_REL_TOL:.1e}) with {n} and {2 * n} "
-        f"nodes on each of {len(panels)} panels",
+        f"nodes on each of {len(x)} panels",
         best=total,
         estimate=err,
     )
