@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SolverSettings
 from .errors import DomainError, UsageError
 from .grid import RadialFunction, RadialGrid
 from .kernel import power_profile_constant, profile_window, unit_sphere_area
@@ -411,11 +412,15 @@ def uniform_bound_check(solutions, params: ProblemParams,
     sols = list(solutions)
     if not sols:
         raise UsageError("uniform bound check needs at least one profile")
-    e = np.array([energy_seminorm(s, K, params) ** (1.0 / params.p)
-                  for s in sols])
-    med = float(np.median(e))
-    top = float(e.max())
-    ratio = top / med if med > 0.0 else math.inf
+    e = sorted(energy_seminorm(s, K, params) ** (1.0 / params.p)
+               for s in sols)
+    # the median as np.median takes it, without the numpy.ma import that
+    # np.median costs a fresh process; sorted() cannot order a nan
+    mid = len(e) // 2
+    med = float(e[mid] if len(e) % 2 else 0.5 * (e[mid - 1] + e[mid]))
+    top = float(e[-1])
+    finite = all(map(math.isfinite, e))
+    ratio = top / med if finite and med > 0.0 else math.inf
     return CheckRecord("uniform-energy-bound", ratio <= 2.0,
                        ratio, 2.0, 0.0)
 
@@ -477,11 +482,12 @@ class VerificationReport:
 
 def write_solution_csv(u: RadialFunction, params: ProblemParams, path: str,
                        *, rhs: np.ndarray, residual: np.ndarray,
-                       converged: bool) -> None:
+                       converged: bool, solver: SolverSettings) -> None:
     """Write a solution profile with its right-hand side and residual.
 
-    The metadata header carries the problem instance, the grid hash and
-    the power-tail continuation so a profile file is self-describing.
+    The metadata header carries the problem instance, the grid hash, the
+    power-tail continuation and the solver settings the profile was
+    solved under, so a profile file is self-describing.
     """
     grid = u.grid
     if np.shape(rhs) != u.values.shape or np.shape(residual) != u.values.shape:
@@ -493,8 +499,9 @@ def write_solution_csv(u: RadialFunction, params: ProblemParams, path: str,
         "r_exp={!r}".format(params.N, params.s, params.p, params.gamma,
                             params.alpha, params.c_a, params.r_exp),
         "# grid_hash={} tail_exponent={!r} tail_amplitude={!r} "
-        "converged={}".format(grid.grid_hash, grid.tail_exponent,
-                              u.tail_amplitude, bool(converged)),
+        "converged={} solver.tol={!r} solver.schedule_max_n={}".format(
+            grid.grid_hash, grid.tail_exponent, u.tail_amplitude,
+            bool(converged), solver.tol, solver.schedule_max_n),
         "r,u,a,rhs,residual",
     ]
     for vals in zip(grid.nodes.tolist(), u.values.tolist(), a_nodes.tolist(),
@@ -506,10 +513,9 @@ def write_solution_csv(u: RadialFunction, params: ProblemParams, path: str,
 
 
 # the header fields write_solution_csv writes, and those that are numbers
-_SOLUTION_KEYS = ("N", "s", "p", "gamma", "alpha", "c_a", "r_exp",
-                  "grid_hash", "tail_exponent", "tail_amplitude", "converged")
 _SOLUTION_NUMBERS = ("N", "s", "p", "gamma", "alpha", "c_a", "tail_exponent",
-                     "tail_amplitude")
+                     "tail_amplitude", "solver.tol", "solver.schedule_max_n")
+_SOLUTION_KEYS = _SOLUTION_NUMBERS + ("r_exp", "grid_hash", "converged")
 
 
 def _number(path: str, where: str, text: str) -> float:
@@ -525,13 +531,13 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
     """Read a profile written by :func:`write_solution_csv`.
 
     Returns the radial function together with the parsed metadata
-    (instance fields, grid hash, tail data, converged flag, and
-    ``residual_norm``, the sup norm of the stored residual column).  The
-    node set and tail exponent reconstruct the grid; its hash must match
-    the stored one, which catches hand-edited or truncated files.  A
-    header key that is missing or not a number, and a node, value or
-    residual that is not a number, raise :class:`UsageError` naming the
-    file and the field.
+    (instance fields, grid hash, tail data, converged flag, solver
+    settings, and ``residual_norm``, the sup norm of the stored residual
+    column).  The node set and tail exponent reconstruct the grid; its
+    hash must match the stored one, which catches hand-edited or
+    truncated files.  A header key that is missing or not a number, and
+    a node, value or residual that is not a number, raise
+    :class:`UsageError` naming the file and the field.
     """
     with open(path, encoding="ascii") as fh:
         first = fh.readline().strip()

@@ -57,10 +57,20 @@ def _out_dir(cfg: RunConfig, args) -> str:
     return out
 
 
+def _say(*args) -> None:
+    """Print to stdout.  A reader that closes it early (``fracp
+    solve-singular ... | head -1``) sends the rest to os.devnull: the step
+    still writes its files and returns its exit code."""
+    try:
+        print(*args, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print_checks(checks) -> None:
     for c in checks:
-        print(f"check {c.name}: {'PASS' if c.passed else 'FAIL'} "
-              f"(measured {c.measured!r})")
+        _say(f"check {c.name}: {'PASS' if c.passed else 'FAIL'} "
+             f"(measured {c.measured!r})")
 
 
 def _cmd_kernel_table(cfg: RunConfig, args) -> int:
@@ -85,7 +95,7 @@ def _cmd_kernel_table(cfg: RunConfig, args) -> int:
 
     rows = profile_table_rows(params, betas, cfg.quad)
     path = write_profile_table(_out_dir(cfg, args), params, rows)
-    print(f"kernel-table: {len(rows)} rows -> {path}")
+    _say(f"kernel-table: {len(rows)} rows -> {path}")
     return 0
 
 
@@ -100,11 +110,12 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     path = os.path.join(out, f"capacitary_R{R:g}.csv")
     write_solution_csv(u, params, path, rhs=np.zeros_like(u.values),
-                       residual=residual, converged=miss is None)
+                       residual=residual, converged=miss is None,
+                       solver=cfg.solver)
 
     _, checks = check_capacitary(u, R, params, stationary=miss is None)
     _print_checks(checks)
-    print(f"capacitary: profile -> {path}")
+    _say(f"capacitary: profile -> {path}")
     if miss is not None:
         print(f"capacitary: {miss}", file=sys.stderr)
         return 3
@@ -114,16 +125,19 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
 def _read_input(cfg: RunConfig, out: str, name: str, step: str):
     """The profile ``<out>/<name>.csv`` that ``step`` wrote, its header and
     path; ConfigError if it is missing or was computed for other parameters
-    or on another grid than this config's."""
+    or solver settings or on another grid than this config's."""
     path = os.path.join(out, name + ".csv")
     if not os.path.exists(path):
         raise ConfigError(f"missing input {path}; run {step} first")
     u, meta = read_solution_csv(path)
-    for key in ("N", "s", "p", "gamma", "alpha", "c_a"):
-        got, want = float(meta[key]), float(getattr(cfg.params, key))
-        if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+    wanted = {key: getattr(cfg.params, key)
+              for key in ("N", "s", "p", "gamma", "alpha", "c_a")}
+    wanted.update({"solver.tol": cfg.solver.tol,
+                   "solver.schedule_max_n": cfg.solver.schedule_max_n})
+    for key, want in wanted.items():
+        if abs(float(meta[key]) - want) > 1e-12 * abs(want):
             raise ConfigError(
-                f"{name}.csv was computed at {key}={got!r} but the config "
+                f"{name}.csv was computed at {key}={meta[key]} but the config "
                 f"says {key}={want!r}; run {step} again")
     if meta["grid_hash"] != cfg.build_grid().grid_hash:
         raise ConfigError(f"{name}.csv lies on another grid than the "
@@ -137,23 +151,24 @@ def _cmd_solve_singular(cfg: RunConfig, args) -> int:
     grid = cfg.build_grid()
     K = assemble(grid, params, cfg.quad)
     schedule = cfg.schedule()
-    print(f"solve-singular: continuation over n = {schedule}")
+    _say(f"solve-singular: continuation over n = {schedule}")
     u, reports = solve_pure_singular(params, grid, K, schedule, tol=tol)
     stationary = all(r.residual_norm <= tol for r in reports)
     settled = reports[-1].converged
     for n, rep in zip(schedule, reports):
-        print(f"  n={n:<6d} iters={rep.iterations:<3d} "
-              f"residual={rep.residual_norm:.3e} energy={rep.final_energy!r}")
+        _say(f"  n={n:<6d} iters={rep.iterations:<3d} "
+             f"residual={rep.residual_norm:.3e} energy={rep.final_energy!r}")
     if not settled:
-        print("  note: continuation not settled at schedule end "
-              "(successive levels still move more than solver.tol); "
-              "the last level is reported")
+        _say("  note: continuation not settled at schedule end "
+             "(successive levels still move more than solver.tol); "
+             "the last level is reported")
     prob = RegularizedProblem(params, schedule[len(reports) - 1], grid, K)
     path = os.path.join(_out_dir(cfg, args), "u_bar.csv")
     write_solution_csv(u, params, path, rhs=prob.reaction(u.values),
                        residual=prob.at(u.values).gradient,
-                       converged=stationary and settled)
-    print(f"solve-singular: profile -> {path}")
+                       converged=stationary and settled,
+                       solver=cfg.solver)
+    _say(f"solve-singular: profile -> {path}")
     if not stationary:
         print("solve-singular: a regularization level missed its "
               "stationarity tolerance", file=sys.stderr)
@@ -172,7 +187,7 @@ def _cmd_solve_full(cfg: RunConfig, args) -> int:
             "kappa > 0 needs params.r_exp in the config, see (H_f)")
     out = _out_dir(cfg, args)
     u_bar, meta, path = _read_input(cfg, out, "u_bar", "solve-singular")
-    print(f"solve-full: u_bar <- {path}")
+    _say(f"solve-full: u_bar <- {path}")
     if not meta["residual_norm"] <= cfg.solver.tol:     # a nan misses too
         print(f"solve-full: {path} misses the stationarity tolerance "
               f"(residual {meta['residual_norm']:.3e})", file=sys.stderr)
@@ -185,13 +200,13 @@ def _cmd_solve_full(cfg: RunConfig, args) -> int:
     path = os.path.join(out, "u_tilde.csv")
     write_solution_csv(u_t, params, path, rhs=prob.reaction(u_t.values),
                        residual=prob.at(u_t.values).gradient,
-                       converged=rep.converged)
+                       converged=rep.converged, solver=cfg.solver)
     scale = float(u_bar.values.max())
     drop = float((u_t.values - u_bar.values).min())
-    print(f"solve-full: kappa={kappa:g} profile -> {path}")
-    print(f"solve-full check domination: "
-          f"{'PASS' if drop >= -cfg.solver.tol * scale else 'FAIL'} "
-          f"(worst normalized drop {drop / scale:.3e})")
+    _say(f"solve-full: kappa={kappa:g} profile -> {path}")
+    _say(f"solve-full check domination: "
+         f"{'PASS' if drop >= -cfg.solver.tol * scale else 'FAIL'} "
+         f"(worst normalized drop {drop / scale:.3e})")
     if rep.residual_norm > cfg.solver.tol:
         print("solve-full: stationarity tolerance missed", file=sys.stderr)
         return 3
@@ -212,12 +227,12 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     report = run_acceptance(settings, out_path=path)
     _print_checks(report.checks)
     n_fail = sum(not c.passed for c in report.checks)
-    print(f"verify: report -> {path}")
+    _say(f"verify: report -> {path}")
     if n_fail:
         print(f"verify: {n_fail} of {len(report.checks)} checks failed",
               file=sys.stderr)
         return 1
-    print(f"verify: all {len(report.checks)} checks passed")
+    _say(f"verify: all {len(report.checks)} checks passed")
     return 0
 
 
@@ -263,7 +278,7 @@ def _cmd_plotdata(cfg: RunConfig, args) -> int:
                      f"{c_hi * rv ** -params.beta_def!r}")
     with open(profiles, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"plotdata: {loglog} and {profiles}")
+    _say(f"plotdata: {loglog} and {profiles}")
     return 0
 
 

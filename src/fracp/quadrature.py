@@ -19,9 +19,10 @@ exponentially (Schwab, Computing 53, 1994).
 
 The fixed-rule helpers :func:`gauss_legendre_01` and
 :func:`gauss_jacobi_01` are exposed for consumers that build
-deterministic tensor rules themselves (kernel matrix assembly).  The
-Jacobi rules are computed here in numpy (Golub-Welsch, then one Newton
-step per node on the three-term recurrence).
+deterministic tensor rules themselves (kernel matrix assembly).  Every
+rule comes from one generator in numpy, Legendre being the Jacobi case
+with both exponents zero (Golub-Welsch, then one Newton step per node
+on the three-term recurrence).
 """
 
 from __future__ import annotations
@@ -67,15 +68,10 @@ class QuadResult(NamedTuple):
     n_evals: int
 
 
-@lru_cache(maxsize=None)
-def _legendre_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for ``integral_0^1 f(y) dy ~= sum w_k f(y_k)``."""
-    x, w = _legendre_cached(int(n))
+    """Nodes and weights for ``integral_0^1 f(y) dy ~= sum w_k f(y_k)``:
+    the Jacobi rule with both exponents zero."""
+    x, w = _jacobi_cached(int(n), 0.0, 0.0)
     return x.copy(), w.copy()
 
 
@@ -271,7 +267,7 @@ def _panel_rules(pts: np.ndarray, m: int, lo_exp: float = 0.0,
     """
     a, b = pts[:-1], pts[1:]
     h = b - a
-    y, w = _legendre_cached(m)
+    y, w = _jacobi_cached(m, 0.0, 0.0)
     x = a[:, None] + h[:, None] * y
     wf = h[:, None] * w
     last = a.size - 1

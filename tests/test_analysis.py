@@ -330,6 +330,31 @@ def test_uniform_bound_families(p2, solved):
         uniform_bound_check([], p2, K)
 
 
+def test_uniform_bound_median_is_numpys(p2, solved, monkeypatch):
+    # the check takes its median from the sorted energies, not from
+    # np.median; its ratio must be the one np.median gives, bit for bit,
+    # and a non-finite energy fails the check wherever it sorts
+    import fracp.analysis as analysis
+
+    g, K, u = solved
+    rng = np.random.default_rng(20261019)
+    for size in list(range(1, 9)) * 25:
+        e = rng.lognormal(0.0, rng.uniform(0.0, 1.5), size) ** p2.p
+        monkeypatch.setattr(analysis, "energy_seminorm",
+                            lambda s, K, params, it=iter(e): next(it))
+        rec = uniform_bound_check([u] * size, p2, K)
+        ref = e ** (1.0 / p2.p)
+        assert rec.measured == float(ref.max()) / float(np.median(ref))
+    for bad in (math.nan, math.inf):
+        for pos in range(3):
+            e = [1.0, 1.1, 1.2]
+            e[pos] = bad
+            monkeypatch.setattr(analysis, "energy_seminorm",
+                                lambda s, K, params, it=iter(e): next(it))
+            rec = uniform_bound_check([u] * 3, p2, K)
+            assert not rec.passed and rec.measured == math.inf
+
+
 def test_report_json_shape_and_determinism(p2, solved, tmp_path):
     g, K, u = solved
     rep = VerificationReport(p2)

@@ -201,7 +201,7 @@ def test_solve_full_writes_what_the_library_path_writes(workdir, tmp_path):
     write_solution_csv(u_t, params, str(path),
                        rhs=prob.reaction(u_t.values),
                        residual=prob.at(u_t.values).gradient,
-                       converged=rep.converged)
+                       converged=rep.converged, solver=cfg.solver)
     with open(os.path.join(workdir["out"], "u_tilde.csv"), "rb") as fh:
         assert fh.read() == path.read_bytes()
 
@@ -240,7 +240,15 @@ def test_solve_full_without_u_bar_exits_2(workdir, tmp_path, capsys):
     (lambda text: text + "params.c_a = 2\n", "c_a="),
     (lambda text: text.replace("grid.nodes = 48", "grid.nodes = 40"),
      "another grid"),
-], ids=["c_a", "grid"])
+    # a shorter continuation (M = 2) and a looser tolerance: the same
+    # grid and parameters, so only the header's solver settings tell
+    (lambda text: text.replace("solver.schedule_max_n = 16",
+                               "solver.schedule_max_n = 2"),
+     "solver.schedule_max_n=2 but the config says "
+     "solver.schedule_max_n=16"),
+    (lambda text: text.replace("solver.tol = 1e-8", "solver.tol = 1e-6"),
+     "solver.tol=1e-06 but the config says solver.tol=1e-08"),
+], ids=["c_a", "grid", "schedule_max_n", "tol"])
 def test_inputs_of_another_run_are_refused(workdir, tmp_path, capsys, edit,
                                            named):
     # a u_bar.csv that solve-singular wrote under another config is refused
@@ -258,6 +266,28 @@ def test_inputs_of_another_run_are_refused(workdir, tmp_path, capsys, edit,
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error (plotdata): u_bar.csv") and named in err
+
+
+def test_closed_stdout_costs_no_file_and_no_exit_code(workdir, tmp_path):
+    # ``fracp solve-singular ... | head -1`` with unbuffered output: the
+    # reader closes the pipe after the first line, before the level lines;
+    # the step still writes u_bar.csv, byte for byte, and exits 0 without
+    # a BrokenPipeError traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracp.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "fracp.cli", "solve-singular",
+         "--config", workdir["cfg"], "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert first.startswith(b"solve-singular: continuation over n = ")
+    assert err == b""
+    with open(os.path.join(workdir["out"], "u_bar.csv"), "rb") as fh:
+        assert (tmp_path / "u_bar.csv").read_bytes() == fh.read()
 
 
 def test_solve_full_refuses_a_non_stationary_u_bar(workdir, tmp_path,
@@ -316,7 +346,7 @@ def test_plotdata_exact_power_law_gives_exact_line(workdir, tmp_path):
     for name, amp in (("u_bar", 1.0), ("u_tilde", 2.0)):
         write_solution_csv(RadialFunction(grid, amp * vals), cfg.params,
                            str(out / (name + ".csv")), rhs=zeros,
-                           residual=zeros, converged=True)
+                           residual=zeros, converged=True, solver=cfg.solver)
     assert main(["plotdata", "--config", workdir["cfg"],
                  "--out", str(out)]) == 0
     data = np.loadtxt(out / "loglog.csv", delimiter=",", skiprows=2)
@@ -363,7 +393,12 @@ def _drop_token(line, key):
     (lambda lines: lines[:5] + [",".join(
         f if k != 4 else "abc" for k, f in enumerate(lines[5].split(",")))]
      + lines[6:], "line 6, field residual"),
-], ids=["no-tail-exponent", "no-p", "bad-u", "bad-residual"])
+    # the header of a file written before it carried the solver settings
+    (lambda lines: [lines[0], _drop_token(_drop_token(
+        lines[1], "solver.tol"), "solver.schedule_max_n")] + lines[2:],
+     "solver.tol="),
+], ids=["no-tail-exponent", "no-p", "bad-u", "bad-residual",
+        "no-solver-settings"])
 def test_malformed_solution_file_is_a_usage_error(workdir, tmp_path, capsys,
                                                   edit, named):
     # a hand-edited u_bar.csv is bad input: exit 2 with a message naming
@@ -406,12 +441,14 @@ def test_non_finite_setting_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running code."""
+def _modules_after(code: str, *packages: str) -> list[str]:
+    """The modules of ``packages`` (each a package or one of its
+    submodules) that a fresh interpreter holds after running code."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fracp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = (code + "\nimport sys\nprint('scipy:', *sorted(m for m in "
-             "sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = (code + f"\nimport sys\npackages = {packages!r}\n"
+             "print('modules:', *sorted(m for m in sys.modules if any("
+             "m == p or m.startswith(p + '.') for p in packages)))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     return out.splitlines()[-1].split()[1:]
@@ -423,14 +460,35 @@ def test_cold_start_skips_heavy_scipy_modules():
     # scipy's compiled LAPACK wrappers for the Newton step's Cholesky
     # factorization, at import, by file: not the scipy or scipy.linalg
     # packages, nor anything of scipy._lib or scipy.special
-    assert _scipy_modules_after("import fracp.cli") == []
-    assert _scipy_modules_after("import fracp.solver") == [
+    assert _modules_after("import fracp.cli", "scipy") == []
+    assert _modules_after("import fracp.solver", "scipy") == [
         "scipy.linalg._flapack"]
+
+
+def test_assembly_and_checks_leave_numpy_ma_and_polynomial_unloaded():
+    # numpy imports numpy.polynomial (np.polynomial.legendre.leggauss) and
+    # numpy.ma (np.median) on first use, which a fresh process pays in
+    # milliseconds: fracp.quadrature makes every Gauss rule itself, and
+    # the battery's uniform bound takes its median from sorted energies
+    code = (
+        "from fracp.analysis import uniform_bound_check\n"
+        "from fracp.config import parse_config\n"
+        "from fracp.grid import RadialFunction\n"
+        "from fracp.kernel import power_profile_constant\n"
+        "from fracp.operator import assemble\n"
+        "cfg = parse_config('params.N = 3\\nparams.s = 0.5\\n"
+        "params.p = 2.5\\nparams.gamma = 0.5\\ngrid.nodes = 64\\n')\n"
+        "grid = cfg.build_grid()\n"
+        "power_profile_constant(cfg.params.beta_star, cfg.params, cfg.quad)\n"
+        "K = assemble(grid, cfg.params, cfg.quad)\n"
+        "u = RadialFunction(grid, (1.0 + grid.nodes ** 2) ** -1.0)\n"
+        "assert uniform_bound_check([u, u], cfg.params, K).passed\n")
+    assert _modules_after(code, "numpy.ma", "numpy.polynomial") == []
 
 
 def _subcommand_scipy_modules(argv: list[str]) -> list[str]:
     code = f"from fracp.cli import main\nassert main({argv!r}) == 0"
-    return _scipy_modules_after(code)
+    return _modules_after(code, "scipy")
 
 
 def test_kernel_table_and_plotdata_processes_load_no_scipy(workdir,

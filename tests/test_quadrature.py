@@ -58,13 +58,11 @@ def test_jacobi_rule_matches_scipy_roots(n, a, b):
     assert rel.max() <= 2e-11
 
 
-@pytest.mark.parametrize("n,a,b", JACOBI_RULES)
-def test_jacobi_rule_matches_high_precision_reference(n, a, b):
+def _assert_matches_high_precision_reference(y, W, n, a, b):
     # 40-digit nodes (Newton on P_n from ours) and the closed-form
     # Gauss-Jacobi weights Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1)
     # n! (1 - x^2) P_n'(x)^2), mapped to [0, 1]
     mpmath = pytest.importorskip("mpmath")
-    y, W = gauss_jacobi_01(n, exp_at_1=a, exp_at_0=b)
     with mpmath.workdps(40):
         a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
         half = (n + a_ + b_ + 1) / 2
@@ -83,6 +81,20 @@ def test_jacobi_rule_matches_high_precision_reference(n, a, b):
             w_ref.append(float(norm / ((1 - x) * (1 + x) * dp(x) ** 2)))
     assert np.abs(y - np.array(y_ref)).max() <= 2.5e-16
     assert np.abs(W / np.array(w_ref) - 1.0).max() <= 2e-13
+
+
+@pytest.mark.parametrize("n,a,b", JACOBI_RULES)
+def test_jacobi_rule_matches_high_precision_reference(n, a, b):
+    y, W = gauss_jacobi_01(n, exp_at_1=a, exp_at_0=b)
+    _assert_matches_high_precision_reference(y, W, n, a, b)
+
+
+# the Legendre orders the kernel, the assembly and integrate use
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 16, 18, 20, 24, 48])
+def test_legendre_rule_matches_high_precision_reference(n):
+    # numpy's leggauss weights sat 1.3e-12 off at n = 48
+    y, W = gauss_legendre_01(n)
+    _assert_matches_high_precision_reference(y, W, n, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("n,a,b", JACOBI_RULES)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from fracp.analysis import write_solution_csv
+from fracp.config import SolverSettings
 from fracp.errors import DomainError, UsageError
 from fracp.grid import RadialGrid, RadialFunction, make_radial_grid
 from fracp.params import ProblemParams
@@ -697,21 +698,22 @@ def test_write_solution_csv(tmp_path, p2, inst_oracle):
     rhs = prob.reaction(u.values)
     res = prob.at(u.values).gradient
     path = os.path.join(tmp_path, "sol.csv")
+    settings = SolverSettings(tol=1e-9, schedule_max_n=1)
     write_solution_csv(u, p2, path, rhs=rhs, residual=res,
-                       converged=rep.converged)
+                       converged=rep.converged, solver=settings)
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     assert grid.grid_hash in text
-    assert "converged=True" in text
+    assert "converged=True solver.tol=1e-09 solver.schedule_max_n=1" in text
     lines = text.strip().split("\n")
     assert lines[2] == "r,u,a,rhs,residual"
     assert len(lines) == 3 + grid.nodes.size
     # determinism: a second write is byte-identical
     path2 = os.path.join(tmp_path, "sol2.csv")
     write_solution_csv(u, p2, path2, rhs=rhs, residual=res,
-                       converged=rep.converged)
+                       converged=rep.converged, solver=settings)
     with open(path2, "r", encoding="ascii") as fh:
         assert fh.read() == text
     with pytest.raises(UsageError):
         write_solution_csv(u, p2, path, rhs=rhs[:3], residual=res,
-                           converged=True)
+                           converged=True, solver=settings)
