@@ -5,17 +5,18 @@
 closed forms, operator identities, solver continuation and truncation
 ordering, decay fits, the Harnack quotient, and the comparison checks.
 The run is deterministic for a fixed :class:`VerifySettings` (the only
-randomness is a seeded direction sample in the gradient check), so the
-emitted JSON is byte-stable.
+randomness is one seeded generator, drawn by the homogeneity check and
+then by the gradient check), so the emitted JSON is byte-stable.
 
-The flagship configuration is N=3, s=1/2, p=2 with gamma=1/2 and alpha
-at the midpoint of its window; the truncation battery runs at p=5/2
-where the reaction exponent window (1, p-1) is nonempty.
+The flagship configuration ``P2`` is N=3, s=1/2, p=2 with gamma=1/2 and
+alpha at the midpoint of its window; the truncation battery runs at
+``P25``, p=5/2, where the reaction exponent window (1, p-1) is nonempty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,10 @@ __all__ = ["VerifySettings", "run_acceptance"]
 ZERO_TRIPLES = ((3, 0.5, 2.0), (3, 0.5, 2.5), (4, 0.4, 2.0))
 # p = 2 members of the family, where the Gamma closed form applies
 RIESZ_PAIRS = ((3, 0.5), (4, 0.4))
+# the flagship parameter set, and the truncation battery's
+P2 = ProblemParams(N=3, s=0.5, p=2.0, gamma=0.5, alpha=1.5)
+P25 = ProblemParams(N=3, s=0.5, p=2.5, gamma=0.5, alpha=29.0 / 24.0,
+                    r_exp=1.2)
 # solver tolerance of the truncation battery
 _TRUNC_TOL = 1e-5
 
@@ -58,127 +63,157 @@ class VerifySettings:
     seed: int = 20240817
 
 
-def _grid_and_matrix(cache: dict, params: ProblemParams, st: VerifySettings,
-                     M: int, tail_exponent: float,
-                     grading: float | None = None):
-    """The grid of M nodes with ``tail_exponent`` and its kernel matrix.
+class _Battery:
+    """One acceptance run: its settings, generator, report, assemblies
+    and the ``P2`` continuation that every u-bar criterion reads.
 
-    ``cache`` holds one entry per node set and (N, s, p), mapping tail
-    exponents to (grid, matrix), the assembled one first.  Only the
+    The assemblies hold one entry per node set and (N, s, p), mapping
+    tail exponents to (grid, matrix), the assembled one first.  Only the
     tail blocks' ``g`` and ``tail_self`` depend on the tail exponent, so
     another exponent on the same nodes is derived from the assembled
-    matrix rather than assembled again.
+    matrix rather than assembled again.  The continuation is solved on
+    first use, so a criterion run alone computes what it reads.
     """
-    grading = st.grading if grading is None else grading
-    tails = cache.setdefault(
-        (M, st.R_max, grading, params.N, params.sp, params.p), {})
-    if tail_exponent not in tails:
-        g = make_radial_grid(tail_exponent=tail_exponent, R_max=st.R_max,
-                             M=M, grading=grading)
-        if tails:
+
+    def __init__(self, settings: VerifySettings):
+        self.st = settings
+        self.rng = np.random.default_rng(settings.seed)
+        self.report = VerificationReport(P2)
+        self._assemblies: dict = {}
+
+    def matrix(self, params: ProblemParams, M: int, tail_exponent: float,
+               grading: float | None = None):
+        """The grid of M nodes with ``tail_exponent`` and its matrix."""
+        grading = self.st.grading if grading is None else grading
+        tails = self._assemblies.setdefault(
+            (M, grading, params.N, params.sp, params.p), {})
+        if tail_exponent not in tails:
+            g = make_radial_grid(tail_exponent=tail_exponent,
+                                 R_max=self.st.R_max, M=M, grading=grading)
+            if tails:
+                _, K = next(iter(tails.values()))
+                tails[tail_exponent] = (g, _with_tail_exponent(K, g))
+            else:
+                tails[tail_exponent] = (g, assemble(g, params))
+        return tails[tail_exponent]
+
+    @cached_property
+    def continuation(self) -> list:
+        """(n, u_n, report) for each level of the ``P2`` continuation."""
+        g, K = self.matrix(P2, self.st.M, P2.beta_star)
+        schedule = doubling_schedule(self.st.schedule_max_n)
+        return [(n, u, rep) for n, (u, rep)
+                in zip(schedule, _levels(P2, g, K, schedule, self.st.tol))]
+
+    @property
+    def u_bar(self) -> RadialFunction:
+        return self.continuation[-1][1]
+
+    def stationary(self, label: str, rep, tol: float) -> bool:
+        """Whether a solve met its stationarity tolerance; a note if not.
+
+        Only the residual is gated: a continuation that ends unsettled
+        still gives a stationary last level, which is what the checks
+        consume.
+        """
+        if rep.residual_norm <= tol:
+            return True
+        self.report.note(f"{label} missed stationarity: residual "
+                         f"{rep.residual_norm:.3e} > tol {tol:g}")
+        return False
+
+    def note_clips(self):
+        """One note per assembly of the run: where it floored adjacent
+        weights and capped far-field corrections for nonnegativity."""
+        for (M, grading, N, sp, p), tails in self._assemblies.items():
             _, K = next(iter(tails.values()))
-            tails[tail_exponent] = (g, _with_tail_exponent(K, g))
-        else:
-            tails[tail_exponent] = (g, assemble(g, params))
-    return tails[tail_exponent]
+            self.report.note(
+                f"assembly M={M}, grading={grading:.6g}, N={N}, sp={sp:g}, "
+                f"p={p:g}: adjacent_clips={K.adjacent_clips} "
+                f"(adjacent_clipped={K.adjacent_clipped:.3e}), "
+                f"correction_clips={K.correction_clips} "
+                f"(correction_clipped={K.correction_clipped:.3e})")
 
 
-def _note_clips(report: VerificationReport, cache: dict):
-    """One note per assembly of the run: where it floored adjacent
-    weights and capped far-field corrections for nonnegativity."""
-    for (M, _, grading, N, sp, p), tails in cache.items():
-        _, K = next(iter(tails.values()))
-        report.note(
-            f"assembly M={M}, grading={grading:.6g}, N={N}, sp={sp:g}, "
-            f"p={p:g}: adjacent_clips={K.adjacent_clips} "
-            f"(adjacent_clipped={K.adjacent_clipped:.3e}), "
-            f"correction_clips={K.correction_clips} "
-            f"(correction_clipped={K.correction_clipped:.3e})")
-
-
-def _check_profile_zero(report: VerificationReport, quad: QuadratureSpec):
+def _check_profile_zero(b: _Battery):
+    quad = QuadratureSpec()
     for (N, s, p) in ZERO_TRIPLES:
         params = ProblemParams.kernel_only(N, s, p)
         c_star = power_profile_constant(params.beta_star, params, quad)
         c_ref = power_profile_constant(0.9 * params.beta_star, params, quad)
         ratio = abs(c_star) / abs(c_ref)
-        report.add_check(CheckRecord(
+        b.report.add_check(CheckRecord(
             f"cbeta-zero-N{N}-s{s:g}-p{p:g}", ratio <= 1e-8, ratio,
             0.0, 1e-8))
 
 
-def _check_riesz_ladder(report: VerificationReport):
+def _check_riesz_ladder(b: _Battery):
     for (N, s) in RIESZ_PAIRS:
         res = cross_check_p2(N, s)
         # the shape is the measured value; passing also needs the
         # calibration within 1e-8 of 2/C_{N,s} (a note records its miss)
-        report.add_check(CheckRecord(
+        b.report.add_check(CheckRecord(
             f"riesz-ladder-N{N}-s{s:g}", res.passes, res.max_rel_dev,
             0.0, 1e-4))
         sign = "matches" if res.probe_sign_matches else "DIFFERS"
-        report.note(
+        b.report.note(
             f"profile constant above beta_star at N={N}, s={s:g}: "
             f"measured {res.probe_value:.6e} (negative side), closed-form "
             f"sign {sign}; not used by the barrier construction either way")
         for text in res.notes:
-            report.note(f"N={N}, s={s:g}: {text}")
+            b.report.note(f"N={N}, s={s:g}: {text}")
 
 
-def _check_operator_identities(report: VerificationReport,
-                               st: VerifySettings, p2: ProblemParams,
-                               p25: ProblemParams, cache: dict,
-                               rng: np.random.Generator):
+def _check_operator_identities(b: _Battery):
     # constants sit in the kernel of the pairing only when the synthetic
     # tail is flat, hence the dedicated tail_exponent = 0 grid (its
     # assembly serves the beta_star grid of the pairing identity too)
-    g0, K0 = _grid_and_matrix(cache, p2, st, st.M_coarse, 0.0)
+    g0, K0 = b.matrix(P2, b.st.M_coarse, 0.0)
     const = RadialFunction(g0, np.full_like(g0.nodes, 0.731))
     ref = RadialFunction(g0, (1.0 + g0.nodes ** 2) ** -1.0)
-    scale = float(np.abs(weak_residual(ref, K0, p2)).max())
-    worst = float(np.abs(weak_residual(const, K0, p2)).max())
-    report.add_check(CheckRecord(
+    scale = float(np.abs(weak_residual(ref, K0, P2)).max())
+    worst = float(np.abs(weak_residual(const, K0, P2)).max())
+    b.report.add_check(CheckRecord(
         "constant-residual", worst <= 1e-10 * scale, worst / scale,
         0.0, 1e-10))
 
     # homogeneity is only informative away from p = 2
-    g25, K25 = _grid_and_matrix(cache, p25, st, st.M, p25.beta_star)
-    u = RadialFunction(g25, 0.1 + rng.random(g25.nodes.size))
+    g25, K25 = b.matrix(P25, b.st.M, P25.beta_star)
+    u = RadialFunction(g25, 0.1 + b.rng.random(g25.nodes.size))
     lam = 2.75
     ul = RadialFunction(g25, lam * u.values)
-    e, el = energy_seminorm(u, K25, p25), energy_seminorm(ul, K25, p25)
-    dev_e = abs(el - lam ** p25.p * e) / (lam ** p25.p * e)
-    report.add_check(CheckRecord(
+    e, el = energy_seminorm(u, K25, P25), energy_seminorm(ul, K25, P25)
+    dev_e = abs(el - lam ** P25.p * e) / (lam ** P25.p * e)
+    b.report.add_check(CheckRecord(
         "energy-homogeneity", dev_e <= 1e-10, dev_e, 0.0, 1e-10))
-    r1 = weak_residual(u, K25, p25)
-    rl = weak_residual(ul, K25, p25)
-    ref_r = lam ** (p25.p - 1.0) * r1
+    r1 = weak_residual(u, K25, P25)
+    rl = weak_residual(ul, K25, P25)
+    ref_r = lam ** (P25.p - 1.0) * r1
     dev_r = float(np.abs(rl - ref_r).max() / np.abs(ref_r).max())
-    report.add_check(CheckRecord(
+    b.report.add_check(CheckRecord(
         "residual-homogeneity", dev_r <= 1e-10, dev_r, 0.0, 1e-10))
 
     # p = 2 pairing identity <Au - Av, u - v> = E(u - v)
-    g2, K2 = _grid_and_matrix(cache, p2, st, st.M_coarse, p2.beta_star)
+    g2, K2 = b.matrix(P2, b.st.M_coarse, P2.beta_star)
     a = RadialFunction(g2, (1.0 + g2.nodes ** 2) ** -1.0)
-    b = RadialFunction(g2, (1.0 + g2.nodes) ** -2.0)
-    diff = RadialFunction(g2, a.values - b.values)
-    lhs = float(np.dot(weak_residual(a, K2, p2) - weak_residual(b, K2, p2),
+    c = RadialFunction(g2, (1.0 + g2.nodes) ** -2.0)
+    diff = RadialFunction(g2, a.values - c.values)
+    lhs = float(np.dot(weak_residual(a, K2, P2) - weak_residual(c, K2, P2),
                        diff.values))
-    rhs = energy_seminorm(diff, K2, p2)
+    rhs = energy_seminorm(diff, K2, P2)
     dev = abs(lhs - rhs) / rhs
-    report.add_check(CheckRecord(
+    b.report.add_check(CheckRecord(
         "pairing-identity-p2", dev <= 1e-10, dev, 0.0, 1e-10))
 
 
-def _check_gradient(report: VerificationReport, st: VerifySettings,
-                    p2: ProblemParams, cache: dict,
-                    rng: np.random.Generator):
-    g, K = _grid_and_matrix(cache, p2, st, st.M_coarse, p2.beta_star)
-    prob = RegularizedProblem(p2, 3, g, K)
-    x = 0.05 + 0.5 * rng.random(g.nodes.size)
+def _check_gradient(b: _Battery):
+    g, K = b.matrix(P2, b.st.M_coarse, P2.beta_star)
+    prob = RegularizedProblem(P2, 3, g, K)
+    x = 0.05 + 0.5 * b.rng.random(g.nodes.size)
     grad = prob.at(x).gradient
     worst = 0.0
     for _ in range(20):
-        d = rng.standard_normal(g.nodes.size)
+        d = b.rng.standard_normal(g.nodes.size)
         d /= float(np.abs(d).max())
         eps = 2e-6
         plus = prob.at(x + eps * d).value
@@ -186,171 +221,143 @@ def _check_gradient(report: VerificationReport, st: VerifySettings,
         fd = (plus - minus) / (2.0 * eps)
         exact = float(grad @ d)
         worst = max(worst, abs(fd - exact) / max(abs(exact), 1e-30))
-    report.add_check(CheckRecord(
+    b.report.add_check(CheckRecord(
         "gradient-fd", worst <= 1e-6, worst, 0.0, 1e-6))
 
 
-def _check_fundamental_profile(report: VerificationReport,
-                               st: VerifySettings, p2: ProblemParams,
-                               cache: dict):
-    g, K = _grid_and_matrix(cache, p2, st, st.M, p2.beta_star)
-    res = fundamental_residual(p2.beta_star, p2, g, K)
-    report.add_check(CheckRecord(
+def _check_fundamental_profile(b: _Battery):
+    g, K = b.matrix(P2, b.st.M, P2.beta_star)
+    res = fundamental_residual(P2.beta_star, P2, g, K)
+    b.report.add_check(CheckRecord(
         "fundsol-residual", res <= 0.02, res, 0.0, 0.02))
     # refine within the same geometric family: doubling the node count
     # while taking the square root of the growth factor halves the local
     # spacing everywhere (at fixed grading the spacing near radius r
     # saturates at (grading - 1) * r, and extra nodes change nothing)
-    grading_fine = st.grading ** (st.M / st.M_fine)
-    gf, Kf = _grid_and_matrix(cache, p2, st, st.M_fine, p2.beta_star,
-                              grading=grading_fine)
-    res_fine = fundamental_residual(p2.beta_star, p2, gf, Kf)
+    grading_fine = b.st.grading ** (b.st.M / b.st.M_fine)
+    gf, Kf = b.matrix(P2, b.st.M_fine, P2.beta_star, grading=grading_fine)
+    res_fine = fundamental_residual(P2.beta_star, P2, gf, Kf)
     ratio = res / res_fine if res_fine > 0.0 else float("inf")
-    report.add_check(CheckRecord(
+    b.report.add_check(CheckRecord(
         "fundsol-refinement", ratio >= 1.6, ratio, 1.6, 0.0))
 
 
-def _check_capacitary(report: VerificationReport, st: VerifySettings,
-                      p2: ProblemParams, cache: dict):
-    g, K = _grid_and_matrix(cache, p2, st, st.M, p2.beta_star)
-    u1 = solve_capacitary(1.0, p2, g, K, tol=st.tol)
-    _, miss = capacitary_stationarity(u1, 1.0, K, p2, st.tol)
+def _check_capacitary(b: _Battery):
+    g, K = b.matrix(P2, b.st.M, P2.beta_star)
+    u1 = solve_capacitary(1.0, P2, g, K, tol=b.st.tol)
+    _, miss = capacitary_stationarity(u1, 1.0, K, P2, b.st.tol)
     if miss is not None:
-        report.note(miss)
-    fit, checks = check_capacitary(u1, 1.0, p2, stationary=miss is None)
-    report.add_fit("capacitary-R1", fit)
+        b.report.note(miss)
+    fit, checks = check_capacitary(u1, 1.0, P2, stationary=miss is None)
+    b.report.add_fit("capacitary-R1", fit)
     for c in checks:
-        report.add_check(c)
+        b.report.add_check(c)
 
 
-def _stationary(report: VerificationReport, label: str, rep,
-                tol: float) -> bool:
-    """Whether a solve met its stationarity tolerance; a note if not.
-
-    Only the residual is gated: a continuation that ends unsettled still
-    gives a stationary last level, which is what the checks consume.
-    """
-    if rep.residual_norm <= tol:
-        return True
-    report.note(f"{label} missed stationarity: residual "
-                f"{rep.residual_norm:.3e} > tol {tol:g}")
-    return False
-
-
-def _check_continuation(report: VerificationReport, st: VerifySettings,
-                        p2: ProblemParams, cache: dict):
-    """Level-by-level monotonicity and energy flatness; returns u-bar."""
-    g, K = _grid_and_matrix(cache, p2, st, st.M, p2.beta_star)
-    schedule = doubling_schedule(st.schedule_max_n)
-    family = []
-    worst = 0.0
-    stationary = True
-    for n, (cur, rep) in zip(schedule, _levels(p2, g, K, schedule, st.tol)):
-        stationary &= _stationary(report, f"continuation level n={n}", rep,
-                                  st.tol)
-        if family:
-            worst = min(worst, float((cur.values - family[-1].values).min()))
-        family.append(cur)
-    u_bar = family[-1]
-    scale = float(u_bar.values.max())
-    normalized = worst / scale
-    report.add_check(CheckRecord(
+def _check_continuation(b: _Battery):
+    """Level-by-level monotonicity and energy flatness."""
+    family = [u for _, u, _ in b.continuation]
+    # every level's miss gets its note, so no short-circuit here
+    stationary = all([b.stationary(f"continuation level n={n}", rep,
+                                   b.st.tol)
+                      for n, _, rep in b.continuation])
+    worst = min([0.0] + [float((cur.values - prev.values).min())
+                         for prev, cur in zip(family, family[1:])])
+    normalized = worst / float(b.u_bar.values.max())
+    b.report.add_check(CheckRecord(
         "continuation-monotone", stationary and normalized >= -1e-8,
         normalized, 0.0, 1e-8))
-    flat = uniform_bound_check(family, p2, K)
-    report.add_check(CheckRecord(
+    _, K = b.matrix(P2, b.st.M, P2.beta_star)
+    flat = uniform_bound_check(family, P2, K)
+    b.report.add_check(CheckRecord(
         "continuation-energy-flat", flat.passed, flat.measured,
         flat.target, flat.tolerance))
-    return u_bar
 
 
-def _check_pure_singular(report: VerificationReport, p2: ProblemParams,
-                         u_bar: RadialFunction):
+def _check_pure_singular(b: _Battery):
+    u_bar = b.u_bar
     m = float(u_bar.values.min())
-    report.add_check(CheckRecord(
+    b.report.add_check(CheckRecord(
         "pure-singular-positive", m > 0.0, m, 0.0, 0.0))
     fit = fit_decay(u_bar)
-    report.add_fit("pure-singular", fit)
-    dev = abs(fit.exponent - p2.beta_star) / p2.beta_star
-    report.add_check(CheckRecord(
+    b.report.add_fit("pure-singular", fit)
+    dev = abs(fit.exponent - P2.beta_star) / P2.beta_star
+    b.report.add_check(CheckRecord(
         "pure-singular-exponent", dev <= 0.1, dev, 0.0, 0.1))
-    lower, upper = check_decay_sandwich(u_bar, p2)
-    report.add_check(CheckRecord("pure-singular-lower-amplitude",
-                                 lower.passed, lower.measured, 0.0, 0.0))
-    report.add_check(CheckRecord("pure-singular-upper-amplitude",
-                                 upper.passed, upper.measured, 0.0, 0.0))
+    lower, upper = check_decay_sandwich(u_bar, P2)
+    b.report.add_check(CheckRecord("pure-singular-lower-amplitude",
+                                   lower.passed, lower.measured, 0.0, 0.0))
+    b.report.add_check(CheckRecord("pure-singular-upper-amplitude",
+                                   upper.passed, upper.measured, 0.0, 0.0))
     # record which envelope sits closer to the profile on the window
     lo, hi = decay_window(u_bar.grid)
     r = u_bar.grid.nodes
     sel = (r >= lo) & (r <= hi)
-    lo_gap = float((u_bar.values[sel] * r[sel] ** p2.beta_star).max()
+    lo_gap = float((u_bar.values[sel] * r[sel] ** P2.beta_star).max()
                    / lower.measured)
     up_gap = float(upper.measured
-                   / (u_bar.values[sel] * r[sel] ** p2.beta_def).min())
+                   / (u_bar.values[sel] * r[sel] ** P2.beta_def).min())
     side = "lower (capacitary rate)" if lo_gap <= up_gap else \
         "upper (reaction-limited rate)"
-    report.note(
+    b.report.note(
         f"decay sandwich: binding bound is the {side}; envelope spreads "
         f"{lo_gap:.6f} (lower) vs {up_gap:.6f} (upper)")
 
 
-def _check_truncation(report: VerificationReport, st: VerifySettings,
-                      p25: ProblemParams, cache: dict):
-    g, K = _grid_and_matrix(cache, p25, st, st.M, p25.beta_star)
-    schedule = doubling_schedule(st.trunc_max_n)
-    u_bar, levels = solve_pure_singular(p25, g, K, schedule=schedule,
+def _check_truncation(b: _Battery):
+    g, K = b.matrix(P25, b.st.M, P25.beta_star)
+    schedule = doubling_schedule(b.st.trunc_max_n)
+    u_bar, levels = solve_pure_singular(P25, g, K, schedule=schedule,
                                         tol=_TRUNC_TOL)
     # every level's miss gets its note, so no short-circuit here
-    floor_ok = all([_stationary(report, f"truncation level n={n}", rep,
-                                _TRUNC_TOL)
+    floor_ok = all([b.stationary(f"truncation level n={n}", rep, _TRUNC_TOL)
                     for n, rep in zip(schedule, levels)])
     scale = float(u_bar.values.max())
-    report.note(
-        f"truncation battery at N={p25.N}, s={p25.s:g}, p={p25.p:g}, "
-        f"gamma={p25.gamma:g}, r_exp={p25.r_exp:g}, alpha={p25.alpha!r}, "
-        f"regularization levels up to n={st.trunc_max_n}")
+    b.report.note(
+        f"truncation battery at N={P25.N}, s={P25.s:g}, p={P25.p:g}, "
+        f"gamma={P25.gamma:g}, r_exp={P25.r_exp:g}, alpha={P25.alpha!r}, "
+        f"regularization levels up to n={b.st.trunc_max_n}")
     min_exp = float("inf")
     for kappa in (0.0, 0.5, 1.0):
-        u_t, rep = solve_full(p25, g, K, u_bar, kappa, tol=_TRUNC_TOL)
-        ok = _stationary(report, f"truncated solve kappa={kappa:g}", rep,
-                         _TRUNC_TOL)
+        u_t, rep = solve_full(P25, g, K, u_bar, kappa, tol=_TRUNC_TOL)
+        ok = b.stationary(f"truncated solve kappa={kappa:g}", rep,
+                          _TRUNC_TOL)
         drop = float((u_t.values - u_bar.values).min()) / scale
-        report.add_check(CheckRecord(
+        b.report.add_check(CheckRecord(
             f"truncation-order-kappa-{kappa:g}",
             floor_ok and ok and drop >= -1e-8, drop, 0.0, 1e-8))
         if kappa == 0.0:
             gap = float(np.abs(u_t.values - u_bar.values).max())
-            report.add_check(CheckRecord(
+            b.report.add_check(CheckRecord(
                 "truncation-kappa0-gap", gap <= 10.0 * _TRUNC_TOL, gap,
                 0.0, 10.0 * _TRUNC_TOL))
         fit = fit_decay(u_t)
         min_exp = min(min_exp, fit.exponent)
         if kappa == 1.0:
-            report.add_fit("truncated-kappa-1", fit)
-    report.add_check(CheckRecord(
+            b.report.add_fit("truncated-kappa-1", fit)
+    b.report.add_check(CheckRecord(
         "truncation-tail-positive", min_exp > 0.0, min_exp, 0.0, 0.0))
 
 
-def _check_harnack(report: VerificationReport, p2: ProblemParams,
-                   u_bar: RadialFunction):
-    raw = harnack_ratio(u_bar, 4.0, p2)
+def _check_harnack(b: _Battery):
+    u_bar = b.u_bar
+    raw = harnack_ratio(u_bar, 4.0, P2)
     sigma = min(1.0, raw)
-    report.add_check(CheckRecord(
+    b.report.add_check(CheckRecord(
         "harnack-sigma", 0.0 < sigma <= 1.0, sigma, 1.0, 0.0))
     scaled = RadialFunction(u_bar.grid, 3.7 * u_bar.values)
-    dev = abs(harnack_ratio(scaled, 4.0, p2) - raw)
-    report.add_check(CheckRecord(
+    dev = abs(harnack_ratio(scaled, 4.0, P2) - raw)
+    b.report.add_check(CheckRecord(
         "harnack-invariance", dev <= 1e-10, dev, 0.0, 1e-10))
-    report.set_harnack(sigma, 4.0)
-    report.note(f"harnack quotient before the cap at 1: {raw!r}")
+    b.report.set_harnack(sigma, 4.0)
+    b.report.note(f"harnack quotient before the cap at 1: {raw!r}")
 
 
-def _check_comparison(report: VerificationReport, st: VerifySettings,
-                      p2: ProblemParams, cache: dict,
-                      u_bar: RadialFunction):
-    g, K = _grid_and_matrix(cache, p2, st, st.M, p2.beta_star)
+def _check_comparison(b: _Battery):
+    g, K = b.matrix(P2, b.st.M, P2.beta_star)
+    u_bar = b.u_bar
     region = g.nodes > 1.0
-    rtol = 10.0 * st.tol
+    rtol = 10.0 * b.st.tol
     pairs = [
         ("identical", u_bar, u_bar),
         ("halved", RadialFunction(g, 0.5 * u_bar.values), u_bar),
@@ -360,12 +367,12 @@ def _check_comparison(report: VerificationReport, st: VerifySettings,
     ]
     n_ok = 0
     for label, u, v in pairs:
-        ok = comparison_check(u, v, region, K, p2, residual_tol=rtol,
-                              value_tol=st.tol)
+        ok = comparison_check(u, v, region, K, P2, residual_tol=rtol,
+                              value_tol=b.st.tol)
         n_ok += ok
         if not ok:
-            report.note(f"comparison pair '{label}' failed")
-    report.add_check(CheckRecord(
+            b.report.note(f"comparison pair '{label}' failed")
+    b.report.add_check(CheckRecord(
         "comparison-pairs", n_ok == len(pairs), float(n_ok),
         float(len(pairs)), 0.0))
 
@@ -377,43 +384,34 @@ def _check_comparison(report: VerificationReport, st: VerifySettings,
     vals = u_bar.values.copy()
     vals[j] = half.values[j] * (1.0 - 1e-4)
     bad = RadialFunction(g, vals)
-    ru = weak_residual(half, K, p2)
-    rv = weak_residual(bad, K, p2)
+    ru = weak_residual(half, K, P2)
+    rv = weak_residual(bad, K, P2)
     slack = 2.0 * float((ru - rv)[region].max())
-    verdict = comparison_check(half, bad, region, K, p2,
+    verdict = comparison_check(half, bad, region, K, P2,
                                residual_tol=slack, value_tol=1e-10)
-    report.add_check(CheckRecord(
+    b.report.add_check(CheckRecord(
         "comparison-negative", verdict is False, float(verdict), 0.0, 0.0))
-    report.note(
+    b.report.note(
         f"negative comparison pair corrupts node {j} "
         f"(r={g.nodes[j]:.6g}) and is reported as a failure")
+
+
+# the criteria in report order; the homogeneity check draws from the
+# generator before the gradient check does
+_CRITERIA = (_check_profile_zero, _check_riesz_ladder,
+             _check_operator_identities, _check_gradient,
+             _check_fundamental_profile, _check_capacitary,
+             _check_continuation, _check_pure_singular, _check_truncation,
+             _check_harnack, _check_comparison)
 
 
 def run_acceptance(settings: VerifySettings | None = None,
                    out_path: str | None = None) -> VerificationReport:
     """Run the whole battery; optionally write the JSON report."""
-    st = settings or VerifySettings()
-    quad = QuadratureSpec()
-    rng = np.random.default_rng(st.seed)
-    p2 = ProblemParams(N=3, s=0.5, p=2.0, gamma=0.5, alpha=1.5)
-    p25 = ProblemParams(N=3, s=0.5, p=2.5, gamma=0.5, alpha=29.0 / 24.0,
-                        r_exp=1.2)
-    report = VerificationReport(p2)
-    cache: dict = {}
-
-    _check_profile_zero(report, quad)
-    _check_riesz_ladder(report)
-    _check_operator_identities(report, st, p2, p25, cache, rng)
-    _check_gradient(report, st, p2, cache, rng)
-    _check_fundamental_profile(report, st, p2, cache)
-    _check_capacitary(report, st, p2, cache)
-    u_bar = _check_continuation(report, st, p2, cache)
-    _check_pure_singular(report, p2, u_bar)
-    _check_truncation(report, st, p25, cache)
-    _check_harnack(report, p2, u_bar)
-    _check_comparison(report, st, p2, cache, u_bar)
-    _note_clips(report, cache)
-
+    b = _Battery(settings or VerifySettings())
+    for criterion in _CRITERIA:
+        criterion(b)
+    b.note_clips()
     if out_path is not None:
-        report.write(out_path)
-    return report
+        b.report.write(out_path)
+    return b.report
