@@ -555,14 +555,9 @@ def riesz_normalization(N: int, s: float) -> float:
 
 @dataclass
 class CrossCheckResult:
-    N: int
-    s: float
-    ladder: list[float]
-    riesz_values: list[float]
     calibration: float
     theory_calibration: float
     max_rel_dev: float
-    probe_beta: float
     probe_value: float
     riesz_probe: float
     notes: list[str]
@@ -616,10 +611,8 @@ def cross_check_p2(N: int, s: float) -> CrossCheckResult:
                   for v, l in zip(vals, lam))
     probe = power_profile_constant(probe_beta, params, quad)
     res = CrossCheckResult(
-        N=N, s=s, ladder=ladder, riesz_values=lam, calibration=calib,
-        theory_calibration=theory, max_rel_dev=max_dev,
-        probe_beta=probe_beta, probe_value=probe, riesz_probe=lam_probe,
-        notes=[],
+        calibration=calib, theory_calibration=theory, max_rel_dev=max_dev,
+        probe_value=probe, riesz_probe=lam_probe, notes=[],
     )
     res.notes.append(
         f"the profile constant {'matches' if res.passes else 'MISSES'} "

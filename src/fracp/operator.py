@@ -76,7 +76,7 @@ rule, one fixed rule in the log of the distance to t.  A verification
 pass re-integrates every block at elevated order, the far pairs of its
 check bands included and the far halves of the variance masses from
 the phi table rather than the series, and records the worst relative
-deviation as ``assembly_error``; a deviation beyond 1e-5 raises
+deviation as ``assembly_error``; one beyond 1e-5 or not finite raises
 :class:`~fracp.errors.ConvergenceError` naming the offending cell pair.
 Of all the fields only the tail blocks' ``g`` and ``tail_self`` depend
 on the tail exponent, so a matrix for another exponent on the same nodes
@@ -259,7 +259,7 @@ def _row_chunks(n_rows, pts_per_row):
         yield slice(k, k + step)
 
 
-def _same_cell(r, h, N, sp, p, nu, S, table, n_u=16, n_r=12):
+def _same_cell(r, h, N, p, nu, S, table, n_u=16, n_r=12):
     """Within-cell weights D_a / h_a^p for K[a, a+1].
 
     With w = r' - r the pair integral over one cell is
@@ -283,7 +283,7 @@ def _same_cell(r, h, N, sp, p, nu, S, table, n_u=16, n_r=12):
     return D / h ** p
 
 
-def _adjacent(r, h, N, sp, p, nu, S, table, n_u=16, n_x=12):
+def _adjacent(r, h, N, p, nu, S, table, n_u=16, n_x=12):
     """Three-term weights (A', B', C') for every adjacent cell pair.
 
     Local coordinates: xi into the left cell, eta into the right cell,
@@ -358,7 +358,7 @@ def _pairs(stop, bands):
     return c, bands[b]
 
 
-def _hat_sums(c, d, r, h, N, sp, nu, S, table, order=_band_order):
+def _hat_sums(c, d, r, h, N, nu, S, table, order=_band_order):
     """The four hat sums (lo·lo, lo·hi, hi·lo, hi·hi) of the cell pairs
     (c, c + d), shape (4, pairs), by Gauss rules of ``order(d)`` points
     per side.
@@ -418,13 +418,13 @@ def _scatter(dst, at, sums):
         dst[at[k]] += sums[k]
 
 
-def _near_field(Kmat, r, h, N, sp, nu, S, table, far, checks):
+def _near_field(Kmat, r, h, N, nu, S, table, far, checks):
     """Add the hat sums of the near pairs, c + d < far[c], to K; return
     those of the pairs ``checks`` (c, d) as (4, pairs), zero at their far
     pairs."""
     M = h.size
     c, d = _pairs(far, np.arange(2, M))
-    sums = _hat_sums(c, d, r, h, N, sp, nu, S, table)
+    sums = _hat_sums(c, d, r, h, N, nu, S, table)
     _scatter(Kmat.reshape(-1), _entries(c, d, M + 1), sums)
     cc, cd = checks
     check_sums = np.zeros((4, cc.size))
@@ -670,7 +670,7 @@ def _series_halves(N, sp, S, phi):
     return half(float(N)), half(sp)
 
 
-def _quadrature_halves(N, sp, S, table, n):
+def _quadrature_halves(N, sp, S, table):
     """The far halves of :func:`_series_halves` by quadrature of Phi.
 
     With rho = s/t (inner) and rho = t/s (outer) the two masses are
@@ -678,17 +678,17 @@ def _quadrature_halves(N, sp, S, table, n):
         S t^{N-1-sp} u^N int_0^1 x^{N-1} Phi(u x) dx,
         S t^{N-1-sp} w^sp int_0^1 xi^{sp-1} Phi(w xi) dxi,
 
-    each taken with the n-point Gauss-Jacobi rule of its power and Phi
+    each taken with the 16-point Gauss-Jacobi rule of its power and Phi
     from the phi table.  Phi(u x) is analytic out to x = 1/u >= 2,
     so a low order is exact to the table's accuracy.  This is the
     verification pass's rule: it shares no step with the series.
     """
     def half(e):
-        x, wx = gauss_jacobi_01(n, 0.0, e - 1.0)
+        x, wx = gauss_jacobi_01(16, 0.0, e - 1.0)
 
         def mass(t, u):
             core = np.empty(t.size)
-            for rows in _row_chunks(t.size, n):
+            for rows in _row_chunks(t.size, x.size):
                 core[rows] = (table.phi(u[rows, None] * x[None, :])
                               * wx).sum(-1)
             return S * t ** (N - 1.0 - sp) * u ** e * core
@@ -697,7 +697,7 @@ def _quadrature_halves(N, sp, S, table, n):
     return half(float(N)), half(sp)
 
 
-def _window_mass(tm, lo, hi, N, sp, nu, S, table, n, left):
+def _window_mass(tm, lo, hi, N, nu, S, table, n, left):
     """Kernel mass seen from radii tm over the windows [lo, hi], one row
     per radius, every window on the same side of its radius (``left``:
     hi <= tm, else lo >= tm).
@@ -724,7 +724,7 @@ def _window_mass(tm, lo, hi, N, sp, nu, S, table, n, left):
     return out
 
 
-def _pair_corrections(r, h, N, sp, nu, S, table, mass_shared, mass_last,
+def _pair_corrections(r, h, N, nu, S, table, mass_shared, mass_last,
                       halves, n_t=8, n_y=12):
     """Separated-pair variance masses V_a to subtract from K[a, a+1].
 
@@ -759,8 +759,8 @@ def _pair_corrections(r, h, N, sp, nu, S, table, mass_shared, mass_last,
     right = np.empty(tr.size)
     right[inside] = outer_half(tr[inside], tr[inside] / B[inside])
     right[~inside] = mass_shared(tr[~inside])
-    right += _window_mass(tr, edge, np.minimum(B, R), N, sp, nu, S, table,
-                          n_y, left=False)
+    right += _window_mass(tr, edge, np.minimum(B, R), N, nu, S, table, n_y,
+                          left=False)
     mass[:-1] = right.reshape(M - 1, n_t)
     mass[-1] = mass_last(t[-1])
 
@@ -769,7 +769,7 @@ def _pair_corrections(r, h, N, sp, nu, S, table, mass_shared, mass_last,
     edge = np.repeat(r[1:M - 1], n_t)                       # r_{a-1}
     P = np.minimum(edge, 0.5 * tl)
     left = inner_half(tl, P / tl)
-    left += _window_mass(tl, P, edge, N, sp, nu, S, table, n_y, left=True)
+    left += _window_mass(tl, P, edge, N, nu, S, table, n_y, left=True)
     mass[2:] += left.reshape(M - 2, n_t)
     return 2.0 * h * ((wt * (1.0 - yt) * yt)[None, :] * mass).sum(axis=1)
 
@@ -889,8 +889,9 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     p = 2 cross-check in :mod:`fracp.kernel`.  The returned matrix is
     symmetric, nonnegative, and deterministic for fixed inputs.  Raises
     :class:`ConvergenceError` when the elevated-order verification pass
-    disagrees with the production pass by more than 1e-5 on any block,
-    naming the offending cell pair.
+    disagrees with the production pass by more than 1e-5 or not finitely
+    on any block, naming the offending cell pair, and :class:`FracpError`
+    when a pair weight comes out negative or not finite.
     """
     N, sp, p = params.N, params.sp, params.p
     nu = edge_exponent(N, sp)
@@ -909,10 +910,10 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     Kmat = np.zeros((M + 1, M + 1))
     idx = np.arange(M)
 
-    same = _same_cell(r, h, N, sp, p, nu, S, table)
+    same = _same_cell(r, h, N, p, nu, S, table)
     Kmat[idx, idx + 1] += same
 
-    Aw, Bw, Cw = _adjacent(r, h, N, sp, p, nu, S, table)
+    Aw, Bw, Cw = _adjacent(r, h, N, p, nu, S, table)
     # The implied diagonal coefficients Aw + Cw and Bw + Cw of the local
     # quadratic form are positive for any true energy, and the cross term
     # is nonnegative for this kernel.  Violations mean the quadrature or
@@ -939,7 +940,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     # verification pass, the far ones through per-band views {d: (4, M - d)}
     far = _far_start(r)
     checks = _pairs(np.full(M, M), _CHECK_BANDS)
-    check_sums = _near_field(Kmat, r, h, N, sp, nu, S, table, far, checks)
+    check_sums = _near_field(Kmat, r, h, N, nu, S, table, far, checks)
     bands, starts = np.unique(checks[1], return_index=True)
     phi = _profile_series(N, sp)
     _far_series(Kmat, r, h, N, sp, S, phi, far,
@@ -948,7 +949,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
     mass_shared, mass_last = _tail_mass_funcs(R, N, sp, nu, S, table,
                                               xi_s, wxi_s, xi_l, wxi_l)
-    V = _pair_corrections(r, h, N, sp, nu, S, table, mass_shared, mass_last,
+    V = _pair_corrections(r, h, N, nu, S, table, mass_shared, mass_last,
                           _series_halves(N, sp, S, phi))
     pre_sub = Kmat[idx, idx + 1].copy()
     # Next to the truncation boundary the exact representation can demand
@@ -963,12 +964,14 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
     W = _tail_columns(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l, wxi_l)
 
-    if Kmat.min() < 0.0:
-        i_bad, j_bad = np.unravel_index(int(np.argmin(Kmat)), Kmat.shape)
+    # a NaN fails every comparison: only finite nonnegative weights pass
+    if not 0.0 <= Kmat.min() <= Kmat.max() < np.inf:
+        bad = np.where(np.isfinite(Kmat), Kmat, -np.inf)
+        i_bad, j_bad = np.unravel_index(int(np.argmin(bad)), Kmat.shape)
         raise FracpError(
             f"pair weight K[{i_bad},{j_bad}] = {Kmat[i_bad, j_bad]:.3e} "
-            "came out negative; the far-field correction exceeded the "
-            "local weight (grid too coarse for this kernel)"
+            "came out negative or not finite (a negative one: the far-field "
+            "correction exceeded the local weight; grid too coarse)"
         )
 
     dev, worst = _verification_pass(
@@ -1006,24 +1009,20 @@ def _verification_pass(r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw,
     relative deviation and the cell pair it occurred at.
 
     ``checks`` are the cell pairs (c, d) of the check bands
-    (:func:`_pairs`) and ``check_sums`` their production hat sums.
+    (:func:`_pairs`) and ``check_sums`` their production hat sums.  Each
+    block yields its deviations and the cell pairs (i, j) of its entries;
+    one reduction over the blocks, in order, keeps the first strictly
+    largest, from 0 at (0, 1).  A NaN or an infinity counts as infinite.
     """
     M = h.size
-    dev = 0.0
-    worst = (0, 1)
+    idx = np.arange(M + 1)
+    same2 = _same_cell(r, h, N, p, nu, S, table, n_u=24, n_r=18)
+    blocks = [(np.abs(same2 - same) / np.maximum(same, 1e-300), idx, idx + 1)]
 
-    same2 = _same_cell(r, h, N, sp, p, nu, S, table, n_u=24, n_r=18)
-    rel = np.abs(same2 - same) / np.maximum(same, 1e-300)
-    k = int(np.argmax(rel))
-    if rel[k] > dev:
-        dev, worst = float(rel[k]), (k, k + 1)
-
-    Aw2, Bw2, Cw2 = _adjacent(r, h, N, sp, p, nu, S, table, n_u=24, n_x=18)
+    Aw2, Bw2, Cw2 = _adjacent(r, h, N, p, nu, S, table, n_u=24, n_x=18)
     scale_adj = np.maximum(np.abs(Aw) + np.abs(Bw) + np.abs(Cw), 1e-300)
-    rel = (np.abs(Aw2 - Aw) + np.abs(Bw2 - Bw) + np.abs(Cw2 - Cw)) / scale_adj
-    k = int(np.argmax(rel))
-    if rel[k] > dev:
-        dev, worst = float(rel[k]), (k, k + 2)
+    blocks.append(((np.abs(Aw2 - Aw) + np.abs(Bw2 - Bw) + np.abs(Cw2 - Cw))
+                   / scale_adj, idx, idx + 2))
 
     # the check pairs' production and elevated-order sums, scattered
     # over the entries they reach (flat row-major indices into K)
@@ -1033,14 +1032,11 @@ def _verification_pass(r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw,
     K1 = np.zeros(keys.size)
     _scatter(K1, at, check_sums)
     K2 = np.zeros(keys.size)
-    _scatter(K2, at, _hat_sums(c, d, r, h, N, sp, nu, S, table,
+    _scatter(K2, at, _hat_sums(c, d, r, h, N, nu, S, table,
                                order=lambda d: 2 * _band_order(d)))
     mask = K1 > 0.0
-    if np.any(mask):
-        rel = np.abs(K2[mask] - K1[mask]) / K1[mask]
-        k = int(np.argmax(rel))
-        if rel[k] > dev:
-            dev, worst = float(rel[k]), divmod(int(keys[mask][k]), M + 1)
+    blocks.append((np.abs(K2[mask] - K1[mask]) / K1[mask],
+                   *np.divmod(keys[mask], M + 1)))
     del keys, at, K1, K2    # not held through the blocks below
 
     # far-field corrections against finer t and window rules, far halves
@@ -1050,14 +1046,11 @@ def _verification_pass(r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw,
     xi_l2, wxi_l2 = _last_cell_xi_rule(sp, n_head=32, n_panel=16)
     ms2, ml2 = _tail_mass_funcs(R, N, sp, nu, S, table, xi_s2, wxi_s2,
                                 xi_l2, wxi_l2)
-    V2 = _pair_corrections(r, h, N, sp, nu, S, table, ms2, ml2,
-                           _quadrature_halves(N, sp, S, table, 16),
+    V2 = _pair_corrections(r, h, N, nu, S, table, ms2, ml2,
+                           _quadrature_halves(N, sp, S, table),
                            n_t=12, n_y=24)
-    rel = (np.abs(np.minimum(V2, pre_sub) - V)
-           / np.maximum(pre_sub, 1e-300))
-    k = int(np.argmax(rel))
-    if rel[k] > dev:
-        dev, worst = float(rel[k]), (k, k + 1)
+    blocks.append((np.abs(np.minimum(V2, pre_sub) - V)
+                   / np.maximum(pre_sub, 1e-300), idx, idx + 1))
 
     # exterior coupling: compare rule-independent row functionals (total
     # mass and a curvature-weighted mass) between the two xi rules
@@ -1066,28 +1059,28 @@ def _verification_pass(r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw,
     for g_pow in (0.0, 2.0):
         f1 = _tail_row_sums(W, xis, g_pow)
         f2 = _tail_row_sums(W2, (xi_s2, xi_l2), g_pow)
-        scale_w = max(float(f1.max()), 1e-300)
-        rel = np.abs(f2 - f1) / scale_w
+        blocks.append((np.abs(f2 - f1) / max(float(np.nanmax(f1)), 1e-300),
+                       idx, np.full(M + 1, M + 1)))
+
+    dev, worst = 0.0, (0, 1)
+    for rel, i, j in blocks:
+        rel = np.where(np.isfinite(rel), rel, np.inf)
         k = int(np.argmax(rel))
         if rel[k] > dev:
-            dev, worst = float(rel[k]), (k, M + 1)
-
+            dev, worst = float(rel[k]), (int(i[k]), int(j[k]))
     return dev, worst
 
 
 def _tail_row_sums(Ws, xis, g_pow):
     """sum_q W_iq xi_q^g_pow for every node, from the weights ``Ws`` and
-    samples ``xis`` of the two blocks of :func:`_tail_columns`, each row
-    summed as the dense row of W: rows 0..M-2 over the shared block
-    (zeros after a row's entries leave numpy's pairwise sum unchanged),
-    rows M-1 and M, where the blocks meet, over the columns of both.
-    """
-    (W_s, W_l), (xi_s, xi_l) = Ws, xis
-    meet = np.zeros((2, xi_s.size + xi_l.size))
-    meet[0, :xi_s.size] = W_s[-1]
-    meet[:, xi_s.size:] = W_l
-    return np.concatenate([(W_s[:-1] * xi_s ** g_pow).sum(axis=1),
-                           (meet * np.concatenate(xis) ** g_pow).sum(axis=1)])
+    samples ``xis`` of the two blocks of :func:`_tail_columns`: each
+    block's row sums added into the rows it covers, the shared block's
+    rows 0..M-1, then the last cell's rows M-1 and M."""
+    M = Ws[0].shape[0]
+    out = np.zeros(M + 1)
+    for start, W, xi in zip((0, M - 1), Ws, xis):
+        out[start:start + W.shape[0]] += (W * xi ** g_pow).sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

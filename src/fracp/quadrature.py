@@ -181,7 +181,9 @@ def graded_points(a: float, b: float, *, toward: float, scale: float,
     """Breakpoints of [a, b] accumulating geometrically toward one end.
 
     ``toward`` must equal ``a`` or ``b``; the panel nearest to it has
-    width ``~scale`` and widths grow by ``factor`` moving away.
+    width ``~scale`` and widths grow by ``factor`` moving away.  Points
+    that coincide in floating point (a scale below an ulp of ``toward``)
+    raise :class:`DomainError`; they are never merged.
     """
     if not a < b:
         raise DomainError(f"empty interval [{a}, {b}]")
@@ -189,8 +191,10 @@ def graded_points(a: float, b: float, *, toward: float, scale: float,
         raise DomainError("toward must be one of the interval endpoints")
     row = _graded_rows(a, b, scale, toward_b=toward == b, factor=factor,
                        max_panels=max_panels)[0]
-    # a collapsed row comes padded with copies of its far endpoint
-    return row[np.diff(row, prepend=-np.inf) > 0.0].tolist()
+    if np.any(row[1:] <= row[:-1]):
+        raise DomainError(f"scale={scale:g}: breakpoints of [{a}, {b}] "
+                          "coincide in floating point")
+    return row.tolist()
 
 
 def _graded_rows(a, b, scale, *, toward_b: bool, factor: float,
@@ -199,10 +203,10 @@ def _graded_rows(a, b, scale, *, toward_b: bool, factor: float,
 
     ``a``, ``b`` and ``scale`` broadcast to one value per row, with
     ``a < b`` in every row; ``toward_b`` picks the end the panels grade
-    toward for all rows.  Row k holds exactly the breakpoints of
-    ``graded_points(a[k], b[k], toward=..., scale=scale[k])``, padded to
-    the longest row by repeating the endpoint away from ``toward``, so
-    the padding adds zero-width panels where the integrands stay finite.
+    toward for all rows.  Row k holds the breakpoints of
+    ``graded_points(a[k], b[k], toward=..., scale=scale[k])`` as built,
+    unchecked, padded to the longest row by repeating the endpoint away
+    from ``toward``: zero-width panels where the integrands stay finite.
     """
     a, b, scale = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float))
                                         for v in (a, b, scale)))
@@ -218,41 +222,11 @@ def _graded_rows(a, b, scale, *, toward_b: bool, factor: float,
     P = int(n.max(initial=0))
     j = np.arange(P)[None, :]
     if toward_b:
-        pad = j < (P - n)[:, None]
-        inner = np.where(pad, a[:, None], b[:, None] - d[:, :P][:, ::-1])
+        inner = np.where(j < (P - n)[:, None], a[:, None],
+                         b[:, None] - d[:, :P][:, ::-1])
     else:
-        pad = j >= n[:, None]
-        inner = np.where(pad, b[:, None], a[:, None] + d[:, :P])
-    rows = np.concatenate([a[:, None], inner, b[:, None]], axis=1)
-
-    # rows with points closer than the collapse threshold (offsets below
-    # an ulp of the far endpoint) take the scalar collapse; the others
-    # are already what it would return
-    ends = np.ones((a.size, 1), bool)
-    real = np.concatenate([ends, ~pad, ends], axis=1)
-    lo, hi = rows[:, :-1], rows[:, 1:]
-    close = hi - lo <= 4e-16 * np.maximum(np.abs(hi), np.abs(lo))
-    close &= real[:, 1:] if toward_b else real[:, :-1]
-    for k in np.flatnonzero(close.any(axis=1)):
-        pts = _collapse(rows[k][real[k]].tolist(), float(b[k]))
-        fill = [pts[0] if toward_b else pts[-1]] * (P + 2 - len(pts))
-        rows[k] = fill + pts if toward_b else pts + fill
-    return rows
-
-
-def _collapse(pts: list[float], b: float) -> list[float]:
-    # collapse floating-point duplicates (offsets below an ulp of the
-    # far endpoint round onto it); the threshold must stay relative, an
-    # absolute floor would wipe out the fine panels near a zero endpoint
-    out = [pts[0]]
-    for q in pts[1:]:
-        if q - out[-1] > 4e-16 * max(abs(q), abs(out[-1])):
-            out.append(q)
-    if len(out) == 1 or out[-1] != b:
-        out.append(b)
-    if len(out) >= 3 and out[-1] - out[-2] <= 4e-16 * abs(b):
-        del out[-2]
-    return out
+        inner = np.where(j >= n[:, None], b[:, None], a[:, None] + d[:, :P])
+    return np.concatenate([a[:, None], inner, b[:, None]], axis=1)
 
 
 def _panel_rules(pts: np.ndarray, m: int, lo_exp: float = 0.0,

@@ -144,7 +144,7 @@ def test_graded_points_validation():
 
 
 def _graded_points_loop(a, b, *, toward, scale, factor=4.0, max_panels=40):
-    """Oracle: the scalar offset loop and duplicate collapse."""
+    """Oracle: the scalar offset loop, its points as built."""
     width = b - a
     scale = min(abs(scale), width / factor)
     if scale <= 0.0:
@@ -155,18 +155,8 @@ def _graded_points_loop(a, b, *, toward, scale, factor=4.0, max_panels=40):
         offsets.append(d)
         d *= factor
     if toward == b:
-        pts = [a] + [b - off for off in reversed(offsets)] + [b]
-    else:
-        pts = [a] + [a + off for off in offsets] + [b]
-    out = [pts[0]]
-    for q in pts[1:]:
-        if q - out[-1] > 4e-16 * max(abs(q), abs(out[-1])):
-            out.append(q)
-    if len(out) == 1 or out[-1] != b:
-        out.append(b)
-    if len(out) >= 3 and out[-1] - out[-2] <= 4e-16 * abs(b):
-        del out[-2]
-    return out
+        return [a] + [b - off for off in reversed(offsets)] + [b]
+    return [a] + [a + off for off in offsets] + [b]
 
 
 def test_graded_rows_match_scalar_loop_bitwise():
@@ -180,26 +170,40 @@ def test_graded_rows_match_scalar_loop_bitwise():
         draws.append((a, b, scale, float(rng.choice([1.5, 2.0, 4.0])),
                       bool(rng.integers(2))))
     # subnormal scales at a zero end (kept) and at a nonzero end (they
-    # round onto it and collapse); width/scale exactly factor^k, where
+    # round onto it and are refused); width/scale exactly factor^k, where
     # the last offset lands on the far end
     draws += [(0.0, 2.0, 1e-310, 4.0, False), (1.0, 3.0, 1e-310, 2.0, True),
               (0.0, 1.0, 1.0 / 16.0, 4.0, False),
               (0.0, 1.5 ** 9, 1.0, 1.5, True)]
+    refused = 0
     for factor in (1.5, 2.0, 4.0):
         for toward_b in (False, True):
             group = [d for d in draws if d[3] == factor and d[4] == toward_b]
             a, b, scale = (np.array([d[i] for d in group]) for i in range(3))
             rows = _graded_rows(a, b, scale, toward_b=toward_b,
                                 factor=factor, max_panels=60)
-            for (ak, bk, sk, _, _), row in zip(group, rows):
+            for (ak, bk, sk, _, _), row in zip(group, rows.tolist()):
                 ref = _graded_points_loop(ak, bk, toward=bk if toward_b else ak,
                                           scale=sk, factor=factor,
                                           max_panels=60)
-                got = row[np.diff(row, prepend=-np.inf) > 0.0].tolist()
+                # the padding repeats the end away from the grading
+                pad = len(row) - len(ref)
+                if toward_b:
+                    assert row[1:pad + 1] == [ak] * pad
+                    got = row[:1] + row[pad + 1:]
+                else:
+                    assert row[len(ref) - 1:-1] == [bk] * pad
+                    got = row[:len(ref) - 1] + row[-1:]
                 assert got == ref, (ak, bk, sk, factor, toward_b)
-                assert graded_points(ak, bk, toward=bk if toward_b else ak,
-                                     scale=sk, factor=factor,
-                                     max_panels=60) == ref
+                kwargs = dict(toward=bk if toward_b else ak, scale=sk,
+                              factor=factor, max_panels=60)
+                if all(q > p for p, q in zip(ref, ref[1:])):
+                    assert graded_points(ak, bk, **kwargs) == ref
+                else:
+                    refused += 1
+                    with pytest.raises(DomainError):
+                        graded_points(ak, bk, **kwargs)
+    assert refused > 0
 
 
 def test_integrate_smooth():
