@@ -519,12 +519,16 @@ _SOLUTION_KEYS = _SOLUTION_NUMBERS + ("r_exp", "grid_hash", "converged")
 
 
 def _number(path: str, where: str, text: str) -> float:
-    """``text`` as a float, or UsageError naming the file and the field."""
+    """``text`` as a finite float, or UsageError naming the file and the
+    field: a nan slips through every range check, since a comparison
+    with nan is always False."""
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
-        raise UsageError(f"{path}: {where} is not a number: {text!r}") \
-            from None
+        v = math.nan
+    if not math.isfinite(v):
+        raise UsageError(f"{path}: {where} is not a finite number: {text!r}")
+    return v
 
 
 def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
@@ -535,9 +539,9 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
     settings, and ``residual_norm``, the sup norm of the stored residual
     column).  The node set and tail exponent reconstruct the grid; its
     hash must match the stored one, which catches hand-edited or
-    truncated files.  A header key that is missing or not a number, and
-    a node, value or residual that is not a number, raise
-    :class:`UsageError` naming the file and the field.
+    truncated files.  A header key that is missing or not a finite
+    number, and a node, value or residual that is not a finite number,
+    raise :class:`UsageError` naming the file and the field.
     """
     with open(path, encoding="ascii") as fh:
         first = fh.readline().strip()

@@ -188,7 +188,7 @@ def _cmd_solve_full(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     u_bar, meta, path = _read_input(cfg, out, "u_bar", "solve-singular")
     _say(f"solve-full: u_bar <- {path}")
-    if not meta["residual_norm"] <= cfg.solver.tol:     # a nan misses too
+    if meta["residual_norm"] > cfg.solver.tol:  # the reader refused nan
         print(f"solve-full: {path} misses the stationarity tolerance "
               f"(residual {meta['residual_norm']:.3e})", file=sys.stderr)
         return 3

@@ -198,6 +198,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"solver.schedule_max_n={ss.schedule_max_n!r}: must be >= 1")
 
+    if values["seed"] < 0:
+        raise ConfigError(f"seed={values['seed']!r}: must be >= 0")
     return RunConfig(params=params, grid=gs, quad=quad, solver=ss,
                      kappa=kappa, output_dir=values["output_dir"],
                      seed=values["seed"])

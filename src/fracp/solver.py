@@ -1,24 +1,25 @@
 """Continuation solver for the singular reaction model.
 
 The pure-singular solution is produced by minimizing the regularized
-functionals
+functionals J_n(u) = (1/p) E(u) - int a(x) F(u(x)) dx, where ``E`` is
+the discrete nonlocal energy of :mod:`fracp.operator` and F is one
+reaction family,
 
-    J_n(u) = (1/p) E(u) - int a(x) A_n(u(x)) dx,
+    F(t) = int_0^t f(max(tau, floor) + shift) dtau,
+    f(m) = m^{-gamma} + kappa m^r.
 
-where ``E`` is the discrete nonlocal energy of :mod:`fracp.operator`
-and ``A_n`` is the primitive of the shifted singular term
-``(t_+ + 1/n)^{-gamma}``.  Each J_n is convex (the reaction primitive
-is concave), so a damped Newton iteration with Armijo backtracking
+J_n is (floor 0, shift 1/n, kappa 0): F = A_n, the primitive of the
+shifted singular term ``(t_+ + 1/n)^{-gamma}``.  Each J_n is convex
+(A_n is concave), so a damped Newton iteration with Armijo backtracking
 finds the unique minimizer from any start; the continuation in n with
 warm starts then climbs the monotone sequence u_1 <= u_2 <= ... to its
-limit.  The truncated full problem replaces A_n by the primitive of
-``a(x) (m^{-gamma} + kappa m^r)`` with ``m = max(u_bar, t)``, which is
-no longer concave for kappa > 0; there the same iteration is run with
-a Levenberg shift whenever the Hessian loses definiteness, and the
+limit.  The truncated full problem is (floor u_bar, shift 0), no longer
+concave for kappa > 0; there the same iteration is run with a
+Levenberg shift whenever the Hessian loses definiteness, and the
 resulting stationary point is accepted only if it dominates u_bar.
 The capacitary barrier minimizes the bare energy.  All three are one
-:class:`Functional` with a different reaction primitive, and the same
-damped Newton iteration minimizes each.
+:class:`Functional`, and the same damped Newton iteration minimizes
+each.
 
 The reaction integral splits like the energy: nodal values weighted by
 exact annulus volumes inside the truncation radius, plus a one
@@ -105,71 +106,59 @@ _potrf, _potrs = _flapack.dpotrf, _flapack.dpotrs
 # reaction primitives
 
 
-def A_primitive(t, n, gamma):
-    """Primitive of the shifted singular term, A = int_0^t (tau_+ + 1/n)^{-gamma}.
+class _Reaction:
+    """F(t) = int_0^t f(max(tau, floor) + shift) dtau with f(m) = m^{-gamma}
+    + kappa m^r, and its first and second derivatives in t.
 
-    Closed form: for t >= 0 it is [(t + 1/n)^{1-gamma} - (1/n)^{1-gamma}]
-    / (1 - gamma); for t < 0 the integrand is the constant n^gamma, so
-    the primitive continues linearly.  Broadcasts over ``t``.  The weight
-    a(x) multiplies it in :class:`Functional`, not here.
+    ``floor`` is an argument (a scalar or one value per point); below
+    it F is linear with slope f(floor + shift).  With kappa = 0 no
+    growth term is computed, so r may be None.
     """
-    t = np.asarray(t, dtype=float)
-    shift = 1.0 / n
-    pos = ((np.maximum(t, 0.0) + shift) ** (1.0 - gamma)
-           - shift ** (1.0 - gamma)) / (1.0 - gamma)
-    out = np.where(t >= 0.0, pos, float(n) ** gamma * t)
+
+    def __init__(self, gamma, shift=0.0, kappa=0.0, r_exp=None):
+        self.gamma, self.shift, self.kappa, self.r = gamma, shift, kappa, r_exp
+
+    def f(self, m):
+        out = m ** -self.gamma
+        if self.kappa > 0.0:
+            out = out + self.kappa * m ** self.r
+        return out
+
+    def F(self, t, floor):
+        g, kappa, r = self.gamma, self.kappa, self.r
+        t = np.asarray(t, dtype=float)
+        lo = floor + self.shift
+        m = np.maximum(t, floor) + self.shift
+        slope = self.f(lo)
+        above = (floor * slope
+                 + (m ** (1.0 - g) - lo ** (1.0 - g)) / (1.0 - g))
+        if kappa > 0.0:
+            above = (above
+                     + kappa * (m ** (1.0 + r) - lo ** (1.0 + r)) / (1.0 + r))
+        return np.where(t <= floor, t * slope, above)
+
+    def dF(self, t, floor):
+        return self.f(np.maximum(t, floor) + self.shift)
+
+    def d2F(self, t, floor):
+        g, r = self.gamma, self.r
+        m = np.maximum(t, floor) + self.shift
+        out = -g * m ** (-g - 1.0)
+        if self.kappa > 0.0:
+            out = out + self.kappa * r * m ** (r - 1.0)
+        return np.where(t > floor, out, 0.0)
+
+
+def A_primitive(t, n, gamma):
+    """The shifted singular primitive A_n(t) = int_0^t (tau_+ + 1/n)^{-gamma}.
+
+    The family at (floor 0, shift 1/n): for t < 0 the integrand is the
+    constant (1/n)^{-gamma}, so the primitive continues linearly.
+    Broadcasts over ``t``.  The weight a(x) multiplies it in
+    :class:`Functional`, not here.
+    """
+    out = _Reaction(gamma, 1.0 / n).F(t, 0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def _A_prime(t, n, gamma):
-    t = np.asarray(t, dtype=float)
-    shift = 1.0 / n
-    return np.where(t >= 0.0,
-                    (np.maximum(t, 0.0) + shift) ** -gamma,
-                    float(n) ** gamma)
-
-
-def _A_second(t, n, gamma):
-    t = np.asarray(t, dtype=float)
-    shift = 1.0 / n
-    return np.where(t > 0.0,
-                    -gamma * (np.maximum(t, 0.0) + shift) ** (-gamma - 1.0),
-                    0.0)
-
-
-def _F_bar(t, ub, gamma, r_exp, kappa):
-    """Primitive in t of (max(ub, .)^{-gamma} + kappa max(ub, .)^{r})."""
-    t = np.asarray(t, dtype=float)
-    slope0 = ub ** -gamma
-    if kappa > 0.0:
-        slope0 = slope0 + kappa * ub ** r_exp
-    tm = np.maximum(t, ub)
-    above = ub * slope0 + (tm ** (1.0 - gamma) - ub ** (1.0 - gamma)) / (1.0 - gamma)
-    if kappa > 0.0:
-        above = above + kappa * (tm ** (1.0 + r_exp) - ub ** (1.0 + r_exp)) / (1.0 + r_exp)
-    return np.where(t <= ub, t * slope0, above)
-
-
-def _F_bar_prime(t, ub, gamma, r_exp, kappa):
-    t = np.asarray(t, dtype=float)
-    m = np.maximum(t, ub)
-    val = m ** -gamma
-    if kappa > 0.0:
-        val = val + kappa * m ** r_exp
-    return val
-
-
-def _F_bar_second(t, ub, gamma, r_exp, kappa):
-    t = np.asarray(t, dtype=float)
-    m = np.maximum(t, ub)
-    val = -gamma * m ** (-gamma - 1.0)
-    if kappa > 0.0:
-        val = val + kappa * r_exp * m ** (r_exp - 1.0)
-    return np.where(t > ub, val, 0.0)
-
-
-def _no_reaction(t, floor):
-    return np.zeros_like(t)
 
 
 def _reaction_tail_rule(params: ProblemParams, grid: RadialGrid):
@@ -186,8 +175,7 @@ def _reaction_tail_rule(params: ProblemParams, grid: RadialGrid):
     xi, w = gauss_jacobi_01(_TAIL_RULE_NODES, 0.0, alpha - 1.0)
     S = unit_sphere_area(N - 1)
     wT = params.c_a * S * R ** N * w / (xi ** (N + alpha) + R ** (N + alpha))
-    gT = xi ** bt if bt > 0.0 else np.ones_like(xi)
-    return wT, gT
+    return wT, xi ** bt
 
 
 # ---------------------------------------------------------------------------
@@ -197,37 +185,36 @@ def _reaction_tail_rule(params: ProblemParams, grid: RadialGrid):
 class Functional:
     """J(u) = (1/p) E(u) - int a(x) F(u(x)) dx on a fixed grid.
 
-    ``reaction`` is the nodal primitive as a triple ``(F, F', F'')`` of
-    functions ``f(t, floor)``; ``floor`` is passed through to them (the
-    nodal shield of the truncated problem, None otherwise).  Without a
-    reaction the functional is the bare energy.  The reaction integral
-    is the nodal sum against exact annulus volumes plus the Jacobi tail
-    rule, where the floor follows the values along the power tail.
+    ``reaction`` is a :class:`_Reaction`, priced at ``floor``: 0, or the
+    nodal shield of the truncated problem.  Without a reaction the
+    functional is the bare energy.  The reaction integral is the nodal
+    sum against exact annulus volumes plus the Jacobi tail rule, where
+    the floor follows the values along the power tail.
     """
 
     def __init__(self, params: ProblemParams, grid: RadialGrid,
-                 K: KernelMatrix, reaction=None, floor=None):
+                 K: KernelMatrix, reaction=None, floor=0.0):
         _require_match(grid, K, params)
         self.params = params
         self.grid = grid
         self.K = K
-        self._F = reaction or (_no_reaction,) * 3
+        self._reaction = reaction
         self._floor = floor
         self._omega = grid.volume_weights(params.N)
         self._a = weight_a(grid.nodes, params)
         self._wT, self._gT = _reaction_tail_rule(params, grid)
-        self._floor_T = None if floor is None else floor[-1] * self._gT
+        self._floor_T = np.ravel(floor)[-1] * self._gT
         # the buffer set a continuation lends every level it minimizes;
         # None outside one, and then each minimization allocates its own
         self._buffers = None
 
     def at(self, vals: np.ndarray) -> "_Point":
-        """The functional priced at ``vals``: one energy pass for J, J' and J''."""
+        """The functional at ``vals``: J, J' and J'' from one energy pass."""
         return _Point(self, vals)
 
     def reaction(self, vals: np.ndarray) -> np.ndarray:
-        """Nodal right-hand side a(r) F'(u) at the values."""
-        return self._a * self._F[1](vals, self._floor)
+        """Nodal right-hand side a(r) F'(u) at the values (with a reaction)."""
+        return self._a * self._reaction.dF(vals, self._floor)
 
 
 class _Point:
@@ -245,29 +232,33 @@ class _Point:
         self.vals = vals
         self._terms = energy_terms(RadialFunction(f.grid, vals), f.K,
                                    f.params, buffers=buffers)
-        F, dF, _ = f._F
+        self.value = self._terms.energy / f.params.p
+        self.gradient = g = self._terms.residual()
+        rho = f._reaction
+        if rho is None:
+            return
         tail_vals = vals[-1] * f._gT
-        body = float((f._omega * f._a * F(vals, f._floor)).sum())
-        tail = float((f._wT * F(tail_vals, f._floor_T)).sum())
-        self.value = self._terms.energy / f.params.p - body - tail
-        g = self._terms.residual()
-        g -= f._omega * f._a * dF(vals, f._floor)
-        g[-1] -= float((f._wT * f._gT * dF(tail_vals, f._floor_T)).sum())
-        self.gradient = g
+        body = float((f._omega * f._a * rho.F(vals, f._floor)).sum())
+        tail = float((f._wT * rho.F(tail_vals, f._floor_T)).sum())
+        self.value = self.value - body - tail
+        g -= f._omega * f._a * rho.dF(vals, f._floor)
+        g[-1] -= float((f._wT * f._gT * rho.dF(tail_vals, f._floor_T)).sum())
 
     def hessian(self) -> np.ndarray:
         """J'' at the point, in the flux buffer of its evaluation."""
         f, vals = self.f, self.vals
         H = self._terms.hessian()
-        d2F = f._F[2]
-        H[np.diag_indices_from(H)] -= f._omega * f._a * d2F(vals, f._floor)
-        H[-1, -1] -= float((f._wT * f._gT ** 2
-                            * d2F(vals[-1] * f._gT, f._floor_T)).sum())
+        rho = f._reaction
+        if rho is not None:
+            H[np.diag_indices_from(H)] -= (
+                f._omega * f._a * rho.d2F(vals, f._floor))
+            H[-1, -1] -= float((f._wT * f._gT ** 2
+                                * rho.d2F(vals[-1] * f._gT, f._floor_T)).sum())
         return H
 
 
 class RegularizedProblem(Functional):
-    """One level of the continuation: J_n with F = A_n on a fixed grid."""
+    """One level of the continuation: J_n, F at (floor 0, shift 1/n)."""
 
     def __init__(self, params: ProblemParams, n: int, grid: RadialGrid,
                  K: KernelMatrix):
@@ -275,15 +266,11 @@ class RegularizedProblem(Functional):
             raise UsageError(f"n={n}: the shift index must be a "
                              "positive integer")
         self.n = n = int(n)
-        g = params.gamma
-        super().__init__(params, grid, K, reaction=(
-            lambda t, _: A_primitive(t, n, g),
-            lambda t, _: _A_prime(t, n, g),
-            lambda t, _: _A_second(t, n, g)))
+        super().__init__(params, grid, K, _Reaction(params.gamma, 1.0 / n))
 
 
 class TruncatedProblem(Functional):
-    """The truncated full problem: F = F_bar, shielded from below by u_bar."""
+    """The truncated full problem: F at (floor u_bar, shift 0)."""
 
     def __init__(self, params: ProblemParams, grid: RadialGrid,
                  K: KernelMatrix, u_bar: RadialFunction, kappa: float):
@@ -297,11 +284,8 @@ class TruncatedProblem(Functional):
         if kappa > 0.0 and params.r_exp is None:
             raise UsageError("kappa > 0 requires params.r_exp (growth "
                              "exponent)")
-        g, r = params.gamma, params.r_exp
-        super().__init__(params, grid, K, floor=u_bar.values, reaction=(
-            lambda t, ub: _F_bar(t, ub, g, r, kappa),
-            lambda t, ub: _F_bar_prime(t, ub, g, r, kappa),
-            lambda t, ub: _F_bar_second(t, ub, g, r, kappa)))
+        super().__init__(params, grid, K, _Reaction(
+            params.gamma, 0.0, kappa, params.r_exp), floor=u_bar.values)
 
 
 @dataclass

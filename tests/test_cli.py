@@ -415,6 +415,54 @@ def test_malformed_solution_file_is_a_usage_error(workdir, tmp_path, capsys,
     assert str(path) in err and named in err
 
 
+def _nan_u_on_line_6(lines):
+    fields = lines[5].split(",")
+    fields[1] = "nan"
+    return lines[:5] + [",".join(fields)] + lines[6:]
+
+
+@pytest.mark.parametrize("step, name, edit, named", [
+    ("solve-full", "u_bar.csv", _nan_u_on_line_6, "line 6, field u"),
+    ("solve-full", "u_bar.csv",
+     lambda lines: [lines[0].replace(" s=0.5 ", " s=nan ")] + lines[1:],
+     "header field s"),
+    ("plotdata", "u_tilde.csv", _nan_u_on_line_6, "line 6, field u"),
+], ids=["solve-full-nan-u", "solve-full-nan-s", "plotdata-nan-u"])
+def test_non_finite_solution_entry_is_a_usage_error(workdir, tmp_path, capsys,
+                                                    step, name, edit, named):
+    # float() reads nan, and every comparison with it is False: a nan u
+    # reached the Newton system as an uncaught ValueError, and s=nan
+    # passed the header check; both are bad input, exit 2, no new file
+    inputs = ["u_bar.csv"] + (["u_tilde.csv"] if step == "plotdata" else [])
+    for f in inputs:
+        shutil.copy(os.path.join(workdir["out"], f), tmp_path)
+    path = tmp_path / name
+    text = path.read_text()
+    edited = "\n".join(edit(text.splitlines())) + "\n"
+    assert edited != text
+    path.write_text(edited)
+    capsys.readouterr()
+    assert main([step, "--config", workdir["cfg"], "--out", str(tmp_path),
+                 *(["--kappa", "0.5"] if step == "solve-full" else [])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({step}): ")
+    assert "Traceback" not in err
+    assert str(path) in err and named in err
+    assert sorted(os.listdir(tmp_path)) == sorted(inputs)
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # seed = -1 used to pass the config and crash numpy's generator
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.format(out=tmp_path / "out").replace(
+        "seed = 7", "seed = -1"))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (verify): ") and "seed=-1" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_exit_matches_report(workdir):
     out = os.path.join(workdir["out"], "verify")
     rc = main(["verify", "--config", workdir["cfg"], "--out", out])

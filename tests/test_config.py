@@ -140,6 +140,8 @@ def test_kappa_bounds_and_growth_requirement():
     ("solver.tol = -1e-8", "must be > 0"),
     ("solver.max_iter = 0", "unknown key"),
     ("solver.schedule_max_n = 0", "must be >= 1"),
+    # numpy's generator refuses a negative seed with a traceback
+    ("seed = -1", "seed=-1: must be >= 0"),
 ])
 def test_settings_sanity(line, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -15,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import quad
 
 from fracp.analysis import write_solution_csv
 from fracp.config import SolverSettings
@@ -96,6 +98,52 @@ def test_a_primitive_continuity_and_monotonicity():
     t = np.linspace(-2.0, 2.0, 4001)
     v = sv.A_primitive(t, 5, 0.4)
     assert np.all(np.diff(v) > 0.0)
+
+
+def _reaction_oracle(t, floor, shift, gamma, kappa, r):
+    """F(t), F'(t) and F''(t) of the family, from f and f' written out
+    here and, for F, scipy's quad split at the floor.  Above the floor
+    quad runs in u = log(tau + shift), which leaves no endpoint
+    singularity for its extrapolation to misjudge."""
+    def f(m):
+        return m ** -gamma + (kappa * m ** r if kappa > 0.0 else 0.0)
+
+    def f_prime(m):
+        return (-gamma * m ** (-gamma - 1.0)
+                + (kappa * r * m ** (r - 1.0) if kappa > 0.0 else 0.0))
+
+    def piece(a, b):
+        if b <= floor:
+            return quad(lambda tau: f(max(tau, floor) + shift), a, b)[0]
+        return quad(lambda u: f(math.exp(u)) * math.exp(u),
+                    math.log(a + shift), math.log(b + shift),
+                    epsabs=0.0, epsrel=1e-13)[0]
+
+    cuts = sorted({0.0, t, min(max(floor, min(0.0, t)), max(0.0, t))})
+    area = sum(piece(a, b) for a, b in zip(cuts, cuts[1:]))
+    m = max(t, floor) + shift
+    return (area if t >= 0.0 else -area), f(m), \
+        (f_prime(m) if t > floor else 0.0)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(gamma=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+       kappa=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       r=st.floats(1.0, 1.5, exclude_min=True, exclude_max=True),
+       floor=st.one_of(st.just(0.0), st.floats(2.0 ** -14, 2.0)),
+       shift=st.one_of(st.just(0.0), st.floats(2.0 ** -14, 1.0)),
+       t=st.floats(-2.0, 4.0, allow_subnormal=False))
+def test_reaction_family_matches_quadrature_and_written_out_f(
+        gamma, kappa, r, floor, shift, t):
+    # F(t) = int_0^t f(max(tau, floor) + shift) dtau with f(m) = m^-gamma
+    # + kappa m^r, against an independent oracle; with kappa = 0 the
+    # family never reads r
+    assume(floor + shift > 0.0)
+    rho = sv._Reaction(gamma, shift, kappa, r if kappa > 0.0 else None)
+    F, dF, d2F = _reaction_oracle(t, floor, shift, gamma, kappa, r)
+    assert float(rho.F(t, floor)) == pytest.approx(F, rel=1e-9, abs=1e-12)
+    assert float(rho.dF(t, floor)) == pytest.approx(dF, rel=1e-13)
+    assert float(rho.d2F(t, floor)) == pytest.approx(d2F, rel=1e-13)
 
 
 def test_regularized_problem_validation(p2, inst2, inst_oracle):
