@@ -187,10 +187,11 @@ def check_capacitary(u: RadialFunction, R: float, params: ProblemParams,
                      stationary: bool) -> tuple[DecayFit, list[CheckRecord]]:
     """Decay fit and pass/fail records of a unit-plateau capacitary profile.
 
-    ``u`` is pinned to 1 on the ball of radius ``R``.  The records:
-    ``capacitary-exponent``, the fitted tail exponent within 5 % of
-    beta_star; ``capacitary-plateau``, the scaled profile
-    ``u (r/R)^beta_star`` on [2R, R_max/2] at most 1.05 p^(1/(p-1));
+    ``u`` is pinned to 1 on the nodes r <= R, so its plateau ends at the
+    last of them, r_k.  The records: ``capacitary-exponent``, the fitted
+    tail exponent within 5 % of beta_star; ``capacitary-plateau``, the
+    scaled profile ``u (r/r_k)^beta_star`` on [2 r_k, R_max/2] at most
+    1.05 p^(1/(p-1));
     ``capacitary-monotone``, no rise above 1e-8 between neighbor nodes.
     A profile whose solve was not ``stationary`` (see
     :func:`capacitary_stationarity`) fails all three, whatever it
@@ -199,8 +200,9 @@ def check_capacitary(u: RadialFunction, R: float, params: ProblemParams,
     fit = fit_decay(u)
     dev = abs(fit.exponent - params.beta_star) / params.beta_star
     r = u.grid.nodes
-    sel = (r >= 2.0 * R) & (r <= u.grid.R_max / 2.0)
-    plateau = float((u.values[sel] * (r[sel] / R) ** params.beta_star).max())
+    r_k = float(r[r <= R].max())
+    sel = (r >= 2.0 * r_k) & (r <= u.grid.R_max / 2.0)
+    plateau = float((u.values[sel] * (r[sel] / r_k) ** params.beta_star).max())
     cap = 1.05 * params.p ** (1.0 / (params.p - 1.0))
     rise = float(np.diff(u.values).max())
     return fit, [

@@ -7,8 +7,9 @@ Subcommands:
     beta_star by default, where the constant crosses zero) and write the
     CSV table.
 ``capacitary --R X``
-    Solve the unit-plateau problem at radius R and check its decay
-    against the capacitary rate.
+    Solve the unit-plateau problem at radius R (the config's grid, with
+    its nodes r <= R pinned to 1) and check its decay against the
+    capacitary rate.
 ``solve-singular``
     Run the regularization continuation and write the limit profile.
 ``solve-full --kappa X``
@@ -103,7 +104,7 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
     from .solver import solve_capacitary
     params = cfg.params
     R = args.R
-    grid = cfg.build_grid(anchors=(1.0, R))
+    grid = cfg.build_grid()
     K = assemble(grid, params, cfg.quad)
     u = solve_capacitary(R, params, grid, K, tol=cfg.solver.tol)
     residual, miss = capacitary_stationarity(u, R, K, params, cfg.solver.tol)
@@ -219,7 +220,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     from .verify import VerifySettings, run_acceptance
     out = _out_dir(cfg, args)
     settings = VerifySettings(
-        R_max=cfg.grid.r_max, grading=cfg.grid.grading, M=cfg.grid.nodes,
+        R_max=cfg.grid.r_max, M=cfg.grid.nodes,
         M_coarse=max(32, cfg.grid.nodes // 2), M_fine=2 * cfg.grid.nodes,
         schedule_max_n=cfg.solver.schedule_max_n, tol=cfg.solver.tol,
         seed=cfg.seed)
@@ -240,7 +241,13 @@ def _cmd_plotdata(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     params = cfg.params
     u_bar, _, _ = _read_input(cfg, out, "u_bar", "solve-singular")
-    u_tilde, _, _ = _read_input(cfg, out, "u_tilde", "solve-full")
+    u_tilde, meta, _ = _read_input(cfg, out, "u_tilde", "solve-full")
+    # the growth term kappa t^r_exp enters u_tilde only, so u_bar is not
+    # refused on r_exp; the header holds repr(r_exp), None included
+    if meta["r_exp"] != repr(params.r_exp):
+        raise ConfigError(
+            f"u_tilde.csv was computed at r_exp={meta['r_exp']} but the "
+            f"config says r_exp={params.r_exp!r}; run solve-full again")
 
     lo, hi = decay_window(u_bar.grid)
     r = u_bar.grid.nodes
@@ -305,7 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacitary", help="solve the plateau problem")
     common(p)
     p.add_argument("--R", type=float, required=True,
-                   help="plateau radius (needs 0 < R < r_max/4)")
+                   help="plateau radius: the grid nodes r <= R are pinned "
+                        "to 1 (needs r_1 <= R < r_max/4, r_1 the first "
+                        "node after the origin)")
 
     p = sub.add_parser("solve-singular",
                        help="regularization continuation to the "

@@ -35,7 +35,6 @@ __all__ = ["GridSettings", "SolverSettings", "RunConfig",
 class GridSettings:
     r_max: float = 64.0
     nodes: int = 256
-    grading: float = 1.03
 
 
 @dataclass(frozen=True)
@@ -56,12 +55,10 @@ class RunConfig:
     output_dir: str
     seed: int
 
-    def build_grid(self, anchors: tuple[float, ...] = (1.0,)) -> RadialGrid:
-        """Grid for this run, with the tail decaying at beta_star."""
+    def build_grid(self) -> RadialGrid:
+        """The one grid of this run, with the tail decaying at beta_star."""
         return make_radial_grid(tail_exponent=self.params.beta_star,
-                                R_max=self.grid.r_max,
-                                M=self.grid.nodes, grading=self.grid.grading,
-                                anchors=anchors)
+                                R_max=self.grid.r_max, M=self.grid.nodes)
 
     def schedule(self) -> list[int]:
         # imported here: only a run that solves asks for its schedule,
@@ -109,7 +106,6 @@ _KEYS = {
     "kappa": (_parse_float, 0.0),
     "grid.r_max": (_parse_float, 64.0),
     "grid.nodes": (_parse_int, 256),
-    "grid.grading": (_parse_float, 1.03),
     "quad.nodes": (_parse_int, 24),
     "solver.tol": (_parse_float, 1e-8),
     "solver.schedule_max_n": (_parse_int, 128),
@@ -176,15 +172,11 @@ def parse_config(text: str) -> RunConfig:
             "kappa > 0 needs params.r_exp: the reaction a(x)(t^-gamma + "
             "kappa t^r) requires 1 < r < p-1, see (H_f)")
 
-    gs = GridSettings(r_max=values["grid.r_max"], nodes=values["grid.nodes"],
-                      grading=values["grid.grading"])
+    gs = GridSettings(r_max=values["grid.r_max"], nodes=values["grid.nodes"])
     if gs.r_max < 8.0:
         raise ConfigError(f"grid.r_max={gs.r_max!r}: need r_max >= 8")
     if gs.nodes < 16:
         raise ConfigError(f"grid.nodes={gs.nodes!r}: need at least 16")
-    if not 1.0 <= gs.grading <= 1.2:
-        raise ConfigError(
-            f"grid.grading={gs.grading!r}: need 1 <= grading <= 1.2")
 
     if values["quad.nodes"] < 4:
         raise ConfigError(f"quad.nodes={values['quad.nodes']!r}: too few")

@@ -11,7 +11,9 @@ the origin (where reaction terms are largest) and the far field (where
 decay rates are measured).  Cell widths follow ``h_i = h_0 g^i`` with
 ``h_0`` fixed by the domain radius; refining with ``g -> sqrt(g)`` and
 ``M -> 2M`` halves the local spacing everywhere, which is what the
-residual-convergence checks rely on.
+residual-convergence checks rely on.  The node nearest r = 1 is moved
+onto r = 1, so every grid has a node there: the plateau edge of the
+unit capacitary problem and the reference radius of the checks.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import DomainError, UsageError
 from .kernel import unit_ball_volume
 
 __all__ = [
+    "GRADING",
     "RadialGrid",
     "RadialFunction",
     "make_radial_grid",
@@ -32,6 +35,8 @@ __all__ = [
 
 _MIN_NODES = 16
 _MIN_RADIUS = 8.0
+# the growth factor of the cell widths of every configured grid
+GRADING = 1.03
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,15 +87,6 @@ class RadialGrid:
         shells = self.dual_midpoints ** N
         return V * np.diff(shells)
 
-    def index_of(self, r: float) -> int:
-        """Index of the node within 1e-9 max(r, 1) of ``r``, or UsageError."""
-        k = int(np.argmin(np.abs(self.nodes - r)))
-        if abs(self.nodes[k] - r) > 1e-9 * max(r, 1.0):
-            raise UsageError(
-                f"no grid node at r={r:g}; regenerate the grid with an "
-                f"anchor there (nearest node: {self.nodes[k]:g})")
-        return k
-
     @property
     def grid_hash(self) -> str:
         h = hashlib.sha256()
@@ -100,13 +96,8 @@ class RadialGrid:
 
 
 def make_radial_grid(tail_exponent: float, R_max: float = 64.0, M: int = 256,
-                     grading: float = 1.03,
-                     anchors: tuple[float, ...] = (1.0,)) -> RadialGrid:
-    """Geometric grid on [0, R_max] with nodes snapped onto ``anchors``.
-
-    Snapping moves the nearest node onto each anchor so that checks
-    evaluated "at r = 1" (or at a capacitary radius) hit an exact node.
-    """
+                     grading: float = GRADING) -> RadialGrid:
+    """Geometric grid on [0, R_max] with its node nearest r = 1 moved onto 1."""
     if M < _MIN_NODES:
         raise DomainError(f"M={M}: need at least {_MIN_NODES} cells")
     if R_max < _MIN_RADIUS:
@@ -120,12 +111,8 @@ def make_radial_grid(tail_exponent: float, R_max: float = 64.0, M: int = 256,
         h = h0 * grading ** np.arange(M)
     nodes = np.concatenate(([0.0], np.cumsum(h)))
     nodes[-1] = R_max
-    for anchor in anchors:
-        if not 0.0 < anchor < R_max:
-            raise DomainError(f"anchor {anchor:g} outside (0, R_max)")
-        k = int(np.argmin(np.abs(nodes - anchor)))
-        k = max(1, min(M - 1, k))
-        nodes[k] = anchor
+    k = int(np.argmin(np.abs(nodes - 1.0)))
+    nodes[max(1, min(M - 1, k))] = 1.0
     return RadialGrid(nodes=nodes, tail_exponent=float(tail_exponent))
 
 

@@ -538,19 +538,23 @@ def solve_capacitary(R: float, params: ProblemParams, grid: RadialGrid,
     capacitary potential whose decay rate separates the admissible
     window.  The constraint is eliminated (nodes with r <= R are fixed)
     and the remaining convex problem solved by the same damped Newton.
-    The minimizer is returned as solved, not clipped: the comparison
-    principle puts it in [0, 1].
+    R need not be a node: the solve is the one at the largest node
+    r_k <= R, bit for bit.  The minimizer is returned as solved, not
+    clipped: the comparison principle puts it in [0, 1].
     """
     if not 0.0 < R < grid.R_max / 4.0:
         raise UsageError(
             f"R={R:g}: the plateau radius must sit in (0, R_max/4) "
             f"= (0, {grid.R_max / 4.0:g}) to leave room for the decay")
-    k = grid.index_of(R)
+    k = int(np.searchsorted(grid.nodes, R, side="right")) - 1
+    if k == 0:
+        raise UsageError(
+            f"R={R:g} lies below the first node r_1 = {grid.nodes[1]:g} "
+            f"after the origin, so the plateau would hold the origin alone")
     free = np.ones(grid.nodes.size, dtype=bool)
     free[:k + 1] = False
     x0 = np.ones(grid.nodes.size)
-    with np.errstate(divide="ignore"):
-        decay = (grid.nodes[k + 1:] / R) ** -params.beta_star
+    decay = (grid.nodes[k + 1:] / grid.nodes[k]) ** -params.beta_star
     x0[k + 1:] = np.minimum(1.0, decay)
     pt, _ = _minimize(Functional(params, grid, K), x0, tol, free=free)
     return RadialFunction(grid, pt.vals)

@@ -25,7 +25,7 @@ from .analysis import (CheckRecord, VerificationReport,
                        check_decay_sandwich, comparison_check, decay_window,
                        fit_decay, fundamental_residual, harnack_ratio,
                        uniform_bound_check)
-from .grid import RadialFunction, make_radial_grid
+from .grid import GRADING, RadialFunction, make_radial_grid
 from .kernel import cross_check_p2, power_profile_constant
 from .operator import (_with_tail_exponent, assemble, energy_seminorm,
                        weak_residual)
@@ -53,7 +53,6 @@ class VerifySettings:
     """Grid sizes, schedules and tolerances for one acceptance run."""
 
     R_max: float = 64.0
-    grading: float = 1.03
     M: int = 256
     M_coarse: int = 128
     M_fine: int = 512
@@ -82,9 +81,8 @@ class _Battery:
         self._assemblies: dict = {}
 
     def matrix(self, params: ProblemParams, M: int, tail_exponent: float,
-               grading: float | None = None):
+               grading: float = GRADING):
         """The grid of M nodes with ``tail_exponent`` and its matrix."""
-        grading = self.st.grading if grading is None else grading
         tails = self._assemblies.setdefault(
             (M, grading, params.N, params.sp, params.p), {})
         if tail_exponent not in tails:
@@ -234,7 +232,7 @@ def _check_fundamental_profile(b: _Battery):
     # while taking the square root of the growth factor halves the local
     # spacing everywhere (at fixed grading the spacing near radius r
     # saturates at (grading - 1) * r, and extra nodes change nothing)
-    grading_fine = b.st.grading ** (b.st.M / b.st.M_fine)
+    grading_fine = GRADING ** (b.st.M / b.st.M_fine)
     gf, Kf = b.matrix(P2, b.st.M_fine, P2.beta_star, grading=grading_fine)
     res_fine = fundamental_residual(P2.beta_star, P2, gf, Kf)
     ratio = res / res_fine if res_fine > 0.0 else float("inf")

@@ -175,3 +175,11 @@ def test_criterion_11_comparison_principle(report):
     neg = by_name["comparison-negative"]
     assert neg.passed, "the corrupted pair must be reported as a failure"
     assert any("negative comparison pair" in n for n in report.notes)
+
+
+def test_battery_size(report):
+    """30 checks under distinct names.  The per-criterion counts above add
+    up to this; a change of the count is a stated contract change."""
+    names = [c.name for c in report.checks]
+    assert len(names) == 30
+    assert len(set(names)) == len(names)

@@ -30,7 +30,6 @@ params.gamma = 0.5
 params.r_exp = 1.2
 grid.r_max = 64
 grid.nodes = 48
-grid.grading = 1.06
 solver.tol = 1e-8
 solver.schedule_max_n = 16
 kappa = 0.5
@@ -125,10 +124,40 @@ def test_smallest_box_runs_capacitary_and_plotdata(tmp_path, capsys):
         assert fh.readline() == "# log-log decay data window=[1.0,4.0]\n"
 
 
-def test_capacitary_radius_validated(workdir):
+def test_capacitary_solves_on_the_config_grid(workdir, tmp_path):
+    # r = 2 is no node of the grid: the step keeps the config's one grid
+    # and pins its nodes r <= 2, so the profile lies on u_bar.csv's grid
     assert main(["capacitary", "--config", workdir["cfg"],
-                 "--out", os.path.join(workdir["out"], "caperr"),
-                 "--R", "20"]) == 2
+                 "--out", str(tmp_path), "--R", "2"]) == 0
+    u, meta = read_solution_csv(str(tmp_path / "capacitary_R2.csv"))
+    _, bar = read_solution_csv(os.path.join(workdir["out"], "u_bar.csv"))
+    assert meta["grid_hash"] == bar["grid_hash"]
+    r = u.grid.nodes
+    assert 2.0 not in r
+    np.testing.assert_array_equal(u.values[r <= 2.0], 1.0)
+    assert np.all(u.values[r > 2.0] < 1.0)
+
+
+def test_grading_key_is_refused(tmp_path, capsys):
+    # a config fixes one grid, so its grading is no setting: every step
+    # refuses the key before it computes anything
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.format(out=tmp_path / "out")
+                   + "grid.grading = 1.03\n")
+    for argv in (["kernel-table"], ["capacitary", "--R", "1"],
+                 ["solve-singular"], ["verify"]):
+        assert main(argv + ["--config", str(cfg)]) == 2, argv[0]
+        assert "unknown key 'grid.grading'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_capacitary_radius_validated(workdir):
+    # r_max/4 = 16 leaves no room for the decay; the first node after the
+    # origin of this grid lies at 0.61, so r = 0.3 would pin the origin alone
+    for R in ("20", "0.3"):
+        assert main(["capacitary", "--config", workdir["cfg"],
+                     "--out", os.path.join(workdir["out"], "caperr"),
+                     "--R", R]) == 2, R
 
 
 def test_singular_csv_roundtrip(workdir):
@@ -266,6 +295,34 @@ def test_inputs_of_another_run_are_refused(workdir, tmp_path, capsys, edit,
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error (plotdata): u_bar.csv") and named in err
+
+
+@pytest.mark.parametrize("edit, stored", [
+    (lambda text: text.replace("params.r_exp = 1.2", "params.r_exp = 1.1"),
+     "1.1"),
+    # without a growth exponent the config needs kappa = 0
+    (lambda text: text.replace("params.r_exp = 1.2\n", "")
+     .replace("kappa = 0.5", "kappa = 0"), "None"),
+], ids=["1.1", "None"])
+def test_plotdata_refuses_a_u_tilde_of_another_r_exp(workdir, tmp_path,
+                                                     capsys, edit, stored):
+    # the growth term kappa t^r_exp enters the truncated problem only: a
+    # u_tilde.csv solved under another r_exp is refused, and the u_bar.csv
+    # beside it, solved under that r_exp too, is not
+    other = tmp_path / "other.cfg"
+    other.write_text(edit(SMALL_CFG.format(out=tmp_path)))
+    assert main(["solve-singular", "--config", str(other)]) == 0
+    assert main(["solve-full", "--config", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["plotdata", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error (plotdata): u_tilde.csv was computed at r_exp={stored} but "
+        "the config says r_exp=1.2; run solve-full again")
+    assert not (tmp_path / "loglog.csv").exists()
+    shutil.copy(os.path.join(workdir["out"], "u_tilde.csv"), tmp_path)
+    assert main(["plotdata", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_closed_stdout_costs_no_file_and_no_exit_code(workdir, tmp_path):
@@ -485,7 +542,7 @@ def test_non_finite_setting_is_a_usage_error(tmp_path, capsys):
                                                      "solver.tol = inf"))
     assert main(["solve-singular", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "line 9: solver.tol = 'inf'" in err
+    assert "line 8: solver.tol = 'inf'" in err
     assert not out.exists()
 
 

@@ -2,12 +2,12 @@
 
 import re
 
-import numpy as np
 import pytest
 
 from fracp.config import (GridSettings, RunConfig, SolverSettings,
                           parse_config, read_config)
 from fracp.errors import ConfigError
+from fracp.grid import make_radial_grid
 
 REQUIRED = """\
 params.N = 3
@@ -26,7 +26,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.params.alpha == pytest.approx(mid, rel=0, abs=0)
     assert cfg.params.r_exp is None
     assert cfg.kappa == 0.0
-    assert cfg.grid == GridSettings(r_max=64.0, nodes=256, grading=1.03)
+    assert cfg.grid == GridSettings(r_max=64.0, nodes=256)
     assert cfg.solver == SolverSettings(tol=1e-8, schedule_max_n=128)
     assert cfg.output_dir == "out"
     assert cfg.seed == 20240817
@@ -38,7 +38,6 @@ params.r_exp = 1.2
 params.alpha = none
 kappa = 0.5
 grid.nodes = 128
-grid.grading = 1.05
 solver.tol = 1e-9
 output_dir = results
 seed = 11
@@ -105,7 +104,7 @@ def test_bad_literal_reports_line_and_key():
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", [
     "params.s", "params.p", "params.gamma", "params.alpha", "params.c_a",
-    "params.r_exp", "kappa", "grid.r_max", "grid.grading", "solver.tol",
+    "params.r_exp", "kappa", "grid.r_max", "solver.tol",
     # integer keys parse through the same float literal
     "params.N", "grid.nodes", "quad.nodes", "solver.schedule_max_n", "seed"])
 def test_non_finite_value_reports_line_and_key(key, value):
@@ -132,7 +131,8 @@ def test_kappa_bounds_and_growth_requirement():
 @pytest.mark.parametrize("line,fragment", [
     ("grid.r_max = 4", "r_max >= 8"),
     ("grid.nodes = 8", "at least 16"),
-    ("grid.grading = 1.5", "1 <= grading <= 1.2"),
+    # a config fixes one grid: its grading is not a setting
+    ("grid.grading = 1.5", "unknown key"),
     ("quad.nodes = 2", "too few"),
     # the fixed quadrature rule has no tolerance and no refinement rounds
     ("quad.tol = 0", "unknown key"),
@@ -154,9 +154,11 @@ def test_build_grid_defaults_to_capacitary_rate():
     assert g.tail_exponent == pytest.approx(cfg.params.beta_star)
     assert g.R_max == 64.0
     assert g.nodes.size == 33  # M interior steps plus the origin node
-    g2 = cfg.build_grid(anchors=(1.0, 2.0))
-    assert g2.tail_exponent == g.tail_exponent
-    assert np.abs(g2.nodes - 2.0).min() <= 1e-12
+    # the config's one grid: grading 1.03 with its node nearest 1 on 1
+    ref = make_radial_grid(tail_exponent=cfg.params.beta_star, R_max=64.0,
+                           M=32, grading=1.03)
+    assert g.grid_hash == ref.grid_hash
+    assert 1.0 in g.nodes
 
 
 def test_schedule_doubles_up_to_cap():

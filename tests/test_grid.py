@@ -25,12 +25,19 @@ def test_make_default():
 
 
 def test_anchor_snapping():
-    g = make_radial_grid(tail_exponent=2.0, anchors=(1.0, 4.0))
-    assert 1.0 in g.nodes
-    assert 4.0 in g.nodes
-    assert g.index_of(1.0) == int(np.where(g.nodes == 1.0)[0][0])
-    with pytest.raises(UsageError):
-        g.index_of(3.97)
+    # every grid has a node at r = 1: the one nearest 1 is moved onto it,
+    # and no other node moves
+    for M, grading in ((16, 1.2), (48, 1.06), (128, 1.03), (256, 1.03),
+                       (512, math.sqrt(1.03))):
+        g = make_radial_grid(tail_exponent=2.0, M=M, grading=grading)
+        k = int(np.flatnonzero(g.nodes == 1.0)[0])
+        h0 = 64.0 * (grading - 1.0) / (grading**M - 1.0)
+        free = np.concatenate(([0.0],
+                               np.cumsum(h0 * grading ** np.arange(M))))
+        free[-1] = 64.0
+        assert k == int(np.argmin(np.abs(free - 1.0))), M
+        np.testing.assert_array_equal(np.delete(g.nodes, k),
+                                      np.delete(free, k))
 
 
 def test_refinement_halves_spacing():
@@ -43,8 +50,7 @@ def test_refinement_halves_spacing():
 
 
 def test_uniform_grading():
-    g = make_radial_grid(tail_exponent=0.0, R_max=16.0, M=16, grading=1.0,
-                         anchors=())
+    g = make_radial_grid(tail_exponent=0.0, R_max=16.0, M=16, grading=1.0)
     np.testing.assert_allclose(g.widths, 1.0, rtol=1e-14)
 
 
@@ -57,8 +63,6 @@ def test_invariants():
         make_radial_grid(tail_exponent=-1.0)
     with pytest.raises(DomainError):
         make_radial_grid(tail_exponent=2.0, grading=0.9)
-    with pytest.raises(DomainError):
-        make_radial_grid(tail_exponent=2.0, anchors=(100.0,))
     with pytest.raises(DomainError):
         RadialGrid(nodes=np.linspace(1.0, 9.0, 33), tail_exponent=1.0)
     with pytest.raises(DomainError):

@@ -1368,6 +1368,18 @@ def _family_loads(grid, N, s, sigma):
     return coef * loads
 
 
+def _nested_grid(M, tail_exponent):
+    """The geometric grid of M cells and grading 1.03^{256/M} on
+    [0, 64], with no node moved onto r = 1, so that these grids are
+    nested in spacing: the nodes ``make_radial_grid`` lays before its
+    snap."""
+    g = 1.03 ** (256 / M)
+    h0 = 64.0 * (g - 1.0) / (g**M - 1.0)
+    nodes = np.concatenate(([0.0], np.cumsum(h0 * g ** np.arange(M))))
+    nodes[-1] = 64.0
+    return RadialGrid(nodes=nodes, tail_exponent=tail_exponent)
+
+
 # sigma / sigma_b of the family members other than the bubble
 FAMILY = (0.6, 0.8, 1.25, 1.6)
 # per (N, s), the bubble's bounds on its worst relative deviation on
@@ -1407,8 +1419,7 @@ def test_assembled_operator_matches_the_sobolev_bubble(N, s, bounds):
         K = None
         for q in (1.0,) + FAMILY:
             sigma = q * sigma_b
-            grid = make_radial_grid(tail_exponent=2 * sigma, R_max=64.0, M=M,
-                                    grading=1.03 ** (256 / M), anchors=())
+            grid = _nested_grid(M, 2 * sigma)
             K = op.assemble(grid, params) if K is None \
                 else op._with_tail_exponent(K, grid)
             u = RadialFunction(grid, (1.0 + grid.nodes ** 2) ** -sigma)
@@ -1481,8 +1492,7 @@ def test_assembled_operator_matches_the_strong_form(p, bounds):
 
     errors = {c: [] for c in (1.0, 1.01, 0.99)}
     for M in (256, 512):
-        grid = make_radial_grid(tail_exponent=2 * sigma, R_max=64.0, M=M,
-                                grading=1.03 ** (256 / M), anchors=())
+        grid = _nested_grid(M, 2 * sigma)
         r = grid.nodes
         which = [int(np.argmin(np.abs(r - x))) for x in (0.3, 1, 3, 8, 15)]
         assert r[which].max() <= grid.R_max / 4

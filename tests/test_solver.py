@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from fracp.analysis import write_solution_csv
+from fracp.analysis import check_capacitary, write_solution_csv
 from fracp.config import SolverSettings
 from fracp.errors import DomainError, UsageError
 from fracp.grid import RadialGrid, RadialFunction, make_radial_grid
@@ -301,7 +301,7 @@ def test_capacitary_newton_steps_solve_the_free_block(p2, inst2,
 
     monkeypatch.setattr(sv, "_solve_newton_step", step)
     sv.solve_capacitary(1.0, p2, grid, K, tol=1e-9)
-    n_free = grid.nodes.size - grid.index_of(1.0) - 1
+    n_free = int((grid.nodes > 1.0).sum())
     assert seen
     for H0, g, d in seen:
         assert H0.shape == (n_free, n_free)
@@ -586,8 +586,7 @@ def test_pure_singular_energy_ratio(p2, inst2):
 def test_capacitary_profile(p2, inst2):
     grid, K = inst2
     u = sv.solve_capacitary(1.0, p2, grid, K, 1e-9)
-    k = grid.index_of(1.0)
-    np.testing.assert_array_equal(u.values[:k + 1], 1.0)
+    np.testing.assert_array_equal(u.values[grid.nodes <= 1.0], 1.0)
     assert float(np.diff(u.values).max()) <= 1e-8
     assert u.values.min() >= 0.0 and u.values.max() <= 1.0
     win = (grid.nodes >= 2.0) & (grid.nodes <= grid.R_max / 2.0)
@@ -612,14 +611,34 @@ def test_capacitary_potential_lies_in_the_unit_interval(which, request):
     assert u.values[-1] > 0.0
 
 
+def test_capacitary_plateau_between_nodes(p2, inst2):
+    # R need not be a node: the nodes r <= R are pinned, so the solve is
+    # the one at the largest node below R, to the last bit
+    grid, K = inst2
+    R = 1.37
+    k = int(np.searchsorted(grid.nodes, R)) - 1
+    assert grid.nodes[k] < R < grid.nodes[k + 1]
+    u = sv.solve_capacitary(R, p2, grid, K, 1e-9)
+    np.testing.assert_array_equal(u.values[:k + 1], 1.0)
+    assert np.all(u.values[k + 1:] < 1.0)
+    at_node = sv.solve_capacitary(float(grid.nodes[k]), p2, grid, K, 1e-9)
+    assert u.values.tobytes() == at_node.values.tobytes()
+    # so its checks measure the plateau that the solve pinned
+    assert (check_capacitary(u, R, p2, stationary=True)
+            == check_capacitary(at_node, grid.nodes[k], p2, stationary=True))
+    assert float(np.diff(u.values).max()) <= 0.0
+    assert u.values.min() >= 0.0
+
+
 def test_capacitary_validation(p2, inst2):
     grid, K = inst2
-    with pytest.raises(UsageError):
-        sv.solve_capacitary(1.37, p2, grid, K, 1e-9)      # no node there
     with pytest.raises(UsageError):
         sv.solve_capacitary(grid.R_max / 2.0, p2, grid, K, 1e-9)
     with pytest.raises(UsageError):
         sv.solve_capacitary(-1.0, p2, grid, K, 1e-9)
+    # below the first node after the origin no plateau node is left
+    with pytest.raises(UsageError, match="below the first node"):
+        sv.solve_capacitary(0.5 * grid.nodes[1], p2, grid, K, 1e-9)
 
 
 def test_truncated_rhs_values(p25, p2, inst25, inst2):
