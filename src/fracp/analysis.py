@@ -30,7 +30,6 @@ from .grid import RadialFunction, RadialGrid
 from .kernel import power_profile_constant, profile_window, unit_sphere_area
 from .operator import KernelMatrix, energy_seminorm, weak_residual, weight_a
 from .params import ProblemParams
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "DecayFit",
@@ -256,7 +255,7 @@ def fundamental_residual(beta: float, params: ProblemParams,
     values of every pair and tail contribution), which makes the figure
     scale-free; at ``beta = beta_star`` the constant vanishes and the
     figure directly measures discretization quality.  ``C(beta)`` is
-    integrated with the default :class:`QuadratureSpec`.
+    integrated at the default Gauss order.
 
     The grid's tail extension must decay at the same rate ``beta``,
     otherwise the exterior coupling would compare against the wrong
@@ -281,7 +280,7 @@ def fundamental_residual(beta: float, params: ProblemParams,
     v = RadialFunction(grid, vals)
     res = weak_residual(v, K, params)
 
-    C = power_profile_constant(beta, params, QuadratureSpec())
+    C = power_profile_constant(beta, params)
     S = unit_sphere_area(params.N - 1)
     e = params.N - 1.0 - beta * (params.p - 1.0) - params.sp
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, DomainError
 from .grid import RadialGrid, make_radial_grid
 from .params import ProblemParams
-from .quadrature import QuadratureSpec
+from .quadrature import NODES
 
 __all__ = ["GridSettings", "SolverSettings", "RunConfig",
            "parse_config", "read_config"]
@@ -33,14 +33,14 @@ __all__ = ["GridSettings", "SolverSettings", "RunConfig",
 
 @dataclass(frozen=True)
 class GridSettings:
-    r_max: float = 64.0
-    nodes: int = 256
+    r_max: float
+    nodes: int
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    tol: float = 1e-8
-    schedule_max_n: int = 128
+    tol: float
+    schedule_max_n: int
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class RunConfig:
 
     params: ProblemParams
     grid: GridSettings
-    quad: QuadratureSpec
+    quad: int
     solver: SolverSettings
     kappa: float
     output_dir: str
@@ -106,7 +106,7 @@ _KEYS = {
     "kappa": (_parse_float, 0.0),
     "grid.r_max": (_parse_float, 64.0),
     "grid.nodes": (_parse_int, 256),
-    "quad.nodes": (_parse_int, 24),
+    "quad.nodes": (_parse_int, NODES),
     "solver.tol": (_parse_float, 1e-8),
     "solver.schedule_max_n": (_parse_int, 128),
     "output_dir": (_parse_str, "out"),
@@ -178,9 +178,9 @@ def parse_config(text: str) -> RunConfig:
     if gs.nodes < 16:
         raise ConfigError(f"grid.nodes={gs.nodes!r}: need at least 16")
 
-    if values["quad.nodes"] < 4:
-        raise ConfigError(f"quad.nodes={values['quad.nodes']!r}: too few")
-    quad = QuadratureSpec(nodes=values["quad.nodes"])
+    quad = values["quad.nodes"]
+    if quad < 4:
+        raise ConfigError(f"quad.nodes={quad!r}: too few")
 
     ss = SolverSettings(tol=values["solver.tol"],
                         schedule_max_n=values["solver.schedule_max_n"])

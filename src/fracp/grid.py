@@ -135,13 +135,3 @@ class RadialFunction:
     def tail_amplitude(self) -> float:
         """Coefficient A with u(r) = A r^{-tail_exponent} for r > R_max."""
         return float(self.values[-1]) * self.grid.R_max ** self.grid.tail_exponent
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.interp(r, self.grid.nodes, self.values)
-        beyond = r > self.grid.R_max
-        if np.any(beyond):
-            ratio = np.asarray(r, dtype=float)[beyond] / self.grid.R_max
-            out = np.array(out, copy=True)
-            out[beyond] = self.values[-1] * ratio ** -self.grid.tail_exponent
-        return out if out.ndim else float(out)

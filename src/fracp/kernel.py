@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import DomainError
 from .params import ProblemParams
-from .quadrature import QuadratureSpec, QuadResult, graded_points, integrate
+from .quadrature import NODES, QuadResult, graded_points, integrate
 
 __all__ = [
     "unit_sphere_area",
@@ -470,7 +470,7 @@ _UNIT_POINTS = tuple(
 
 
 def power_profile_result(beta: float, params: ProblemParams,
-                         quad: QuadratureSpec) -> QuadResult:
+                         quad_nodes: int = NODES) -> QuadResult:
     """C(beta) with the quadrature's error estimate and node count.
 
     The angular factor comes from the cached :class:`PhiTable`.  The
@@ -495,16 +495,16 @@ def power_profile_result(beta: float, params: ProblemParams,
                 * (-np.expm1(beta * np.log(rho))) ** (p - 1.0)
                 * phi(rho))
 
-    res = integrate(f, _UNIT_POINTS, quad,
+    res = integrate(f, _UNIT_POINTS, quad_nodes,
                     lo_exponent=sp - 1.0 + min(e1, 0.0),
                     hi_exponent=p - nu)
     return QuadResult(2.0 * res.value, res.rel_err, res.n_evals)
 
 
 def power_profile_constant(beta: float, params: ProblemParams,
-                           quad: QuadratureSpec) -> float:
+                           quad_nodes: int = NODES) -> float:
     """The constant C(beta); zero exactly at beta_star by construction."""
-    return power_profile_result(beta, params, quad).value
+    return power_profile_result(beta, params, quad_nodes).value
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +582,9 @@ def cross_check_p2(N: int, s: float) -> CrossCheckResult:
     """Compare C(beta) against the p = 2 closed form on a beta ladder.
 
     The ladder holds ``_LADDER_POINTS`` rates evenly spaced inside
-    ((N - sp)/p, beta_star), each C(beta) integrated with the default
-    :class:`QuadratureSpec`.  The middle ladder point fixes the
-    multiplicative calibration.  The other points must then agree to
+    ((N - sp)/p, beta_star), each C(beta) integrated at the default
+    Gauss order.  The middle ladder point fixes the multiplicative
+    calibration.  The other points must then agree to
     1e-4 relative (the shape), and the calibration must equal the
     closed-form 2 / riesz_normalization(N, s) to 1e-8 relative (the
     constant, which also pins the angular exponent a = (N - 3)/2).  A
@@ -593,7 +593,6 @@ def cross_check_p2(N: int, s: float) -> CrossCheckResult:
     supersolutions does not anticipate, so it is flagged rather than
     used downstream).
     """
-    quad = QuadratureSpec()
     params = ProblemParams.kernel_only(N, s, 2.0)
     beta_star = params.beta_star
     lo, hi_w = profile_window(params)
@@ -604,12 +603,12 @@ def cross_check_p2(N: int, s: float) -> CrossCheckResult:
     lam_probe = riesz_power_constant(probe_beta, N, s)
     theory = 2.0 / riesz_normalization(N, s)
 
-    vals = [power_profile_constant(b, params, quad) for b in ladder]
+    vals = [power_profile_constant(b, params) for b in ladder]
     mid = _LADDER_POINTS // 2
     calib = vals[mid] / lam[mid]
     max_dev = max(abs(v - calib * l) / abs(calib * l)
                   for v, l in zip(vals, lam))
-    probe = power_profile_constant(probe_beta, params, quad)
+    probe = power_profile_constant(probe_beta, params)
     res = CrossCheckResult(
         calibration=calib, theory_calibration=theory, max_rel_dev=max_dev,
         probe_value=probe, riesz_probe=lam_probe, notes=[],
@@ -638,11 +637,12 @@ def cross_check_p2(N: int, s: float) -> CrossCheckResult:
 # Golden tables
 # ---------------------------------------------------------------------------
 
-def profile_table_rows(params: ProblemParams, betas, quad: QuadratureSpec):
+def profile_table_rows(params: ProblemParams, betas,
+                       quad_nodes: int = NODES):
     """Rows (beta, c_beta, rel_err, quad_nodes) for a beta sweep."""
     rows = []
     for beta in betas:
-        res = power_profile_result(beta, params, quad)
+        res = power_profile_result(beta, params, quad_nodes)
         rows.append((float(beta), res.value, res.rel_err, res.n_evals))
     return rows
 

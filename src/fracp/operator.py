@@ -114,7 +114,7 @@ from .kernel import (
 )
 from .params import ProblemParams
 from .quadrature import (
-    QuadratureSpec,
+    NODES,
     _graded_rows,
     _panel_rules,
     gauss_jacobi_01,
@@ -776,9 +776,10 @@ def _pair_corrections(r, h, N, nu, S, table, mass_shared, mass_last,
 
 def _tail_columns(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l, wxi_l,
                   n_hat=6):
-    """The exterior coupling W as its two blocks, zero outside them:
-    the shared columns ``xi_s`` over rows 0..M-1 and the last cell's
-    columns ``xi_l`` over rows M-1 and M.
+    """The exterior coupling W as its two blocks, zero outside them,
+    each as (first row, samples, weights): the shared columns ``xi_s``
+    over rows 0..M-1 and the last cell's columns ``xi_l`` over rows M-1
+    and M.
 
     Interior cells couple through the shared Jacobi rule; the outermost
     cell sees the kernel edge as xi -> 1, so it uses the graded xi rule
@@ -826,16 +827,16 @@ def _tail_columns(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l, wxi_l,
         frac = (xg - r[a]) / ha
         Wa[rows] = (val * (1.0 - frac)).sum(axis=(1, 2))
         Wb[rows] = (val * frac).sum(axis=(1, 2))
-    return shared, last
+    return (0, xi_s, shared), (a, xi_l, last)
 
 
-def _tail_profile(grid, N, sp, p, xis, quad=None):
+def _tail_profile(grid, N, sp, p, xis, quad_nodes=NODES):
     """What a KernelMatrix holds that depends on the grid's tail
     exponent bt: the profile values g = xi^bt of the tail blocks, one
     array per array of samples in ``xis``, and the tail self-energy
     coefficient 2 S R^{N-sp}/(p bt + sp - N) * profile integral
     (``tail_self``).  The profile integral takes C(beta)'s fixed rule on
-    the same breakpoints (``kernel._UNIT_POINTS``), at ``quad.nodes``
+    the same breakpoints (``kernel._UNIT_POINTS``), at ``quad_nodes``
     per panel (24 by default).  The weights and samples depend on the
     nodes alone.
     """
@@ -857,7 +858,7 @@ def _tail_profile(grid, N, sp, p, xis, quad=None):
                 * (-np.expm1(bt * np.log(tau))) ** p
                 * table.phi(tau))
 
-    res = integrate(f, _UNIT_POINTS, quad or QuadratureSpec(),
+    res = integrate(f, _UNIT_POINTS, quad_nodes,
                     lo_exponent=sp - 1.0, hi_exponent=p - table.nu)
     S = unit_sphere_area(N - 1)
     return gs, 2.0 * S * grid.R_max ** (N - sp) / pw * res.value
@@ -870,7 +871,7 @@ def _with_tail_exponent(K: KernelMatrix, grid: RadialGrid) -> KernelMatrix:
     (:func:`_tail_profile`, whose self-energy integral is one fixed rule
     with no refinement rounds); every other field, the arrays included,
     is K's.  The result equals, bit for bit, what :func:`assemble` builds
-    on ``grid`` with the default :class:`QuadratureSpec`.
+    on ``grid`` at the default Gauss order.
     """
     if not np.array_equal(grid.nodes, K.grid.nodes):
         raise UsageError("the grid's nodes differ from the ones the kernel "
@@ -882,12 +883,14 @@ def _with_tail_exponent(K: KernelMatrix, grid: RadialGrid) -> KernelMatrix:
 
 
 def assemble(grid: RadialGrid, params: ProblemParams,
-             quad: QuadratureSpec | None = None) -> KernelMatrix:
+             quad_nodes: int = NODES) -> KernelMatrix:
     """Assemble the pair weights for one grid and parameter set.
 
     The angular profile is the reduction validated by the closed-form
-    p = 2 cross-check in :mod:`fracp.kernel`.  The returned matrix is
-    symmetric, nonnegative, and deterministic for fixed inputs.  Raises
+    p = 2 cross-check in :mod:`fracp.kernel`; ``quad_nodes`` is the
+    per-panel Gauss order of the tail self-energy integral
+    (:func:`_tail_profile`).  The returned matrix is symmetric,
+    nonnegative, and deterministic for fixed inputs.  Raises
     :class:`ConvergenceError` when the elevated-order verification pass
     disagrees with the production pass by more than 1e-5 or not finitely
     on any block, naming the offending cell pair, and :class:`FracpError`
@@ -905,7 +908,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     xi_l, wxi_l = _last_cell_xi_rule(sp)
     # first, so that a divergent tail self-energy is refused before any
     # assembly work
-    gs, tail_self = _tail_profile(grid, N, sp, p, (xi_s, xi_l), quad)
+    gs, tail_self = _tail_profile(grid, N, sp, p, (xi_s, xi_l), quad_nodes)
 
     Kmat = np.zeros((M + 1, M + 1))
     idx = np.arange(M)
@@ -962,7 +965,8 @@ def assemble(grid: RadialGrid, params: ProblemParams,
     capped = np.maximum(V - pre_sub, 0.0)
     Kmat[idx, idx + 1] = pre_sub - V_applied
 
-    W = _tail_columns(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l, wxi_l)
+    blocks = _tail_columns(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l,
+                           wxi_l)
 
     # a NaN fails every comparison: only finite nonnegative weights pass
     if not 0.0 <= Kmat.min() <= Kmat.max() < np.inf:
@@ -976,7 +980,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
     dev, worst = _verification_pass(
         r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw, checks, check_sums,
-        V_applied, pre_sub, W, (xi_s, xi_l))
+        V_applied, pre_sub, blocks)
     if dev > _SELF_CHECK_TOL:
         raise ConvergenceError(
             f"assembly verification failed: relative deviation {dev:.2e} "
@@ -992,8 +996,8 @@ def assemble(grid: RadialGrid, params: ProblemParams,
         sp=sp,
         p=p,
         weights=Kmat,
-        tail=tuple(TailBlock(start, xi, g, w) for start, xi, g, w
-                   in zip((0, M - 1), (xi_s, xi_l), gs, W)),
+        tail=tuple(TailBlock(start, xi, g, W)
+                   for (start, xi, W), g in zip(blocks, gs)),
         tail_self=tail_self,
         assembly_error=dev,
         adjacent_clips=int(np.count_nonzero(floored)),
@@ -1004,7 +1008,7 @@ def assemble(grid: RadialGrid, params: ProblemParams,
 
 
 def _verification_pass(r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw,
-                       checks, check_sums, V, pre_sub, W, xis):
+                       checks, check_sums, V, pre_sub, tail_blocks):
     """Re-integrate every block at elevated order; return the worst
     relative deviation and the cell pair it occurred at.
 
@@ -1054,11 +1058,11 @@ def _verification_pass(r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw,
 
     # exterior coupling: compare rule-independent row functionals (total
     # mass and a curvature-weighted mass) between the two xi rules
-    W2 = _tail_columns(r, h, N, sp, S, table, R, xi_s2, wxi_s2,
-                       xi_l2, wxi_l2, n_hat=10)
+    tail_blocks2 = _tail_columns(r, h, N, sp, S, table, R, xi_s2, wxi_s2,
+                                 xi_l2, wxi_l2, n_hat=10)
     for g_pow in (0.0, 2.0):
-        f1 = _tail_row_sums(W, xis, g_pow)
-        f2 = _tail_row_sums(W2, (xi_s2, xi_l2), g_pow)
+        f1 = _tail_row_sums(tail_blocks, g_pow)
+        f2 = _tail_row_sums(tail_blocks2, g_pow)
         blocks.append((np.abs(f2 - f1) / max(float(np.nanmax(f1)), 1e-300),
                        idx, np.full(M + 1, M + 1)))
 
@@ -1071,14 +1075,12 @@ def _verification_pass(r, h, N, sp, p, nu, S, table, R, same, Aw, Bw, Cw,
     return dev, worst
 
 
-def _tail_row_sums(Ws, xis, g_pow):
-    """sum_q W_iq xi_q^g_pow for every node, from the weights ``Ws`` and
-    samples ``xis`` of the two blocks of :func:`_tail_columns`: each
-    block's row sums added into the rows it covers, the shared block's
-    rows 0..M-1, then the last cell's rows M-1 and M."""
-    M = Ws[0].shape[0]
-    out = np.zeros(M + 1)
-    for start, W, xi in zip((0, M - 1), Ws, xis):
+def _tail_row_sums(blocks, g_pow):
+    """sum_q W_iq xi_q^g_pow for every node, from the blocks of
+    :func:`_tail_columns`: each block's row sums added into the rows it
+    covers, in order."""
+    out = np.zeros(max(start + W.shape[0] for start, _, W in blocks))
+    for start, xi, W in blocks:
         out[start:start + W.shape[0]] += (W * xi ** g_pow).sum(axis=1)
     return out
 

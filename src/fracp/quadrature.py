@@ -28,7 +28,6 @@ on the three-term recurrence).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "QuadratureSpec",
+    "NODES",
     "QuadResult",
     "gauss_legendre_01",
     "gauss_jacobi_01",
@@ -49,17 +48,9 @@ __all__ = [
 # relative error estimate :func:`integrate` accepts
 _REL_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """The per-panel Gauss order ``nodes`` of :func:`integrate`; its
-    error estimate compares the rule against twice that order."""
-
-    nodes: int = 24
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise DomainError(f"nodes={self.nodes}: need at least 2 per panel")
+# the default per-panel Gauss order of :func:`integrate`; its error
+# estimate compares the rule against twice that order
+NODES = 24
 
 
 class QuadResult(NamedTuple):
@@ -263,7 +254,7 @@ def _panel_rules(pts: np.ndarray, m: int, lo_exp: float = 0.0,
 
 def integrate(f: Callable[[np.ndarray], np.ndarray],
               points: Sequence[float],
-              spec: QuadratureSpec,
+              nodes: int = NODES,
               *,
               lo_exponent: float = 0.0,
               hi_exponent: float = 0.0) -> QuadResult:
@@ -275,7 +266,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
     ``f`` must accept a node array and return values of the same shape,
     and it must be pointwise: each value depends on its own node only.
     ``f`` is called once, on the n- and 2n-point nodes of every panel
-    (n = ``spec.nodes``); the result is the 2n-point value, and its
+    (n = ``nodes``, at least 2); the result is the 2n-point value, and its
     error estimate is the summed n-versus-2n difference of the panels.
 
     Raises ConvergenceError (carrying the value and the estimate) when
@@ -288,15 +279,16 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
         raise DomainError("breakpoints must be strictly increasing")
     if lo_exponent <= -1.0 or hi_exponent <= -1.0:
         raise DomainError("endpoint exponents must exceed -1")
+    if nodes < 2:
+        raise DomainError(f"nodes={nodes}: need at least 2 per panel")
 
-    n = spec.nodes
     (xc, wc), (xf, wf) = (_panel_rules(pts, m, lo_exponent, hi_exponent)
-                          for m in (n, 2 * n))
+                          for m in (nodes, 2 * nodes))
     # panel by panel, its n nodes and then its 2n nodes
     x = np.concatenate([xc, xf], axis=1)
     fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    coarse = [float(np.dot(w, v)) for w, v in zip(wc, fx[:, :n])]
-    fine = [float(np.dot(w, v)) for w, v in zip(wf, fx[:, n:])]
+    coarse = [float(np.dot(w, v)) for w, v in zip(wc, fx[:, :nodes])]
+    fine = [float(np.dot(w, v)) for w, v in zip(wf, fx[:, nodes:])]
     total = sum(fine)
     err = sum(abs(v - c) for c, v in zip(coarse, fine))
     sum_abs = sum(map(abs, fine))
@@ -305,7 +297,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray],
         return QuadResult(total, rel_err, x.size)
     raise ConvergenceError(
         f"quadrature missed its error target: estimated relative error "
-        f"{rel_err:.3e} (target {_REL_TOL:.1e}) with {n} and {2 * n} "
+        f"{rel_err:.3e} (target {_REL_TOL:.1e}) with {nodes} and {2 * nodes} "
         f"nodes on each of {len(x)} panels",
         best=total,
         estimate=err,

@@ -53,7 +53,6 @@ from .params import ProblemParams
 from .quadrature import gauss_jacobi_01
 
 __all__ = [
-    "A_primitive",
     "Functional",
     "RegularizedProblem",
     "TruncatedProblem",
@@ -147,18 +146,6 @@ class _Reaction:
         if self.kappa > 0.0:
             out = out + self.kappa * r * m ** (r - 1.0)
         return np.where(t > floor, out, 0.0)
-
-
-def A_primitive(t, n, gamma):
-    """The shifted singular primitive A_n(t) = int_0^t (tau_+ + 1/n)^{-gamma}.
-
-    The family at (floor 0, shift 1/n): for t < 0 the integrand is the
-    constant (1/n)^{-gamma}, so the primitive continues linearly.
-    Broadcasts over ``t``.  The weight a(x) multiplies it in
-    :class:`Functional`, not here.
-    """
-    out = _Reaction(gamma, 1.0 / n).F(t, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def _reaction_tail_rule(params: ProblemParams, grid: RadialGrid):
@@ -370,13 +357,18 @@ def _backtrack(f: Functional, pt: _Point, free, d, slope, buffers):
     return None
 
 
+def _sup(g: np.ndarray) -> float:
+    return float(np.abs(g).max()) if g.size else 0.0
+
+
 def _minimize(f: Functional, x0, tol, free=None):
     """Damped Newton with Armijo backtracking on the free coordinates.
 
-    Returns the final point and a SolveReport.  Every accepted step
-    strictly decreases the objective; when neither the Newton direction
-    nor steepest descent admits a decreasing step the iteration stops
-    with converged=False.  Each point is priced once: the gradient and
+    Returns the final point and a SolveReport of that point: its free
+    gradient's sup norm, converged when that norm is <= tol.  Every
+    accepted step strictly decreases the objective; when neither the
+    Newton direction nor steepest descent admits a decreasing step the
+    iteration stops there.  Each point is priced once: the gradient and
     Hessian of an iterate come from the evaluation that accepted it.
 
     All points are priced into one set of buffers, the one
@@ -392,12 +384,11 @@ def _minimize(f: Functional, x0, tol, free=None):
     sub = None if free.all() else np.ix_(free, free)
     failures = 0
     iterations = 0
-    gn = np.inf
     for _ in range(_MAX_ITER):
         gf = pt.gradient[free]
-        gn = float(np.abs(gf).max()) if gf.size else 0.0
+        gn = _sup(gf)
         if gn <= tol:
-            return pt, SolveReport(iterations, pt.value, gn, failures, True)
+            break
         d = _solve_newton_step(
             pt.hessian if sub is None else lambda: pt.hessian()[sub], gf)
         slope = float(gf @ d)
@@ -413,14 +404,10 @@ def _minimize(f: Functional, x0, tol, free=None):
             trial = pt.vals.copy()
             trial[free] += d
             new = _Point(f, trial, buffers)
-            gt = new.gradient[free]
-            gtn = float(np.abs(gt).max()) if gt.size else 0.0
             iterations += 1
-            if gtn <= gn:
-                return new, SolveReport(iterations, new.value, gtn, failures,
-                                        gtn <= tol)
-            return pt, SolveReport(iterations, pt.value, gn, failures,
-                                   gn <= tol)
+            if _sup(new.gradient[free]) <= gn:
+                pt = new
+            break
         accepted = _backtrack(f, pt, free, d, slope, buffers)
         if accepted is None and not np.array_equal(d, -gf):
             # Newton direction failed the backtracking budget; retry
@@ -430,9 +417,10 @@ def _minimize(f: Functional, x0, tol, free=None):
                                   buffers)
         if accepted is None:
             failures += 1
-            return pt, SolveReport(iterations, pt.value, gn, failures, False)
+            break
         pt = accepted
         iterations += 1
+    gn = _sup(pt.gradient[free])
     return pt, SolveReport(iterations, pt.value, gn, failures, gn <= tol)
 
 

@@ -30,7 +30,6 @@ from .kernel import cross_check_p2, power_profile_constant
 from .operator import (_with_tail_exponent, assemble, energy_seminorm,
                        weak_residual)
 from .params import ProblemParams
-from .quadrature import QuadratureSpec
 from .solver import (RegularizedProblem, _levels, doubling_schedule,
                      solve_capacitary, solve_full, solve_pure_singular)
 
@@ -134,11 +133,10 @@ class _Battery:
 
 
 def _check_profile_zero(b: _Battery):
-    quad = QuadratureSpec()
     for (N, s, p) in ZERO_TRIPLES:
         params = ProblemParams.kernel_only(N, s, p)
-        c_star = power_profile_constant(params.beta_star, params, quad)
-        c_ref = power_profile_constant(0.9 * params.beta_star, params, quad)
+        c_star = power_profile_constant(params.beta_star, params)
+        c_ref = power_profile_constant(0.9 * params.beta_star, params)
         ratio = abs(c_star) / abs(c_ref)
         b.report.add_check(CheckRecord(
             f"cbeta-zero-N{N}-s{s:g}-p{p:g}", ratio <= 1e-8, ratio,

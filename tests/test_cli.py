@@ -66,6 +66,38 @@ def test_kernel_table_sweep(workdir):
     assert c[beta < beta_star].min() > 0.0 > c[beta > beta_star].max()
 
 
+def test_quad_nodes_reaches_both_rules(tmp_path, monkeypatch):
+    # quad.nodes is the per-panel order of C(beta)'s rule, 105 panels at
+    # 32 + 64 nodes each, and of the tail self-energy's rule; the pair
+    # weights and the tail blocks do not read it
+    import fracp.operator as op
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.format(out=out) + "quad.nodes = 32\n")
+    assert main(["kernel-table", "--config", str(cfg), "--steps", "3"]) == 0
+    rows = np.loadtxt(out / "cbeta_N3_s0.5_p2.5.csv", delimiter=",",
+                      skiprows=3)
+    assert len(rows) >= 3 and set(rows[:, 3]) == {10080.0}
+
+    seen = []
+    real = op.integrate
+
+    def recording(f, points, nodes, **kw):
+        seen.append(nodes)
+        return real(f, points, nodes, **kw)
+
+    monkeypatch.setattr(op, "integrate", recording)
+    run = parse_config(cfg.read_text())
+    grid = run.build_grid()
+    K32 = op.assemble(grid, run.params, run.quad)
+    K24 = op.assemble(grid, run.params)
+    assert seen == [32, 24]
+    assert np.array_equal(K32.weights, K24.weights)
+    for blk, ref in zip(K32.tail, K24.tail, strict=True):
+        assert blk.rows == ref.rows
+        assert np.array_equal(blk.W, ref.W)
+
+
 def test_kernel_table_range_must_fit_window(workdir):
     assert main(["kernel-table", "--config", workdir["cfg"],
                  "--beta-min", "0.1", "--beta-max", "1.0"]) == 2

@@ -16,7 +16,7 @@ import pytest
 from adaptive_quadrature import UNIT_POINTS, integrate_adaptive
 from fracp.errors import DomainError
 from fracp.params import ProblemParams
-from fracp.quadrature import QuadratureSpec, graded_points
+from fracp.quadrature import graded_points
 from fracp import kernel as K
 
 GOLD_PHI0_N3_STD = 12.566370614359173       # 4*pi
@@ -38,11 +38,6 @@ def _cases(*cases):
     while a second exponent, a = (N - 2)/2, was tested beside them."""
     return [pytest.param(*case, id="-".join(map(str, case)) + "-n-3")
             for case in cases]
-
-
-@pytest.fixture(scope="module")
-def quad():
-    return QuadratureSpec()
 
 
 @pytest.fixture(scope="module")
@@ -327,31 +322,31 @@ def test_phi_table_cache_and_vector_eval():
         t1.phi(np.array([0.5, 1.0]))
 
 
-def test_profile_constant_goldens(quad, inst35):
-    got = K.power_profile_constant(1.2, inst35, quad)
+def test_profile_constant_goldens(inst35):
+    got = K.power_profile_constant(1.2, inst35)
     assert got == pytest.approx(GOLD_CBETA12_N3_STD, rel=1e-8)
 
 
-def test_profile_constant_p25_goldens(quad):
+def test_profile_constant_p25_goldens():
     P = ProblemParams(N=3, s=0.5, p=2.5, gamma=0.5, alpha=1.2, r_exp=1.2)
-    got = K.power_profile_constant(1.5, P, quad)
+    got = K.power_profile_constant(1.5, P)
     assert got == pytest.approx(GOLD_CBETA15_P25_STD, rel=1e-8)
-    got = K.power_profile_constant(0.9, P, quad)
+    got = K.power_profile_constant(0.9, P)
     assert got == pytest.approx(GOLD_CBETA09_P25_STD, rel=1e-8)
 
 
-def test_profile_constant_structural_zero(quad, inst35):
-    at_star = K.power_profile_constant(inst35.beta_star, inst35, quad)
-    nearby = K.power_profile_constant(0.9 * inst35.beta_star, inst35, quad)
+def test_profile_constant_structural_zero(inst35):
+    at_star = K.power_profile_constant(inst35.beta_star, inst35)
+    nearby = K.power_profile_constant(0.9 * inst35.beta_star, inst35)
     assert abs(at_star) <= 1e-8 * abs(nearby)
 
 
-def test_profile_constant_window(quad, inst35):
+def test_profile_constant_window(inst35):
     lo, hi = K.profile_window(inst35)
     assert (lo, hi) == (1.0, 3.0)
     for bad in [lo, hi, 0.5, 3.5]:
         with pytest.raises(DomainError):
-            K.power_profile_constant(bad, inst35, quad)
+            K.power_profile_constant(bad, inst35)
 
 
 def _profile_constant_oracle(beta, P):
@@ -383,7 +378,7 @@ def test_profile_constant_matches_adaptive_oracle(N, s, p):
     P = ProblemParams.kernel_only(N, s, p)
     lo, hi = K.profile_window(P)
     for beta in lo + (hi - lo) * np.array([0.02, 0.2, 0.45, 0.7, 0.98]):
-        res = K.power_profile_result(beta, P, QuadratureSpec())
+        res = K.power_profile_result(beta, P)
         want = _profile_constant_oracle(beta, P)
         assert abs(res.value - want) <= 5e-11 * max(abs(want), 1.0), beta
         assert res.rel_err <= 1e-9 and res.n_evals == 7560
@@ -404,7 +399,7 @@ def test_profile_constant_meets_its_target_near_beta_star_at_small_s():
     for (N, s), betas in cases:
         P = ProblemParams.kernel_only(N, s, 2.0)
         for beta in betas:
-            res = K.power_profile_result(beta, P, QuadratureSpec())
+            res = K.power_profile_result(beta, P)
             assert res.rel_err <= 1e-9, (N, s, beta)
             want = _profile_constant_oracle(beta, P)
             assert abs(res.value - want) <= 5e-11 * max(abs(want), 1.0), \
@@ -455,9 +450,9 @@ def test_cross_check_selects_slicing_exponent():
     assert res.notes
 
 
-def test_profile_table_roundtrip(tmp_path, quad, inst35):
+def test_profile_table_roundtrip(tmp_path, inst35):
     betas = [1.2, 1.6, 2.4]
-    rows = K.profile_table_rows(inst35, betas, quad)
+    rows = K.profile_table_rows(inst35, betas)
     assert [r[0] for r in rows] == betas
     assert rows[0][1] == pytest.approx(GOLD_CBETA12_N3_STD, rel=1e-8)
     assert all(r[2] < 1e-8 for r in rows)

@@ -758,8 +758,9 @@ def _pair_corrections_graded(r, h, N, nu, S, table, mass_shared,
 
 def _tail_columns_loop(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l, wxi_l,
                        n_hat=6):
-    """Oracle: the exterior coupling's two blocks with the last cell's
-    columns built one xi node at a time."""
+    """Oracle: the exterior coupling's two blocks, as (first row,
+    samples, weights), with the last cell's columns built one xi node at
+    a time."""
     M = h.size
     yx, wx = gauss_legendre_01(n_hat)
     shared = np.zeros((M, xi_s.size))
@@ -791,7 +792,7 @@ def _tail_columns_loop(r, h, N, sp, S, table, R, xi_s, wxi_s, xi_l, wxi_l,
         frac = (xg - r[a]) / ha
         last[0, j] += float((val * (1.0 - frac)).sum())
         last[1, j] += float((val * frac).sum())
-    return shared, last
+    return (0, xi_s, shared), (a, xi_l, last)
 
 
 # (n_t, n_y, far-half Jacobi order or None for the series, shared xi
@@ -1002,7 +1003,7 @@ def test_nan_in_a_tail_column_fails_the_verification(p25, monkeypatch):
     # NaN at node 5, which the verification pass reports as an infinite
     # deviation at the exterior pair (5, M + 1)
     def plant(blocks):
-        blocks[0][5, 3] = np.nan
+        blocks[0][2][5, 3] = np.nan
 
     _plant_nan(monkeypatch, "_tail_columns", plant)
     with pytest.raises(ConvergenceError, match=r"deviation inf at cell "

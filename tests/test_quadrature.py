@@ -8,7 +8,6 @@ from adaptive_quadrature import integrate_adaptive, panel_value
 from fracp.errors import ConvergenceError, DomainError
 from fracp.quadrature import (
     QuadResult,
-    QuadratureSpec,
     _graded_rows,
     gauss_jacobi_01,
     gauss_legendre_01,
@@ -17,9 +16,9 @@ from fracp.quadrature import (
 )
 
 
-def test_spec_validation():
-    with pytest.raises(DomainError):
-        QuadratureSpec(nodes=1)
+def test_integrate_refuses_fewer_than_two_nodes():
+    with pytest.raises(DomainError, match="at least 2"):
+        integrate(np.cos, [0.0, 1.0], 1)
 
 
 def test_legendre_polynomial_exactness():
@@ -207,19 +206,16 @@ def test_graded_rows_match_scalar_loop_bitwise():
 
 
 def test_integrate_smooth():
-    spec = QuadratureSpec(nodes=12)
-    res = integrate(np.cos, [0.0, 1.0], spec)
+    res = integrate(np.cos, [0.0, 1.0], 12)
     assert res.value == pytest.approx(math.sin(1.0), rel=1e-13)
     assert res.rel_err < 1e-12
 
 
 def test_integrate_endpoint_singularities():
-    spec = QuadratureSpec(nodes=16)
-
-    res = integrate(lambda x: x**-0.5, [0.0, 1.0], spec, lo_exponent=-0.5)
+    res = integrate(lambda x: x**-0.5, [0.0, 1.0], 16, lo_exponent=-0.5)
     assert res.value == pytest.approx(2.0, rel=1e-11)
 
-    res = integrate(lambda x: (x * (1.0 - x)) ** -0.5, [0.0, 0.3, 1.0], spec,
+    res = integrate(lambda x: (x * (1.0 - x)) ** -0.5, [0.0, 0.3, 1.0], 16,
                     lo_exponent=-0.5, hi_exponent=-0.5)
     assert res.value == pytest.approx(math.pi, rel=1e-11)
 
@@ -227,18 +223,16 @@ def test_integrate_endpoint_singularities():
 def test_integrate_beta_family_seeded():
     # random endpoint exponents against the closed Beta form
     rng = np.random.default_rng(20260819)
-    spec = QuadratureSpec(nodes=20)
     for _ in range(12):
         a = rng.uniform(-0.9, 2.0)
         b = rng.uniform(-0.9, 2.0)
         res = integrate(lambda x: x**b * (1.0 - x) ** a, [0.0, 0.5, 1.0],
-                        spec, lo_exponent=b, hi_exponent=a)
+                        20, lo_exponent=b, hi_exponent=a)
         assert res.value == pytest.approx(beta_fn(a + 1.0, b + 1.0), rel=5e-10)
 
 
 def test_integrate_zero_integrand():
-    spec = QuadratureSpec(nodes=8)
-    res = integrate(lambda x: np.zeros_like(x), [0.0, 1.0], spec)
+    res = integrate(lambda x: np.zeros_like(x), [0.0, 1.0], 8)
     assert res.value == 0.0
 
 
@@ -246,22 +240,20 @@ def test_integrate_reports_stall_with_best_estimate():
     # a 2- against 4-point rule cannot resolve |sin 40x| on one panel:
     # the rule refuses its value and carries it, with the estimate
     f = lambda x: np.abs(np.sin(40.0 * x))  # noqa: E731
-    spec = QuadratureSpec(nodes=2)
     with pytest.raises(ConvergenceError, match=r"target 1\.0e-09") as err:
-        integrate(f, [0.0, 1.0], spec)
+        integrate(f, [0.0, 1.0], 2)
     y, w = gauss_legendre_01(4)
     assert err.value.best == float(np.dot(w, f(y)))
     assert err.value.estimate > 1e-9 * abs(err.value.best)
 
 
 def test_integrate_validates_breakpoints():
-    spec = QuadratureSpec()
     with pytest.raises(DomainError):
-        integrate(np.cos, [0.0], spec)
+        integrate(np.cos, [0.0])
     with pytest.raises(DomainError):
-        integrate(np.cos, [0.0, 1.0, 0.5], spec)
+        integrate(np.cos, [0.0, 1.0, 0.5])
     with pytest.raises(DomainError):
-        integrate(np.cos, [0.0, 1.0], spec, lo_exponent=-1.0)
+        integrate(np.cos, [0.0, 1.0], lo_exponent=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +262,20 @@ def test_integrate_validates_breakpoints():
 
 def _rule_cases():
     cases = [
-        (np.cos, [0.0, 1.0], QuadratureSpec(nodes=12), {}),
-        (lambda x: x ** -0.5, [0.0, 1.0], QuadratureSpec(nodes=16),
-         {"lo_exponent": -0.5}),
-        (lambda x: (x * (1.0 - x)) ** -0.5, [0.0, 0.3, 1.0],
-         QuadratureSpec(nodes=16),
+        (np.cos, [0.0, 1.0], 12, {}),
+        (lambda x: x ** -0.5, [0.0, 1.0], 16, {"lo_exponent": -0.5}),
+        (lambda x: (x * (1.0 - x)) ** -0.5, [0.0, 0.3, 1.0], 16,
          {"lo_exponent": -0.5, "hi_exponent": -0.5}),
-        (lambda x: np.zeros_like(x), [0.0, 1.0], QuadratureSpec(nodes=8), {}),
+        (lambda x: np.zeros_like(x), [0.0, 1.0], 8, {}),
         (lambda x: 1.0 / (1e-3 + (x - 0.37) ** 2),
-         np.linspace(0.0, 1.0, 41), QuadratureSpec(nodes=8), {}),
+         np.linspace(0.0, 1.0, 41), 8, {}),
     ]
     rng = np.random.default_rng(20260819)
     for _ in range(12):
         a = rng.uniform(-0.9, 2.0)
         b = rng.uniform(-0.9, 2.0)
         cases.append((lambda x, a=a, b=b: x ** b * (1.0 - x) ** a,
-                      [0.0, 0.5, 1.0], QuadratureSpec(nodes=20),
+                      [0.0, 0.5, 1.0], 20,
                       {"lo_exponent": b, "hi_exponent": a}))
     return cases
 
@@ -295,15 +285,15 @@ def test_integrate_is_one_call_of_the_n_and_2n_rules():
     # value is the sum of the 2n-point panel values and the estimate the
     # sum of the n-versus-2n differences, each panel priced by its own
     # calls as the adaptive oracle prices it
-    for f, pts, spec, kw in _rule_cases():
+    for f, pts, n, kw in _rule_cases():
         calls = []
 
         def counted(x, f=f):
             calls.append(x.size)
             return f(x)
 
-        res = integrate(counted, pts, spec, **kw)
-        n, last = spec.nodes, len(pts) - 2
+        res = integrate(counted, pts, n, **kw)
+        last = len(pts) - 2
         assert calls == [3 * n * (last + 1)]
         assert res.n_evals == 3 * n * (last + 1)
         coarse, fine = [], []

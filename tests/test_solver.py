@@ -61,17 +61,22 @@ def inst_oracle(p2):
     return grid, op.assemble(grid, p2)
 
 
+def _A(t, n, gamma):
+    """A_n(t) = int_0^t (tau_+ + 1/n)^{-gamma}: the reaction family at
+    floor 0 and shift 1/n, the primitive of J_n."""
+    return sv._Reaction(gamma, 1.0 / n).F(t, 0.0)
+
+
 def test_a_primitive_goldens():
-    assert sv.A_primitive(0.0, 7, 0.3) == 0.0
-    assert sv.A_primitive(1.0, 1, 0.5) == pytest.approx(
+    assert _A(0.0, 7, 0.3) == 0.0
+    assert _A(1.0, 1, 0.5) == pytest.approx(
         2.0 * (math.sqrt(2.0) - 1.0), rel=1e-15)
     # below zero the integrand is the constant n^gamma
-    assert sv.A_primitive(-3.0, 4, 0.5) == pytest.approx(-6.0, rel=1e-15)
+    assert _A(-3.0, 4, 0.5) == pytest.approx(-6.0, rel=1e-15)
     t = np.array([-1.0, 0.0, 0.5, 2.0])
-    vec = sv.A_primitive(t, 3, 0.25)
+    vec = _A(t, 3, 0.25)
     for ti, vi in zip(t, vec):
-        assert vi == pytest.approx(sv.A_primitive(float(ti), 3, 0.25),
-                                   rel=1e-15)
+        assert vi == pytest.approx(_A(float(ti), 3, 0.25), rel=1e-15)
 
 
 def test_a_primitive_envelope_bound():
@@ -80,23 +85,22 @@ def test_a_primitive_envelope_bound():
     t = rng.uniform(-10.0, 10.0, size=100000)
     n = rng.integers(1, 1000, size=t.size)
     gam = rng.uniform(0.01, 0.99, size=t.size)
-    vals = np.array([sv.A_primitive(ti, int(ni), gi)
+    vals = np.array([_A(ti, int(ni), gi)
                      for ti, ni, gi in zip(t[:200], n[:200], gam[:200])])
     bound = np.abs(t[:200]) ** (1.0 - gam[:200]) / (1.0 - gam[:200])
     assert np.all(vals <= bound + 1e-12)
     # vectorized sweep over the full sample at a fixed shift
     for nn in (1, 7, 512):
-        v = sv.A_primitive(t, nn, 0.5)
+        v = _A(t, nn, 0.5)
         b = np.abs(t) ** 0.5 / 0.5
         assert np.all(v <= b + 1e-12)
 
 
 def test_a_primitive_continuity_and_monotonicity():
     eps = 1e-12
-    assert abs(sv.A_primitive(eps, 5, 0.4)
-               - sv.A_primitive(-eps, 5, 0.4)) < 1e-10
+    assert abs(_A(eps, 5, 0.4) - _A(-eps, 5, 0.4)) < 1e-10
     t = np.linspace(-2.0, 2.0, 4001)
-    v = sv.A_primitive(t, 5, 0.4)
+    v = _A(t, 5, 0.4)
     assert np.all(np.diff(v) > 0.0)
 
 
@@ -188,6 +192,35 @@ def test_minimizer_prices_each_point_once(p25, inst25, monkeypatch):
     assert rep.converged and rep.iterations >= 3
     assert len(priced) == len(set(priced))
     assert len(priced) >= rep.iterations + 1
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_minimize_reports_the_point_it_returns(p25, inst25, monkeypatch,
+                                               max_iter):
+    # a solve cut short by its iteration cap reports the gradient norm of
+    # the point it returns, not of the iterate before it
+    grid, K = inst25
+    prob = sv.RegularizedProblem(p25, 1, grid, K)
+    x0 = (1.0 + grid.nodes ** 2) ** (-0.5 * p25.beta_star)
+    monkeypatch.setattr(sv, "_MAX_ITER", max_iter)
+    pt, rep = sv._minimize(prob, x0, 1e-14)
+    assert rep.iterations == max_iter and not rep.converged
+    assert rep.final_energy == pt.value
+    assert rep.residual_norm == float(np.abs(pt.gradient).max())
+
+
+def test_minimize_converged_on_its_last_allowed_step(p25, inst25,
+                                                     monkeypatch):
+    # the step that reaches the tolerance may be the last one allowed
+    grid, K = inst25
+    prob = sv.RegularizedProblem(p25, 1, grid, K)
+    x0 = (1.0 + grid.nodes ** 2) ** (-0.5 * p25.beta_star)
+    _, full = sv._minimize(prob, x0, 1e-6)
+    assert full.converged
+    monkeypatch.setattr(sv, "_MAX_ITER", full.iterations)
+    _, rep = sv._minimize(prob, x0, 1e-6)
+    assert rep.converged and rep.iterations == full.iterations
+    assert rep.residual_norm == full.residual_norm
 
 
 def test_newton_step_allocates_no_full_size_array(p25, monkeypatch):
