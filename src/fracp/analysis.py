@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
     "comparison_check",
     "harnack_ratio",
     "uniform_bound_check",
+    "grid_crc",
     "write_solution_csv",
     "read_solution_csv",
 ]
@@ -481,12 +483,21 @@ class VerificationReport:
             fh.write(self.to_json())
 
 
+def grid_crc(grid: RadialGrid) -> str:
+    """The CRC-32 of the nodes, then the float64 tail exponent, as 8 hex
+    digits: a solution CSV's ``grid_hash=`` field, its check against
+    edits (grid identity is :func:`fracp.grid.grid_difference`)."""
+    crc = zlib.crc32(grid.nodes.tobytes())
+    crc = zlib.crc32(np.float64(grid.tail_exponent).tobytes(), crc)
+    return f"{crc:08x}"
+
+
 def write_solution_csv(u: RadialFunction, params: ProblemParams, path: str,
                        *, rhs: np.ndarray, residual: np.ndarray,
                        converged: bool, solver: SolverSettings) -> None:
     """Write a solution profile with its right-hand side and residual.
 
-    The metadata header carries the problem instance, the grid hash, the
+    The metadata header carries the problem instance, the grid's CRC, the
     power-tail continuation and the solver settings the profile was
     solved under, so a profile file is self-describing.
     """
@@ -501,7 +512,7 @@ def write_solution_csv(u: RadialFunction, params: ProblemParams, path: str,
                             params.alpha, params.c_a, params.r_exp),
         "# grid_hash={} tail_exponent={!r} tail_amplitude={!r} "
         "converged={} solver.tol={!r} solver.schedule_max_n={}".format(
-            grid.grid_hash, grid.tail_exponent, u.tail_amplitude,
+            grid_crc(grid), grid.tail_exponent, u.tail_amplitude,
             bool(converged), solver.tol, solver.schedule_max_n),
         "r,u,a,rhs,residual",
     ]
@@ -536,13 +547,14 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
     """Read a profile written by :func:`write_solution_csv`.
 
     Returns the radial function together with the parsed metadata
-    (instance fields, grid hash, tail data, converged flag, solver
+    (instance fields, grid CRC, tail data, converged flag, solver
     settings, and ``residual_norm``, the sup norm of the stored residual
     column).  The node set and tail exponent reconstruct the grid; its
-    hash must match the stored one, which catches hand-edited or
-    truncated files.  A header key that is missing or not a finite
-    number, and a node, value or residual that is not a finite number,
-    raise :class:`UsageError` naming the file and the field.
+    :func:`grid_crc` must match the stored one, which catches hand-edited
+    or truncated files and a header another fracp wrote.  A header key
+    that is missing or not a finite number, and a node, value or residual
+    that is not a finite number, raise :class:`UsageError` naming the
+    file and the field.
     """
     with open(path, encoding="ascii") as fh:
         first = fh.readline().strip()
@@ -574,8 +586,12 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
         residual.append(_number(path, f"line {n}, field residual", fields[4]))
     grid = RadialGrid(nodes=np.array(r),
                       tail_exponent=float(meta["tail_exponent"]))
-    if grid.grid_hash != meta["grid_hash"]:
-        raise UsageError(f"{path}: grid hash mismatch; file edited?")
+    crc = grid_crc(grid)
+    if crc != meta["grid_hash"]:
+        raise UsageError(
+            f"{path}: grid_hash={meta['grid_hash']} is not {crc}, the CRC-32 "
+            "of its r column and tail exponent: the file was edited, or "
+            "written by a fracp that recorded another grid hash")
     meta["converged"] = meta["converged"] == "True"
     meta["residual_norm"] = float(np.abs(residual).max())
     return RadialFunction(grid, np.array(u)), meta

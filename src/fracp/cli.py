@@ -46,6 +46,7 @@ from .analysis import (capacitary_stationarity, check_capacitary,
 from .config import RunConfig, read_config
 from .errors import (ConfigError, ConvergenceError, DomainError, FracpError,
                      UsageError)
+from .grid import grid_difference
 from .kernel import profile_table_rows, profile_window, write_profile_table
 from .operator import assemble
 
@@ -125,12 +126,16 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
 
 def _read_input(cfg: RunConfig, out: str, name: str, step: str):
     """The profile ``<out>/<name>.csv`` that ``step`` wrote, its header and
-    path; ConfigError if it is missing or was computed for other parameters
-    or solver settings or on another grid than this config's."""
+    path; ConfigError if it is missing or unreadable, or was computed for
+    other parameters or solver settings or on another grid than this
+    config's."""
     path = os.path.join(out, name + ".csv")
     if not os.path.exists(path):
         raise ConfigError(f"missing input {path}; run {step} first")
-    u, meta = read_solution_csv(path)
+    try:
+        u, meta = read_solution_csv(path)
+    except UsageError as exc:
+        raise ConfigError(f"{exc}; run {step} again") from None
     wanted = {key: getattr(cfg.params, key)
               for key in ("N", "s", "p", "gamma", "alpha", "c_a")}
     wanted.update({"solver.tol": cfg.solver.tol,
@@ -140,9 +145,10 @@ def _read_input(cfg: RunConfig, out: str, name: str, step: str):
             raise ConfigError(
                 f"{name}.csv was computed at {key}={meta[key]} but the config "
                 f"says {key}={want!r}; run {step} again")
-    if meta["grid_hash"] != cfg.build_grid().grid_hash:
+    difference = grid_difference(u.grid, cfg.build_grid())
+    if difference is not None:
         raise ConfigError(f"{name}.csv lies on another grid than the "
-                          f"config's; run {step} again")
+                          f"config's ({difference}); run {step} again")
     return u, meta, path
 
 

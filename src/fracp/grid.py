@@ -18,7 +18,6 @@ unit capacitary problem and the reference radius of the checks.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ __all__ = [
     "GRADING",
     "RadialGrid",
     "RadialFunction",
+    "grid_difference",
     "make_radial_grid",
 ]
 
@@ -87,12 +87,26 @@ class RadialGrid:
         shells = self.dual_midpoints ** N
         return V * np.diff(shells)
 
-    @property
-    def grid_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.nodes.tobytes())
-        h.update(np.float64(self.tail_exponent).tobytes())
-        return h.hexdigest()[:16]
+
+def grid_difference(a: RadialGrid, b: RadialGrid) -> str | None:
+    """What tells grid ``a`` from grid ``b``, or None when they are one grid.
+
+    The test is exact: the nodes and the tail exponent are compared bit
+    for bit.  The text names the node counts, the first node that differs
+    with its two values, or the two tail exponents.
+    """
+    if a.nodes.size != b.nodes.size:
+        return f"{a.nodes.size} nodes vs {b.nodes.size}"
+    bits = np.uint64
+    differ = np.flatnonzero(a.nodes.view(bits) != b.nodes.view(bits))
+    if differ.size:
+        k = int(differ[0])
+        return (f"node {k} differs first: r={float(a.nodes[k])!r} vs "
+                f"{float(b.nodes[k])!r}")
+    ta, tb = np.float64(a.tail_exponent), np.float64(b.tail_exponent)
+    if ta.view(bits) != tb.view(bits):
+        return f"tail exponents {float(ta)!r} vs {float(tb)!r}"
+    return None
 
 
 def make_radial_grid(tail_exponent: float, R_max: float = 64.0, M: int = 256,

@@ -104,7 +104,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, FracpError, UsageError
-from .grid import RadialFunction, RadialGrid
+from .grid import RadialFunction, RadialGrid, grid_difference
 from .kernel import (
     _UNIT_POINTS,
     _profile_series,
@@ -211,7 +211,7 @@ class KernelMatrix:
 
     def matches(self, grid: RadialGrid) -> bool:
         """Whether ``grid`` is the grid these weights were assembled on."""
-        return grid is self.grid or grid.grid_hash == self.grid.grid_hash
+        return grid_difference(grid, self.grid) is None
 
 
 def _require_match(grid: RadialGrid, K: KernelMatrix, params: ProblemParams):
@@ -219,7 +219,7 @@ def _require_match(grid: RadialGrid, K: KernelMatrix, params: ProblemParams):
     if not K.matches(grid):
         raise UsageError(
             "kernel matrix was assembled on a different grid "
-            f"(hashes {grid.grid_hash} vs {K.grid.grid_hash})"
+            f"({grid_difference(grid, K.grid)})"
         )
     if K.N != params.N or abs(K.sp - params.sp) > 1e-12 \
             or abs(K.p - params.p) > 1e-12:

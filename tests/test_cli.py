@@ -5,22 +5,24 @@ files left behind, so the whole surface (config reading, dispatch, CSV
 round trips, exit-code contract) is exercised without subprocess cost.
 """
 
+import hashlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
 import fracp
-from fracp.analysis import read_solution_csv, write_solution_csv
+from fracp.analysis import grid_crc, read_solution_csv, write_solution_csv
 from fracp.cli import main
 from fracp.config import parse_config
 from fracp.errors import UsageError
-from fracp.grid import RadialFunction
+from fracp.grid import RadialFunction, make_radial_grid
 
 SMALL_CFG = """\
 params.N = 3
@@ -381,7 +383,7 @@ def test_closed_stdout_costs_no_file_and_no_exit_code(workdir, tmp_path):
 
 def test_solve_full_refuses_a_non_stationary_u_bar(workdir, tmp_path,
                                                    capsys):
-    # the stored residual is the defect of u_bar's own level; the grid hash
+    # the stored residual is the defect of u_bar's own level; the grid CRC
     # covers only the nodes and the tail exponent, so the edited file still
     # reads, and solve-full gates on the residual it finds there
     lines = open(os.path.join(workdir["out"], "u_bar.csv")).read() \
@@ -466,6 +468,75 @@ def test_edited_solution_file_rejected(workdir, tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(UsageError, match="edited"):
         read_solution_csv(str(bad))
+
+
+def test_grid_hash_sensitivity():
+    # the grid_hash= field is the CRC-32 of the nodes, then the float64
+    # tail exponent, as 8 hex digits
+    g1 = make_radial_grid(tail_exponent=2.0, M=32, R_max=16.0)
+    g2 = make_radial_grid(tail_exponent=2.0, M=32, R_max=16.0)
+    g3 = make_radial_grid(tail_exponent=1.5, M=32, R_max=16.0)
+    assert grid_crc(g1) == grid_crc(g2)
+    assert grid_crc(g1) != grid_crc(g3)
+    assert len(grid_crc(g1)) == 8
+    assert int(grid_crc(g3), 16) == zlib.crc32(
+        g3.nodes.tobytes() + np.float64(1.5).tobytes())
+
+
+def _rewrite_u_bar(workdir, tmp_path, stamp):
+    """A copy of u_bar.csv with its r column moved or kept, and its
+    grid_hash= field replaced by ``stamp(nodes, tail_exponent)``."""
+    lines = open(os.path.join(workdir["out"], "u_bar.csv")).read() \
+        .splitlines()
+    u, meta = read_solution_csv(os.path.join(workdir["out"], "u_bar.csv"))
+    nodes = u.grid.nodes.copy()
+    tail = float(meta["tail_exponent"])
+    new = stamp(nodes, tail)
+    for k, r in enumerate(nodes.tolist()):
+        _, rest = lines[3 + k].split(",", 1)
+        lines[3 + k] = f"{r!r},{rest}"
+    lines[1] = lines[1].replace(f"grid_hash={meta['grid_hash']} ",
+                                f"grid_hash={new} ")
+    (tmp_path / "u_bar.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_solve_full_refuses_a_u_bar_one_ulp_off_the_grid(workdir, tmp_path,
+                                                         capsys):
+    # r column moved by one ulp at one interior node, CRC rewritten to
+    # match: the file reads, and the exact grid test refuses it
+    def stamp(nodes, tail):
+        nodes[9] = np.nextafter(nodes[9], np.inf)
+        crc = zlib.crc32(nodes.tobytes() + np.float64(tail).tobytes())
+        return f"{crc:08x}"
+    _rewrite_u_bar(workdir, tmp_path, stamp)
+    read_solution_csv(str(tmp_path / "u_bar.csv"))
+    capsys.readouterr()
+    assert main(["solve-full", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (solve-full): u_bar.csv lies on another "
+                          "grid than the config's (node 9 differs first: ")
+    assert err.rstrip().endswith("; run solve-singular again")
+    assert not (tmp_path / "u_tilde.csv").exists()
+
+
+def test_solve_full_refuses_a_header_of_the_sha256_format(workdir, tmp_path,
+                                                          capsys):
+    # a u_bar.csv whose grid_hash= field is the 16-digit sha256 prefix an
+    # earlier fracp wrote: exit 2, both causes named, no traceback
+    def stamp(nodes, tail):
+        return hashlib.sha256(nodes.tobytes()
+                              + np.float64(tail).tobytes()).hexdigest()[:16]
+    _rewrite_u_bar(workdir, tmp_path, stamp)
+    capsys.readouterr()
+    assert main(["solve-full", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (solve-full): {tmp_path / 'u_bar.csv'}: ")
+    assert ("the file was edited, or written by a fracp that recorded "
+            "another grid hash; run solve-singular again") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "u_tilde.csv").exists()
 
 
 def _drop_token(line, key):
@@ -591,14 +662,20 @@ def _modules_after(code: str, *packages: str) -> list[str]:
     return out.splitlines()[-1].split()[1:]
 
 
+# the packages a CLI process is checked for: scipy, and hashlib with its
+# OpenSSL extension module
+FOOTPRINT = ("scipy", "hashlib", "_hashlib")
+
+
 def test_cold_start_skips_heavy_scipy_modules():
     # every subcommand is one process, so the import of the entry point is
     # paid each time: it loads no scipy module at all.  The solver loads
     # scipy's compiled LAPACK wrappers for the Newton step's Cholesky
     # factorization, at import, by file: not the scipy or scipy.linalg
-    # packages, nor anything of scipy._lib or scipy.special
-    assert _modules_after("import fracp.cli", "scipy") == []
-    assert _modules_after("import fracp.solver", "scipy") == [
+    # packages, nor anything of scipy._lib or scipy.special.  Neither
+    # loads hashlib, whose import maps OpenSSL's libcrypto
+    assert _modules_after("import fracp.cli", *FOOTPRINT) == []
+    assert _modules_after("import fracp.solver", *FOOTPRINT) == [
         "scipy.linalg._flapack"]
 
 
@@ -623,27 +700,29 @@ def test_assembly_and_checks_leave_numpy_ma_and_polynomial_unloaded():
     assert _modules_after(code, "numpy.ma", "numpy.polynomial") == []
 
 
-def _subcommand_scipy_modules(argv: list[str]) -> list[str]:
+def _subcommand_modules(argv: list[str]) -> list[str]:
     code = f"from fracp.cli import main\nassert main({argv!r}) == 0"
-    return _modules_after(code, "scipy")
+    return _modules_after(code, *FOOTPRINT)
 
 
 def test_kernel_table_and_plotdata_processes_load_no_scipy(workdir,
                                                            tmp_path):
-    # neither subcommand factors a matrix, so neither loads scipy
+    # neither subcommand factors a matrix, so neither loads scipy, and
+    # neither loads hashlib
     for name in ("u_bar.csv", "u_tilde.csv"):
         shutil.copy(os.path.join(workdir["out"], name), tmp_path)
     for argv in (["kernel-table", "--steps", "3"], ["plotdata"]):
         argv += ["--config", workdir["cfg"], "--out", str(tmp_path)]
-        assert _subcommand_scipy_modules(argv) == [], argv[0]
+        assert _subcommand_modules(argv) == [], argv[0]
 
 
 def test_solving_processes_load_only_the_lapack_wrappers(workdir, tmp_path):
     # the three solving subcommands, each in a fresh interpreter as the
     # README flow runs them, load the LAPACK wrapper module and no other
-    # scipy module; solve-full reads the u_bar.csv solve-singular wrote
+    # scipy module, and no hashlib; solve-full reads the u_bar.csv
+    # solve-singular wrote
     for argv in (["capacitary", "--R", "1"], ["solve-singular"],
                  ["solve-full", "--kappa", "0.5"]):
         argv += ["--config", workdir["cfg"], "--out", str(tmp_path)]
-        assert _subcommand_scipy_modules(argv) == [
+        assert _subcommand_modules(argv) == [
             "scipy.linalg._flapack"], argv[0]

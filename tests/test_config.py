@@ -7,7 +7,7 @@ import pytest
 from fracp.config import (GridSettings, RunConfig, SolverSettings,
                           parse_config, read_config)
 from fracp.errors import ConfigError
-from fracp.grid import make_radial_grid
+from fracp.grid import grid_difference, make_radial_grid
 
 REQUIRED = """\
 params.N = 3
@@ -157,7 +157,7 @@ def test_build_grid_defaults_to_capacitary_rate():
     # the config's one grid: grading 1.03 with its node nearest 1 on 1
     ref = make_radial_grid(tail_exponent=cfg.params.beta_star, R_max=64.0,
                            M=32, grading=1.03)
-    assert g.grid_hash == ref.grid_hash
+    assert grid_difference(g, ref) is None
     assert 1.0 in g.nodes
 
 

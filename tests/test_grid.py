@@ -7,6 +7,7 @@ from fracp.errors import DomainError, UsageError
 from fracp.grid import (
     RadialFunction,
     RadialGrid,
+    grid_difference,
     make_radial_grid,
 )
 
@@ -78,13 +79,25 @@ def test_volume_weights_telescope():
         assert np.all(w > 0)
 
 
-def test_grid_hash_sensitivity():
-    g1 = make_radial_grid(tail_exponent=2.0, M=32, R_max=16.0)
-    g2 = make_radial_grid(tail_exponent=2.0, M=32, R_max=16.0)
-    g3 = make_radial_grid(tail_exponent=1.5, M=32, R_max=16.0)
-    assert g1.grid_hash == g2.grid_hash
-    assert g1.grid_hash != g3.grid_hash
-    assert len(g1.grid_hash) == 16
+def test_grid_difference_is_exact():
+    # the oracle is the bit pattern of the nodes and the tail exponent: a
+    # grid built apart from K's is the same grid, one interior node moved
+    # by one ulp or another tail exponent makes another
+    g = make_radial_grid(tail_exponent=2.0, M=32, R_max=16.0)
+    same = RadialGrid(nodes=g.nodes.copy(), tail_exponent=2.0)
+    assert same is not g and grid_difference(same, g) is None
+    assert grid_difference(g, g) is None
+    nodes = g.nodes.copy()
+    nodes[7] = np.nextafter(nodes[7], np.inf)
+    assert nodes.tobytes() != g.nodes.tobytes()
+    moved = RadialGrid(nodes=nodes, tail_exponent=2.0)
+    assert grid_difference(moved, g) == (
+        f"node 7 differs first: r={float(nodes[7])!r} vs "
+        f"{float(g.nodes[7])!r}")
+    other = RadialGrid(nodes=g.nodes.copy(), tail_exponent=1.5)
+    assert grid_difference(other, g) == "tail exponents 1.5 vs 2.0"
+    coarse = make_radial_grid(tail_exponent=2.0, M=16, R_max=16.0)
+    assert grid_difference(coarse, g) == "17 nodes vs 33"
 
 
 def test_radial_function_shape_guard():

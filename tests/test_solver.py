@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from fracp.analysis import check_capacitary, write_solution_csv
+from fracp.analysis import check_capacitary, grid_crc, write_solution_csv
 from fracp.config import SolverSettings
 from fracp.errors import DomainError, UsageError
 from fracp.grid import RadialGrid, RadialFunction, make_radial_grid
@@ -716,6 +716,38 @@ def test_truncated_rhs_validation(p25, p2, inst25):
         sv.TruncatedProblem(p2, grid, K, one, 0.5)
 
 
+def test_grid_identity_is_exact(p25, inst25):
+    # the oracle is the bit pattern: a grid equal to K's, made as a
+    # separate object, is K's grid; a copy with one interior node moved by
+    # one ulp, or with the same nodes and another tail exponent, is not,
+    # and the refusal names what differs
+    grid, K = inst25
+    n = grid.nodes.size
+    bt = grid.tail_exponent
+    same = RadialGrid(nodes=grid.nodes.copy(), tail_exponent=bt)
+    nodes = grid.nodes.copy()
+    nodes[5] = np.nextafter(nodes[5], 0.0)
+    moved = RadialGrid(nodes=nodes, tail_exponent=bt)
+    other = RadialGrid(nodes=grid.nodes.copy(), tail_exponent=bt + 0.25)
+    assert same is not K.grid and K.matches(same)
+    assert not K.matches(moved) and not K.matches(other)
+    u_bar = RadialFunction(grid, np.ones(n))
+    sv.TruncatedProblem(p25, same, K, RadialFunction(same, np.ones(n)), 0.5)
+    with pytest.raises(UsageError) as err:
+        sv.TruncatedProblem(p25, moved, K, u_bar, 0.5)
+    assert str(err.value) == (
+        "kernel matrix was assembled on a different grid (node 5 differs "
+        f"first: r={float(nodes[5])!r} vs {float(grid.nodes[5])!r})")
+    with pytest.raises(UsageError) as err:
+        sv.TruncatedProblem(p25, other, K, u_bar, 0.5)
+    assert str(err.value) == (
+        "kernel matrix was assembled on a different grid (tail exponents "
+        f"{bt + 0.25!r} vs {bt!r})")
+    with pytest.raises(UsageError, match="u_bar lives on a different grid"):
+        sv.TruncatedProblem(p25, grid, K, RadialFunction(moved, np.ones(n)),
+                            0.5)
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
 def test_truncated_derivatives_match_finite_differences(p25, inst25, kappa):
     # central differences of the objective and of the gradient; the last
@@ -803,7 +835,7 @@ def test_write_solution_csv(tmp_path, p2, inst_oracle):
                        converged=rep.converged, solver=settings)
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    assert grid.grid_hash in text
+    assert f"# grid_hash={grid_crc(grid)} " in text
     assert "converged=True solver.tol=1e-09 solver.schedule_max_n=1" in text
     lines = text.strip().split("\n")
     assert lines[2] == "r,u,a,rhs,residual"
