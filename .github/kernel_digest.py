@@ -22,6 +22,15 @@ blocks, it holds one solve unit: the continuation to n = 16384 at tol
 negative value and no three-block evaluation, so only this file shows
 their bits.
 
+Evaluation at p = 2 takes its own path: it reads K's weights in place,
+and a second Hessian of a point is built from them again, not from
+weights priced anew.  So ``solve.json`` also holds the acceptance
+battery's p = 2 problem: ``RegularizedProblem`` at n = 1, 2, 1024 on
+its M = 64 grid (grading 1.03), as above, and one point at n = 1024 on
+the M = 512 grid of ``kernel.json``, in three row blocks, with its
+Hessian built twice, the second time after the first was overwritten
+with NaN as a factorization in place overwrites it.
+
 The script calls only ``parse_config``, ``make_radial_grid``,
 ``ProblemParams``, ``assemble``, the ``KernelMatrix`` fields and the
 public names of ``fracp.solver``, which the base commit of a
@@ -45,6 +54,8 @@ from fracp.grid import RadialFunction, make_radial_grid
 from fracp.operator import assemble
 from fracp.params import ProblemParams
 
+# the acceptance battery's p = 2 problem
+P2 = ProblemParams(N=3, s=0.5, p=2.0, gamma=0.5, alpha=1.5)
 README_CONFIG = """\
 params.N = 3
 params.s = 0.5
@@ -75,13 +86,15 @@ def _digest(K) -> dict:
 def _assemblies():
     cfg = parse_config(README_CONFIG.format(nodes=256))
     yield "readme-M256", cfg.build_grid(), cfg.params
-    p2 = ProblemParams(N=3, s=0.5, p=2.0, gamma=0.5, alpha=1.5)
-    yield "p2-M512", make_radial_grid(tail_exponent=p2.beta_star,
-                                      R_max=64.0, M=512,
-                                      grading=1.03 ** 0.5), p2
+    yield "p2-M512", _p2_grid(512, 1.03 ** 0.5), P2
     uni = ProblemParams.kernel_only(3, 0.3, 2.2)
     yield "uniform-N3-s0.3-p2.2-M256", make_radial_grid(
         tail_exponent=uni.beta_star, R_max=64.0, M=256, grading=1.0), uni
+
+
+def _p2_grid(M, grading):
+    return make_radial_grid(tail_exponent=P2.beta_star, R_max=64.0, M=M,
+                            grading=grading)
 
 
 def _report(rep) -> dict:
@@ -95,21 +108,50 @@ def _readme_instance(nodes):
     return cfg.params, grid, assemble(grid, cfg.params, cfg.quad)
 
 
+def _start(params, grid):
+    """(1 + r^2)^(-beta_star/2), and 1.5 times it times cos r, which dips
+    below 0 and below the first profile."""
+    u_bar = (1.0 + grid.nodes ** 2) ** (-params.beta_star / 2.0)
+    return u_bar, 1.5 * u_bar * np.cos(grid.nodes)
+
+
+def _point(prob, vals) -> dict:
+    pt = prob.at(vals)
+    return {"J": repr(pt.value), "gradient": _sha(pt.gradient),
+            "hessian": _sha(pt.hessian())}
+
+
 def _functionals() -> dict:
     """J, its gradient and Hessian at a profile below 0 and below u_bar."""
     params, grid, K = _readme_instance(64)
-    u_bar = (1.0 + grid.nodes ** 2) ** (-params.beta_star / 2.0)
-    vals = 1.5 * u_bar * np.cos(grid.nodes)
+    u_bar, vals = _start(params, grid)
     problems = {f"regularized-n{n}": solver.RegularizedProblem(
         params, n, grid, K) for n in (1, 2, 1024)}
     problems.update((f"truncated-kappa{kappa:g}", solver.TruncatedProblem(
         params, grid, K, RadialFunction(grid, u_bar), kappa))
         for kappa in (0.0, 0.5, 1.0))
-    out = {}
-    for name, prob in problems.items():
-        pt = prob.at(vals)
-        out[name] = {"J": repr(pt.value), "gradient": _sha(pt.gradient),
-                     "hessian": _sha(pt.hessian())}
+    return {name: _point(prob, vals) for name, prob in problems.items()}
+
+
+def _p2_functionals() -> dict:
+    """The p = 2 evaluation path: J, J' and J'' on one and three row
+    blocks, and a second Hessian of the three-block point."""
+    grid = _p2_grid(64, 1.03)
+    K = assemble(grid, P2)
+    _, vals = _start(P2, grid)
+    out = {f"regularized-M64-n{n}": _point(
+        solver.RegularizedProblem(P2, n, grid, K), vals)
+        for n in (1, 2, 1024)}
+    grid = _p2_grid(512, 1.03 ** 0.5)
+    K = assemble(grid, P2)
+    _, vals = _start(P2, grid)
+    pt = solver.RegularizedProblem(P2, 1024, grid, K).at(vals)
+    H = pt.hessian()
+    first = _sha(H)
+    H.fill(np.nan)
+    out["regularized-M512-n1024"] = {
+        "J": repr(pt.value), "gradient": _sha(pt.gradient), "hessian": first,
+        "hessian-again": _sha(pt.hessian())}
     return out
 
 
@@ -145,7 +187,8 @@ def main(argv) -> int:
            {name: _digest(assemble(grid, params))
             for name, grid, params in _assemblies()})
     _write(out_dir, "solve.json", {"functional-M64": _functionals(),
-                                   "solve-M512": _solve_unit()})
+                                   "solve-M512": _solve_unit(),
+                                   "functional-p2": _p2_functionals()})
     return 0
 
 

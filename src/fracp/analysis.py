@@ -29,7 +29,8 @@ from .config import SolverSettings
 from .errors import DomainError, UsageError
 from .grid import RadialFunction, RadialGrid
 from .kernel import power_profile_constant, profile_window, unit_sphere_area
-from .operator import KernelMatrix, energy_seminorm, weak_residual, weight_a
+from .operator import (KernelMatrix, _require_match, energy_seminorm,
+                       weak_residual, weight_a)
 from .params import ProblemParams
 
 __all__ = [
@@ -167,8 +168,7 @@ def check_decay_sandwich(u: RadialFunction,
 
 
 def capacitary_stationarity(u: RadialFunction, R: float, K: KernelMatrix,
-                            params: ProblemParams, tol: float
-                            ) -> tuple[np.ndarray, str | None]:
+                            tol: float) -> tuple[np.ndarray, str | None]:
     """Weak residual of a capacitary profile, and a note if it missed.
 
     The nodes with r <= R are pinned, so their residual is the force of
@@ -176,7 +176,7 @@ def capacitary_stationarity(u: RadialFunction, R: float, K: KernelMatrix,
     on the free nodes r > R is at most ``tol``.  The note (None when
     stationary) names the miss.
     """
-    residual = weak_residual(u, K, params)
+    residual = weak_residual(u, K)
     worst = float(np.abs(residual[u.grid.nodes > R]).max())
     if worst <= tol:
         return residual, None
@@ -245,7 +245,7 @@ def _hat_moment(grid, i: int, e: float) -> float:
 
 
 def fundamental_residual(beta: float, params: ProblemParams,
-                         grid, K: KernelMatrix) -> float:
+                         K: KernelMatrix) -> float:
     """Normalized pairing defect of the power profile r^-beta.
 
     For the exact profile the pairing of the nonlocal energy against each
@@ -259,10 +259,13 @@ def fundamental_residual(beta: float, params: ProblemParams,
     figure directly measures discretization quality.  ``C(beta)`` is
     integrated at the default Gauss order.
 
-    The grid's tail extension must decay at the same rate ``beta``,
-    otherwise the exterior coupling would compare against the wrong
-    profile; a mismatch raises ``UsageError``.
+    The profile lives on ``K.grid``, whose tail extension must decay at
+    the same rate ``beta``, otherwise the exterior coupling would compare
+    against the wrong profile; a mismatch raises ``UsageError``, as do
+    ``params`` other than the ones K was assembled for.
     """
+    _require_match(K, params)
+    grid = K.grid
     lo, hi = profile_window(params)
     if not (lo < beta < hi):
         raise DomainError(
@@ -280,7 +283,7 @@ def fundamental_residual(beta: float, params: ProblemParams,
     vals[1:] = r[1:] ** (-beta)
     vals[0] = vals[1]  # the profile blows up at the origin; clamp one node
     v = RadialFunction(grid, vals)
-    res = weak_residual(v, K, params)
+    res = weak_residual(v, K)
 
     C = power_profile_constant(beta, params)
     S = unit_sphere_area(params.N - 1)
@@ -305,13 +308,12 @@ def fundamental_residual(beta: float, params: ProblemParams,
 
 def _comparison_detail(u: RadialFunction, v: RadialFunction,
                        region: np.ndarray, K: KernelMatrix,
-                       params: ProblemParams, residual_tol: float,
-                       value_tol: float) -> tuple[bool, int | None]:
+                       residual_tol: float, value_tol: float
+                       ) -> tuple[bool, int | None]:
     """(hypothesis holds, index of first conclusion violation or None)."""
-    if not (K.matches(u.grid) and K.matches(v.grid)):
-        raise UsageError(
-            "comparison operands live on a different grid than the "
-            "kernel matrix")
+    # first, so an operand on a grid other than K's is refused by name
+    ru = weak_residual(u, K)
+    rv = weak_residual(v, K)
     mask = np.asarray(region, dtype=bool)
     if mask.shape != u.grid.nodes.shape:
         raise UsageError(
@@ -325,8 +327,6 @@ def _comparison_detail(u: RadialFunction, v: RadialFunction,
             f"ordering u <= v fails outside the region at node {k} "
             f"(r={u.grid.nodes[k]:g}, excess {float(gap.max()):.3e}); "
             "the comparison hypothesis needs it there")
-    ru = weak_residual(u, K, params)
-    rv = weak_residual(v, K, params)
     hyp = bool(np.all(ru[mask] <= rv[mask] + residual_tol))
     excess = u.values[mask] - v.values[mask]
     if excess.size and float(excess.max()) > value_tol:
@@ -336,8 +336,7 @@ def _comparison_detail(u: RadialFunction, v: RadialFunction,
 
 
 def comparison_check(u: RadialFunction, v: RadialFunction,
-                     region, K: KernelMatrix, params: ProblemParams, *,
-                     residual_tol: float = 1e-8,
+                     region, K: KernelMatrix, *, residual_tol: float = 1e-8,
                      value_tol: float = 1e-8) -> bool:
     """Discrete comparison test on a node region.
 
@@ -355,8 +354,7 @@ def comparison_check(u: RadialFunction, v: RadialFunction,
     loose relative to ``value_tol``; that asymmetry is exactly what the
     negative regression test exercises.
     """
-    hyp, bad = _comparison_detail(u, v, region, K, params,
-                                  residual_tol, value_tol)
+    hyp, bad = _comparison_detail(u, v, region, K, residual_tol, value_tol)
     if not hyp:
         return True
     return bad is None
@@ -402,8 +400,7 @@ def harnack_ratio(u: RadialFunction, R: float,
     return m / mean ** (1.0 / pw)
 
 
-def uniform_bound_check(solutions, params: ProblemParams,
-                        K: KernelMatrix) -> CheckRecord:
+def uniform_bound_check(solutions, K: KernelMatrix) -> CheckRecord:
     """Energy flatness along a family of profiles.
 
     Measures max over the family of energy^(1/p) relative to the median
@@ -415,8 +412,7 @@ def uniform_bound_check(solutions, params: ProblemParams,
     sols = list(solutions)
     if not sols:
         raise UsageError("uniform bound check needs at least one profile")
-    e = sorted(energy_seminorm(s, K, params) ** (1.0 / params.p)
-               for s in sols)
+    e = sorted(energy_seminorm(s, K) ** (1.0 / K.p) for s in sols)
     # the median as np.median takes it, without the numpy.ma import that
     # np.median costs a fresh process; sorted() cannot order a nan
     mid = len(e) // 2

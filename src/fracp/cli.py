@@ -108,7 +108,7 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
     grid = cfg.build_grid()
     K = assemble(grid, params, cfg.quad)
     u = solve_capacitary(R, params, grid, K, tol=cfg.solver.tol)
-    residual, miss = capacitary_stationarity(u, R, K, params, cfg.solver.tol)
+    residual, miss = capacitary_stationarity(u, R, K, cfg.solver.tol)
     out = _out_dir(cfg, args)
     path = os.path.join(out, f"capacitary_R{R:g}.csv")
     write_solution_csv(u, params, path, rhs=np.zeros_like(u.values),

@@ -52,6 +52,8 @@ class RadialGrid:
         if nodes.ndim != 1 or nodes.size < _MIN_NODES + 1:
             raise DomainError(
                 f"need at least {_MIN_NODES} cells, got {nodes.size - 1}")
+        if not np.isfinite(nodes).all():
+            raise DomainError("nodes must be finite")
         if nodes[0] != 0.0:
             raise DomainError("the first node must sit at the origin")
         if np.any(np.diff(nodes) <= 0.0):

@@ -94,7 +94,9 @@ below the diagonal by exact copies, so it is exactly symmetric.  ``W``
 is stored as the blocks the assembly fills (:class:`TailBlock`): the
 shared Jacobi columns over rows 0..M-1 and the last cell's columns over
 rows M-1 and M.  The tail terms are priced on each block as it is
-stored, any number of them; outside the blocks ``W`` is zero.
+stored, any number of them; outside the blocks ``W`` is zero.  K is
+the instance: an evaluation takes (u, K) and refuses a u on any grid
+but K's (:func:`_require_grid`).
 """
 
 from __future__ import annotations
@@ -209,18 +211,20 @@ class KernelMatrix:
     correction_clips: int = 0
     correction_clipped: float = 0.0
 
-    def matches(self, grid: RadialGrid) -> bool:
-        """Whether ``grid`` is the grid these weights were assembled on."""
-        return grid_difference(grid, self.grid) is None
+
+def _require_grid(grid: RadialGrid, K: KernelMatrix,
+                  refusal: str = "kernel matrix was assembled on a "
+                                 "different grid"):
+    """Refuse a grid other than the one K was assembled on: the
+    ``UsageError`` reads ``refusal`` and then, in parentheses, what
+    :func:`~fracp.grid.grid_difference` names."""
+    difference = grid_difference(grid, K.grid)
+    if difference is not None:
+        raise UsageError(f"{refusal} ({difference})")
 
 
-def _require_match(grid: RadialGrid, K: KernelMatrix, params: ProblemParams):
-    """Refuse a grid or parameter set other than the ones K was built for."""
-    if not K.matches(grid):
-        raise UsageError(
-            "kernel matrix was assembled on a different grid "
-            f"({grid_difference(grid, K.grid)})"
-        )
+def _require_match(K: KernelMatrix, params: ProblemParams):
+    """Refuse a parameter set other than the one K was assembled for."""
     if K.N != params.N or abs(K.sp - params.sp) > 1e-12 \
             or abs(K.p - params.p) > 1e-12:
         raise UsageError(
@@ -873,9 +877,9 @@ def _with_tail_exponent(K: KernelMatrix, grid: RadialGrid) -> KernelMatrix:
     is K's.  The result equals, bit for bit, what :func:`assemble` builds
     on ``grid`` at the default Gauss order.
     """
-    if not np.array_equal(grid.nodes, K.grid.nodes):
-        raise UsageError("the grid's nodes differ from the ones the kernel "
-                         "matrix was assembled on")
+    _require_grid(replace(grid, tail_exponent=K.grid.tail_exponent), K,
+                  "the grid's nodes differ from the ones the kernel matrix "
+                  "was assembled on")
     gs, tail_self = _tail_profile(grid, K.N, K.sp, K.p,
                                   [blk.xi for blk in K.tail])
     return replace(K, grid=grid, tail_self=tail_self,
@@ -1335,27 +1339,25 @@ class _EnergyTerms:
         return H
 
 
-def energy_terms(u: RadialFunction, K: KernelMatrix, params: ProblemParams,
-                 *, buffers: _Buffers | None = None) -> _EnergyTerms:
+def energy_terms(u: RadialFunction, K: KernelMatrix, *,
+                 buffers: _Buffers | None = None) -> _EnergyTerms:
     """Energy at u, with its residual and Hessian priced from the same pass.
 
     ``buffers`` is the buffer set of a running solve (see
     :class:`_EnergyTerms`); without it the evaluation allocates its own.
     """
-    _require_match(u.grid, K, params)
+    _require_grid(u.grid, K)
     return _EnergyTerms(K, u.values, buffers)
 
 
-def energy_seminorm(u: RadialFunction, K: KernelMatrix,
-                    params: ProblemParams) -> float:
+def energy_seminorm(u: RadialFunction, K: KernelMatrix) -> float:
     """Discrete [u]^p: pair sum + exterior coupling + tail self term."""
-    return energy_terms(u, K, params).energy
+    return energy_terms(u, K).energy
 
 
-def weak_residual(u: RadialFunction, K: KernelMatrix,
-                  params: ProblemParams) -> np.ndarray:
+def weak_residual(u: RadialFunction, K: KernelMatrix) -> np.ndarray:
     """Nodal pairing values R_i = (1/p) dE/dU_i (dual coefficients)."""
-    return energy_terms(u, K, params).residual()
+    return energy_terms(u, K).residual()
 
 
 def weight_a(r, params: ProblemParams):

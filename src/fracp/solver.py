@@ -44,6 +44,7 @@ from .kernel import unit_sphere_area
 from .operator import (  # noqa: F401  (fracp.solver.weak_residual is read)
     KernelMatrix,
     _Buffers,
+    _require_grid,
     _require_match,
     energy_terms,
     weak_residual,
@@ -181,7 +182,8 @@ class Functional:
 
     def __init__(self, params: ProblemParams, grid: RadialGrid,
                  K: KernelMatrix, reaction=None, floor=0.0):
-        _require_match(grid, K, params)
+        _require_grid(grid, K)
+        _require_match(K, params)
         self.params = params
         self.grid = grid
         self.K = K
@@ -218,7 +220,7 @@ class _Point:
         self.f = f
         self.vals = vals
         self._terms = energy_terms(RadialFunction(f.grid, vals), f.K,
-                                   f.params, buffers=buffers)
+                                   buffers=buffers)
         self.value = self._terms.energy / f.params.p
         self.gradient = g = self._terms.residual()
         rho = f._reaction
@@ -263,9 +265,8 @@ class TruncatedProblem(Functional):
                  K: KernelMatrix, u_bar: RadialFunction, kappa: float):
         if not 0.0 <= kappa <= 1.0:
             raise DomainError(f"kappa={kappa:g}: need 0 <= kappa <= 1")
-        if not K.matches(u_bar.grid):
-            raise UsageError("u_bar lives on a different grid than the "
-                             "kernel matrix")
+        _require_grid(u_bar.grid, K, "u_bar lives on a different grid than "
+                      "the kernel matrix")
         if float(u_bar.values.min()) <= 0.0:
             raise DomainError("u_bar must be strictly positive at every node")
         if kappa > 0.0 and params.r_exp is None:
@@ -456,8 +457,8 @@ def minimize_Jn(prob: RegularizedProblem, init: RadialFunction,
     """
     if tol <= 0.0:
         raise UsageError(f"tol={tol:g}: tolerance must be positive")
-    if not prob.K.matches(init.grid):
-        raise UsageError("init lives on a different grid than the problem")
+    _require_grid(init.grid, prob.K, "init lives on a different grid than "
+                  "the problem")
     pt, rep = _minimize(prob, init.values, tol)
     if float(pt.vals.min()) < -tol:
         rep.converged = False

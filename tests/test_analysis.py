@@ -163,20 +163,19 @@ def test_cell_power_integral_exact():
 
 def test_fundamental_residual_beta_star(p2, grid_star):
     K = assemble(grid_star, p2)
-    res = fundamental_residual(p2.beta_star, p2, grid_star, K)
+    res = fundamental_residual(p2.beta_star, p2, K)
     assert res <= 0.02
     # refinement should cut the defect by a clear factor
     g_half = make_radial_grid(tail_exponent=p2.beta_star, R_max=64.0,
                               M=128, grading=1.03)
-    res_half = fundamental_residual(p2.beta_star, p2, g_half,
-                                    assemble(g_half, p2))
+    res_half = fundamental_residual(p2.beta_star, p2, assemble(g_half, p2))
     assert res <= res_half / 1.6
 
 
 def test_fundamental_residual_off_star(p2):
     g = make_radial_grid(tail_exponent=1.2, R_max=64.0, M=256, grading=1.03)
     K = assemble(g, p2)
-    assert fundamental_residual(1.2, p2, g, K) <= 0.05
+    assert fundamental_residual(1.2, p2, K) <= 0.05
 
 
 def _scaled(K, factor):
@@ -200,29 +199,29 @@ def test_fundamental_residual_sees_the_operator_constant(p25):
     g = make_radial_grid(tail_exponent=beta, R_max=64.0, M=256,
                          grading=1.03)
     K = _with_tail_exponent(assemble(grid, p25), g)
-    true = fundamental_residual(beta, p25, g, K)
+    true = fundamental_residual(beta, p25, K)
     assert true <= 1e-3
     for factor in (1.01, 0.99):
-        assert fundamental_residual(beta, p25, g, _scaled(K, factor)) \
+        assert fundamental_residual(beta, p25, _scaled(K, factor)) \
             >= 2.0 * true, factor
 
 
 def test_fundamental_residual_validation(p2, grid_star):
     K = assemble(grid_star, p2)
     with pytest.raises(DomainError):
-        fundamental_residual(0.1, p2, grid_star, K)
+        fundamental_residual(0.1, p2, K)
     with pytest.raises(DomainError):
-        fundamental_residual(p2.N / (p2.p - 1.0) + 0.5, p2, grid_star, K)
+        fundamental_residual(p2.N / (p2.p - 1.0) + 0.5, p2, K)
     with pytest.raises(UsageError):
-        fundamental_residual(1.2, p2, grid_star, K)  # tail decays like 2.0
+        fundamental_residual(1.2, p2, K)  # tail decays like 2.0
 
 
 def test_comparison_accepts_equal_and_scaled(p2, solved):
     g, K, u = solved
     region = g.nodes > 1.0
-    assert comparison_check(u, u, region, K, p2)
+    assert comparison_check(u, u, region, K)
     half = RadialFunction(g, 0.5 * u.values)
-    assert comparison_check(half, u, region, K, p2, residual_tol=1e-6)
+    assert comparison_check(half, u, region, K, residual_tol=1e-6)
 
 
 def test_comparison_negative_names_node(p2, solved):
@@ -234,12 +233,12 @@ def test_comparison_negative_names_node(p2, solved):
     vals[j] = 0.5 * u.values[j] * (1.0 - 1e-4)
     bad = RadialFunction(g, vals)
     # residual ordering holds once its tolerance absorbs the corruption
-    ru = weak_residual(half, K, p2)
-    rv = weak_residual(bad, K, p2)
+    ru = weak_residual(half, K)
+    rv = weak_residual(bad, K)
     slack = 2.0 * float((ru - rv)[region].max())
-    assert not comparison_check(half, bad, region, K, p2,
-                                residual_tol=slack, value_tol=1e-10)
-    hyp, node = _comparison_detail(half, bad, region, K, p2, slack, 1e-10)
+    assert not comparison_check(half, bad, region, K, residual_tol=slack,
+                                value_tol=1e-10)
+    hyp, node = _comparison_detail(half, bad, region, K, slack, 1e-10)
     assert hyp and node == j
 
 
@@ -253,7 +252,7 @@ def test_comparison_vacuous_when_hypothesis_fails(p2, solved):
     half = RadialFunction(g, 0.5 * u.values)
     # with a tight residual tolerance the hypothesis fails at node j,
     # so the implication holds vacuously
-    assert comparison_check(half, bad, region, K, p2,
+    assert comparison_check(half, bad, region, K,
                             residual_tol=1e-10, value_tol=1e-10)
 
 
@@ -263,13 +262,13 @@ def test_comparison_validation(p2, solved):
                              grading=1.06)
     v_other = RadialFunction(other, np.ones_like(other.nodes))
     with pytest.raises(UsageError):
-        comparison_check(u, v_other, g.nodes > 1.0, K, p2)
+        comparison_check(u, v_other, g.nodes > 1.0, K)
     with pytest.raises(UsageError):
-        comparison_check(u, u, np.ones(3, dtype=bool), K, p2)
+        comparison_check(u, u, np.ones(3, dtype=bool), K)
     # u > v outside the region violates the boundary hypothesis
     big = RadialFunction(g, 2.0 * u.values)
     with pytest.raises(UsageError):
-        comparison_check(big, u, g.nodes > 1.0, K, p2)
+        comparison_check(big, u, g.nodes > 1.0, K)
 
 
 def test_harnack_oracle(p2, grid_star):
@@ -319,15 +318,15 @@ def test_uniform_bound_families(p2, solved):
         prev, rep = minimize_Jn(prob, prev, tol=1e-10)
         assert rep.converged
         family.append(prev)
-    rec = uniform_bound_check(family, p2, K)
+    rec = uniform_bound_check(family, K)
     assert rec.passed and rec.measured <= 2.0
-    single = uniform_bound_check([u], p2, K)
+    single = uniform_bound_check([u], K)
     assert single.passed and single.measured == pytest.approx(1.0, abs=1e-12)
-    spread = uniform_bound_check(family + [RadialFunction(g, 10.0 * u.values)],
-                                 p2, K)
+    spread = uniform_bound_check(
+        family + [RadialFunction(g, 10.0 * u.values)], K)
     assert not spread.passed
     with pytest.raises(UsageError):
-        uniform_bound_check([], p2, K)
+        uniform_bound_check([], K)
 
 
 def test_uniform_bound_median_is_numpys(p2, solved, monkeypatch):
@@ -341,8 +340,8 @@ def test_uniform_bound_median_is_numpys(p2, solved, monkeypatch):
     for size in list(range(1, 9)) * 25:
         e = rng.lognormal(0.0, rng.uniform(0.0, 1.5), size) ** p2.p
         monkeypatch.setattr(analysis, "energy_seminorm",
-                            lambda s, K, params, it=iter(e): next(it))
-        rec = uniform_bound_check([u] * size, p2, K)
+                            lambda s, K, it=iter(e): next(it))
+        rec = uniform_bound_check([u] * size, K)
         ref = e ** (1.0 / p2.p)
         assert rec.measured == float(ref.max()) / float(np.median(ref))
     for bad in (math.nan, math.inf):
@@ -350,15 +349,15 @@ def test_uniform_bound_median_is_numpys(p2, solved, monkeypatch):
             e = [1.0, 1.1, 1.2]
             e[pos] = bad
             monkeypatch.setattr(analysis, "energy_seminorm",
-                                lambda s, K, params, it=iter(e): next(it))
-            rec = uniform_bound_check([u] * 3, p2, K)
+                                lambda s, K, it=iter(e): next(it))
+            rec = uniform_bound_check([u] * 3, K)
             assert not rec.passed and rec.measured == math.inf
 
 
 def test_report_json_shape_and_determinism(p2, solved, tmp_path):
     g, K, u = solved
     rep = VerificationReport(p2)
-    rep.add_check(uniform_bound_check([u], p2, K))
+    rep.add_check(uniform_bound_check([u], K))
     rep.add_fit("pure-singular", fit_decay(u))
     rep.set_harnack(min(1.0, harnack_ratio(u, 4.0, p2)), 4.0)
     rep.note("desk-scale run")

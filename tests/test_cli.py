@@ -696,7 +696,7 @@ def test_assembly_and_checks_leave_numpy_ma_and_polynomial_unloaded():
         "power_profile_constant(cfg.params.beta_star, cfg.params, cfg.quad)\n"
         "K = assemble(grid, cfg.params, cfg.quad)\n"
         "u = RadialFunction(grid, (1.0 + grid.nodes ** 2) ** -1.0)\n"
-        "assert uniform_bound_check([u, u], cfg.params, K).passed\n")
+        "assert uniform_bound_check([u, u], K).passed\n")
     assert _modules_after(code, "numpy.ma", "numpy.polynomial") == []
 
 

@@ -70,6 +70,17 @@ def test_invariants():
         RadialGrid(nodes=np.zeros(33), tail_exponent=1.0)
 
 
+def test_non_finite_node_refused():
+    # a NaN difference is not <= 0 and an infinite last node is above the
+    # minimum radius, so neither reaches the ordering or radius checks
+    nodes = make_radial_grid(2.0, M=32, R_max=16.0).nodes
+    for k, bad in ((5, math.nan), (-1, math.inf)):
+        moved = nodes.copy()
+        moved[k] = bad
+        with pytest.raises(DomainError, match="nodes must be finite"):
+            RadialGrid(nodes=moved, tail_exponent=2.0)
+
+
 def test_volume_weights_telescope():
     g = make_radial_grid(tail_exponent=2.0, M=64, R_max=16.0)
     for N in (3, 4, 5):

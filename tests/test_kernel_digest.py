@@ -47,7 +47,7 @@ def test_kernel_digest_is_deterministic_and_complete(tmp_path):
 def _check_solve_digest(solve):
     report_fields = sorted(["iterations", "final_energy", "residual_norm",
                             "line_search_failures", "converged"])
-    assert sorted(solve) == ["functional-M64", "solve-M512"]
+    assert sorted(solve) == ["functional-M64", "functional-p2", "solve-M512"]
     functionals = solve["functional-M64"]
     assert sorted(functionals) == sorted(
         [f"regularized-n{n}" for n in (1, 2, 1024)]
@@ -56,6 +56,17 @@ def _check_solve_digest(solve):
         assert sorted(entry) == ["J", "gradient", "hessian"]
         float(entry["J"])
         assert len(entry["gradient"]) == len(entry["hessian"]) == 64
+    p2 = solve["functional-p2"]
+    assert sorted(p2) == sorted([f"regularized-M64-n{n}" for n in (1, 2, 1024)]
+                                + ["regularized-M512-n1024"])
+    for name, entry in p2.items():
+        again = ["hessian-again"] if name == "regularized-M512-n1024" else []
+        assert sorted(entry) == sorted(["J", "gradient", "hessian"] + again)
+        float(entry["J"])
+        assert all(len(entry[k]) == 64 for k in entry if k != "J")
+    # a second Hessian of a point is the first, bit for bit
+    assert p2["regularized-M512-n1024"]["hessian-again"] \
+        == p2["regularized-M512-n1024"]["hessian"]
     unit = solve["solve-M512"]
     assert sorted(unit) == ["capacitary-R1", "full-kappa0.1",
                             "full-kappa0.5", "full-kappa0.9", "pure-singular"]

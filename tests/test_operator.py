@@ -73,7 +73,7 @@ def test_hat_energy_golden(K16, p2):
     vals = np.zeros(17)
     vals[8] = 1.0
     u = RadialFunction(K16.grid, vals)
-    e = op.energy_seminorm(u, K16, p2)
+    e = op.energy_seminorm(u, K16)
     assert e == pytest.approx(GOLD_HAT_ENERGY, rel=1e-6)
 
 
@@ -125,9 +125,9 @@ def test_constant_profile_has_zero_residual(p2):
     grid = make_radial_grid(tail_exponent=0.0, R_max=64.0, M=32, grading=1.05)
     K = op.assemble(grid, p2)
     u = RadialFunction(grid, np.full(33, 3.7))
-    res = op.weak_residual(u, K, p2)
+    res = op.weak_residual(u, K)
     ramp = RadialFunction(grid, grid.nodes / grid.R_max)
-    scale = np.abs(op.weak_residual(ramp, K, p2)).max()
+    scale = np.abs(op.weak_residual(ramp, K)).max()
     assert scale > 0.0
     assert np.abs(res).max() <= 1e-12 * scale
 
@@ -137,8 +137,8 @@ def test_energy_homogeneity(K48, p25):
     vals = rng.standard_normal(K48.grid.nodes.size)
     u = RadialFunction(K48.grid, vals)
     v = RadialFunction(K48.grid, 2.75 * vals)
-    e1 = op.energy_seminorm(u, K48, p25)
-    e2 = op.energy_seminorm(v, K48, p25)
+    e1 = op.energy_seminorm(u, K48)
+    e2 = op.energy_seminorm(v, K48)
     assert e2 == pytest.approx(2.75 ** 2.5 * e1, rel=1e-12)
 
 
@@ -150,8 +150,8 @@ def test_quadratic_pairing_identity(p2):
     K = op.assemble(grid, p2)
     rng = np.random.default_rng(2718)
     u = RadialFunction(grid, rng.standard_normal(grid.nodes.size))
-    e = op.energy_seminorm(u, K, p2)
-    pairing = float(op.weak_residual(u, K, p2) @ u.values)
+    e = op.energy_seminorm(u, K)
+    pairing = float(op.weak_residual(u, K) @ u.values)
     assert abs(pairing - e) <= 1e-10 * abs(e)
 
 
@@ -159,15 +159,15 @@ def test_residual_matches_energy_gradient(K48, p25):
     rng = np.random.default_rng(424242)
     vals = np.abs(rng.standard_normal(K48.grid.nodes.size)) + 0.5
     u = RadialFunction(K48.grid, vals)
-    res = op.weak_residual(u, K48, p25)
+    res = op.weak_residual(u, K48)
     eps = 1e-6
     for _ in range(8):
         d = rng.standard_normal(vals.size)
         d /= np.linalg.norm(d)
         up = RadialFunction(K48.grid, vals + eps * d)
         dn = RadialFunction(K48.grid, vals - eps * d)
-        fd = (op.energy_seminorm(up, K48, p25)
-              - op.energy_seminorm(dn, K48, p25)) / (2.0 * eps)
+        fd = (op.energy_seminorm(up, K48)
+              - op.energy_seminorm(dn, K48)) / (2.0 * eps)
         direct = p25.p * float(res @ d)
         assert direct == pytest.approx(fd, rel=5e-6)
 
@@ -177,8 +177,8 @@ def test_hessian_euler_identity(K48, p25):
     rng = np.random.default_rng(777)
     vals = np.abs(rng.standard_normal(K48.grid.nodes.size)) + 0.25
     u = RadialFunction(K48.grid, vals)
-    H = op.energy_terms(u, K48, p25).hessian()
-    res = op.weak_residual(u, K48, p25)
+    H = op.energy_terms(u, K48).hessian()
+    res = op.weak_residual(u, K48)
     np.testing.assert_allclose(H @ vals, (p25.p - 1.0) * res,
                                rtol=1e-10, atol=1e-13 * np.abs(res).max())
 
@@ -187,15 +187,15 @@ def test_hessian_matches_residual_differences(K48, p25):
     rng = np.random.default_rng(5150)
     vals = np.abs(rng.standard_normal(K48.grid.nodes.size)) + 0.5
     u = RadialFunction(K48.grid, vals)
-    H = op.energy_terms(u, K48, p25).hessian()
+    H = op.energy_terms(u, K48).hessian()
     eps = 1e-6
     for _ in range(4):
         d = rng.standard_normal(vals.size)
         d /= np.linalg.norm(d)
         up = RadialFunction(K48.grid, vals + eps * d)
         dn = RadialFunction(K48.grid, vals - eps * d)
-        fd = (op.weak_residual(up, K48, p25)
-              - op.weak_residual(dn, K48, p25)) / (2.0 * eps)
+        fd = (op.weak_residual(up, K48)
+              - op.weak_residual(dn, K48)) / (2.0 * eps)
         hd = H @ d
         assert np.abs(hd - fd).max() <= 5e-6 * np.abs(fd).max()
 
@@ -271,12 +271,11 @@ def test_pair_blocks_price_every_pair_once(n, budget, monkeypatch):
 
 
 def _check_term_loop(K48, p2, p25, p):
-    params = p25 if p == 2.5 else p2
     K = K48 if p == 2.5 else op.assemble(K48.grid, p2)
     rng = np.random.default_rng(4242)
     r = K.grid.nodes
     vals = (1.0 + r ** 2) ** -0.75 * (1.0 + 0.2 * rng.standard_normal(r.size))
-    terms = op.energy_terms(RadialFunction(K.grid, vals), K, params)
+    terms = op.energy_terms(RadialFunction(K.grid, vals), K)
     E, R, H = _energy_terms_loop(vals, K)
     assert terms.energy == pytest.approx(E, rel=1e-12)
     assert np.abs(terms.residual() - R).max() <= 1e-12 * np.abs(R).max()
@@ -312,19 +311,17 @@ def test_shared_buffers_keep_values_and_refuse_stale_hessians(K48, p2, p25,
     # a solve prices every point into one buffer set: point a keeps the
     # energy and residual it summed, point b is priced exactly as if
     # alone, and a's Hessian, whose weights b overwrote, is refused
-    params = p25 if p == 2.5 else p2
     K = K48 if p == 2.5 else op.assemble(K48.grid, p2)
     rng = np.random.default_rng(4343)
     r = K.grid.nodes
     base = (1.0 + r ** 2) ** -0.75
     va, vb = base * (1.0 + 0.2 * rng.standard_normal((2, r.size)))
     ua = RadialFunction(K.grid, va)
-    alone = op.energy_terms(ua, K, params)
+    alone = op.energy_terms(ua, K)
     buffers = op._Buffers(K)
-    a = op.energy_terms(ua, K, params, buffers=buffers)
+    a = op.energy_terms(ua, K, buffers=buffers)
     Ha = a.hessian().copy()
-    b = op.energy_terms(RadialFunction(K.grid, vb), K, params,
-                        buffers=buffers)
+    b = op.energy_terms(RadialFunction(K.grid, vb), K, buffers=buffers)
     assert a.energy == alone.energy
     assert np.array_equal(a.residual(), alone.residual())
     # bit for bit, and exactly symmetric: the Newton step factors H.T
@@ -470,13 +467,12 @@ def _check_tail_buffers(K, buffers):
 def test_buffers_price_the_tail_blocks_in_place(K48, p2, p25, p):
     # an evaluation and its Hessian read K's tail weights where K holds
     # them and leave every bit of them as it was
-    params = p25 if p == 2.5 else p2
     K = K48 if p == 2.5 else op.assemble(K48.grid, p2)
     before = [blk.W.copy() for blk in K.tail]
     buffers = op._Buffers(K)
     _check_tail_buffers(K, buffers)
     vals = (1.0 + K.grid.nodes ** 2) ** -0.75
-    op.energy_terms(RadialFunction(K.grid, vals), K, params,
+    op.energy_terms(RadialFunction(K.grid, vals), K,
                     buffers=buffers).hessian()
     assert all(_same_bits(blk.W, W) for blk, W in zip(K.tail, before))
 
@@ -519,8 +515,8 @@ def test_truncation_decreases_energy(K48, p25):
         vals = rng.standard_normal(K48.grid.nodes.size)
         u = RadialFunction(K48.grid, vals)
         plus = RadialFunction(K48.grid, np.maximum(vals, 0.0))
-        assert (op.energy_seminorm(plus, K48, p25)
-                <= op.energy_seminorm(u, K48, p25) * (1.0 + 1e-14))
+        assert (op.energy_seminorm(plus, K48)
+                <= op.energy_seminorm(u, K48) * (1.0 + 1e-14))
 
 
 def test_lattice_submodularity(K48, p25):
@@ -531,12 +527,12 @@ def test_lattice_submodularity(K48, p25):
     for _ in range(6):
         a = rng.standard_normal(K48.grid.nodes.size)
         b = rng.standard_normal(K48.grid.nodes.size)
-        eu = op.energy_seminorm(RadialFunction(K48.grid, a), K48, p25)
-        ev = op.energy_seminorm(RadialFunction(K48.grid, b), K48, p25)
+        eu = op.energy_seminorm(RadialFunction(K48.grid, a), K48)
+        ev = op.energy_seminorm(RadialFunction(K48.grid, b), K48)
         emin = op.energy_seminorm(
-            RadialFunction(K48.grid, np.minimum(a, b)), K48, p25)
+            RadialFunction(K48.grid, np.minimum(a, b)), K48)
         emax = op.energy_seminorm(
-            RadialFunction(K48.grid, np.maximum(a, b)), K48, p25)
+            RadialFunction(K48.grid, np.maximum(a, b)), K48)
         assert emin + emax <= (eu + ev) * (1.0 + 1e-14)
 
 
@@ -549,8 +545,8 @@ def K64(p2, p25):
 
 def _t_monotone_ratio(K, params, u, v):
     """<A(u) - A(v), (u - v)_+> over <|A(u) - A(v)|, (u - v)_+>."""
-    d = (op.weak_residual(RadialFunction(K.grid, u), K, params)
-         - op.weak_residual(RadialFunction(K.grid, v), K, params))
+    d = (op.weak_residual(RadialFunction(K.grid, u), K)
+         - op.weak_residual(RadialFunction(K.grid, v), K))
     w = np.maximum(u - v, 0.0)
     return float(d @ w) / float(np.abs(d) @ w)
 
@@ -639,13 +635,12 @@ def test_mismatched_grid_rejected(K16, p2):
     other = make_radial_grid(tail_exponent=2.0, R_max=64.0, M=32,
                              grading=1.05)
     u = RadialFunction(other, np.ones(33))
-    assert not K16.matches(u.grid)
+    assert grid_difference(u.grid, K16.grid) == "33 nodes vs 17"
     with pytest.raises(UsageError, match=r"different grid \(33 nodes vs 17\)"):
-        op.energy_seminorm(u, K16, p2)
-    good = RadialFunction(K16.grid, np.ones(17))
+        op.energy_seminorm(u, K16)
     wrong_params = ProblemParams(N=3, s=0.4, p=2.0, gamma=0.5, alpha=1.2)
-    with pytest.raises(UsageError):
-        op.weak_residual(good, K16, wrong_params)
+    with pytest.raises(UsageError, match="different problem parameters"):
+        op._require_match(K16, wrong_params)
 
 
 def test_power_profile_residual_scale(p2):
@@ -660,7 +655,7 @@ def test_power_profile_residual_scale(p2):
         vals = np.empty(grid.nodes.size)
         vals[1:] = grid.nodes[1:] ** -beta
         vals[0] = vals[1]
-        res = op.weak_residual(RadialFunction(grid, vals), K, p2)
+        res = op.weak_residual(RadialFunction(grid, vals), K)
         win = (grid.nodes >= 2.0) & (grid.nodes <= grid.R_max / 2.0)
         sups[beta] = np.abs(res[win]).max()
     assert sups[p2.beta_star] <= 0.01 * sups[1.1 * p2.beta_star]
@@ -1425,7 +1420,7 @@ def test_assembled_operator_matches_the_sobolev_bubble(N, s, bounds):
             K = op.assemble(grid, params) if K is None \
                 else op._with_tail_exponent(K, grid)
             u = RadialFunction(grid, (1.0 + grid.nodes ** 2) ** -sigma)
-            res = op.weak_residual(u, K, params)
+            res = op.weak_residual(u, K)
             loads = _family_loads(grid, N, s, sigma)
             r = grid.nodes
             if q == 1.0:
@@ -1502,7 +1497,7 @@ def test_assembled_operator_matches_the_strong_form(p, bounds):
         K = op.assemble(grid, params)
         u = RadialFunction(grid, w(r))
         for c in errors:
-            res = op.weak_residual(u, _scaled(K, c), params)[which]
+            res = op.weak_residual(u, _scaled(K, c))[which]
             errors[c].append(float(np.abs(res / loads - 1.0).max()))
 
     def gate(e):

@@ -18,10 +18,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
-from fracp.analysis import check_capacitary, grid_crc, write_solution_csv
+from fracp.analysis import (check_capacitary, comparison_check,
+                            fundamental_residual, grid_crc,
+                            write_solution_csv)
 from fracp.config import SolverSettings
 from fracp.errors import DomainError, UsageError
-from fracp.grid import RadialGrid, RadialFunction, make_radial_grid
+from fracp.grid import (RadialGrid, RadialFunction, grid_difference,
+                        make_radial_grid)
 from fracp.params import ProblemParams
 from fracp import operator as op
 from fracp import solver as sv
@@ -181,9 +184,9 @@ def test_minimizer_prices_each_point_once(p25, inst25, monkeypatch):
     priced = []
     real = sv.energy_terms
 
-    def counting(u, K, params, **kw):
+    def counting(u, K, **kw):
         priced.append(u.values.tobytes())
-        return real(u, K, params, **kw)
+        return real(u, K, **kw)
 
     monkeypatch.setattr(sv, "energy_terms", counting)
     prob = sv.RegularizedProblem(p25, 4, grid, K)
@@ -611,7 +614,7 @@ def test_pure_singular_energy_ratio(p2, inst2):
         prob = sv.RegularizedProblem(p2, n, grid, K)
         u, _ = sv.minimize_Jn(prob, RadialFunction(grid, vals), 1e-10)
         vals = u.values
-        es.append(op.energy_seminorm(u, K, p2) ** (1.0 / p2.p))
+        es.append(op.energy_seminorm(u, K) ** (1.0 / p2.p))
     es = np.array(es)
     assert es.max() / np.median(es) <= 2.0
 
@@ -729,23 +732,72 @@ def test_grid_identity_is_exact(p25, inst25):
     nodes[5] = np.nextafter(nodes[5], 0.0)
     moved = RadialGrid(nodes=nodes, tail_exponent=bt)
     other = RadialGrid(nodes=grid.nodes.copy(), tail_exponent=bt + 0.25)
-    assert same is not K.grid and K.matches(same)
-    assert not K.matches(moved) and not K.matches(other)
+    node_5 = (f"node 5 differs first: r={float(nodes[5])!r} vs "
+              f"{float(grid.nodes[5])!r}")
+    assert same is not K.grid and grid_difference(same, K.grid) is None
+    assert grid_difference(moved, K.grid) == node_5
+    assert grid_difference(other, K.grid) == (
+        f"tail exponents {bt + 0.25!r} vs {bt!r}")
     u_bar = RadialFunction(grid, np.ones(n))
     sv.TruncatedProblem(p25, same, K, RadialFunction(same, np.ones(n)), 0.5)
     with pytest.raises(UsageError) as err:
         sv.TruncatedProblem(p25, moved, K, u_bar, 0.5)
     assert str(err.value) == (
-        "kernel matrix was assembled on a different grid (node 5 differs "
-        f"first: r={float(nodes[5])!r} vs {float(grid.nodes[5])!r})")
+        f"kernel matrix was assembled on a different grid ({node_5})")
     with pytest.raises(UsageError) as err:
         sv.TruncatedProblem(p25, other, K, u_bar, 0.5)
     assert str(err.value) == (
         "kernel matrix was assembled on a different grid (tail exponents "
         f"{bt + 0.25!r} vs {bt!r})")
-    with pytest.raises(UsageError, match="u_bar lives on a different grid"):
+    with pytest.raises(UsageError) as err:
         sv.TruncatedProblem(p25, grid, K, RadialFunction(moved, np.ones(n)),
                             0.5)
+    assert str(err.value) == (
+        f"u_bar lives on a different grid than the kernel matrix ({node_5})")
+
+
+def test_every_grid_refusal_names_the_moved_node(p25, inst25):
+    # a profile whose grid has one node moved by one ulp is refused as the
+    # start of a solve and as either comparison operand, and a grid with
+    # such nodes gets no derived matrix; each refusal names the node
+    grid, K = inst25
+    nodes = grid.nodes.copy()
+    nodes[7] = np.nextafter(nodes[7], np.inf)
+    moved = RadialGrid(nodes=nodes, tail_exponent=grid.tail_exponent)
+    node_7 = (f"node 7 differs first: r={float(nodes[7])!r} vs "
+              f"{float(grid.nodes[7])!r}")
+    u = RadialFunction(grid, np.ones(grid.nodes.size))
+    w = RadialFunction(moved, np.ones(grid.nodes.size))
+    prob = sv.RegularizedProblem(p25, 1, grid, K)
+    with pytest.raises(UsageError) as err:
+        sv.minimize_Jn(prob, w, 1e-9)
+    assert str(err.value) == (
+        f"init lives on a different grid than the problem ({node_7})")
+    region = grid.nodes > 1.0
+    for a, b in ((w, u), (u, w)):
+        with pytest.raises(UsageError) as err:
+            comparison_check(a, b, region, K)
+        assert str(err.value) == (
+            f"kernel matrix was assembled on a different grid ({node_7})")
+    with pytest.raises(UsageError) as err:
+        op._with_tail_exponent(K, RadialGrid(nodes=nodes, tail_exponent=0.0))
+    assert str(err.value) == (
+        "the grid's nodes differ from the ones the kernel matrix was "
+        f"assembled on ({node_7})")
+
+
+def test_params_other_than_Ks_refused(p2, p25, inst25):
+    # K records (N, sp, p); a problem or a profile residual that brings
+    # the parameters of another instance is refused where they meet K
+    grid, K = inst25
+    u_bar = RadialFunction(grid, np.ones(grid.nodes.size))
+    refusal = "kernel matrix was assembled for different problem parameters"
+    with pytest.raises(UsageError, match=refusal):
+        sv.RegularizedProblem(p2, 1, grid, K)
+    with pytest.raises(UsageError, match=refusal):
+        sv.TruncatedProblem(p2, grid, K, u_bar, 0.0)
+    with pytest.raises(UsageError, match=refusal):
+        fundamental_residual(grid.tail_exponent, p2, K)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5])
