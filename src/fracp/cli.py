@@ -26,9 +26,9 @@ usage or configuration, 3 numerical non-convergence.  Outputs are
 byte-stable for a fixed config.
 
 The solver and the battery are imported by the subcommands that run
-them: the solver loads scipy's compiled LAPACK wrappers for the dense
-Cholesky factorization, which ``kernel-table`` and ``plotdata`` never
-need, and every subcommand is a process of its own.
+them: the solver binds numpy's LAPACK for the dense Cholesky
+factorization, which ``kernel-table`` and ``plotdata`` never need, and
+every subcommand is a process of its own.  No subcommand imports scipy.
 """
 
 from __future__ import annotations

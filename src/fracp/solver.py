@@ -26,17 +26,20 @@ exact annulus volumes inside the truncation radius, plus a one
 dimensional Jacobi rule in the scaled variable xi = R_max/r for the
 power tail, where the weight contributes xi^{alpha - 1}.
 
+Each Newton step factors the dense Hessian with LAPACK's ``dpotrf``
+and solves with ``dpotrs``, both bound through ``ctypes`` from the
+library ``numpy.linalg`` itself calls, so a solving process maps one
+BLAS, numpy's, and imports no scipy module.
+
 Everything here is deterministic: fixed quadrature rules, fixed
 iteration order, no randomness.
 """
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg, lapack_lite
 
 from .errors import DomainError, UsageError
 from .grid import RadialFunction, RadialGrid
@@ -69,37 +72,41 @@ _MAX_ITER = 200
 _ARMIJO_C1 = 1e-4
 _ARMIJO_STEPS = 60
 _TAIL_RULE_NODES = 32
-_FLAPACK = "scipy.linalg._flapack"
+# the LAPACK integer of numpy's build, and the names such a build links
+# a LAPACK routine under (the Fortran name with a prefix and a suffix)
+_INT = ctypes.c_int64 if lapack_lite._ilp64 else ctypes.c_int
+_SYMBOLS = (("scipy_{}_64_", "{}_64_") if lapack_lite._ilp64
+            else ("scipy_{}_", "{}_"))
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK wrappers, loaded without ``scipy.linalg``.
+def _lapack(library: str, name: str, *argtypes):
+    """LAPACK's ``name`` from the library that ``numpy.linalg`` calls.
 
-    Each solving subcommand is one process, and importing the
-    ``scipy.linalg`` package would cost it a quarter of a second and
-    some 20 MB for the two routines the Newton step calls.  So the
-    extension module is loaded by file from the installed scipy
-    directory and registered under its own name: a later ``import
-    scipy.linalg`` reuses it, and one made earlier is reused here.
+    ``library`` is the file of ``numpy.linalg._umath_linalg``; a lookup
+    through its handle also searches the LAPACK it links, so the Newton
+    step factors with the library numpy already mapped and no second
+    BLAS is loaded.  ``argtypes`` are the Fortran arguments; the hidden
+    length of the one character argument follows them.
     """
-    if _FLAPACK in sys.modules:
-        return sys.modules[_FLAPACK]
-    scipy = importlib.util.find_spec("scipy")
-    dirs = [os.path.join(d, "linalg")
-            for d in (scipy.submodule_search_locations if scipy else [])]
-    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, dirs)
-    if spec is None:
-        raise ImportError(f"fracp.solver needs scipy's {_FLAPACK}; searched "
-                          f"{os.pathsep.join(dirs) or 'no scipy directory'}",
-                          name=_FLAPACK)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_FLAPACK] = module
-    spec.loader.exec_module(module)
-    return module
+    lib = ctypes.CDLL(library)
+    tried = [form.format(name) for form in _SYMBOLS]
+    for symbol in tried:
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes = [*argtypes, ctypes.c_size_t]
+            fn.restype = None
+            return fn
+    raise ImportError(f"fracp.solver needs LAPACK's {name}; {library} "
+                      f"exports none of {', '.join(tried)}", path=library)
 
 
-_flapack = _load_flapack()
-_potrf, _potrs = _flapack.dpotrf, _flapack.dpotrs
+_P = ctypes.POINTER(_INT)
+# dpotrf(uplo, n, a, lda, info); dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
+_potrf = _lapack(_umath_linalg.__file__, "dpotrf",
+                 ctypes.c_char_p, _P, ctypes.c_void_p, _P, _P)
+_potrs = _lapack(_umath_linalg.__file__, "dpotrs",
+                 ctypes.c_char_p, _P, _P, ctypes.c_void_p, _P,
+                 ctypes.c_void_p, _P, _P)
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +301,35 @@ def _cholesky_solve(H: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     ``dpotrf`` factors H on its lower-triangle path, which overwrites
     the lower triangle of H.T, H's upper one; ``dpotrs`` then solves
-    with the factor.  Both get the arguments ``scipy.linalg.cho_factor``
-    and ``cho_solve`` pass them, so the result is theirs, bit for bit.
-    A non-positive leading minor raises ``np.linalg.LinAlgError``; an
-    illegal argument to either routine raises ValueError.
+    with the factor.  The factor is the one ``np.linalg.cholesky``
+    computes, bit for bit: both call the same routine of the same
+    library.  A non-positive leading minor raises
+    ``np.linalg.LinAlgError``; an illegal argument to either routine
+    raises ValueError.
     """
-    # H is symmetric, so H.T is the same matrix in the Fortran order
-    # LAPACK works in (handed H itself, dpotrf would copy it); the
-    # lower-triangle path factors it faster than the upper one
-    c, info = _potrf(H.T, lower=1, clean=0, overwrite_a=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the "
+    n = H.shape[0]
+    # LAPACK reads H through a pointer: it must be one C-ordered block
+    # of doubles, which H.T is in the Fortran order LAPACK works in (H
+    # is symmetric, so H.T is H); the lower-triangle path factors it
+    # faster than the upper one
+    if not (H.dtype == np.float64 and H.shape == (n, n)
+            and g.shape == (n,) and H.flags.c_contiguous
+            and H.flags.writeable):
+        raise ValueError(f"the Newton system needs a writable C-ordered "
+                         f"float64 n x n matrix and n values, not a "
+                         f"{H.dtype} {H.shape} matrix and {g.shape} values")
+    x = np.array(g, dtype=np.float64)   # dpotrs overwrites it
+    size, lda, info = _INT(n), _INT(max(n, 1)), _INT()
+    _potrf(b"L", size, H.ctypes.data, lda, info, 1)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(f"{info.value}-th leading minor of the "
                                     "array is not positive definite")
-    if info == 0:
-        x, info = _potrs(c, g, lower=1)
-    if info < 0:
+    if info.value == 0:
+        _potrs(b"L", size, _INT(1), H.ctypes.data, lda, x.ctypes.data, lda,
+               info, 1)
+    if info.value < 0:
         raise ValueError(f"LAPACK's dpotrf or dpotrs reported an illegal "
-                         f"value in argument {-info}")
+                         f"value in argument {-info.value}")
     return x
 
 

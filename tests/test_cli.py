@@ -669,14 +669,12 @@ FOOTPRINT = ("scipy", "hashlib", "_hashlib")
 
 def test_cold_start_skips_heavy_scipy_modules():
     # every subcommand is one process, so the import of the entry point is
-    # paid each time: it loads no scipy module at all.  The solver loads
-    # scipy's compiled LAPACK wrappers for the Newton step's Cholesky
-    # factorization, at import, by file: not the scipy or scipy.linalg
-    # packages, nor anything of scipy._lib or scipy.special.  Neither
-    # loads hashlib, whose import maps OpenSSL's libcrypto
+    # paid each time: it loads no scipy module at all, and neither does
+    # the solver, which factors the Newton step's Hessian through the
+    # LAPACK numpy links.  Neither loads hashlib, whose import maps
+    # OpenSSL's libcrypto
     assert _modules_after("import fracp.cli", *FOOTPRINT) == []
-    assert _modules_after("import fracp.solver", *FOOTPRINT) == [
-        "scipy.linalg._flapack"]
+    assert _modules_after("import fracp.solver", *FOOTPRINT) == []
 
 
 def test_assembly_and_checks_leave_numpy_ma_and_polynomial_unloaded():
@@ -718,11 +716,33 @@ def test_kernel_table_and_plotdata_processes_load_no_scipy(workdir,
 
 def test_solving_processes_load_only_the_lapack_wrappers(workdir, tmp_path):
     # the three solving subcommands, each in a fresh interpreter as the
-    # README flow runs them, load the LAPACK wrapper module and no other
-    # scipy module, and no hashlib; solve-full reads the u_bar.csv
+    # README flow runs them, load no scipy module and no hashlib: the
+    # Newton step's LAPACK is numpy's; solve-full reads the u_bar.csv
     # solve-singular wrote
     for argv in (["capacitary", "--R", "1"], ["solve-singular"],
                  ["solve-full", "--kappa", "0.5"]):
         argv += ["--config", workdir["cfg"], "--out", str(tmp_path)]
-        assert _subcommand_modules(argv) == [
-            "scipy.linalg._flapack"], argv[0]
+        assert _subcommand_modules(argv) == [], argv[0]
+
+
+def test_solving_steps_run_with_scipy_unimportable(workdir, tmp_path):
+    # scipy is no runtime dependency: with every scipy import made to
+    # fail, the three solving steps, each a fresh process, exit 0 and
+    # write the bytes of a process where scipy could load
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    entry = ("import sys\n{}"
+             "from fracp.cli import main\nsys.exit(main(sys.argv[1:]))")
+    for side, block in (("open", ""),
+                        ("blocked", 'sys.modules["scipy"] = None\n')):
+        for argv in (["capacitary", "--R", "1"], ["solve-singular"],
+                     ["solve-full", "--kappa", "0.5"]):
+            argv += ["--config", workdir["cfg"],
+                     "--out", str(tmp_path / side)]
+            res = subprocess.run(
+                [sys.executable, "-c", entry.format(block), *argv], env=env,
+                capture_output=True, text=True, timeout=120)
+            assert res.returncode == 0, (side, argv[0], res.stderr)
+    for name in ("capacitary_R1.csv", "u_bar.csv", "u_tilde.csv"):
+        assert (tmp_path / "open" / name).read_bytes() == \
+            (tmp_path / "blocked" / name).read_bytes(), name

@@ -134,7 +134,7 @@ def test_hyp2f1_matches_scipy_at_the_table_knots(N):
     z = _table_knots_z()
     w = 1.0 - z
     a = K.angular_exponent(N)
-    for sp in [0.05, 0.2, 0.5, 0.8, 1.0, 1.25, 1.5, 1.7, 2.0, 2.5, 2.99,
+    for sp in [0.05, 0.2, 0.5, 0.8, 1.0, 1.25, 1.5, 1.7, 2.0, 2.5, 2.99, 3.0,
                1.0 - 1e-6, 1.0 + 1e-6, 2.0 - 1e-6]:
         mu = (N + sp) / 2.0
         c = a + 1.5

@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -352,16 +353,34 @@ def _cho_step(H0: np.ndarray, g: np.ndarray) -> np.ndarray:
                                  check_finite=False), g, check_finite=False)
 
 
+def _matches_numpy_and_scipy(H0: np.ndarray, g: np.ndarray, step) -> bool:
+    """Whether ``step`` factors H0 in place into np.linalg.cholesky(H0)
+    bit for bit, and its direction agrees with scipy's cho_solve to
+    1e-14 relative."""
+    work = H0.copy()
+
+    def hessian():
+        np.copyto(work, H0)
+        return work
+
+    d = step(hessian, g)
+    # the step calls the dpotrf np.linalg.cholesky calls, in the same
+    # library; its dpotrs is another OpenBLAS build than scipy's, so the
+    # direction differs from cho_solve's at round-off
+    ref = _cho_step(H0, g)
+    return (np.tril(work.T).tobytes() == np.linalg.cholesky(H0).tobytes()
+            and np.abs(d - ref).max() <= 1e-14 * np.abs(ref).max())
+
+
 @pytest.mark.parametrize("n", [17, 129, 257, 513])
 def test_newton_step_matches_scipy_cho_solve_bitwise(n):
-    # the step calls LAPACK's dpotrf/dpotrs with the arguments
-    # cho_factor/cho_solve pass, so it must be theirs to the last bit
+    # the factor is numpy's to the last bit; the direction is scipy's to
+    # round-off
     rng = np.random.default_rng(n)
     A = rng.standard_normal((n, n))
     H0 = A @ A.T + n * np.eye(n)
     g = rng.standard_normal(n)
-    d = sv._solve_newton_step(lambda: H0.copy(), g)
-    assert d.tobytes() == _cho_step(H0, g).tobytes()
+    assert _matches_numpy_and_scipy(H0, g, sv._solve_newton_step)
 
 
 def test_capacitary_newton_steps_match_scipy_cho_solve_bitwise(p2, inst2,
@@ -373,9 +392,8 @@ def test_capacitary_newton_steps_match_scipy_cho_solve_bitwise(p2, inst2,
 
     def step(hessian, g):
         H0 = hessian().copy()
-        d = real(hessian, g)
-        seen.append(d.tobytes() == _cho_step(H0, g).tobytes())
-        return d
+        seen.append(_matches_numpy_and_scipy(H0, g, real))
+        return real(hessian, g)
 
     monkeypatch.setattr(sv, "_solve_newton_step", step)
     sv.solve_capacitary(1.0, p2, grid, K, tol=1e-9)
@@ -396,11 +414,27 @@ def test_cholesky_solve_refuses_an_illegal_argument(routine, monkeypatch):
     # LAPACK's info < 0 names an illegal argument; it is no failed
     # factorization, so it must not reach the shift loop as one
     real = getattr(sv, routine)
-    monkeypatch.setattr(sv, routine,
-                        lambda *a, **kw: (real(*a, **kw)[0], -2))
+
+    def illegal(*args):
+        real(*args)
+        args[-2].value = -2   # info, before the hidden string length
+
+    monkeypatch.setattr(sv, routine, illegal)
     H = np.eye(3) * 2.0
     with pytest.raises(ValueError, match="illegal value in argument 2$"):
         sv._solve_newton_step(lambda: H.copy(), np.ones(3))
+
+
+@pytest.mark.parametrize("H", [np.eye(3, dtype=np.float32),
+                               np.asfortranarray(np.diag([1.0, 2.0, 3.0])),
+                               np.eye(4)[:3, :3], np.eye(3)[:, :2]])
+def test_cholesky_solve_refuses_a_matrix_lapack_cannot_read(H):
+    # LAPACK gets a bare pointer, so a matrix that is not one C-ordered
+    # block of doubles (or not square) is refused before the call
+    H0 = H.copy()
+    with pytest.raises(ValueError, match="C-ordered float64 n x n"):
+        sv._cholesky_solve(H, np.ones(H.shape[0]))
+    assert np.array_equal(H, H0)
 
 
 def _run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -410,48 +444,52 @@ def _run_fresh(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_scipy_linalg_imports_after_the_solver_and_shares_its_lapack():
-    # the solver loads scipy's LAPACK wrappers by file; a later import of
-    # scipy.linalg in the same process must work, reuse that module, and
-    # factor to the same bits
-    code = """
+def test_scipy_linalg_imported_first_or_after_gives_the_same_bytes():
+    # a process that has mapped scipy's own OpenBLAS as well, before or
+    # after the solver, still factors and solves with numpy's: the factor
+    # and the step are the bytes of a process without scipy
+    step = """
 import numpy as np
 import fracp.solver as sv
-import scipy.linalg
-assert sv._potrf is scipy.linalg.lapack.dpotrf
-assert sv._potrs is scipy.linalg.lapack.dpotrs
 rng = np.random.default_rng(5)
 A = rng.standard_normal((64, 64))
 H = A @ A.T + 64.0 * np.eye(64)
-c, _ = scipy.linalg.cho_factor(H.copy().T, lower=True, check_finite=False)
-f, info = sv._potrf(H.copy().T, lower=1, clean=0, overwrite_a=1)
-assert info == 0 and c.tobytes() == f.tobytes()
-print("ok")
+x = sv._cholesky_solve(H, rng.standard_normal(64))
+print(H.tobytes().hex(), x.tobytes().hex())
 """
-    res = _run_fresh(code)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["ok"]
+    first = "import scipy.linalg\n" + step
+    after = step + """
+import scipy.linalg
+c, low = scipy.linalg.cho_factor(np.eye(3) * 4.0)
+assert np.array_equal(scipy.linalg.cho_solve((c, low), np.ones(3)),
+                      np.full(3, 0.25))
+"""
+    alone = 'import sys\nsys.modules["scipy"] = None\n' + step
+    runs = [_run_fresh(code) for code in (alone, first, after)]
+    for res in runs:
+        assert res.returncode == 0, res.stderr
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    assert len(runs[0].stdout.split()) == 2
 
 
-def test_solver_import_names_the_directory_when_lapack_is_missing():
-    # no fallback: without the wrapper module the import fails, and says
-    # where it looked
-    code = """
-import importlib.machinery as m
-import importlib.util
-import os
-real = m.PathFinder.find_spec
-m.PathFinder.find_spec = classmethod(
-    lambda cls, name, path=None, target=None:
-    None if name == "scipy.linalg._flapack" else real(name, path, target))
-where = os.path.join(
-    importlib.util.find_spec("scipy").submodule_search_locations[0],
-    "linalg")
+def test_solver_import_names_the_library_and_the_symbols_tried():
+    # no fallback: a library that exports none of the names numpy's build
+    # links dpotrf under fails the import, which names the library and
+    # every symbol it tried
+    tried = (["scipy_dpotrf_64_", "dpotrf_64_"] if lapack_lite._ilp64
+             else ["scipy_dpotrf_", "dpotrf_"])
+    code = f"""
+import ctypes.util
+import numpy.linalg._umath_linalg as lapack
+libc = ctypes.util.find_library("c")
+assert libc is not None
+lapack.__file__ = libc
 try:
     import fracp.solver
 except ImportError as exc:
-    assert exc.name == "scipy.linalg._flapack", exc.name
-    assert where in str(exc), (where, str(exc))
+    assert exc.path == libc, exc.path
+    assert str(exc) == (f"fracp.solver needs LAPACK's dpotrf; {{libc}} "
+                        f"exports none of {', '.join(tried)}"), str(exc)
     print("ImportError")
 """
     res = _run_fresh(code)
