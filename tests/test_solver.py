@@ -447,25 +447,20 @@ def _run_fresh(code: str) -> subprocess.CompletedProcess:
 def test_scipy_linalg_imported_first_or_after_gives_the_same_bytes():
     # a process that has mapped scipy's own OpenBLAS as well, before or
     # after the solver, still factors and solves with numpy's: the factor
-    # and the step are the bytes of a process without scipy
+    # and the step are the bytes of a process where scipy cannot load
     step = """
 import numpy as np
-import fracp.solver as sv
 rng = np.random.default_rng(5)
 A = rng.standard_normal((64, 64))
 H = A @ A.T + 64.0 * np.eye(64)
 x = sv._cholesky_solve(H, rng.standard_normal(64))
 print(H.tobytes().hex(), x.tobytes().hex())
 """
-    first = "import scipy.linalg\n" + step
-    after = step + """
-import scipy.linalg
-c, low = scipy.linalg.cho_factor(np.eye(3) * 4.0)
-assert np.array_equal(scipy.linalg.cho_solve((c, low), np.ones(3)),
-                      np.full(3, 0.25))
-"""
-    alone = 'import sys\nsys.modules["scipy"] = None\n' + step
-    runs = [_run_fresh(code) for code in (alone, first, after)]
+    alone = ('import sys\nsys.modules["scipy"] = None\n'
+             "import fracp.solver as sv\n")
+    first = "import scipy.linalg\nimport fracp.solver as sv\n"
+    after = "import fracp.solver as sv\nimport scipy.linalg\n"
+    runs = [_run_fresh(code + step) for code in (alone, first, after)]
     for res in runs:
         assert res.returncode == 0, res.stderr
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
