@@ -550,7 +550,7 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
     or truncated files and a header another fracp wrote.  A header key
     that is missing or not a finite number, and a node, value or residual
     that is not a finite number, raise :class:`UsageError` naming the
-    file and the field.
+    file and the field; so does a node set that makes no grid.
     """
     with open(path, encoding="ascii") as fh:
         first = fh.readline().strip()
@@ -580,8 +580,11 @@ def read_solution_csv(path: str) -> tuple[RadialFunction, dict]:
         r.append(_number(path, f"line {n}, field r", fields[0]))
         u.append(_number(path, f"line {n}, field u", fields[1]))
         residual.append(_number(path, f"line {n}, field residual", fields[4]))
-    grid = RadialGrid(nodes=np.array(r),
-                      tail_exponent=float(meta["tail_exponent"]))
+    try:
+        grid = RadialGrid(nodes=np.array(r),
+                          tail_exponent=float(meta["tail_exponent"]))
+    except DomainError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     crc = grid_crc(grid)
     if crc != meta["grid_hash"]:
         raise UsageError(

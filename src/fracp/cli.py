@@ -124,11 +124,14 @@ def _cmd_capacitary(cfg: RunConfig, args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def _read_input(cfg: RunConfig, out: str, name: str, step: str):
+def _read_input(cfg: RunConfig, out: str, name: str, step: str,
+                growth: bool = False):
     """The profile ``<out>/<name>.csv`` that ``step`` wrote, its header and
     path; ConfigError if it is missing or unreadable, or was computed for
     other parameters or solver settings or on another grid than this
-    config's."""
+    config's, all tested exactly: a header field must read as the repr of
+    the config's value.  ``growth`` adds r_exp, which enters the truncated
+    problem only."""
     path = os.path.join(out, name + ".csv")
     if not os.path.exists(path):
         raise ConfigError(f"missing input {path}; run {step} first")
@@ -136,12 +139,13 @@ def _read_input(cfg: RunConfig, out: str, name: str, step: str):
         u, meta = read_solution_csv(path)
     except UsageError as exc:
         raise ConfigError(f"{exc}; run {step} again") from None
-    wanted = {key: getattr(cfg.params, key)
-              for key in ("N", "s", "p", "gamma", "alpha", "c_a")}
+    keys = ("N", "s", "p", "gamma", "alpha", "c_a") + (
+        ("r_exp",) if growth else ())
+    wanted = {key: getattr(cfg.params, key) for key in keys}
     wanted.update({"solver.tol": cfg.solver.tol,
                    "solver.schedule_max_n": cfg.solver.schedule_max_n})
     for key, want in wanted.items():
-        if abs(float(meta[key]) - want) > 1e-12 * abs(want):
+        if meta[key] != repr(want):
             raise ConfigError(
                 f"{name}.csv was computed at {key}={meta[key]} but the config "
                 f"says {key}={want!r}; run {step} again")
@@ -187,11 +191,7 @@ def _cmd_solve_full(cfg: RunConfig, args) -> int:
     from .solver import TruncatedProblem, solve_full
     params = cfg.params
     kappa = cfg.kappa if args.kappa is None else args.kappa
-    if not 0.0 <= kappa <= 1.0:
-        raise ConfigError(f"--kappa {kappa!r}: need 0 <= kappa <= 1")
-    if kappa > 0.0 and params.r_exp is None:
-        raise ConfigError(
-            "kappa > 0 needs params.r_exp in the config, see (H_f)")
+    params.check_kappa(kappa)
     out = _out_dir(cfg, args)
     u_bar, meta, path = _read_input(cfg, out, "u_bar", "solve-singular")
     _say(f"solve-full: u_bar <- {path}")
@@ -247,13 +247,8 @@ def _cmd_plotdata(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg, args)
     params = cfg.params
     u_bar, _, _ = _read_input(cfg, out, "u_bar", "solve-singular")
-    u_tilde, meta, _ = _read_input(cfg, out, "u_tilde", "solve-full")
-    # the growth term kappa t^r_exp enters u_tilde only, so u_bar is not
-    # refused on r_exp; the header holds repr(r_exp), None included
-    if meta["r_exp"] != repr(params.r_exp):
-        raise ConfigError(
-            f"u_tilde.csv was computed at r_exp={meta['r_exp']} but the "
-            f"config says r_exp={params.r_exp!r}; run solve-full again")
+    u_tilde, _, _ = _read_input(cfg, out, "u_tilde", "solve-full",
+                                growth=True)
 
     lo, hi = decay_window(u_bar.grid)
     r = u_bar.grid.nodes

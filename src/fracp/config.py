@@ -11,10 +11,11 @@ One experiment is described by a small plain-text file of dotted keys,
 
 chosen over a nested document format so config diffs stay line-per-field.
 ``parse_config`` validates everything up front: unknown keys are
-rejected, missing required keys are reported together with the defaults
-that would have applied, and every violated model hypothesis surfaces
-with the key name and the hypothesis label, e.g. alpha outside its (H_a)
-window.
+rejected, and missing required keys are reported with the defaults
+that would have applied.  The model's rules (alpha's default, kappa, the
+(H_f) and (H_a) windows) are :class:`~fracp.params.ProblemParams`' and
+the grid's bounds :mod:`fracp.grid`'s; either refusal surfaces here as
+a ConfigError citing its rule, e.g. alpha outside its (H_a) window.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, UsageError
 from .grid import RadialGrid, make_radial_grid
 from .params import ProblemParams
 from .quadrature import NODES
@@ -147,36 +148,20 @@ def parse_config(text: str) -> RunConfig:
     for k, (_, d) in _KEYS.items():
         values.setdefault(k, d)
 
-    N, s, p, gamma = (values["params.N"], values["params.s"],
-                      values["params.p"], values["params.gamma"])
-    alpha = values["params.alpha"]
-    if alpha is None:
-        # midpoint of the open (H_a) window (gamma*beta_star, +s*p)
-        try:
-            beta_star = (N - s * p) / (p - 1.0)
-        except ZeroDivisionError:
-            raise ConfigError("params.p: p = 1 is outside the model")
-        alpha = gamma * beta_star + 0.5 * s * p
     try:
-        params = ProblemParams(N=N, s=s, p=p, gamma=gamma, alpha=alpha,
+        params = ProblemParams(N=values["params.N"], s=values["params.s"],
+                               p=values["params.p"],
+                               gamma=values["params.gamma"],
+                               alpha=values["params.alpha"],
                                c_a=values["params.c_a"],
                                r_exp=values["params.r_exp"])
     except DomainError as exc:
         raise ConfigError(f"params: {exc}")
-
     kappa = values["kappa"]
-    if not 0.0 <= kappa <= 1.0:
-        raise ConfigError(f"kappa={kappa!r}: need 0 <= kappa <= 1")
-    if kappa > 0.0 and params.r_exp is None:
-        raise ConfigError(
-            "kappa > 0 needs params.r_exp: the reaction a(x)(t^-gamma + "
-            "kappa t^r) requires 1 < r < p-1, see (H_f)")
-
-    gs = GridSettings(r_max=values["grid.r_max"], nodes=values["grid.nodes"])
-    if gs.r_max < 8.0:
-        raise ConfigError(f"grid.r_max={gs.r_max!r}: need r_max >= 8")
-    if gs.nodes < 16:
-        raise ConfigError(f"grid.nodes={gs.nodes!r}: need at least 16")
+    try:
+        params.check_kappa(kappa)
+    except (DomainError, UsageError) as exc:
+        raise ConfigError(str(exc)) from None
 
     quad = values["quad.nodes"]
     if quad < 4:
@@ -192,9 +177,16 @@ def parse_config(text: str) -> RunConfig:
 
     if values["seed"] < 0:
         raise ConfigError(f"seed={values['seed']!r}: must be >= 0")
-    return RunConfig(params=params, grid=gs, quad=quad, solver=ss,
-                     kappa=kappa, output_dir=values["output_dir"],
-                     seed=values["seed"])
+    cfg = RunConfig(params=params,
+                    grid=GridSettings(r_max=values["grid.r_max"],
+                                      nodes=values["grid.nodes"]),
+                    quad=quad, solver=ss, kappa=kappa,
+                    output_dir=values["output_dir"], seed=values["seed"])
+    try:
+        cfg.build_grid()
+    except DomainError as exc:
+        raise ConfigError(f"grid: {exc}") from None
+    return cfg
 
 
 def read_config(path: str) -> RunConfig:

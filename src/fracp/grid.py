@@ -123,7 +123,11 @@ def make_radial_grid(tail_exponent: float, R_max: float = 64.0, M: int = 256,
     if abs(grading - 1.0) < 1e-12:
         h = np.full(M, R_max / M)
     else:
-        h0 = R_max * (grading - 1.0) / (grading**M - 1.0)
+        try:
+            h0 = R_max * (grading - 1.0) / (grading**M - 1.0)
+        except OverflowError:
+            raise DomainError(f"M={M}: grading**M overflows at grading "
+                              f"{grading:g}") from None
         h = h0 * grading ** np.arange(M)
     nodes = np.concatenate(([0.0], np.cumsum(h)))
     nodes[-1] = R_max

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,8 @@ class ProblemParams:
     gamma : float
         Singularity strength in (0, 1).
     alpha : float
-        Weight decay offset, inside the open (H_a) window.
+        Weight decay offset, inside the open (H_a) window.  Passed as
+        None, it becomes the midpoint of that window.
     c_a : float
         Weight amplitude, positive.
     r_exp : float or None
@@ -100,12 +101,25 @@ class ProblemParams:
             raise DomainError(f"c_a={self.c_a}: weight amplitude must be "
                               "positive and finite")
         lo, hi = self.alpha_window
+        if self.alpha is None:
+            object.__setattr__(self, "alpha", lo + 0.5 * self.sp)
         if not lo < self.alpha < hi:
             raise DomainError(
                 f"alpha={self.alpha}: outside the open window "
                 f"({lo:g}, {hi:g}) = (gamma*beta_star, gamma*beta_star + s*p), "
                 "see (H_a)"
             )
+
+    def check_kappa(self, kappa: float) -> None:
+        """Refuse a growth weight that (H_f) does not admit: DomainError
+        outside [0, 1], UsageError for kappa > 0 without r_exp."""
+        if not 0.0 <= kappa <= 1.0:
+            raise DomainError(
+                f"kappa={kappa!r}: need 0 <= kappa <= 1, see (H_f)")
+        if kappa > 0.0 and self.r_exp is None:
+            raise UsageError(
+                "kappa > 0 needs params.r_exp: the reaction a(x)(t^-gamma + "
+                "kappa t^r) requires 1 < r < p-1, see (H_f)")
 
     # -- derived exponents -------------------------------------------------
 
@@ -137,7 +151,4 @@ class ProblemParams:
         gamma is fixed at 1/2, alpha at the midpoint of its (H_a) window,
         and the growth term is disabled.
         """
-        gamma = 0.5
-        beta_star = (N - s * p) / (p - 1.0)
-        alpha = gamma * beta_star + 0.5 * s * p
-        return cls(N=N, s=s, p=p, gamma=gamma, alpha=alpha, c_a=1.0, r_exp=None)
+        return cls(N=N, s=s, p=p, gamma=0.5, alpha=None, c_a=1.0, r_exp=None)

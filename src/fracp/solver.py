@@ -270,15 +270,11 @@ class TruncatedProblem(Functional):
 
     def __init__(self, params: ProblemParams, grid: RadialGrid,
                  K: KernelMatrix, u_bar: RadialFunction, kappa: float):
-        if not 0.0 <= kappa <= 1.0:
-            raise DomainError(f"kappa={kappa:g}: need 0 <= kappa <= 1")
+        params.check_kappa(kappa)
         _require_grid(u_bar.grid, K, "u_bar lives on a different grid than "
                       "the kernel matrix")
         if float(u_bar.values.min()) <= 0.0:
             raise DomainError("u_bar must be strictly positive at every node")
-        if kappa > 0.0 and params.r_exp is None:
-            raise UsageError("kappa > 0 requires params.r_exp (growth "
-                             "exponent)")
         super().__init__(params, grid, K, _Reaction(
             params.gamma, 0.0, kappa, params.r_exp), floor=u_bar.values)
 
@@ -396,6 +392,8 @@ def _minimize(f: Functional, x0, tol, free=None):
     because an iterate's Hessian is always taken before the next point
     is priced; the old iterate keeps its value and gradient.
     """
+    if not tol > 0.0:
+        raise UsageError(f"tol={tol:g}: tolerance must be positive")
     buffers = f._buffers if f._buffers is not None else _Buffers(f.K)
     pt = _Point(f, np.array(x0, dtype=float, copy=True), buffers)
     if free is None:
@@ -474,8 +472,6 @@ def minimize_Jn(prob: RegularizedProblem, init: RadialFunction,
     nonnegative cone; if the unprojected minimizer dipped below ``-tol``
     anywhere the report is marked unconverged instead of hiding it.
     """
-    if tol <= 0.0:
-        raise UsageError(f"tol={tol:g}: tolerance must be positive")
     _require_grid(init.grid, prob.K, "init lives on a different grid than "
                   "the problem")
     pt, rep = _minimize(prob, init.values, tol)
@@ -583,8 +579,6 @@ def solve_full(params: ProblemParams, grid: RadialGrid, K: KernelMatrix,
     construction actually needs.  A violation beyond ``tol`` flags the
     report unconverged rather than raising.
     """
-    if tol <= 0.0:
-        raise UsageError(f"tol={tol:g}: tolerance must be positive")
     prob = TruncatedProblem(params, grid, K, u_bar, kappa)
     pt, rep = _minimize(prob, u_bar.values, tol)
     x = _finish(prob, pt, rep, tol)

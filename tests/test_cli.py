@@ -246,6 +246,70 @@ def test_solve_full_kappa_flag_validated(workdir):
                  "--kappa", "1.5"]) == 2
 
 
+def test_solve_full_refuses_kappa_before_reading_u_bar(workdir, tmp_path,
+                                                      capsys):
+    # kappa's rule is checked before any file is read: in a directory
+    # without u_bar.csv the refusal names kappa, not the missing input
+    out = tmp_path / "empty"
+    capsys.readouterr()
+    assert main(["solve-full", "--config", workdir["cfg"], "--kappa", "1.5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (solve-full): ") and "kappa" in err
+    assert "u_bar" not in err
+    assert not out.exists()
+
+
+def test_p_equal_to_one_is_refused_citing_h_f(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.format(out=tmp_path / "out")
+                   .replace("params.p = 2.5", "params.p = 1")
+                   .replace("params.r_exp = 1.2\n", "")
+                   .replace("kappa = 0.5", "kappa = 0"))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (verify): params") and "(H_f)" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows[:10],
+    lambda rows: rows[:4] + [rows[5], rows[4]] + rows[6:],
+], ids=["cut-to-10-rows", "two-rows-swapped"])
+def test_solve_full_names_a_u_bar_whose_nodes_make_no_grid(workdir, tmp_path,
+                                                           capsys, edit):
+    # the r column of a cut or reordered file makes no grid: the refusal
+    # names the file and the step that writes it again
+    lines = open(os.path.join(workdir["out"], "u_bar.csv")).read() \
+        .splitlines()
+    path = tmp_path / "u_bar.csv"
+    path.write_text("\n".join(lines[:3] + edit(lines[3:])) + "\n")
+    capsys.readouterr()
+    assert main(["solve-full", "--config", workdir["cfg"],
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error (solve-full): {path}: ")
+    assert err.rstrip().endswith("; run solve-singular again")
+    assert not (tmp_path / "u_tilde.csv").exists()
+
+
+def test_solve_full_refuses_a_header_one_ulp_off_the_config(workdir, tmp_path,
+                                                            capsys):
+    # a header field matches the config's value exactly or not at all:
+    # u_bar.csv was written at c_a = 1, the config says the next float
+    shutil.copy(os.path.join(workdir["out"], "u_bar.csv"), tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG.format(out=tmp_path)
+                   + "params.c_a = 1.0000000000000002\n")
+    capsys.readouterr()
+    assert main(["solve-full", "--config", str(cfg)]) == 2
+    assert ("u_bar.csv was computed at c_a=1.0 but the config says "
+            "c_a=1.0000000000000002; run solve-singular again"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "u_tilde.csv").exists()
+
+
 def test_solve_full_writes_what_the_library_path_writes(workdir, tmp_path):
     # the u_tilde.csv that solve-full built on the u_bar.csv read from disk
     # is byte for byte the one of the in-process chain solve_pure_singular

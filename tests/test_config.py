@@ -129,7 +129,8 @@ def test_kappa_bounds_and_growth_requirement():
 
 
 @pytest.mark.parametrize("line,fragment", [
-    ("grid.r_max = 4", "r_max >= 8"),
+    # the grid's bounds are fracp.grid's, found by building the grid
+    ("grid.r_max = 4", "grid: R_max=4: minimum is 8"),
     ("grid.nodes = 8", "at least 16"),
     # a config fixes one grid: its grading is not a setting
     ("grid.grading = 1.5", "unknown key"),
@@ -146,6 +147,14 @@ def test_kappa_bounds_and_growth_requirement():
 def test_settings_sanity(line, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(REQUIRED + line + "\n")
+
+
+def test_a_grid_that_cannot_be_built_is_refused():
+    # 1.03**30000 overflows a float: the grid refuses it, and the config
+    # reports that as it reports the other grid bounds
+    with pytest.raises(ConfigError,
+                       match=r"^grid: M=30000: grading\*\*M overflows"):
+        parse_config(REQUIRED + "grid.nodes = 30000\n")
 
 
 def test_build_grid_defaults_to_capacitary_rate():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fracp.errors import DomainError
+from fracp.errors import DomainError, UsageError
 from fracp.params import ProblemParams
 
 
@@ -106,6 +106,34 @@ def test_kernel_only_constructor():
     lo, hi = P.alpha_window
     assert lo < P.alpha < hi
     assert P.r_exp is None
+
+
+@pytest.mark.parametrize("N, s, p", [(3, 0.5, 2.0), (3, 0.5, 2.5),
+                                     (4, 0.4, 2.0), (5, 0.3, 3.7)])
+def test_alpha_default_is_the_window_midpoint(N, s, p):
+    # the config's default, kernel_only's and alpha=None are one value,
+    # bit for bit the midpoint gamma*beta_star + s*p/2 written out here
+    from fracp.config import parse_config
+    beta_star = (N - s * p) / (p - 1.0)
+    mid = 0.5 * beta_star + 0.5 * s * p
+    cfg = parse_config(f"params.N = {N}\nparams.s = {s!r}\n"
+                       f"params.p = {p!r}\nparams.gamma = 0.5\n")
+    alphas = (cfg.params.alpha, ProblemParams.kernel_only(N, s, p).alpha,
+              ProblemParams(N=N, s=s, p=p, gamma=0.5, alpha=None).alpha)
+    assert [a.hex() for a in alphas] == [mid.hex()] * 3
+
+
+def test_kappa_rule_is_h_f():
+    P = ProblemParams(N=3, s=0.5, p=2.5, gamma=0.5, alpha=1.2, r_exp=1.2)
+    for kappa in (0.0, 0.5, 1.0):
+        P.check_kappa(kappa)
+    make().check_kappa(0.0)
+    for kappa in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError,
+                           match=r"need 0 <= kappa <= 1, see \(H_f\)"):
+            P.check_kappa(kappa)
+    with pytest.raises(UsageError, match=r"kappa > 0 needs params.r_exp"):
+        make().check_kappa(0.5)
 
 
 def test_frozen():

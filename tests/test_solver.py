@@ -710,6 +710,13 @@ def test_capacitary_validation(p2, inst2):
         sv.solve_capacitary(0.5 * grid.nodes[1], p2, grid, K, 1e-9)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8])
+def test_capacitary_refuses_a_tolerance_that_is_not_positive(p2, inst2, tol):
+    grid, K = inst2
+    with pytest.raises(UsageError, match="tolerance must be positive"):
+        sv.solve_capacitary(1.0, p2, grid, K, tol=tol)
+
+
 def test_truncated_rhs_values(p25, p2, inst25, inst2):
     grid, K = inst25
     r = grid.nodes
