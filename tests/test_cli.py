@@ -281,8 +281,8 @@ def test_solve_full_names_a_u_bar_whose_nodes_make_no_grid(workdir, tmp_path,
                                                            capsys, edit):
     # the r column of a cut or reordered file makes no grid: the refusal
     # names the file and the step that writes it again
-    lines = open(os.path.join(workdir["out"], "u_bar.csv")).read() \
-        .splitlines()
+    with open(os.path.join(workdir["out"], "u_bar.csv")) as fh:
+        lines = fh.read().splitlines()
     path = tmp_path / "u_bar.csv"
     path.write_text("\n".join(lines[:3] + edit(lines[3:])) + "\n")
     capsys.readouterr()
